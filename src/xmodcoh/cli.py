@@ -82,7 +82,7 @@ def _task_h_n(bundle, seed, budget):
     _payload(bundle, {"group": (str, dict), "module": str, "n": int}, {})
     group = group_from_spec(bundle["group"], "/group")
     module = module_from_spec(bundle["module"], group, "/module")
-    n = expect_int(bundle["n"], "/n", 0, 6)
+    n = expect_int(bundle["n"], "/n", 0, 4)
     coh = cohomology(group, module, n,
                      max_positions=_budget(bundle, budget, 2_000_000))
     return "ok", {"degree": n, "group_order": group.order,
@@ -520,6 +520,9 @@ def run(bundle, seed: int | None = None, budget: int | None = None) -> dict:
         status = "resource-error"
         result = {"bound": exc.bound, "needed": exc.needed,
                   "allowed": exc.allowed}
+    except MemoryError:
+        status = "resource-error"
+        result = {"bound": "memory", "needed": None, "allowed": None}
     except ValueError as exc:
         status = "input-error"
         result = {"message": str(exc)}

@@ -2,11 +2,13 @@
 
 Cochains are full tables on tuples of group elements; cohomology is computed
 on the normalized subcomplex (cochains vanishing when any argument is the
-identity, which computes the same groups) by exact integer lattice algebra:
-the cocycle lattice K and coboundary lattice L are extracted with Smith
-normal forms and the quotient K/L is read off a third Smith form, which also
-yields generator representatives, classification of arbitrary cocycles, and
-coboundary witnesses.
+identity, which computes the same groups) by one elimination over Z/m
+(``modsnf``).  A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with
+m = dk: the cocycle condition on coordinate i is scaled by m/di, and the
+relations di*ei join the coboundaries.  The kernel generators come from the
+mod-m Smith form of the outgoing differential and the quotient from a second
+Smith form, which also yields generator representatives, classification of
+arbitrary cocycles, and coboundary witnesses.
 
 Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z at a
 working denominator m.  Because every class in H^n(G, Q/Z) is |G|-torsion,
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
-from . import intlinalg as il
 from . import modsnf
 from .coefficients import CIRCLE, FINITE, AbelianCoefficients
 from .errors import ResourceLimit
@@ -168,24 +169,19 @@ def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
         denom = None
     factors, mats = module.lattice_data(denom)
     k = len(factors)
-    full = _FullTable(group, factors, mats)
-    dmat = full.diff_matrix(n - 1)
-    bad_rows: list[int] = []
+    full = _BarComplex(group, factors, mats, group.elements())
     e = group.identity
-    for idx in range(order ** n):
-        if e in index_to_tuple(order, n, idx):
-            bad_rows.extend(idx * k + j for j in range(k))
-    a = [dmat[r] for r in bad_rows]
-    b = []
-    for r in bad_rows:
-        pos, j = divmod(r, k)
-        vec = module.to_vector(c.values[pos], denom)
-        b.append(vec[j])
-    moduli = [factors[r % k] for r in bad_rows]
-    sol = il.solve_mod(a, b, moduli)
+    bad_rows = [idx * k + j for idx in range(order ** n)
+                if e in index_to_tuple(order, n, idx) for j in range(k)]
+    scale = full.row_scale(n)[bad_rows]
+    a = full.diff_matrix(n - 1)[bad_rows] * scale[:, None]
+    b = np.array([x for v in c.values for x in module.to_vector(v, denom)],
+                 dtype=np.int64)[bad_rows] * scale
+    sol = modsnf.ModSolver(a, full.m).solve(b)
     if sol is None:
         raise ValueError("cochain admits no normalizing shift; "
                          "is it a cocycle?")
+    sol = [int(x) for x in sol]
     shift_vals = tuple(
         module.from_vector(sol[idx * k:(idx + 1) * k], denom)
         for idx in range(order ** (n - 1)))
@@ -199,69 +195,31 @@ def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# integer-lattice complexes
+# cochain complexes over Z/m
 # ---------------------------------------------------------------------------
 
-class _FullTable:
-    """Bar differential as an integer matrix over full (unnormalized) tuples."""
+class _BarComplex:
+    """The bar complex on tuples drawn from ``elements``, as integer matrices.
 
-    def __init__(self, group: FiniteGroup, factors, mats):
-        self.group = group
-        self.factors = list(factors)
-        self.mats = mats
-        self.k = len(factors)
-
-    def dim(self, n: int) -> int:
-        return (self.group.order ** n) * self.k
-
-    def diff_matrix(self, n: int) -> list[list[int]]:
-        group, k = self.group, self.k
-        order = group.order
-        rows = self.dim(n + 1)
-        cols = self.dim(n)
-        out = [[0] * cols for _ in range(rows)]
-        for tidx in range(order ** (n + 1)):
-            args = index_to_tuple(order, n + 1, tidx)
-            r0 = tidx * k
-            mat = self.mats[args[0]]
-            c0 = tuple_index(order, args[1:]) * k
-            for i in range(k):
-                row = out[r0 + i]
-                for j in range(k):
-                    row[c0 + j] += mat[i][j]
-            sign = 1
-            for i in range(1, n + 1):
-                sign = -sign
-                merged = args[:i - 1] + (group.mul[args[i - 1]][args[i]],) \
-                    + args[i + 1:]
-                c0 = tuple_index(order, merged) * k
-                for j in range(k):
-                    out[r0 + j][c0 + j] += sign
-            c0 = tuple_index(order, args[:-1]) * k
-            for j in range(k):
-                out[r0 + j][c0 + j] += -sign
-        return out
-
-
-class _NormalizedComplex:
-    """The normalized cochain complex as integer matrices.
-
-    Basis positions in degree n are tuples of non-identity elements, each
-    carrying ``k`` integer coordinates with moduli given by the factors.
+    With the non-identity elements this is the normalized complex, with all
+    elements the full one; a merged term whose product is not among the
+    elements drops out.  Each position carries ``k`` integer coordinates,
+    coordinate i taken mod factors[i] and carried in Z/m for m the largest
+    factor.
     """
 
-    def __init__(self, group: FiniteGroup, factors, mats):
+    def __init__(self, group: FiniteGroup, factors, mats, elements):
         self.group = group
         self.factors = list(factors)
         self.mats = mats
         self.k = len(factors)
-        self.nz = [g for g in group.elements() if g != group.identity]
-        self._nz_index = {g: i for i, g in enumerate(self.nz)}
-        self._diff_cache: dict[int, list[list[int]]] = {}
-        self._diff_np_cache: dict[int, object] = {}
+        self.m = max(self.factors, default=1)
+        self.elements = list(elements)
+        self._index = {g: i for i, g in enumerate(self.elements)}
+        self._diff_cache: dict[int, np.ndarray] = {}
 
     def positions(self, n: int) -> int:
-        return len(self.nz) ** n
+        return len(self.elements) ** n
 
     def dim(self, n: int) -> int:
         return self.positions(n) * self.k
@@ -269,24 +227,35 @@ class _NormalizedComplex:
     def moduli(self, n: int) -> list[int]:
         return self.factors * self.positions(n)
 
+    def row_scale(self, n: int) -> np.ndarray:
+        """m/d per degree-n coordinate: x = 0 mod d iff (m/d) x = 0 mod m."""
+        return np.array([self.m // d for d in self.moduli(n)], dtype=np.int64)
+
+    def relations(self, n: int) -> np.ndarray:
+        """Columns d*e_i for the degree-n coordinates with modulus d < m."""
+        moduli = self.moduli(n)
+        rows = [i for i, d in enumerate(moduli) if d < self.m]
+        out = np.zeros((len(moduli), len(rows)), dtype=np.int64)
+        out[rows, range(len(rows))] = [moduli[i] for i in rows]
+        return out
+
     def tuple_at(self, n: int, pos: int) -> tuple[int, ...]:
         out = []
-        base = len(self.nz)
+        base = len(self.elements)
         for _ in range(n):
             pos, r = divmod(pos, base)
-            out.append(self.nz[r])
+            out.append(self.elements[r])
         return tuple(reversed(out))
 
     def position_of(self, args) -> int:
         pos = 0
         for a in args:
-            pos = pos * len(self.nz) + self._nz_index[a]
+            pos = pos * len(self.elements) + self._index[a]
         return pos
 
     def _diff_triples(self, n: int):
         """Yield (row, col, increment) entries of the degree-n differential."""
         group, k = self.group, self.k
-        e = group.identity
         for tpos in range(self.positions(n + 1)):
             args = self.tuple_at(n + 1, tpos)
             r0 = tpos * k
@@ -299,10 +268,10 @@ class _NormalizedComplex:
             sign = 1
             for i in range(1, n + 1):
                 sign = -sign
-                prod = group.mul[args[i - 1]][args[i]]
-                if prod == e:
+                gh = group.mul[args[i - 1]][args[i]]
+                if gh not in self._index:
                     continue
-                merged = args[:i - 1] + (prod,) + args[i + 1:]
+                merged = args[:i - 1] + (gh,) + args[i + 1:]
                 c0 = self.position_of(merged) * k
                 for j in range(k):
                     yield r0 + j, c0 + j, sign
@@ -310,23 +279,14 @@ class _NormalizedComplex:
             for j in range(k):
                 yield r0 + j, c0 + j, -sign
 
-    def diff_matrix(self, n: int) -> list[list[int]]:
+    def diff_matrix(self, n: int):
+        """The degree-n differential as an int64 array (cached)."""
         if n in self._diff_cache:
             return self._diff_cache[n]
-        out = [[0] * self.dim(n) for _ in range(self.dim(n + 1))]
-        for r, c, v in self._diff_triples(n):
-            out[r][c] += v
-        self._diff_cache[n] = out
-        return out
-
-    def diff_matrix_np(self, n: int):
-        """The degree-n differential as an int64 array (cached)."""
-        if n in self._diff_np_cache:
-            return self._diff_np_cache[n]
         out = np.zeros((self.dim(n + 1), self.dim(n)), dtype=np.int64)
         for r, c, v in self._diff_triples(n):
             out[r, c] += v
-        self._diff_np_cache[n] = out
+        self._diff_cache[n] = out
         return out
 
     def vector(self, module: AbelianCoefficients, c: Cochain,
@@ -347,127 +307,12 @@ class _NormalizedComplex:
         for pos in range(self.positions(degree)):
             args = self.tuple_at(degree, pos)
             values[tuple_index(order, args)] = module.from_vector(
-                vec[pos * k:(pos + 1) * k], denominator)
+                [int(x) for x in vec[pos * k:(pos + 1) * k]], denominator)
         return Cochain(degree, tuple(values), True)
 
 
-class _LatticeQuotient:
-    """Invariant factors, representatives and membership for K/L in Z^a.
-
-    K is given by a spanning set of columns, L likewise; L must sit inside K
-    and K must have full rank a (both hold for cocycles-mod-coboundaries once
-    the coordinate moduli are included in the generating sets).
-    """
-
-    def __init__(self, dim: int, k_span: list[list[int]],
-                 l_span: list[list[int]]):
-        self.dim = dim
-        if dim == 0:
-            self.factors_all: list[int] = []
-            return
-        basis_cols = il.lattice_basis(il.mat_from_columns(k_span))
-        if len(basis_cols) != dim:
-            raise RuntimeError("cocycle lattice is not full rank")
-        self.basis = il.mat_from_columns(basis_cols)
-        self._basis_form = il.smith_normal_form(self.basis, transforms=True)
-        w_cols = []
-        for col in l_span:
-            sol = il.solve_integer(self.basis, col, form=self._basis_form)
-            if sol is None:
-                raise RuntimeError("boundary lattice escapes cocycle lattice")
-            w_cols.append(sol)
-        w = il.mat_from_columns(w_cols)
-        self._w_form = il.smith_normal_form(w, transforms=True)
-        if self._w_form.rank != dim:
-            raise RuntimeError("quotient is not finite")
-        self.factors_all = list(self._w_form.diag[:dim])
-
-    @property
-    def nontrivial(self) -> list[int]:
-        return [i for i, s in enumerate(self.factors_all) if s > 1]
-
-    def factors(self) -> tuple[int, ...]:
-        return tuple(self.factors_all[i] for i in self.nontrivial)
-
-    def order(self) -> int:
-        out = 1
-        for s in self.factors_all:
-            out *= s
-        return out
-
-    def generator_vector(self, i: int) -> list[int]:
-        col = [row[i] for row in self._w_form.row_t_inv]
-        return il.mat_vec(self.basis, col)
-
-    def coordinates(self, vec) -> tuple[int, ...]:
-        if self.dim == 0:
-            return ()
-        x = il.solve_integer(self.basis, list(vec), form=self._basis_form)
-        if x is None:
-            raise ValueError("vector is not in the cocycle lattice")
-        y = il.mat_vec(self._w_form.row_t, x)
-        return tuple(y[i] % self.factors_all[i] for i in self.nontrivial)
-
-
-class _LatticeCohomology:
-    """H^n of the normalized complex for one finite lattice module."""
-
-    def __init__(self, group: FiniteGroup, factors, mats, degree: int):
-        self.group = group
-        self.degree = degree
-        self.cx = _NormalizedComplex(group, factors, mats)
-        n = degree
-        a_n = self.cx.dim(n)
-        self.a_n = a_n
-        if a_n == 0:
-            self.quot = _LatticeQuotient(0, [], [])
-            self._wit_stack = None
-            self._wit_form = None
-            return
-        d_n = self.cx.diff_matrix(n)
-        stacked = il.stack_mod_matrix(d_n, self.cx.moduli(n + 1))
-        k_span = [col[:a_n] for col in il.kernel_basis(stacked)]
-        mod_cols = []
-        moduli_n = self.cx.moduli(n)
-        for i, m in enumerate(moduli_n):
-            col = [0] * a_n
-            col[i] = m
-            mod_cols.append(col)
-        if n >= 1:
-            d_prev = self.cx.diff_matrix(n - 1)
-            l_span = il.matrix_columns(d_prev) + mod_cols
-            self._wit_stack = il.stack_mod_matrix(d_prev, moduli_n)
-        else:
-            l_span = mod_cols
-            self._wit_stack = None
-        self.quot = _LatticeQuotient(a_n, k_span + mod_cols, l_span)
-        self._wit_form = None
-
-    def is_cocycle_vec(self, vec) -> bool:
-        if self.a_n == 0:
-            return True
-        img = il.mat_vec(self.cx.diff_matrix(self.degree), list(vec))
-        return all(x % m == 0
-                   for x, m in zip(img, self.cx.moduli(self.degree + 1)))
-
-    def witness_vec(self, vec) -> list[int] | None:
-        """w with d(w) = vec (mod moduli), or None."""
-        if self.degree == 0:
-            return None
-        if self.a_n == 0:
-            return []
-        if self._wit_form is None:
-            self._wit_form = il.smith_normal_form(self._wit_stack,
-                                                  transforms=True)
-        sol = il.solve_integer(self._wit_stack, list(vec),
-                               form=self._wit_form)
-        if sol is None:
-            return None
-        return sol[:self.cx.dim(self.degree - 1)]
-
-
-class _ModQuotient:
-    """ker/im structure over a uniform modulus, mirroring _LatticeQuotient.
+class _Quotient:
+    """ker/im over Z/m: invariant factors, representatives and membership.
 
     Generators of the kernel (with their orders) come from the mod-m Smith
     form of the outgoing differential; the incoming image is rewritten in
@@ -512,71 +357,67 @@ class _ModQuotient:
         return [int(x) for x in (self.gens.astype(np.int64) @ y) % self.m]
 
     def coordinates(self, vec) -> tuple[int, ...]:
-        if not self.factors_all:
-            y = self._solver.solve(np.asarray(vec))
-            if y is None:
-                raise ValueError("vector is not in the cocycle lattice")
-            return ()
         y = self._solver.solve(np.asarray(vec))
         if y is None:
             raise ValueError("vector is not in the cocycle lattice")
+        if not self.factors_all:
+            return ()
         w = (self._form.u.astype(np.int64) @ y) % self.m
         return tuple(int(w[i]) % self.factors_all[i] for i in self.nontrivial)
 
 
-class _ModCohomology:
-    """H^n over a uniform modulus, numpy-backed (so bigger complexes fit).
+class _Cohomology:
+    """H^n of the normalized complex of one finite module, over Z/m.
 
-    Interchangeable with _LatticeCohomology when every coordinate modulus is
-    the same; used for the rational-circle complexes once the codomain
-    dimension makes exact integer reduction too slow.
+    Row i of the outgoing differential is scaled by m/d_i, so its kernel mod
+    m is the preimage of the cocycles; the incoming image is joined by the
+    relation columns d_i e_i, which also join the witness solve.
     """
 
     def __init__(self, group: FiniteGroup, factors, mats, degree: int):
-        self.group = group
         self.degree = degree
-        self.cx = _NormalizedComplex(group, factors, mats)
-        if len(set(factors)) != 1:
-            raise ValueError("modular engine needs a uniform modulus")
-        self.m = factors[0]
+        self.cx = _BarComplex(group, factors, mats,
+                              [g for g in group.elements()
+                               if g != group.identity])
+        self.m = m = self.cx.m
         n = degree
         self.a_n = self.cx.dim(n)
-        if self.a_n == 0:
-            self.quot = _LatticeQuotient(0, [], [])
-            return
-        self._dn = self.cx.diff_matrix_np(n) % self.m
-        if n >= 1:
-            d_prev = self.cx.diff_matrix_np(n - 1) % self.m
-        else:
-            d_prev = np.zeros((self.a_n, 0), dtype=np.int64)
-        self._dprev = d_prev
+        self._dn = None
         self._wit_solver = None
+        if self.a_n == 0 or m == 1:
+            empty = np.zeros((self.a_n, 0), dtype=np.int64)
+            self.quot = _Quotient(1, empty, [], empty)
+            return
+        scale = self.cx.row_scale(n + 1)[:, None]
+        self._dn = self.cx.diff_matrix(n) * scale % m
+        rel = self.cx.relations(n)
+        if n >= 1:
+            self._lcols = np.hstack([self.cx.diff_matrix(n - 1) % m, rel])
+        else:
+            self._lcols = rel
         constraints = np.unique(self._dn, axis=0)
         constraints = constraints[np.any(constraints, axis=1)]
-        gens, orders = modsnf.mod_kernel(constraints, self.m)
-        self.quot = _ModQuotient(self.m, gens, orders, d_prev)
+        gens, orders = modsnf.mod_kernel(constraints, m)
+        self.quot = _Quotient(m, gens, orders, self._lcols)
 
     def is_cocycle_vec(self, vec) -> bool:
-        if self.a_n == 0:
+        if self._dn is None:
             return True
         img = (self._dn @ (np.asarray(vec, dtype=np.int64) % self.m)) % self.m
         return not img.any()
 
     def witness_vec(self, vec) -> list[int] | None:
+        """w with d(w) = vec (mod moduli), or None."""
         if self.degree == 0:
             return None
-        if self.a_n == 0:
-            return []
+        if self._dn is None:
+            return [0] * self.cx.dim(self.degree - 1)
         if self._wit_solver is None:
-            self._wit_solver = modsnf.ModSolver(self._dprev, self.m)
+            self._wit_solver = modsnf.ModSolver(self._lcols, self.m)
         sol = self._wit_solver.solve(np.asarray(vec, dtype=np.int64) % self.m)
         if sol is None:
             return None
-        return [int(x) for x in sol]
-
-
-# beyond this codomain dimension the circle complexes switch to _ModCohomology
-_MODULAR_CUTOFF = 400
+        return [int(x) for x in sol[:self.cx.dim(self.degree - 1)]]
 
 
 # ---------------------------------------------------------------------------
@@ -630,84 +471,73 @@ class _FiniteImpl:
     def __init__(self, group, module, degree):
         factors, mats = module.lattice_data()
         self.group, self.module, self.degree = group, module, degree
-        self.lat = _LatticeCohomology(group, factors, mats, degree)
+        self.eng = _Cohomology(group, factors, mats, degree)
 
     def _vec(self, c: Cochain):
         c = _ingest(self.group, self.module, self.degree, c)
-        vec = self.lat.cx.vector(self.module, c, None)
-        if not self.lat.is_cocycle_vec(vec):
+        vec = self.eng.cx.vector(self.module, c, None)
+        if not self.eng.is_cocycle_vec(vec):
             raise ValueError("not a cocycle")
         return vec
 
     def classify(self, c):
-        return self.lat.quot.coordinates(self._vec(c))
+        return self.eng.quot.coordinates(self._vec(c))
 
     def witness(self, c):
-        w = self.lat.witness_vec(self._vec(c))
+        w = self.eng.witness_vec(self._vec(c))
         if w is None:
             return None
-        return self.lat.cx.cochain(self.module, self.degree - 1, w, None)
+        return self.eng.cx.cochain(self.module, self.degree - 1, w, None)
 
     def result(self):
+        quot = self.eng.quot
         reps = tuple(
-            self.lat.cx.cochain(self.module, self.degree,
-                                [x % m for x, m in
-                                 zip(self.lat.quot.generator_vector(i),
-                                     self.lat.cx.moduli(self.degree))],
-                                None)
-            for i in self.lat.quot.nontrivial)
+            self.eng.cx.cochain(self.module, self.degree,
+                                quot.generator_vector(i), None)
+            for i in quot.nontrivial)
         return CohomologyGroup(
             self.group, self.module, self.degree,
-            self.lat.quot.factors(), reps, self.lat.quot.order(),
-            _impl=self)
+            quot.factors(), reps, quot.order(), _impl=self)
 
 
 class _CircleImpl:
-    """Q/Z cohomology: the image of H^n at denominator m in H^n at m*|G|."""
+    """Q/Z cohomology: the image of H^n at denominator m in H^n at m*|G|.
+
+    The image is the column span of a matrix E in (Z/m1)^r whose column j
+    holds the coordinates at m1 of base generator j, coordinate i embedded
+    by m1/f_i.  Its Smith form U E V = diag(s) gives the image factors
+    m1/s_l, the coordinates (U y)_l / s_l and the generator pullbacks
+    V[:, l].
+    """
 
     def __init__(self, group, module, degree, denominator):
         self.group, self.module, self.degree = group, module, degree
         self.m0 = denominator if denominator else group.order
         self.m0 = lcm(self.m0, group.order)
         self.m1 = self.m0 * group.order
-        f0, a0 = module.lattice_data(self.m0)
-        f1, a1 = module.lattice_data(self.m1)
-        dim_next = (group.order - 1) ** (degree + 1) * len(f0)
-        engine = _ModCohomology if dim_next > _MODULAR_CUTOFF \
-            else _LatticeCohomology
-        self.base = engine(group, f0, a0, degree)
-        self.big = engine(group, f1, a1, degree)
+        self.base = _Cohomology(group, *module.lattice_data(self.m0), degree)
+        self.big = _Cohomology(group, *module.lattice_data(self.m1), degree)
         scale = self.m1 // self.m0
         self.base_reps_vec = [self.base.quot.generator_vector(i)
                               for i in self.base.quot.nontrivial]
-        img_coords = [
-            list(self.big.quot.coordinates([x * scale for x in v]))
-            for v in self.base_reps_vec]
-        self.map_matrix = il.mat_from_columns(img_coords) \
-            if img_coords else []
-        big_factors = list(self.big.quot.factors())
-        r = len(big_factors)
-        mod_cols = []
-        for i, m in enumerate(big_factors):
-            col = [0] * r
-            col[i] = m
-            mod_cols.append(col)
-        if r == 0 or not img_coords:
-            self.image = _LatticeQuotient(0, [], [])
-            self.factors: tuple[int, ...] = ()
-            self.gen_pullbacks: list[list[int]] = []
-        else:
-            self.image = _LatticeQuotient(
-                r, img_coords + mod_cols, mod_cols)
-            self.factors = self.image.factors()
-            self.gen_pullbacks = []
-            for i in self.image.nontrivial:
-                gen = self.image.generator_vector(i)
-                pull = il.solve_mod(self.map_matrix, gen, big_factors)
-                if pull is None:
-                    raise RuntimeError("image generator has no pullback")
-                self.gen_pullbacks.append(pull)
-        self.stable = (self.image.order() == self.base.quot.order())
+        self._embed = np.array([self.m1 // f for f in self.big.quot.factors()],
+                               dtype=np.int64)
+        img = np.zeros((len(self._embed), len(self.base_reps_vec)),
+                       dtype=np.int64)
+        for j, v in enumerate(self.base_reps_vec):
+            img[:, j] = self.big.quot.coordinates([x * scale for x in v])
+        self._form = None
+        self._keep: list[int] = []
+        if img.size:
+            self._form = modsnf.mod_smith(img * self._embed[:, None] % self.m1,
+                                          self.m1, want_u=True, want_v=True)
+            # descending in divisibility; reversed for the ascending chain
+            self._keep = [l for l, s in enumerate(self._form.diag)
+                          if s < self.m1][::-1]
+        self.factors = tuple(self.m1 // self._form.diag[l]
+                             for l in self._keep)
+        self.order = prod(self.factors)
+        self.stable = (self.order == self.base.quot.order())
 
     def _vec(self, c: Cochain, denominator: int):
         c = _ingest(self.group, self.module, self.degree, c)
@@ -726,14 +556,16 @@ class _CircleImpl:
             raise ValueError("not a cocycle")
         scale = self.m1 // self.m0
         coords_big = self.big.quot.coordinates([x * scale for x in vec0])
-        if self.image.dim == 0:
+        if self._form is None:
             if any(coords_big):
                 raise RuntimeError("class outside the stable image")
             return ()
-        try:
-            return self.image.coordinates(list(coords_big))
-        except ValueError:
-            raise RuntimeError("class outside the stable image") from None
+        y = np.array(coords_big, dtype=np.int64) * self._embed % self.m1
+        w = self._form.u.astype(np.int64) @ y % self.m1
+        diag = self._form.diag + [self.m1] * (len(w) - len(self._form.diag))
+        if any(int(x) % s for x, s in zip(w, diag)):
+            raise RuntimeError("class outside the stable image")
+        return tuple(int(w[l]) // diag[l] for l in self._keep)
 
     def witness(self, c):
         vec0 = self._vec(c, self.m0)
@@ -747,16 +579,16 @@ class _CircleImpl:
 
     def result(self):
         reps = []
-        for pull in self.gen_pullbacks:
+        for l in self._keep:
             vec = [0] * self.base.a_n
-            for coeff, gvec in zip(pull, self.base_reps_vec):
+            for coeff, gvec in zip(self._form.v[:, l], self.base_reps_vec):
                 for i, x in enumerate(gvec):
-                    vec[i] += coeff * x
+                    vec[i] += int(coeff) * x
             reps.append(self.base.cx.cochain(self.module, self.degree,
                                              vec, self.m0))
         return CohomologyGroup(
             self.group, self.module, self.degree, self.factors,
-            tuple(reps), self.image.order(),
+            tuple(reps), self.order,
             denominator=self.m0, stable=self.stable, _impl=self)
 
 

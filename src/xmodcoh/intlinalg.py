@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
 Everything here works over arbitrary-precision Python ints: Smith normal
-form with optional unimodular transforms, integer linear solves, kernel and
-lattice bases, and solves modulo a vector of moduli.  Matrices are lists of
-rows; vectors are lists of ints.
+form with optional unimodular transforms, integer linear solves, and solves
+modulo a vector of moduli.  Matrices are lists of rows; vectors are lists of
+ints.
 """
 
 from __future__ import annotations
@@ -32,18 +32,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_from_columns(cols: list[list[int]]) -> list[list[int]]:
-    if not cols:
-        return []
-    return [[col[i] for col in cols] for i in range(len(cols[0]))]
-
-
-def matrix_columns(a: list[list[int]]) -> list[list[int]]:
-    if not a:
-        return []
-    return [[row[j] for row in a] for j in range(len(a[0]))]
 
 
 @dataclass
@@ -270,29 +258,6 @@ def solve_integer(a: list[list[int]], b: list[int],
         if y[i]:
             return None
     return mat_vec(form.col_t, z)
-
-
-def kernel_basis(a: list[list[int]]) -> list[list[int]]:
-    """Basis (list of columns) of the integer kernel {x : A x = 0}."""
-    m = len(a)
-    n = len(a[0]) if a else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return matrix_columns(identity_matrix(n))
-    form = smith_normal_form(a, transforms=True)
-    cols = matrix_columns(form.col_t)
-    return [cols[j] for j in range(form.rank, n)]
-
-
-def lattice_basis(spanning: list[list[int]]) -> list[list[int]]:
-    """Basis (list of columns) of the lattice spanned by the given columns."""
-    m = len(spanning)
-    if m == 0 or not spanning[0]:
-        return []
-    form = smith_normal_form(spanning, transforms=True)
-    cols = matrix_columns(form.row_t_inv)
-    return [[form.diag[j] * x for x in cols[j]] for j in range(form.rank)]
 
 
 def solve_mod(a: list[list[int]], b: list[int], moduli: list[int],

@@ -3,10 +3,10 @@
 Z/m is a principal ideal ring, so every matrix over it is equivalent to a
 diagonal matrix whose entries form a divisibility chain of divisors of m.
 This module computes that form with invertible transforms, plus kernels and
-linear solves, using vectorized row/column eliminations.  It exists for the
-large uniform-modulus cochain complexes where the exact integer reduction in
-``intlinalg`` is too slow; the two routes are interchangeable on common
-ground and are cross-checked in the test suite.
+linear solves, using vectorized row/column eliminations.  It is the one
+elimination behind group cohomology for every coefficient module (finite
+modules with mixed moduli are carried over their largest modulus); the test
+suite cross-checks it against the exact integer Smith form.
 
 Conventions: matrix entries are stored canonically in [0, m).  Reported
 diagonal values are canonical divisors of m, with m itself standing for a

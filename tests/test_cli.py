@@ -39,6 +39,7 @@ def test_malformed_bundles_are_located_by_pointer():
           "module": "Z2-trivial"}, "/n", "missing required field"),
         ({**h2_bundle(), "n": "two"}, "/n", "expected int"),
         ({**h2_bundle(), "n": True}, "/n", "expected int"),
+        ({**h2_bundle(), "n": 5}, "/n", "must be <= 4"),
         ({**h2_bundle(), "group": "C0"}, "/group", "unknown group shorthand"),
         ({**h2_bundle(), "module": "Z1-trivial"}, "/module",
          "unknown module shorthand"),
@@ -174,6 +175,19 @@ def test_budget_override_trips_the_resource_guard():
     assert report["provenance"]["budget"] == 100
     assert set(report["result"]) == {"bound", "needed", "allowed"}
     assert report["result"]["allowed"] == 100
+
+
+def test_memory_exhaustion_is_a_resource_error(monkeypatch, tmp_path):
+    def exhausted(bundle, seed, budget):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.TASKS, "h-n", exhausted)
+    report = cli.run(h2_bundle())
+    assert report["status"] == "resource-error"
+    assert report["result"] == {"bound": "memory", "needed": None,
+                                "allowed": None}
+    path = write_bundle(tmp_path, "oom.json", h2_bundle())
+    assert cli.main(["--bundle", path, "--quiet"]) == 2
 
 
 def test_float_fields_are_printed_to_twelve_significant_digits():

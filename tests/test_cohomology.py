@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from xmodcoh.cohomology import (Cochain, add_cochains, bar_differential,
                                 cochain_from_function, cohomology, evaluate,
-                                is_coboundary, is_cocycle, sub_cochains,
-                                zero_cochain)
+                                is_coboundary, is_cocycle, normalize_cocycle,
+                                sub_cochains, zero_cochain)
 from xmodcoh.coefficients import finite_abelian, rational_circle
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_product, make_symmetric, \
@@ -29,6 +29,7 @@ def test_cyclic_groups_with_cyclic_coefficients_match_the_period_formula():
     cases = [(n, m, k) for n in (2, 3, 4) for m in (2, 3, 4)
              for k in range(0, 5)]
     cases += [(6, m, k) for m in (2, 3) for k in range(0, 3)]
+    cases += [(1, m, k) for m in (2, 3) for k in range(0, 3)]
     for n, m, k in cases:
         group = make_cyclic(n)
         module = finite_abelian(group, (m,))
@@ -47,14 +48,31 @@ def test_cyclic_groups_with_circle_coefficients():
         assert cohomology(group, qz, 3).invariant_factors == (n,)
 
 
+def test_circle_factors_of_mixed_orders_ascend():
+    """Over C2 x C4: H^1(., Q/Z) = Hom(C2 x C4, Q/Z) = Z/2 + Z/4 and H^2 is
+    the Schur multiplier Z/2; representatives classify to unit
+    coordinates."""
+    group = make_product(make_cyclic(2), make_cyclic(4))
+    qz = rational_circle(group)
+    for degree, want in ((1, (2, 4)), (2, (2,))):
+        h = cohomology(group, qz, degree)
+        assert h.invariant_factors == want
+        for i, rep in enumerate(h.representatives):
+            assert h.classify(rep) == tuple(int(j == i)
+                                            for j in range(len(want)))
+
+
 def test_klein_four_group_mod_two_betti_numbers():
-    """H^k((Z/2)^2, Z/2) has dimension k+1 (polynomial algebra on two
-    generators)."""
-    group = make_product(make_cyclic(2), make_cyclic(2))
-    module = finite_abelian(group, (2,))
-    for k in range(0, 4):
-        factors = cohomology(group, module, k).invariant_factors
-        assert factors == (2,) * (k + 1)
+    """H^k((Z/2)^r, Z/2) has dimension C(k+r-1, r-1) (polynomial algebra on
+    r generators): k+1 for r = 2 and 1, 3, 6, 10 for r = 3."""
+    c2 = make_cyclic(2)
+    v4 = make_product(c2, c2)
+    for group, dims in ((v4, (1, 2, 3, 4)),
+                        (make_product(v4, c2), (1, 3, 6, 10))):
+        module = finite_abelian(group, (2,))
+        for k, dim in enumerate(dims):
+            factors = cohomology(group, module, k).invariant_factors
+            assert factors == (2,) * dim
 
 
 def test_symmetric_group_low_degrees():
@@ -83,6 +101,59 @@ def test_twisted_inversion_action_oracle():
     c3 = make_cyclic(3)
     assert cohomology(c3, finite_abelian(c3, (3,)), 1).invariant_factors \
         == (3,)
+
+
+def test_mixed_moduli_match_the_direct_sum_of_the_summands():
+    """Z/2 + Z/4 with trivial action: H^n is H^n(Z/2) + H^n(Z/4), and its
+    representatives classify back to the unit coordinates."""
+    c2 = make_cyclic(2)
+    for group in (c2, make_cyclic(4), make_product(c2, c2),
+                  make_symmetric(3)):
+        mixed = finite_abelian(group, (2, 4))
+        for degree in range(0, 4):
+            h = cohomology(group, mixed, degree)
+            want = sorted(
+                cohomology(group, finite_abelian(group, (2,)),
+                           degree).invariant_factors
+                + cohomology(group, finite_abelian(group, (4,)),
+                             degree).invariant_factors)
+            assert list(h.invariant_factors) == want, (group.order, degree)
+            for i, rep in enumerate(h.representatives):
+                unit = tuple(int(j == i) for j in range(len(want)))
+                assert h.classify(rep) == unit
+
+
+def test_mixed_moduli_with_a_twisted_summand():
+    """C2 fixing Z/2 and inverting Z/4: every H^n is Z/2 + Z/2 (for the
+    inverted Z/4, fixed points and norm kernel are 2Z/4 and Z/4 against
+    norm image 0 and (1-g)Z/4 = 2Z/4).  Representatives classify to unit
+    coordinates; coboundaries of unnormalized cochains classify to zero and
+    have witnesses."""
+    c2 = make_cyclic(2)
+    module = finite_abelian(c2, (2, 4), action=(((1, 0), (0, 1)),
+                                                ((1, 0), (0, -1))))
+    rng = random.Random(47)
+    for degree in range(0, 4):
+        h = cohomology(c2, module, degree)
+        assert h.invariant_factors == (2, 2)
+        assert h.classify(h.representative_of((1, 0))) == (1, 0)
+        assert h.classify(h.representative_of((0, 1))) == (0, 1)
+        if degree == 0:
+            continue
+        for _ in range(5):
+            c = Cochain(degree - 1,
+                        tuple((rng.randrange(2), rng.randrange(4))
+                              for _ in range(2 ** (degree - 1))), False)
+            dc = bar_differential(c2, module, c)
+            assert h.classify(dc) == (0, 0)
+            fixed, shift = normalize_cocycle(c2, module, dc)
+            assert fixed.normalized
+            if shift is not None:
+                assert add_cochains(c2, module, fixed, bar_differential(
+                    c2, module, shift)).values == dc.values
+            wit = h.coboundary_witness(dc)
+            assert wit is not None
+            assert bar_differential(c2, module, wit).values == fixed.values
 
 
 def test_circle_inversion_action():

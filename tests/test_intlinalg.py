@@ -6,9 +6,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from xmodcoh.intlinalg import (identity_matrix, invariant_factors,
-                               kernel_basis, lattice_basis, mat_from_columns,
-                               mat_mul, mat_vec, smith_normal_form as snf,
+from xmodcoh.intlinalg import (identity_matrix, invariant_factors, mat_mul,
+                               mat_vec, smith_normal_form as snf,
                                solve_integer, solve_mod)
 
 
@@ -58,18 +57,6 @@ def test_smith_transforms_reconstruct_diagonal():
         assert mat_mul(form.col_t, form.col_t_inv) == identity_matrix(cols)
 
 
-def test_kernel_basis_annihilates_and_spans():
-    rng = random.Random(19)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, rows, cols)
-        basis = kernel_basis(a)
-        for v in basis:
-            assert mat_vec(a, v) == [0] * rows
-        # rank-nullity against the sympy rank
-        assert len(basis) == cols - sympy.Matrix(a).rank()
-
-
 def test_solve_integer_roundtrip_and_insolvable():
     rng = random.Random(23)
     for _ in range(60):
@@ -106,22 +93,6 @@ def test_solve_mod_agrees_with_bruteforce():
             assert all(
                 sum(a[i][j] * found[j] for j in range(cols)) % moduli[i]
                 == b[i] % moduli[i] for i in range(rows))
-
-
-def test_lattice_basis_spans_same_lattice():
-    rng = random.Random(31)
-    for _ in range(30):
-        dim, nvec = rng.randint(1, 4), rng.randint(1, 5)
-        vectors = [[rng.randint(-4, 4) for _ in range(dim)]
-                   for _ in range(nvec)]
-        span_mat = mat_from_columns(vectors)
-        basis = lattice_basis(span_mat)
-        basis_mat = mat_from_columns(basis) if basis \
-            else [[] for _ in range(dim)]
-        for v in vectors:
-            assert solve_integer(basis_mat, v) is not None or not any(v)
-        for v in basis:
-            assert solve_integer(span_mat, v) is not None
 
 
 def test_empty_and_degenerate_shapes():
