@@ -4,10 +4,16 @@ Everything here works over arbitrary-precision Python ints: Smith normal
 form with optional unimodular transforms, integer linear solves, and solves
 modulo a vector of moduli.  Matrices are lists of rows; vectors are lists of
 ints.
+
+Rank and torsion of a large sparse matrix, such as a simplicial boundary,
+come from :func:`sparse_rank_torsion`: sparse unit pivots first, then the
+dense Smith form on the small residual that has no unit entry left.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -178,7 +184,11 @@ class _Reducer:
             if dirty:
                 continue
             # pivot row/column are clear; enforce divisibility of the rest
+            # (vacuous for a unit pivot)
             p = a[t][t]
+            if p == 1 or p == -1:
+                t += 1
+                continue
             pulled = False
             for i in range(t + 1, self.m):
                 row = a[i]
@@ -218,19 +228,80 @@ def invariant_factors(a: list[list[int]]) -> list[int]:
     return [d for d in smith_normal_form(a).diag if d]
 
 
-def dedupe_columns(a: list[list[int]]) -> list[list[int]]:
-    """Drop zero and repeated columns (preserves the column span)."""
-    if not a:
-        return a
-    seen: set[tuple[int, ...]] = set()
-    keep: list[int] = []
-    n = len(a[0])
-    for j in range(n):
-        col = tuple(row[j] for row in a)
-        if any(col) and col not in seen:
-            seen.add(col)
-            keep.append(j)
-    return [[row[j] for j in keep] for row in a]
+def _has_unit(v: dict[int, int]) -> bool:
+    return 1 in v.values() or -1 in v.values()
+
+
+def sparse_rank_torsion(
+        columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion of the integer matrix with ``{row: entry}`` columns.
+
+    ``torsion`` lists the invariant factors greater than 1, ascending, so
+    Z^rows modulo the column span is Z^(rows - rank) plus those cyclic
+    groups.  Zero and repeated columns are dropped first.  A pivot on a
+    +-1 entry is an exact unimodular step that splits off one row and one
+    column, so those pivots are taken in sparse form: the shortest column
+    with a unit entry, at the unit whose row occurs in the fewest columns,
+    which keeps fill-in low.  The columns left without a unit entry, taken
+    once up to sign, go over their own rows to :func:`smith_normal_form`.
+    """
+    vecs: dict[int, dict[int, int]] = {}
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for col in columns:
+        key = tuple(sorted((r, x) for r, x in col.items() if x))
+        if key and key not in seen:
+            seen.add(key)
+            vecs[len(vecs)] = dict(key)
+    where = defaultdict(set)  # row -> columns with an entry there
+    units = defaultdict(set)  # length -> columns with a unit entry
+    for j, v in vecs.items():
+        for r in v:
+            where[r].add(j)
+        if _has_unit(v):
+            units[len(v)].add(j)
+    rank = 0
+    while any(units.values()):
+        j = units[min(n for n, b in units.items() if b)].pop()
+        v = vecs.pop(j)
+        for row in v:
+            where[row].discard(j)
+        r = min((r for r, x in v.items() if x == 1 or x == -1),
+                key=lambda r: len(where[r]))
+        rank += 1
+        unit = v.pop(r)
+        for k in where.pop(r):
+            w = vecs[k]
+            units[len(w)].discard(k)
+            q = w.pop(r) * unit  # w - q v is zero in row r: unit * unit == 1
+            for row, x in v.items():
+                y = w.get(row)
+                if y is None:
+                    w[row] = -q * x
+                    where[row].add(k)
+                elif y == q * x:
+                    del w[row]
+                    where[row].discard(k)
+                else:
+                    w[row] = y - q * x
+            if not w:
+                del vecs[k]
+            elif _has_unit(w):
+                units[len(w)].add(k)
+    residual: dict[tuple[tuple[int, int], ...], None] = {}
+    for v in vecs.values():
+        key = tuple(sorted(v.items()))
+        if key[0][1] < 0:
+            key = tuple((r, -x) for r, x in key)
+        residual[key] = None
+    rows = sorted({r for key in residual for r, _ in key})
+    pos = {r: i for i, r in enumerate(rows)}
+    dense = [[0] * len(residual) for _ in rows]
+    for c, key in enumerate(residual):
+        for r, x in key:
+            dense[pos[r]][c] = x
+    form = smith_normal_form(dense)
+    return (rank + form.rank,
+            tuple(d for d in form.diag[:form.rank] if d > 1))
 
 
 def solve_integer(a: list[list[int]], b: list[int],

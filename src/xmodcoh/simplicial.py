@@ -2,9 +2,10 @@
 
 A truncated simplicial set stores canonical-ordered simplex lists per level
 together with face and degeneracy index tables.  Homology is computed from
-the normalized chain complex (degenerate simplices quotiented away) by Smith
-normal form, which is the right desk-scale shadow of the geometric
-realization in low degrees.
+the normalized chain complex (degenerate simplices quotiented away), which is
+the right desk-scale shadow of the geometric realization in low degrees.
+Each boundary stays as sparse columns: sparse unit pivots first, then the
+dense Smith form on the small residual.
 """
 
 from __future__ import annotations
@@ -196,26 +197,31 @@ class HomologyGroups:
         return self.factors[q]
 
 
-def boundary_matrix(s: TruncatedSimplicialSet, k: int,
-                    nd_low: list[int], nd_high: list[int]) -> list[list[int]]:
-    """Normalized boundary from level k to level k-1 (columns = simplices)."""
+def boundary_matrix(s: TruncatedSimplicialSet, k: int, nd_low: list[int],
+                    nd_high: list[int]) -> list[dict[int, int]]:
+    """Normalized boundary from level k to level k-1 as sparse columns.
+
+    Column c is ``{p: coefficient}`` for simplex ``nd_high[c]``, where p is
+    a position in ``nd_low``; face signs are summed and zeros dropped.
+    """
     low_pos = {idx: p for p, idx in enumerate(nd_low)}
-    rows = len(nd_low)
-    cols = len(nd_high)
-    out = [[0] * cols for _ in range(rows)]
-    for c, idx in enumerate(nd_high):
+    faces = s.face[k]
+    out = []
+    for idx in nd_high:
+        col: dict[int, int] = {}
         sign = 1
-        for i in range(k + 1):
-            t = s.face[k][i][idx]
-            p = low_pos.get(t)
+        for face in faces:
+            p = low_pos.get(face[idx])
             if p is not None:
-                out[p][c] += sign
+                col[p] = col.get(p, 0) + sign
             sign = -sign
+        out.append({p: x for p, x in col.items() if x})
     return out
 
 
 def homology(s: TruncatedSimplicialSet, maxdeg: int) -> HomologyGroups:
-    """H_0..H_maxdeg of the normalized chains, via Smith normal form."""
+    """H_0..H_maxdeg of the normalized chains: sparse unit pivots, then the
+    dense Smith form on the small residual."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
     if maxdeg > s.N - 1:
@@ -228,11 +234,10 @@ def homology(s: TruncatedSimplicialSet, maxdeg: int) -> HomologyGroups:
     ranks = []
     torsions = []
     for k in range(1, maxdeg + 2):
-        mat = boundary_matrix(s, k, nd[k - 1], nd[k])
-        mat = il.dedupe_columns(mat)
-        form = il.smith_normal_form(mat)
-        ranks.append(form.rank)
-        torsions.append(tuple(d for d in form.diag[:form.rank] if d > 1))
+        rank, torsion = il.sparse_rank_torsion(
+            boundary_matrix(s, k, nd[k - 1], nd[k]))
+        ranks.append(rank)
+        torsions.append(torsion)
     factors = []
     for q in range(maxdeg + 1):
         rank_q = ranks[q - 1] if q >= 1 else 0

@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from xmodcoh.intlinalg import (identity_matrix, invariant_factors, mat_mul,
                                mat_vec, smith_normal_form as snf,
-                               solve_integer, solve_mod)
+                               solve_integer, solve_mod, sparse_rank_torsion)
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -30,6 +30,46 @@ def test_invariant_factors_match_sympy_on_random_matrices():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, rows, cols)
         assert invariant_factors(a) == sympy_factors(a)
+
+
+def random_sparse_columns(rng, rows, cols):
+    """Boundary-like ``{row: entry}`` columns: mostly +-1 with some +-2/+-3,
+    plus zero columns, repeated columns and sign-flipped repeats."""
+    out = []
+    for _ in range(cols):
+        roll = rng.random()
+        if out and roll < 0.15:
+            out.append(dict(rng.choice(out)))
+        elif out and roll < 0.3:
+            out.append({r: -x for r, x in rng.choice(out).items()})
+        elif roll < 0.4:
+            out.append({})
+        else:
+            picked = rng.sample(range(rows), min(rows, rng.randint(1, 3)))
+            out.append({r: rng.choice([1, -1, 1, -1, 1, -1, 2, -2, 3, -3])
+                        for r in picked})
+    return out
+
+
+def test_sparse_rank_torsion_matches_sympy():
+    rng = random.Random(31)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (9, 3), (3, 12)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 12)) for _ in range(80)]
+    for rows, cols in shapes:
+        columns = random_sparse_columns(rng, rows, cols)
+        dense = [[col.get(r, 0) for col in columns] for r in range(rows)]
+        want = sympy_factors(dense)
+        got = sparse_rank_torsion(columns)
+        assert got == (len(want), tuple(d for d in want if d > 1)), dense
+
+
+def test_sparse_rank_torsion_keeps_columns_equal_up_to_entry_signs():
+    """Columns (3, 3) and (3, -3) agree in absolute value but span a lattice
+    of index 18 (factors 3, 6); only an overall sign makes columns equal."""
+    columns = [{0: 3, 1: 3}, {0: 3, 1: -3}]
+    assert sympy_factors([[3, 3], [3, -3]]) == [3, 6]
+    assert sparse_rank_torsion(columns) == (2, (3, 6))
+    assert sparse_rank_torsion(columns + [{0: -3, 1: 3}]) == (2, (3, 6))
 
 
 def test_invariant_factors_divisibility_chain():
