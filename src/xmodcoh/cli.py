@@ -4,7 +4,9 @@ report directories.
 A bundle is a JSON object ``{"schema": 1, "task": <name>, ...payload...}``;
 the reply is a JSON report ``{"schema", "task", "status", "result",
 "provenance"}`` with status one of ``ok`` / ``violation`` /
-``resource-error`` / ``input-error`` and matching exit codes 0 / 1 / 2 / 3.
+``resource-error`` / ``input-error`` / ``internal-error`` and matching exit
+codes 0 / 1 / 2 / 3 / 4.  ``internal-error`` reports any other exception,
+with its type and message, in place of a traceback.
 Identical bundle and seed produce byte-identical reports apart from the
 ``wall_time_ms`` provenance field.
 """
@@ -42,7 +44,7 @@ from .unitary import (ball_element, check_exp_inequalities, d_tau,
                       refine_path, su_tau_member)
 
 STATUS_EXIT = {"ok": 0, "violation": 1, "resource-error": 2,
-               "input-error": 3}
+               "input-error": 3, "internal-error": 4}
 
 _COMMON_OPTIONAL = {"schema": int, "task": str, "seed": int, "budget": int}
 
@@ -529,6 +531,9 @@ def run(bundle, seed: int | None = None, budget: int | None = None) -> dict:
     except RuntimeError as exc:
         status = "violation"
         result = {"message": str(exc)}
+    except Exception as exc:
+        status = "internal-error"
+        result = {"type": type(exc).__name__, "message": str(exc)}
     wall_ms = int(round((time.monotonic() - start) * 1000))
     effective_seed = seed if seed is not None else (
         bundle.get("seed") if isinstance(bundle, dict) and

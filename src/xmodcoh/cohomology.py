@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -67,14 +68,20 @@ def evaluate(group: FiniteGroup, c: Cochain, args) -> object:
     return c.values[tuple_index(group.order, args)]
 
 
+@lru_cache(maxsize=64)
+def _identity_positions(order: int, degree: int,
+                        identity: int) -> tuple[int, ...]:
+    """Flat indices of the argument tuples that contain the identity."""
+    return tuple(idx for idx in range(order ** degree)
+                 if identity in index_to_tuple(order, degree, idx))
+
+
 def _check_normalized(group: FiniteGroup, module: AbelianCoefficients,
                       degree: int, values) -> bool:
-    e = group.identity
-    order = group.order
-    for idx, v in enumerate(values):
-        if e in index_to_tuple(order, degree, idx) and not module.is_zero(v):
-            return False
-    return True
+    """Whether a cochain table vanishes wherever an argument is the identity."""
+    zero = module.zero()  # stored zeros skip the reduction in is_zero
+    return all(values[idx] == zero or module.is_zero(values[idx]) for idx in
+               _identity_positions(group.order, degree, group.identity))
 
 
 def cochain_from_function(group: FiniteGroup, module: AbelianCoefficients,

@@ -20,11 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cohomology import Cochain, CohomologyGroup, cohomology, tuple_index
+from .cohomology import (Cochain, CohomologyGroup, _check_normalized,
+                         cohomology)
 from .coefficients import finite_abelian
 from .errors import ResourceLimit
 from .groups import (AbelianBasis, FiniteGroup, GroupHom, abelian_basis,
-                     generated_subgroup, trivial_group, trivial_hom)
+                     trivial_group)
 
 
 def xmod_violations(hgroup: FiniteGroup, ggroup: FiniteGroup,
@@ -489,11 +490,8 @@ class AbelianShift:
         n = group.order
         values = tuple(self.basis.vector_of(c.u[g * n + h])
                        for g in group.elements() for h in group.elements())
-        normalized = all(
-            not any(values[tuple_index(n, (g, h))])
-            for g in group.elements() for h in group.elements()
-            if group.identity in (g, h))
-        return Cochain(2, values, normalized)
+        return Cochain(2, values,
+                       _check_normalized(group, self.h2.module, 2, values))
 
     def cochain_to_cocycle(self, group: FiniteGroup, z: Cochain) -> Cocycle1:
         n = group.order

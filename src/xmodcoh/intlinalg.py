@@ -45,21 +45,19 @@ class SmithForm:
     """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     ``diag`` holds the min(m, n) diagonal entries (trailing zeros included);
-    ``rank`` counts the nonzero ones.  The transform matrices and their exact
-    inverses are present only when requested.
+    ``rank`` counts the nonzero ones.  The transform matrices are present
+    only when requested.
     """
 
     shape: tuple[int, int]
     diag: list[int]
     rank: int
-    row_t: list[list[int]] | None = None      # U  (m x m)
-    row_t_inv: list[list[int]] | None = None  # U^-1
-    col_t: list[list[int]] | None = None      # V  (n x n)
-    col_t_inv: list[list[int]] | None = None  # V^-1
+    row_t: list[list[int]] | None = None  # U  (m x m)
+    col_t: list[list[int]] | None = None  # V  (n x n)
 
 
 class _Reducer:
-    """Mutable SNF reduction state with paired transform bookkeeping."""
+    """Mutable SNF reduction state with optional transform bookkeeping."""
 
     def __init__(self, a: list[list[int]], transforms: bool):
         self.a = [list(row) for row in a]
@@ -68,13 +66,11 @@ class _Reducer:
         self.transforms = transforms
         if transforms:
             self.u = identity_matrix(self.m)
-            self.ui = identity_matrix(self.m)
             self.v = identity_matrix(self.n)
-            self.vi = identity_matrix(self.n)
         else:
-            self.u = self.ui = self.v = self.vi = None
+            self.u = self.v = None
 
-    # --- row operations (act on A and U from the left; U^-1 on the right) ---
+    # --- row operations (act on A and U from the left) ---
 
     def swap_rows(self, i: int, j: int) -> None:
         if i == j:
@@ -82,10 +78,8 @@ class _Reducer:
         a = self.a
         a[i], a[j] = a[j], a[i]
         if self.transforms:
-            u, ui = self.u, self.ui
+            u = self.u
             u[i], u[j] = u[j], u[i]
-            for row in ui:
-                row[i], row[j] = row[j], row[i]
 
     def addmul_row(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j."""
@@ -100,18 +94,13 @@ class _Reducer:
             for k in range(self.m):
                 if uj[k]:
                     ui_[k] += q * uj[k]
-            for row in self.ui:  # col_j -= q * col_i
-                if row[i]:
-                    row[j] -= q * row[i]
 
     def negate_row(self, i: int) -> None:
         self.a[i] = [-x for x in self.a[i]]
         if self.transforms:
             self.u[i] = [-x for x in self.u[i]]
-            for row in self.ui:
-                row[i] = -row[i]
 
-    # --- column operations (act on A and V from the right; V^-1 on the left) ---
+    # --- column operations (act on A and V from the right) ---
 
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
@@ -121,8 +110,6 @@ class _Reducer:
         if self.transforms:
             for row in self.v:
                 row[i], row[j] = row[j], row[i]
-            vi = self.vi
-            vi[i], vi[j] = vi[j], vi[i]
 
     def addmul_col(self, i: int, j: int, q: int) -> None:
         """col_i += q * col_j."""
@@ -135,10 +122,6 @@ class _Reducer:
             for row in self.v:
                 if row[j]:
                     row[i] += q * row[j]
-            vj, vii = self.vi[j], self.vi[i]
-            for k in range(self.n):
-                if vii[k]:
-                    vj[k] -= q * vii[k]
 
     # --- main loop ---
 
@@ -209,7 +192,7 @@ def smith_normal_form(a: list[list[int]], transforms: bool = False) -> SmithForm
     """Smith normal form of an integer matrix.
 
     Returns diag entries satisfying d1 | d2 | ... (nonnegative), and — when
-    ``transforms`` is set — unimodular U, U^-1, V, V^-1 with U @ A @ V == D.
+    ``transforms`` is set — unimodular U, V with U @ A @ V == D.
     """
     if a and any(len(row) != len(a[0]) for row in a):
         raise ValueError("matrix rows have unequal lengths")
@@ -218,8 +201,7 @@ def smith_normal_form(a: list[list[int]], transforms: bool = False) -> SmithForm
     rank = sum(1 for d in diag if d)
     form = SmithForm(shape=(red.m, red.n), diag=diag, rank=rank)
     if transforms:
-        form.row_t, form.row_t_inv = red.u, red.ui
-        form.col_t, form.col_t_inv = red.v, red.vi
+        form.row_t, form.col_t = red.u, red.v
     return form
 
 

@@ -64,11 +64,10 @@ class ModSmithForm:
     u: np.ndarray | None       # u @ a @ v = diag(...) mod m
     u_inv: np.ndarray | None
     v: np.ndarray | None
-    v_inv: np.ndarray | None
 
 
 def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
-              want_v: bool = False, want_vinv: bool = False) -> ModSmithForm:
+              want_v: bool = False) -> ModSmithForm:
     if m < 2:
         raise ValueError("modulus must be at least 2")
     a = np.asarray(a)
@@ -79,7 +78,6 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
     U = np.eye(r, dtype=dt) if want_u else None
     Ui = np.eye(r, dtype=dt) if want_uinv else None
     V = np.eye(c, dtype=dt) if want_v else None
-    Vi = np.eye(c, dtype=dt) if want_vinv else None
 
     def row_combo(i, j, c11, c12, c21, c22):
         # row_i' = c11 row_i + c12 row_j ; row_j' = c21 row_i + c22 row_j
@@ -106,12 +104,6 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
             ci = (c11 * mat[:, i] + c12 * mat[:, j]) % m
             cj = (c21 * mat[:, i] + c22 * mat[:, j]) % m
             mat[:, i], mat[:, j] = ci, cj
-        if Vi is not None:
-            det = (c11 * c22 - c12 * c21) % m
-            di = pow(int(det), -1, m)
-            ri = (di * (c22 * Vi[i, :] - c21 * Vi[j, :])) % m
-            rj = (di * (-c12 * Vi[i, :] + c11 * Vi[j, :])) % m
-            Vi[i, :], Vi[j, :] = ri, rj
 
     def scale_row(i, unit):
         inv = pow(int(unit), -1, m)
@@ -158,8 +150,6 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
             a[:, t + 1:] = (a[:, t + 1:] - np.outer(a[:, t], fc)) % m
             if V is not None:
                 V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], fc)) % m
-            if Vi is not None:
-                Vi[t, :] = (Vi[t, :] + fc @ Vi[t + 1:, :]) % m
         return g
 
     k = min(r, c)
@@ -198,7 +188,7 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
                 scale_row(i + 1, pow(unit_part(val, m), -1, m))
 
     diag = [report(i) for i in range(rank)] + [m] * (k - rank)
-    return ModSmithForm(m, r, c, diag, U, Ui, V, Vi)
+    return ModSmithForm(m, r, c, diag, U, Ui, V)
 
 
 def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int]]:

@@ -150,15 +150,38 @@ def transport_simplex(x: CrossedModule, s: PseudofunctorSimplex,
     return NatTransform(s, target, w)
 
 
+@lru_cache(maxsize=None)
+def pullback_positions(n: int, theta: tuple[int, ...],
+                       arity: int) -> tuple[int, ...]:
+    """Where each slot of a table pulled back along theta is read from.
+
+    ``theta`` is a monotone map [m] -> [n] given by its value tuple and the
+    table is indexed by the ``arity``-subsets of 0..n (pairs or triples) in
+    lexicographic order.  For each subset of 0..m, in the same order, the
+    result holds the position of its image under theta, or -1 where two
+    adjacent indices meet there (an identity label, by strict unitality).
+    """
+    positions = pair_positions(n) if arity == 2 else triple_positions(n)
+    return tuple(
+        -1 if any(a == b for a, b in zip(image, image[1:]))
+        else positions[image]
+        for image in combinations(theta, arity))
+
+
+def pull_back(table: tuple[int, ...], positions: tuple[int, ...],
+              identity: int) -> tuple[int, ...]:
+    """Read a table at ``pullback_positions``, with identity at -1."""
+    return tuple(table[p] if p >= 0 else identity for p in positions)
+
+
 def reindex(x: CrossedModule, s: PseudofunctorSimplex,
             theta: tuple[int, ...]) -> PseudofunctorSimplex:
     """Pull back along a monotone map [m] -> [n] given by its value tuple."""
-    m = len(theta) - 1
-    alpha = tuple(s.alpha_at(x, theta[i], theta[j])
-                  for i, j in combinations(range(m + 1), 2))
-    u = tuple(s.u_at(x, theta[i], theta[j], theta[k])
-              for i, j, k in combinations(range(m + 1), 3))
-    return PseudofunctorSimplex(m, alpha, u)
+    return PseudofunctorSimplex(
+        len(theta) - 1,
+        pull_back(s.alpha, pullback_positions(s.n, theta, 2),
+                  x.ggroup.identity),
+        pull_back(s.u, pullback_positions(s.n, theta, 3), x.hgroup.identity))
 
 
 def delta_map(k: int, i: int) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ matrices indexed by the group whose products agree up to scalars.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -27,11 +27,11 @@ from math import lcm
 import numpy as np
 
 from .coefficients import AbelianCoefficients, finite_abelian, rational_circle
-from .cohomology import (Cochain, CohomologyGroup, bar_differential,
-                         cohomology, is_cocycle, zero_cochain)
-from .crossed import (Cocycle1, CrossedModule, H1PointedSet, Witness1,
-                      XModMorphism, cocycle_violations, compute_H1,
-                      pushforward, transform_cocycle, trivial_cocycle)
+from .cohomology import (Cochain, CohomologyGroup, _check_normalized,
+                         cohomology, is_cocycle)
+from .crossed import (Cocycle1, CrossedModule, H1PointedSet, XModMorphism,
+                      cocycle_violations, compute_H1, pushforward,
+                      transform_cocycle)
 from .errors import ResourceLimit
 from .groups import FiniteGroup, abelian_basis
 
@@ -253,11 +253,8 @@ def obstruction_cocycle(ext: CentralXModExtension, group: FiniteGroup,
                         f"({g}, {h}, {k})")
                 values.append(induced.to_vector(w))
     values = tuple(values)
-    normalized = all(
-        not any(values[(g * n + h) * n + k])
-        for g in group.elements() for h in group.elements()
-        for k in group.elements() if group.identity in (g, h, k))
-    return Cochain(3, values, normalized)
+    return Cochain(3, values,
+                   _check_normalized(group, induced.module, 3, values))
 
 
 def theta(ext: CentralXModExtension, group: FiniteGroup, c: Cocycle1,
@@ -608,9 +605,7 @@ def matrix_kernel_obstruction(group: FiniteGroup, mats, tol: float = 1e-8,
                 "precision loss")
         phases.append(snapped)
     omega = Cochain(3, tuple(phases),
-                    all(phases[(g * n + h) * n + k] == 0
-                        for g in group.elements() for h in group.elements()
-                        for k in group.elements() if e in (g, h, k)))
+                    _check_normalized(group, module, 3, phases))
     h3, coords, witness = _classify_circle_cocycle(group, denom, omega)
     return KernelObstructionReport(
         dimension=n_dim, denominator=denom, module_label="Q/Z",

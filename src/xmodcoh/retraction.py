@@ -13,7 +13,11 @@ either on the chain head (first object and first morphism) or on one later
 slot through index reindexing alone.  The verifier therefore checks heads
 exhaustively, checks the index-map equalities that settle all later slots,
 and replays full chains literally on a deterministic sample as a
-cross-check.  Failures are reported with the exact simplex and index.
+cross-check.  A head is checked by its own validity data (the transport, and
+the filler and connector at each degree) and by replaying the one-step chain
+it spans through :func:`check_chain`, so every prism identity is written
+once.  Failures name the identity, the first slot where its two sides
+differ, and the simplex.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .crossed import CrossedModule
 from .errors import ResourceLimit
 from .nerves import (NatTransform, PseudofunctorSimplex, delta_map,
                      nat_violations, pair_positions, pseudofunctor_violations,
-                     reindex, sigma_map, transport_simplex,
-                     _enumerate_duskin_level)
+                     pull_back, pullback_positions, reindex, sigma_map,
+                     transport_simplex, _enumerate_duskin_level)
 
 
 def _compose(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
@@ -40,12 +44,7 @@ def _compose(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
 def pull_table(x: CrossedModule, n: int, w: tuple[int, ...],
                theta: tuple[int, ...]) -> tuple[int, ...]:
     """Pull a pair-indexed H table over [n] back along theta (unital)."""
-    pp = pair_positions(n)
-    e = x.hgroup.identity
-    m = len(theta) - 1
-    return tuple(
-        e if theta[i] == theta[j] else w[pp[(theta[i], theta[j])]]
-        for i, j in combinations(range(m + 1), 2))
+    return pull_back(w, pullback_positions(n, theta, 2), x.hgroup.identity)
 
 
 def _table_at(x: CrossedModule, n: int, w, i: int, j: int) -> int:
@@ -285,127 +284,63 @@ def _check_head(x: CrossedModule, x0: PseudofunctorSimplex,
 
     if mus[0] != reindex(x, x0, sigma_map(n, 0)):
         bad.append(f"filler at 0 is not the degenerate start ({tag})")
-    if pull_table(x, n + 1, hts[0], delta_map(n + 1, 0)) != w0:
-        bad.append(f"d_0 of connector 0 is not the morphism ({tag})")
-    if any(v != x.hgroup.identity
-           for v in pull_table(x, n + 1, hts[n], delta_map(n + 1, n + 1))):
-        bad.append(f"d_{n + 1} of connector {n} is not the identity ({tag})")
-    if reindex(x, mus[0], delta_map(n + 1, 0)) != x0:
-        bad.append(f"d_0 of filler 0 is not the start object ({tag})")
-    if reindex(x, mus[n], delta_map(n + 1, n + 1)) != x1:
-        bad.append(f"d_{n + 1} of filler {n} is not the end object ({tag})")
-
     for k in range(n + 1):
         target = reindex(x, x1, sigma_map(n, k))
         probs = pseudofunctor_violations(x, mus[k])
         probs += nat_violations(
             x, NatTransform(mus[k], target, hts[k]))
         bad += [f"degree {k}: {p} ({tag})" for p in probs]
+    return bad + check_chain(x, LaxChain(n, (x0, x1), (w0,)), tag)
 
-    # head slots of the prism identities (later slots are settled by the
-    # index-map equalities checked once per dimension)
-    def head_pair(kk):
-        return mus[kk], hts[kk]
 
-    for i in range(n + 2):
-        for k in range(n + 1):
-            if i < k:
-                lm, lh = head_pair(k)
-                dm = delta_map(n, i)
-                rm = mu_simplex(x, reindex(x, x0, dm),
-                                pull_table(x, n, w0, dm),
-                                reindex(x, x1, dm), k - 1)
-                rh = h_table(x, pull_table(x, n, w0, dm), n - 1, k - 1)
-                if reindex(x, lm, delta_map(n + 1, i)) != rm:
-                    bad.append(f"face {i} of filler {k} mismatch ({tag})")
-                if pull_table(x, n + 1, lh, delta_map(n + 1, i)) != rh:
-                    bad.append(f"face {i} of connector {k} mismatch ({tag})")
-            elif i > k + 1 and k < n:
-                lm, lh = head_pair(k)
-                dm = delta_map(n, i - 1)
-                rm = mu_simplex(x, reindex(x, x0, dm),
-                                pull_table(x, n, w0, dm),
-                                reindex(x, x1, dm), k)
-                rh = h_table(x, pull_table(x, n, w0, dm), n - 1, k)
-                if reindex(x, lm, delta_map(n + 1, i)) != rm:
-                    bad.append(f"face {i} of filler {k} mismatch ({tag})")
-                if pull_table(x, n + 1, lh, delta_map(n + 1, i)) != rh:
-                    bad.append(f"face {i} of connector {k} mismatch ({tag})")
-    for k in range(n):
-        lhs = reindex(x, mus[k + 1], delta_map(n + 1, k + 1))
-        rhs = reindex(x, mus[k], delta_map(n + 1, k + 1))
-        if lhs != rhs:
-            bad.append(f"adjacent fillers disagree at face {k + 1} ({tag})")
-        if pull_table(x, n + 1, hts[k + 1], delta_map(n + 1, k + 1)) != \
-                pull_table(x, n + 1, hts[k], delta_map(n + 1, k + 1)):
-            bad.append(f"adjacent connectors disagree at face {k + 1} "
-                       f"({tag})")
-    for k in range(n + 1):
-        for i in range(n + 2):
-            sm = sigma_map(n, i) if i <= n else None
-            if i <= k:
-                lm = reindex(x, mus[k], sigma_map(n + 1, i))
-                rm = mu_simplex(x, reindex(x, x0, sm),
-                                pull_table(x, n, w0, sm),
-                                reindex(x, x1, sm), k + 1)
-                lh = pull_table(x, n + 1, hts[k], sigma_map(n + 1, i))
-                rh = h_table(x, pull_table(x, n, w0, sm), n + 1, k + 1)
-                if lm != rm:
-                    bad.append(f"degeneracy {i} of filler {k} mismatch "
-                               f"({tag})")
-                if lh != rh:
-                    bad.append(f"degeneracy {i} of connector {k} mismatch "
-                               f"({tag})")
-            elif i - 1 <= n:
-                sm = sigma_map(n, i - 1)
-                lm = reindex(x, mus[k], sigma_map(n + 1, i))
-                rm = mu_simplex(x, reindex(x, x0, sm),
-                                pull_table(x, n, w0, sm),
-                                reindex(x, x1, sm), k)
-                lh = pull_table(x, n + 1, hts[k], sigma_map(n + 1, i))
-                rh = h_table(x, pull_table(x, n, w0, sm), n + 1, k)
-                if lm != rm:
-                    bad.append(f"degeneracy {i} of filler {k} mismatch "
-                               f"({tag})")
-                if lh != rh:
-                    bad.append(f"degeneracy {i} of connector {k} mismatch "
-                               f"({tag})")
-    return bad
+def _first_difference(a: LaxChain, b: LaxChain) -> str | None:
+    """The first slot where two chains of equal length differ, if any."""
+    for i, (oa, ob) in enumerate(zip(a.objects, b.objects)):
+        if oa != ob:
+            return "filler" if i == 0 else f"object {i}"
+        if i < a.m and a.ws[i] != b.ws[i]:
+            return "connector" if i == 0 else f"morphism {i}"
+    return None
 
 
 def check_chain(x: CrossedModule, c: LaxChain, tag: str) -> list[str]:
-    """Replay every prism identity literally on one full chain."""
+    """Replay every prism identity literally on one full chain.
+
+    A failure names the identity and the first slot where its two sides
+    differ: the filler or connector in slot 0, a later object or morphism
+    after that.
+    """
     n = c.n
     bad: list[str] = []
+
+    def expect(what: str, lhs: LaxChain, rhs: LaxChain) -> None:
+        slot = _first_difference(lhs, rhs)
+        if slot is not None:
+            bad.append(f"{what}: {slot} differs ({tag})")
+
     hs = [homotopy_chain(x, c, k) for k in range(n + 1)]
-    if chain_face_v(x, hs[0], 0) != c:
-        bad.append(f"d_0 H_0 is not the identity side ({tag})")
-    if chain_face_v(x, hs[n], n + 1) != chain_collapse_h(x, c):
-        bad.append(f"d_{n + 1} H_{n} is not the collapsed side ({tag})")
+    expect("d_0 H_0 is not the identity side", chain_face_v(x, hs[0], 0), c)
+    expect(f"d_{n + 1} H_{n} is not the collapsed side",
+           chain_face_v(x, hs[n], n + 1), chain_collapse_h(x, c))
     for k in range(n + 1):
         for i in range(n + 2):
             if i < k:
-                if chain_face_v(x, hs[k], i) != \
-                        homotopy_chain(x, chain_face_v(x, c, i), k - 1):
-                    bad.append(f"face {i} square at degree {k} ({tag})")
-            elif i > k + 1 and k < n:
-                if chain_face_v(x, hs[k], i) != \
-                        homotopy_chain(x, chain_face_v(x, c, i - 1), k):
-                    bad.append(f"face {i} square at degree {k} ({tag})")
+                rhs = homotopy_chain(x, chain_face_v(x, c, i), k - 1)
+            elif i > k + 1:
+                rhs = homotopy_chain(x, chain_face_v(x, c, i - 1), k)
+            else:
+                continue
+            expect(f"face {i} square at degree {k}",
+                   chain_face_v(x, hs[k], i), rhs)
     for k in range(n):
-        if chain_face_v(x, hs[k + 1], k + 1) != \
-                chain_face_v(x, hs[k], k + 1):
-            bad.append(f"adjacent prism faces at {k + 1} ({tag})")
+        expect(f"adjacent prism faces at {k + 1}",
+               chain_face_v(x, hs[k + 1], k + 1), chain_face_v(x, hs[k], k + 1))
     for k in range(n + 1):
         for i in range(n + 2):
-            if i <= k:
-                if chain_degen_v(x, hs[k], i) != \
-                        homotopy_chain(x, chain_degen_v(x, c, i), k + 1):
-                    bad.append(f"degeneracy {i} square at degree {k} ({tag})")
-            elif i - 1 <= n:
-                if chain_degen_v(x, hs[k], i) != \
-                        homotopy_chain(x, chain_degen_v(x, c, i - 1), k):
-                    bad.append(f"degeneracy {i} square at degree {k} ({tag})")
+            rhs = (homotopy_chain(x, chain_degen_v(x, c, i), k + 1) if i <= k
+                   else homotopy_chain(x, chain_degen_v(x, c, i - 1), k))
+            expect(f"degeneracy {i} square at degree {k}",
+                   chain_degen_v(x, hs[k], i), rhs)
     return bad
 
 

@@ -190,6 +190,19 @@ def test_memory_exhaustion_is_a_resource_error(monkeypatch, tmp_path):
     assert cli.main(["--bundle", path, "--quiet"]) == 2
 
 
+def test_unexpected_exceptions_are_internal_errors(monkeypatch, tmp_path):
+    def broken(bundle, seed, budget):
+        raise KeyError("missing table")
+
+    monkeypatch.setitem(cli.TASKS, "h-n", broken)
+    report = cli.run(h2_bundle())
+    assert report["status"] == "internal-error"
+    assert report["result"] == {"type": "KeyError",
+                                "message": "'missing table'"}
+    path = write_bundle(tmp_path, "broken.json", h2_bundle())
+    assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
 def test_float_fields_are_printed_to_twelve_significant_digits():
     bundle = {"schema": 1, "task": "decompose",
               "random": {"paths": 1, "max_dim": 2}, "seed": 0}

@@ -2,18 +2,22 @@
 simplicial validity, comparison isomorphisms onto the ordinary nerve, and
 homology agreement between the Duskin and monoidal-diagonal models."""
 
+from itertools import combinations
+
 import pytest
 
 from xmodcoh.crossed import CrossedModule, xmod_abelian, xmod_identity
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
 from xmodcoh.nerves import (NatTransform, PseudofunctorSimplex, SimplicialMap,
+                            _enumerate_duskin_level, delta_map,
                             diag_to_ordinary, duskin_nerve,
                             duskin_to_ordinary, isomorphism_violations,
                             monoidal_diag_nerve, nat_violations,
-                            ordinary_nerve, pseudofunctor_violations,
-                            reindex, simplicial_map_violations,
-                            transport_simplex)
+                            ordinary_nerve, pair_positions,
+                            pseudofunctor_violations, reindex, sigma_map,
+                            simplicial_map_violations, transport_simplex)
+from xmodcoh.retraction import pull_table
 from xmodcoh.simplicial import homology, simplicial_violations
 
 
@@ -156,6 +160,48 @@ def test_reindex_along_the_identity_is_the_identity():
     x = xmod_identity(make_cyclic(2))
     for s in duskin_nerve(x, 3).simplices[3]:
         assert reindex(x, s, (0, 1, 2, 3)) == s
+
+
+def _structure_maps(top):
+    """(codomain, value tuple) of every face and degeneracy map among
+    [0]..[top], and of every composite of two of them."""
+    basic = [(k, delta_map(k, i)) for k in range(1, top + 1)
+             for i in range(k + 1)]
+    basic += [(k, sigma_map(k, i)) for k in range(top) for i in range(k + 1)]
+    maps = set(basic)
+    for n, theta in basic:
+        for b, phi in basic:
+            if b == len(theta) - 1:
+                maps.add((n, tuple(theta[v] for v in phi)))
+    return sorted(maps)
+
+
+@pytest.mark.parametrize("order,top", [(2, 4), (3, 3)])
+def test_reindex_matches_the_slot_by_slot_pullback(order, top):
+    # C3->id stops at [3]: its level 4 has 3^14 candidate label tables
+    x = xmod_identity(make_cyclic(order))
+    e = x.hgroup.identity
+    levels = [_enumerate_duskin_level(x, n) for n in range(top + 1)]
+    checked = 0
+    for n, theta in _structure_maps(4):
+        if n > top:
+            continue
+        m = len(theta) - 1
+        pairs = list(combinations(range(m + 1), 2))
+        triples = list(combinations(range(m + 1), 3))
+        for s in levels[n]:
+            alpha = tuple(s.alpha_at(x, theta[i], theta[j]) for i, j in pairs)
+            u = tuple(s.u_at(x, theta[i], theta[j], theta[k])
+                      for i, j, k in triples)
+            assert reindex(x, s, theta) == PseudofunctorSimplex(m, alpha, u)
+            checked += 1
+        # a table of distinct non-identity labels shows every misplaced read
+        pp = pair_positions(n)
+        w = tuple(range(1, len(pp) + 1))
+        want = tuple(e if theta[i] == theta[j] else w[pp[(theta[i], theta[j])]]
+                     for i, j in pairs)
+        assert pull_table(x, n, w, theta) == want
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------

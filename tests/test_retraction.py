@@ -1,9 +1,10 @@
 """Deformation retraction of strict chains inside pseudofunctor chains:
 exhaustive verification on small crossed modules, structural bookkeeping of
-the report, resource guards, and a fault-injection check that corrupted
-connector data is located and that restoring it cleans the verdict."""
+the report, resource guards, and fault-injection checks that corrupted
+connector and filler data are located and that restoring them cleans the
+verdict."""
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -109,6 +110,37 @@ def test_corrupted_connector_tables_are_located(monkeypatch):
         rep = rt.verify_appendix_retraction(x, 1, 1)
         assert not rep.passed
         assert any("connector" in f for f in rep.failures)
+    finally:
+        monkeypatch.undo()
+        rt._head_suite.cache_clear()
+
+    clean = rt.verify_appendix_retraction(x, 1, 1)
+    assert clean.passed
+
+
+def test_corrupted_filler_labels_are_located(monkeypatch):
+    # corrupt one triangle label that straddles the prism's degree k, i.e.
+    # one that picks up a component of the first transformation
+    x = xmod_identity(make_cyclic(2))
+    true_mu_simplex = rt.mu_simplex
+
+    def crooked(xm, x0, w0, x1, k):
+        s = true_mu_simplex(xm, x0, w0, x1, k)
+        triples = combinations(range(s.n + 1), 3)
+        hit = next((t for t, (_, j, l) in enumerate(triples) if j <= k < l),
+                   None)
+        if hit is None:
+            return s
+        u = list(s.u)
+        u[hit] = (u[hit] + 1) % xm.hgroup.order
+        return rt.PseudofunctorSimplex(s.n, s.alpha, tuple(u))
+
+    try:
+        monkeypatch.setattr(rt, "mu_simplex", crooked)
+        rt._head_suite.cache_clear()
+        rep = rt.verify_appendix_retraction(x, 1, 1)
+        assert not rep.passed
+        assert any("filler" in f for f in rep.failures)
     finally:
         monkeypatch.undo()
         rt._head_suite.cache_clear()
