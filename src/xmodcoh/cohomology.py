@@ -1,20 +1,26 @@
 """Cohomology of a finite group with abelian coefficients (degrees 0..4).
 
-Cochains are full tables on tuples of group elements; cohomology is computed
-on the normalized subcomplex (cochains vanishing when any argument is the
-identity, which computes the same groups) by one elimination over Z/m
-(``modsnf``).  A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with
-m = dk: the cocycle condition on coordinate i is scaled by m/di, and the
-relations di*ei join the coboundaries.  The kernel generators come from the
-mod-m Smith form of the outgoing differential and the quotient from a second
-Smith form, which also yields generator representatives, classification of
-arbitrary cocycles, and coboundary witnesses.
+Cochains are full tables on tuples of group elements (``Cochain.values``).
+``_BarComplex`` alone knows the bar differential and which coordinates each
+table entry takes.  Over all elements it is the full complex (cached per
+module), which applies d, tests cocycles and finds normalizing shifts.  Over
+the non-identity elements it is the normalized subcomplex (cochains vanishing
+when any argument is the identity, which computes the same groups), on which
+one elimination over Z/m (``modsnf``) computes cohomology and classifies.
+
+A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with m = dk: the
+cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
+join the coboundaries.  The kernel generators come from the mod-m Smith form
+of the outgoing differential and the quotient from a second Smith form, which
+also yields generator representatives, classification of arbitrary cocycles,
+and coboundary witnesses.
 
 Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z at a
 working denominator m.  Because every class in H^n(G, Q/Z) is |G|-torsion,
 the image of H^n at denominator m in H^n at denominator m*|G| is already the
 exact answer for m a multiple of |G| (one saturation step computes the full
 kernel of the map to the colimit); the implementation reports that image.
+A Q/Z cochain is read at the denominator lcm(|G|, value denominators).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
+from scipy import sparse
 
 from . import modsnf
 from .coefficients import CIRCLE, FINITE, AbelianCoefficients
@@ -122,37 +129,15 @@ def sub_cochains(group: FiniteGroup, module: AbelianCoefficients,
 
 def bar_differential(group: FiniteGroup, module: AbelianCoefficients,
                      c: Cochain) -> Cochain:
-    """The inhomogeneous-bar coboundary of ``c``.
-
-    (dc)(g1,...,g_{n+1}) = g1.c(g2,...,g_{n+1})
-      + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{n+1})
-      + (-1)^{n+1} c(g1,...,g_n)
-    """
-    n = c.degree
-    order = group.order
-    out = []
-    for idx in range(order ** (n + 1)):
-        args = index_to_tuple(order, n + 1, idx)
-        acc = module.act(args[0], evaluate(group, c, args[1:]))
-        sign = 1
-        for i in range(1, n + 1):
-            sign = -sign
-            merged = args[:i - 1] + (group.mul[args[i - 1]][args[i]],) \
-                + args[i + 1:]
-            acc = module.add(acc,
-                             module.scale(sign, evaluate(group, c, merged)))
-        acc = module.add(acc,
-                         module.scale(-sign, evaluate(group, c, args[:-1])))
-        out.append(acc)
-    values = tuple(out)
-    return Cochain(n + 1, values,
-                   _check_normalized(group, module, n + 1, values))
+    """The inhomogeneous-bar coboundary of ``c`` (see ``_BarComplex``)."""
+    full, vec = _on_full_complex(group, module, c)
+    return full.cochain(c.degree + 1, full.apply(c.degree, vec))
 
 
 def is_cocycle(group: FiniteGroup, module: AbelianCoefficients,
                c: Cochain) -> bool:
-    return all(module.is_zero(v)
-               for v in bar_differential(group, module, c).values)
+    full, vec = _on_full_complex(group, module, c)
+    return full.closed(c.degree, vec)
 
 
 def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
@@ -163,42 +148,45 @@ def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
     c is already normalized.  Raises ValueError if no shift exists (the input
     was not a cocycle).
     """
-    if c.normalized:
-        return c, None
-    if c.degree == 0:
+    if c.normalized or c.degree == 0:
         return c, None
     n = c.degree
-    order = group.order
-    if module.kind == CIRCLE:
-        denom = lcm(group.order,
-                    *[Fraction(v).denominator for v in c.values])
-    else:
-        denom = None
-    factors, mats = module.lattice_data(denom)
-    k = len(factors)
-    full = _BarComplex(group, factors, mats, group.elements())
-    e = group.identity
-    bad_rows = [idx * k + j for idx in range(order ** n)
-                if e in index_to_tuple(order, n, idx) for j in range(k)]
-    scale = full.row_scale(n)[bad_rows]
-    a = full.diff_matrix(n - 1)[bad_rows] * scale[:, None]
-    b = np.array([x for v in c.values for x in module.to_vector(v, denom)],
-                 dtype=np.int64)[bad_rows] * scale
-    sol = modsnf.ModSolver(a, full.m).solve(b)
+    full, vec = _on_full_complex(group, module, c)
+    # positions of the full complex are the table indices
+    rows = full.rows(_identity_positions(group.order, n, group.identity))
+    scale = full.row_scale(n)[rows]
+    a = full.differential(n - 1)[rows].toarray() * scale[:, None]
+    sol = modsnf.ModSolver(a, full.m).solve(vec[rows] * scale)
     if sol is None:
         raise ValueError("cochain admits no normalizing shift; "
                          "is it a cocycle?")
-    sol = [int(x) for x in sol]
-    shift_vals = tuple(
-        module.from_vector(sol[idx * k:(idx + 1) * k], denom)
-        for idx in range(order ** (n - 1)))
-    shift = Cochain(n - 1, shift_vals,
-                    _check_normalized(group, module, n - 1, shift_vals))
-    fixed = sub_cochains(group, module, c,
-                         bar_differential(group, module, shift))
+    shift = full.cochain(n - 1, sol)
+    fixed = full.cochain(n, vec - full.apply(n - 1, sol))
     if not fixed.normalized:
         raise ValueError("normalizing shift failed to normalize the cocycle")
     return fixed, shift
+
+
+def _circle_denominator(group: FiniteGroup, module: AbelianCoefficients,
+                        values) -> int | None:
+    """lcm(|G|, value denominators) for Q/Z values; None for finite ones."""
+    if module.kind != CIRCLE:
+        return None
+    return lcm(group.order, *[Fraction(v).denominator for v in values])
+
+
+@lru_cache(maxsize=16)
+def _full_complex(group: FiniteGroup, module: AbelianCoefficients,
+                  denominator: int | None) -> _BarComplex:
+    return _BarComplex(group, module, denominator, group.elements())
+
+
+def _on_full_complex(group: FiniteGroup, module: AbelianCoefficients,
+                     c: Cochain):
+    """The full complex at c's denominator, and c's coordinates on it."""
+    full = _full_complex(group, module,
+                         _circle_denominator(group, module, c.values))
+    return full, full.vector(c)
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +194,35 @@ def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
 # ---------------------------------------------------------------------------
 
 class _BarComplex:
-    """The bar complex on tuples drawn from ``elements``, as integer matrices.
+    """The bar complex on tuples drawn from ``elements``, as sparse matrices.
 
     With the non-identity elements this is the normalized complex, with all
     elements the full one; a merged term whose product is not among the
-    elements drops out.  Each position carries ``k`` integer coordinates,
-    coordinate i taken mod factors[i] and carried in Z/m for m the largest
-    factor.
+    elements drops out.  Coefficients are the finite model of ``module`` at
+    ``denominator`` (see ``AbelianCoefficients.lattice_data``).  The
+    degree-n differential is
+
+      (dc)(g1,...,g_{n+1}) = g1.c(g2,...,g_{n+1})
+        + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{n+1})
+        + (-1)^{n+1} c(g1,...,g_n).
+
+    Positions are the argument tuples in lexicographic order; each carries
+    ``k`` integer coordinates, coordinate i taken mod factors[i] and carried
+    in Z/m for m the largest factor.
     """
 
-    def __init__(self, group: FiniteGroup, factors, mats, elements):
-        self.group = group
+    def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
+                 denominator: int | None, elements):
+        self.group, self.module = group, module
+        self.denominator = denominator
+        factors, self.mats = module.lattice_data(denominator)
         self.factors = list(factors)
-        self.mats = mats
         self.k = len(factors)
         self.m = max(self.factors, default=1)
         self.elements = list(elements)
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        self._diff_cache: dict[int, np.ndarray] = {}
+        self.normalized = group.identity not in self.elements
+        self._diff_cache: dict[int, sparse.csr_matrix] = {}
+        self._table_cache: dict[int, np.ndarray] = {}
 
     def positions(self, n: int) -> int:
         return len(self.elements) ** n
@@ -231,91 +230,122 @@ class _BarComplex:
     def dim(self, n: int) -> int:
         return self.positions(n) * self.k
 
-    def moduli(self, n: int) -> list[int]:
-        return self.factors * self.positions(n)
+    def moduli(self, n: int) -> np.ndarray:
+        return np.tile(np.array(self.factors, dtype=np.int64),
+                       self.positions(n))
 
     def row_scale(self, n: int) -> np.ndarray:
         """m/d per degree-n coordinate: x = 0 mod d iff (m/d) x = 0 mod m."""
-        return np.array([self.m // d for d in self.moduli(n)], dtype=np.int64)
+        return self.m // self.moduli(n)
 
     def relations(self, n: int) -> np.ndarray:
         """Columns d*e_i for the degree-n coordinates with modulus d < m."""
         moduli = self.moduli(n)
-        rows = [i for i, d in enumerate(moduli) if d < self.m]
+        rows = np.flatnonzero(moduli < self.m)
         out = np.zeros((len(moduli), len(rows)), dtype=np.int64)
-        out[rows, range(len(rows))] = [moduli[i] for i in rows]
+        out[rows, np.arange(len(rows))] = moduli[rows]
         return out
 
-    def tuple_at(self, n: int, pos: int) -> tuple[int, ...]:
-        out = []
-        base = len(self.elements)
-        for _ in range(n):
-            pos, r = divmod(pos, base)
-            out.append(self.elements[r])
-        return tuple(reversed(out))
+    def rows(self, positions) -> np.ndarray:
+        """The coordinate rows of the given positions."""
+        pos = np.asarray(positions, dtype=np.int64)
+        return (pos[:, None] * self.k + np.arange(self.k)).ravel()
 
-    def position_of(self, args) -> int:
-        pos = 0
-        for a in args:
-            pos = pos * len(self.elements) + self._index[a]
-        return pos
+    def _digits(self, n: int) -> np.ndarray:
+        """Row p: the indices into ``elements`` of the arguments at p."""
+        return np.indices((len(self.elements),) * n, dtype=np.int64) \
+            .reshape(n, self.positions(n)).T
+
+    def table_index(self, n: int) -> np.ndarray:
+        """The full-table index of each degree-n position (cached)."""
+        if n not in self._table_cache:
+            args = np.array(self.elements, dtype=np.int64)[self._digits(n)]
+            self._table_cache[n] = \
+                args @ self.group.order ** np.arange(n - 1, -1, -1)
+        return self._table_cache[n]
 
     def _diff_triples(self, n: int):
-        """Yield (row, col, increment) entries of the degree-n differential."""
-        group, k = self.group, self.k
-        for tpos in range(self.positions(n + 1)):
-            args = self.tuple_at(n + 1, tpos)
-            r0 = tpos * k
-            mat = self.mats[args[0]]
-            c0 = self.position_of(args[1:]) * k
-            for i in range(k):
-                for j in range(k):
-                    if mat[i][j]:
-                        yield r0 + i, c0 + j, mat[i][j]
-            sign = 1
-            for i in range(1, n + 1):
-                sign = -sign
-                gh = group.mul[args[i - 1]][args[i]]
-                if gh not in self._index:
-                    continue
-                merged = args[:i - 1] + (gh,) + args[i + 1:]
-                c0 = self.position_of(merged) * k
-                for j in range(k):
-                    yield r0 + j, c0 + j, sign
-            c0 = self.position_of(args[:-1]) * k
+        """(rows, cols, increments) of the degree-n differential's entries;
+        repeated (row, col) pairs add up."""
+        k, base = self.k, len(self.elements)
+        index = np.full(self.group.order, -1)
+        index[self.elements] = np.arange(base)
+        digits = self._digits(n + 1)
+        args = np.array(self.elements, dtype=np.int64)[digits]
+        weights = base ** np.arange(n - 1, -1, -1)  # position of n digits
+        rows = np.arange(len(digits)) * k
+        out = []
+        # g1.c(g2,...,g_{n+1})
+        mats = np.array(self.mats, dtype=np.int64)
+        mats = mats.reshape(len(mats), k, k)
+        col = digits[:, 1:] @ weights * k
+        for i in range(k):
             for j in range(k):
-                yield r0 + j, c0 + j, -sign
+                out.append((rows + i, col + j, mats[args[:, 0], i, j]))
+        # (-1)^i c(g1,...,g_i g_{i+1},...,g_{n+1}), dropped off the elements
+        mul = np.array(self.group.mul, dtype=np.int64)
+        for i in range(1, n + 1):
+            gh = index[mul[args[:, i - 1], args[:, i]]]
+            keep = gh >= 0
+            merged = np.hstack([digits[:, :i - 1], gh[:, None],
+                                digits[:, i + 1:]])[keep]
+            for j in range(k):
+                out.append((rows[keep] + j, merged @ weights * k + j,
+                            np.full(len(merged), (-1) ** i)))
+        # (-1)^{n+1} c(g1,...,g_n)
+        col = digits[:, :-1] @ weights * k
+        for j in range(k):
+            out.append((rows + j, col + j,
+                        np.full(len(rows), (-1) ** (n + 1))))
+        if not out:
+            return [], [], []
+        return [np.concatenate(x) for x in zip(*out)]
 
-    def diff_matrix(self, n: int):
-        """The degree-n differential as an int64 array (cached)."""
-        if n in self._diff_cache:
-            return self._diff_cache[n]
-        out = np.zeros((self.dim(n + 1), self.dim(n)), dtype=np.int64)
-        for r, c, v in self._diff_triples(n):
-            out[r, c] += v
-        self._diff_cache[n] = out
-        return out
+    def differential(self, n: int) -> sparse.csr_matrix:
+        """The degree-n differential, entries reduced mod m (cached)."""
+        if n not in self._diff_cache:
+            rows, cols, vals = self._diff_triples(n)
+            d = sparse.csr_matrix(
+                (np.asarray(vals, dtype=np.int64), (rows, cols)),
+                shape=(self.dim(n + 1), self.dim(n)))
+            d.data %= self.m
+            d.eliminate_zeros()
+            self._diff_cache[n] = d
+        return self._diff_cache[n]
 
-    def vector(self, module: AbelianCoefficients, c: Cochain,
-               denominator: int | None) -> list[int]:
-        order = self.group.order
-        out: list[int] = []
-        for pos in range(self.positions(c.degree)):
-            args = self.tuple_at(c.degree, pos)
-            out.extend(module.to_vector(c.values[tuple_index(order, args)],
-                                        denominator))
-        return out
+    def diff_matrix(self, n: int) -> np.ndarray:
+        """The degree-n differential as a dense int64 array."""
+        return self.differential(n).toarray()
 
-    def cochain(self, module: AbelianCoefficients, degree: int, vec,
-                denominator: int | None) -> Cochain:
-        order = self.group.order
-        k = self.k
-        values = [module.zero()] * (order ** degree)
-        for pos in range(self.positions(degree)):
-            args = self.tuple_at(degree, pos)
-            values[tuple_index(order, args)] = module.from_vector(
-                [int(x) for x in vec[pos * k:(pos + 1) * k]], denominator)
-        return Cochain(degree, tuple(values), True)
+    def apply(self, n: int, vec) -> np.ndarray:
+        """d of a degree-n coordinate vector, mod m."""
+        # a row has at most k + n + 1 entries, each below m
+        modsnf.dtype_for(self.m, self.k + n + 1)
+        vec = np.asarray(vec, dtype=np.int64) % self.m
+        return self.differential(n) @ vec % self.m
+
+    def closed(self, n: int, vec) -> bool:
+        """Whether a degree-n coordinate vector is a cocycle."""
+        return not (self.apply(n, vec) % self.moduli(n + 1)).any()
+
+    def vector(self, c: Cochain) -> np.ndarray:
+        """The coordinates of a cochain table at this complex's positions."""
+        to_vector, denom = self.module.to_vector, self.denominator
+        return np.array([x for t in self.table_index(c.degree).tolist()
+                         for x in to_vector(c.values[t], denom)],
+                        dtype=np.int64)
+
+    def cochain(self, degree: int, vec) -> Cochain:
+        """The table holding vec at these positions, zero elsewhere."""
+        module, k = self.module, self.k
+        vec = [int(x) for x in vec]
+        values = [module.zero()] * (self.group.order ** degree)
+        for pos, t in enumerate(self.table_index(degree).tolist()):
+            values[t] = module.from_vector(vec[pos * k:(pos + 1) * k],
+                                           self.denominator)
+        values = tuple(values)
+        return Cochain(degree, values, self.normalized or _check_normalized(
+            self.group, module, degree, values))
 
 
 class _Quotient:
@@ -331,17 +361,14 @@ class _Quotient:
         self.gens = gens
         r = gens.shape[1]
         self._solver = modsnf.ModSolver(gens, m)
-        rel_cols = []
-        for j in range(l_cols.shape[1]):
+        n_l = l_cols.shape[1]
+        rel = np.zeros((r, n_l + r), dtype=np.int64)
+        for j in range(n_l):
             y = self._solver.solve(l_cols[:, j])
             if y is None:
                 raise RuntimeError("boundary escapes the cocycle kernel")
-            rel_cols.append(y)
-        rel = np.zeros((r, len(rel_cols) + r), dtype=np.int64)
-        for j, y in enumerate(rel_cols):
             rel[:, j] = y
-        for i, o in enumerate(orders):
-            rel[i, len(rel_cols) + i] = o
+        rel[range(r), range(n_l, n_l + r)] = orders
         self._form = modsnf.mod_smith(rel, m, want_u=True, want_uinv=True) \
             if r else None
         self.factors_all = list(self._form.diag) if r else []
@@ -354,10 +381,7 @@ class _Quotient:
         return tuple(self.factors_all[i] for i in self.nontrivial)
 
     def order(self) -> int:
-        out = 1
-        for s in self.factors_all:
-            out *= s
-        return out
+        return prod(self.factors_all)
 
     def generator_vector(self, i: int) -> list[int]:
         y = self._form.u_inv[:, i].astype(np.int64)
@@ -381,50 +405,43 @@ class _Cohomology:
     relation columns d_i e_i, which also join the witness solve.
     """
 
-    def __init__(self, group: FiniteGroup, factors, mats, degree: int):
+    def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
+                 degree: int, denominator: int | None = None):
         self.degree = degree
-        self.cx = _BarComplex(group, factors, mats,
+        self.cx = _BarComplex(group, module, denominator,
                               [g for g in group.elements()
                                if g != group.identity])
         self.m = m = self.cx.m
         n = degree
         self.a_n = self.cx.dim(n)
-        self._dn = None
+        self._lcols = None
         self._wit_solver = None
         if self.a_n == 0 or m == 1:
             empty = np.zeros((self.a_n, 0), dtype=np.int64)
             self.quot = _Quotient(1, empty, [], empty)
             return
-        scale = self.cx.row_scale(n + 1)[:, None]
-        self._dn = self.cx.diff_matrix(n) * scale % m
-        rel = self.cx.relations(n)
+        dn = self.cx.diff_matrix(n) * self.cx.row_scale(n + 1)[:, None] % m
+        self._lcols = self.cx.relations(n)
         if n >= 1:
-            self._lcols = np.hstack([self.cx.diff_matrix(n - 1) % m, rel])
-        else:
-            self._lcols = rel
-        constraints = np.unique(self._dn, axis=0)
+            self._lcols = np.hstack([self.cx.diff_matrix(n - 1), self._lcols])
+        constraints = np.unique(dn, axis=0)
         constraints = constraints[np.any(constraints, axis=1)]
         gens, orders = modsnf.mod_kernel(constraints, m)
         self.quot = _Quotient(m, gens, orders, self._lcols)
 
-    def is_cocycle_vec(self, vec) -> bool:
-        if self._dn is None:
-            return True
-        img = (self._dn @ (np.asarray(vec, dtype=np.int64) % self.m)) % self.m
-        return not img.any()
-
-    def witness_vec(self, vec) -> list[int] | None:
-        """w with d(w) = vec (mod moduli), or None."""
+    def witness(self, vec) -> Cochain | None:
+        """A cochain w with d(w) = vec (mod moduli), or None."""
         if self.degree == 0:
             return None
-        if self._dn is None:
-            return [0] * self.cx.dim(self.degree - 1)
-        if self._wit_solver is None:
-            self._wit_solver = modsnf.ModSolver(self._lcols, self.m)
-        sol = self._wit_solver.solve(np.asarray(vec, dtype=np.int64) % self.m)
-        if sol is None:
-            return None
-        return [int(x) for x in sol[:self.cx.dim(self.degree - 1)]]
+        dim = self.cx.dim(self.degree - 1)
+        sol = np.zeros(dim, dtype=np.int64)
+        if self._lcols is not None:
+            if self._wit_solver is None:
+                self._wit_solver = modsnf.ModSolver(self._lcols, self.m)
+            sol = self._wit_solver.solve(np.asarray(vec) % self.m)
+            if sol is None:
+                return None
+        return self.cx.cochain(self.degree - 1, sol[:dim])
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +493,13 @@ class CohomologyGroup:
 
 class _FiniteImpl:
     def __init__(self, group, module, degree):
-        factors, mats = module.lattice_data()
         self.group, self.module, self.degree = group, module, degree
-        self.eng = _Cohomology(group, factors, mats, degree)
+        self.eng = _Cohomology(group, module, degree)
 
     def _vec(self, c: Cochain):
         c = _ingest(self.group, self.module, self.degree, c)
-        vec = self.eng.cx.vector(self.module, c, None)
-        if not self.eng.is_cocycle_vec(vec):
+        vec = self.eng.cx.vector(c)
+        if not self.eng.cx.closed(self.degree, vec):
             raise ValueError("not a cocycle")
         return vec
 
@@ -491,17 +507,12 @@ class _FiniteImpl:
         return self.eng.quot.coordinates(self._vec(c))
 
     def witness(self, c):
-        w = self.eng.witness_vec(self._vec(c))
-        if w is None:
-            return None
-        return self.eng.cx.cochain(self.module, self.degree - 1, w, None)
+        return self.eng.witness(self._vec(c))
 
     def result(self):
         quot = self.eng.quot
-        reps = tuple(
-            self.eng.cx.cochain(self.module, self.degree,
-                                quot.generator_vector(i), None)
-            for i in quot.nontrivial)
+        reps = tuple(self.eng.cx.cochain(self.degree, quot.generator_vector(i))
+                     for i in quot.nontrivial)
         return CohomologyGroup(
             self.group, self.module, self.degree,
             quot.factors(), reps, quot.order(), _impl=self)
@@ -519,11 +530,10 @@ class _CircleImpl:
 
     def __init__(self, group, module, degree, denominator):
         self.group, self.module, self.degree = group, module, degree
-        self.m0 = denominator if denominator else group.order
-        self.m0 = lcm(self.m0, group.order)
+        self.m0 = lcm(denominator or 1, group.order)
         self.m1 = self.m0 * group.order
-        self.base = _Cohomology(group, *module.lattice_data(self.m0), degree)
-        self.big = _Cohomology(group, *module.lattice_data(self.m1), degree)
+        self.base = _Cohomology(group, module, degree, self.m0)
+        self.big = _Cohomology(group, module, degree, self.m1)
         scale = self.m1 // self.m0
         self.base_reps_vec = [self.base.quot.generator_vector(i)
                               for i in self.base.quot.nontrivial]
@@ -546,23 +556,22 @@ class _CircleImpl:
         self.order = prod(self.factors)
         self.stable = (self.order == self.base.quot.order())
 
-    def _vec(self, c: Cochain, denominator: int):
+    def _vec(self, c: Cochain):
+        """The cocycle c read at m0 and carried to m1."""
         c = _ingest(self.group, self.module, self.degree, c)
         for v in c.values:
-            if denominator % Fraction(v).denominator:
+            if self.m0 % Fraction(v).denominator:
                 raise ValueError(
                     f"cocycle needs denominator {Fraction(v).denominator}; "
                     f"rebuild the cohomology with a finer denominator "
                     f"(working denominator is {self.m0})")
-        vec = self.base.cx.vector(self.module, c, denominator)
-        return vec
+        vec = self.base.cx.vector(c)
+        if not self.base.cx.closed(self.degree, vec):
+            raise ValueError("not a cocycle")
+        return vec * (self.m1 // self.m0)
 
     def classify(self, c):
-        vec0 = self._vec(c, self.m0)
-        if not self.base.is_cocycle_vec(vec0):
-            raise ValueError("not a cocycle")
-        scale = self.m1 // self.m0
-        coords_big = self.big.quot.coordinates([x * scale for x in vec0])
+        coords_big = self.big.quot.coordinates(self._vec(c))
         if self._form is None:
             if any(coords_big):
                 raise RuntimeError("class outside the stable image")
@@ -575,24 +584,13 @@ class _CircleImpl:
         return tuple(int(w[l]) // diag[l] for l in self._keep)
 
     def witness(self, c):
-        vec0 = self._vec(c, self.m0)
-        if not self.base.is_cocycle_vec(vec0):
-            raise ValueError("not a cocycle")
-        scale = self.m1 // self.m0
-        w = self.big.witness_vec([x * scale for x in vec0])
-        if w is None:
-            return None
-        return self.big.cx.cochain(self.module, self.degree - 1, w, self.m1)
+        return self.big.witness(self._vec(c))
 
     def result(self):
-        reps = []
-        for l in self._keep:
-            vec = [0] * self.base.a_n
-            for coeff, gvec in zip(self._form.v[:, l], self.base_reps_vec):
-                for i, x in enumerate(gvec):
-                    vec[i] += int(coeff) * x
-            reps.append(self.base.cx.cochain(self.module, self.degree,
-                                             vec, self.m0))
+        gens = np.array(self.base_reps_vec, dtype=np.int64).T
+        reps = [self.base.cx.cochain(
+                    self.degree, gens @ self._form.v[:, l].astype(np.int64))
+                for l in self._keep]
         return CohomologyGroup(
             self.group, self.module, self.degree, self.factors,
             tuple(reps), self.order,
@@ -636,8 +634,7 @@ def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
     """
     if c.degree < 1:
         raise ValueError("degree must be at least 1 for coboundary checks")
-    if module.kind == CIRCLE and denominator is None:
-        denominator = lcm(group.order,
-                          *[Fraction(v).denominator for v in c.values])
+    if denominator is None:
+        denominator = _circle_denominator(group, module, c.values)
     h = cohomology(group, module, c.degree, denominator)
     return h.coboundary_witness(c)

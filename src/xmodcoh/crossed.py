@@ -417,8 +417,11 @@ class H1PointedSet:
         return len(self.classes)
 
 
-def _quotient(group: FiniteGroup, x: CrossedModule,
-              cocycles: list[Cocycle1], strict: bool) -> tuple[list, dict]:
+def _pointed_set(group: FiniteGroup, x: CrossedModule,
+                 cocycles: list[Cocycle1], strict: bool) -> H1PointedSet:
+    """The classes of ``cocycles`` under the coboundary transformations,
+    with the class of the trivial cocycle as basepoint (None if it is not
+    among them)."""
     index = {c.key(): i for i, c in enumerate(cocycles)}
     assigned = [-1] * len(cocycles)
     classes = []
@@ -439,15 +442,13 @@ def _quotient(group: FiniteGroup, x: CrossedModule,
         classes.append(H1Class(c, len(members),
                                is_free_faithful(group, x, c)))
     class_of = {c.key(): assigned[i] for i, c in enumerate(cocycles)}
-    return classes, class_of
+    base = class_of.get(trivial_cocycle(group, x).key())
+    return H1PointedSet(group, x, tuple(classes), base, class_of)
 
 
 def compute_H1(group: FiniteGroup, x: CrossedModule, strict: bool = False,
                budget: int = 100_000_000) -> H1PointedSet:
-    cocycles = enumerate_Z1(group, x, budget)
-    classes, class_of = _quotient(group, x, cocycles, strict)
-    base = class_of.get(trivial_cocycle(group, x).key())
-    return H1PointedSet(group, x, tuple(classes), base, class_of)
+    return _pointed_set(group, x, enumerate_Z1(group, x, budget), strict)
 
 
 def compute_H1_ff(group: FiniteGroup, x: CrossedModule, strict: bool = False,
@@ -455,9 +456,7 @@ def compute_H1_ff(group: FiniteGroup, x: CrossedModule, strict: bool = False,
     """H^1 computed from free-and-faithful cocycles only."""
     cocycles = [c for c in enumerate_Z1(group, x, budget)
                 if is_free_faithful(group, x, c)]
-    classes, class_of = _quotient(group, x, cocycles, strict)
-    base = class_of.get(trivial_cocycle(group, x).key())
-    return H1PointedSet(group, x, tuple(classes), base, class_of)
+    return _pointed_set(group, x, cocycles, strict)
 
 
 def pushforward(m: XModMorphism, group: FiniteGroup,

@@ -198,21 +198,31 @@ class ObstructionClass:
         return self.h3.coboundary_witness(self.cocycle)
 
 
+def _lift_fibers(ext: CentralXModExtension, group: FiniteGroup,
+                 c: Cocycle1) -> tuple[list[int], list[list[int]]]:
+    """The positions g*n+h of the pairs of non-identity elements, in (g, h)
+    order, and the fiber of phi0 over u(g, h) at each."""
+    e = group.identity
+    positions = [g * group.order + h for g in group.elements()
+                 for h in group.elements() if g != e and h != e]
+    fibers = ext.fibers()
+    return positions, [fibers[c.u[pos]] for pos in positions]
+
+
+def _lift_table(ext: CentralXModExtension, group: FiniteGroup, positions,
+                choice) -> tuple[int, ...]:
+    """The normalized lift taking choice[i] at positions[i]."""
+    lift = [ext.h0group.identity] * (group.order ** 2)
+    for pos, v in zip(positions, choice):
+        lift[pos] = v
+    return tuple(lift)
+
+
 def canonical_lift(ext: CentralXModExtension, group: FiniteGroup,
                    c: Cocycle1) -> tuple[int, ...]:
     """Least-preimage set-level lift of the u-table, normalized."""
-    n = group.order
-    fibers = ext.fibers()
-    e = group.identity
-    e0 = ext.h0group.identity
-    out = []
-    for g in group.elements():
-        for h in group.elements():
-            if g == e or h == e:
-                out.append(e0)
-            else:
-                out.append(min(fibers[c.u[g * n + h]]))
-    return tuple(out)
+    positions, fibers = _lift_fibers(ext, group, c)
+    return _lift_table(ext, group, positions, [min(f) for f in fibers])
 
 
 def _check_lift(ext: CentralXModExtension, group: FiniteGroup,
@@ -277,19 +287,10 @@ def theta(ext: CentralXModExtension, group: FiniteGroup, c: Cocycle1,
     coords = h3.classify(omega)
     if check_second_lift:
         rng = np.random.default_rng(rng_seed)
-        fibers = ext.fibers()
-        n = group.order
-        e = group.identity
-        e0 = ext.h0group.identity
-        other = []
-        for g in group.elements():
-            for h in group.elements():
-                if g == e or h == e:
-                    other.append(e0)
-                else:
-                    fiber = fibers[c.u[g * n + h]]
-                    other.append(fiber[int(rng.integers(len(fiber)))])
-        omega2 = obstruction_cocycle(ext, group, c, tuple(other), induced)
+        positions, fibers = _lift_fibers(ext, group, c)
+        other = _lift_table(ext, group, positions,
+                            [f[int(rng.integers(len(f)))] for f in fibers])
+        omega2 = obstruction_cocycle(ext, group, c, other, induced)
         if h3.classify(omega2) != coords:
             raise RuntimeError("theta depends on the chosen lift")
     return ObstructionClass(induced, h3, omega, coords)
@@ -300,24 +301,16 @@ def theta_lift_sweep(ext: CentralXModExtension, group: FiniteGroup,
     """Classes of omega over every normalized lift (should be a singleton)."""
     induced = induced_module(ext, group, c)
     h3 = _h_cached(group, induced.module, 3)
-    n = group.order
-    e = group.identity
-    e0 = ext.h0group.identity
-    fibers = ext.fibers()
-    free = [(g, h) for g in group.elements() for h in group.elements()
-            if g != e and h != e]
+    positions, fibers = _lift_fibers(ext, group, c)
     total = 1
-    for g, h in free:
-        total *= len(fibers[c.u[g * n + h]])
+    for fiber in fibers:
+        total *= len(fiber)
         if total > budget:
             raise ResourceLimit("lift sweep size", total, budget)
     seen = set()
-    for choice in itertools.product(
-            *[fibers[c.u[g * n + h]] for (g, h) in free]):
-        lift = [e0] * (n * n)
-        for (g, h), v in zip(free, choice):
-            lift[g * n + h] = v
-        omega = obstruction_cocycle(ext, group, c, tuple(lift), induced)
+    for choice in itertools.product(*fibers):
+        lift = _lift_table(ext, group, positions, choice)
+        omega = obstruction_cocycle(ext, group, c, lift, induced)
         seen.add(h3.classify(omega))
     return sorted(seen)
 

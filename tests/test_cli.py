@@ -2,6 +2,7 @@
 status/exit-code mapping, deterministic reports, seed/budget overrides, and
 the golden preset workflow (regeneration, drift detection, diffs)."""
 
+import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -220,6 +221,22 @@ def test_all_shipped_presets_match_their_expected_reports():
     assert report["status"] == "ok", report["result"]["diffs"]
     assert report["result"]["cases"] == report["result"]["matched"] == 30
     assert report["result"]["drifted"] == []
+
+
+def test_preset_generator_writes_the_shipped_bundles():
+    """tools/make_presets.py regenerates presets/ byte for byte: one
+    BUNDLES entry per shipped bundle file, each serialized as main()
+    writes it."""
+    path = PRESETS.parent / "tools" / "make_presets.py"
+    spec = importlib.util.spec_from_file_location("make_presets", path)
+    make_presets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_presets)
+    shipped = {p.name[:-len(".bundle.json")]
+               for p in PRESETS.glob("*.bundle.json")}
+    assert set(make_presets.BUNDLES) == shipped
+    for name, payload in make_presets.BUNDLES.items():
+        text = (PRESETS / f"{name}.bundle.json").read_text()
+        assert make_presets.bundle_text(payload) == text, name
 
 
 def test_golden_drift_produces_a_unified_diff(tmp_path):

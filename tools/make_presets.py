@@ -96,13 +96,17 @@ BUNDLES = {
 }
 
 
+def bundle_text(payload: dict) -> str:
+    """The JSON text of one preset bundle, as written under presets/."""
+    bundle = {"schema": 1}
+    bundle.update(payload)
+    return json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> int:
     ROOT.mkdir(exist_ok=True)
     for name, payload in sorted(BUNDLES.items()):
-        bundle = {"schema": 1}
-        bundle.update(payload)
-        path = ROOT / f"{name}.bundle.json"
-        path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+        (ROOT / f"{name}.bundle.json").write_text(bundle_text(payload))
     report = golden_verify(ROOT, write=True)
     print(f"wrote {report['result']['matched']} expected reports "
           f"under {ROOT}")
