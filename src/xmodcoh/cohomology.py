@@ -10,10 +10,13 @@ one elimination over Z/m (``modsnf``) computes cohomology and classifies.
 
 A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with m = dk: the
 cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
-join the coboundaries.  The kernel generators come from the mod-m Smith form
-of the outgoing differential and the quotient from a second Smith form, which
-also yields generator representatives, classification of arbitrary cocycles,
-and coboundary witnesses.
+join the coboundaries.  The cocycles are the kernel of the row-scaled sparse
+outgoing differential, taken by ``modsnf.mod_kernel`` one prime power of m
+at a time: sparse unit pivots, then a dense Smith form of the small residual
+only.  The quotient by the incoming image comes from a Smith form of the
+relations among the kernel generators, which also yields generator
+representatives, classification of arbitrary cocycles, and coboundary
+witnesses.
 
 Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z at a
 working denominator m.  Because every class in H^n(G, Q/Z) is |G|-torsion,
@@ -313,10 +316,6 @@ class _BarComplex:
             self._diff_cache[n] = d
         return self._diff_cache[n]
 
-    def diff_matrix(self, n: int) -> np.ndarray:
-        """The degree-n differential as a dense int64 array."""
-        return self.differential(n).toarray()
-
     def apply(self, n: int, vec) -> np.ndarray:
         """d of a degree-n coordinate vector, mod m."""
         # a row has at most k + n + 1 entries, each below m
@@ -351,9 +350,10 @@ class _BarComplex:
 class _Quotient:
     """ker/im over Z/m: invariant factors, representatives and membership.
 
-    Generators of the kernel (with their orders) come from the mod-m Smith
-    form of the outgoing differential; the incoming image is rewritten in
-    those generators and quotiented out.
+    Generators of the kernel (with their orders, which need not form a
+    chain) come from ``modsnf.mod_kernel`` of the outgoing differential; the
+    incoming image is rewritten in those generators and quotiented out, and
+    the Smith form of those relations puts the factors in a chain.
     """
 
     def __init__(self, m: int, gens, orders, l_cols):
@@ -363,11 +363,10 @@ class _Quotient:
         self._solver = modsnf.ModSolver(gens, m)
         n_l = l_cols.shape[1]
         rel = np.zeros((r, n_l + r), dtype=np.int64)
-        for j in range(n_l):
-            y = self._solver.solve(l_cols[:, j])
-            if y is None:
-                raise RuntimeError("boundary escapes the cocycle kernel")
-            rel[:, j] = y
+        y = self._solver.solve(l_cols)
+        if y is None:
+            raise RuntimeError("boundary escapes the cocycle kernel")
+        rel[:, :n_l] = y
         rel[range(r), range(n_l, n_l + r)] = orders
         self._form = modsnf.mod_smith(rel, m, want_u=True, want_uinv=True) \
             if r else None
@@ -420,13 +419,13 @@ class _Cohomology:
             empty = np.zeros((self.a_n, 0), dtype=np.int64)
             self.quot = _Quotient(1, empty, [], empty)
             return
-        dn = self.cx.diff_matrix(n) * self.cx.row_scale(n + 1)[:, None] % m
-        self._lcols = self.cx.relations(n)
+        cx = self.cx
+        scale = sparse.diags(cx.row_scale(n + 1), dtype=np.int64)
+        gens, orders = modsnf.mod_kernel(scale @ cx.differential(n), m)
+        self._lcols = cx.relations(n)
         if n >= 1:
-            self._lcols = np.hstack([self.cx.diff_matrix(n - 1), self._lcols])
-        constraints = np.unique(dn, axis=0)
-        constraints = constraints[np.any(constraints, axis=1)]
-        gens, orders = modsnf.mod_kernel(constraints, m)
+            self._lcols = np.hstack([cx.differential(n - 1).toarray(),
+                                     self._lcols])
         self.quot = _Quotient(m, gens, orders, self._lcols)
 
     def witness(self, vec) -> Cochain | None:

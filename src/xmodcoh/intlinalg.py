@@ -1,13 +1,17 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra, and the sparse unit-pivot core.
 
 Everything here works over arbitrary-precision Python ints: Smith normal
 form with optional unimodular transforms, integer linear solves, and solves
 modulo a vector of moduli.  Matrices are lists of rows; vectors are lists of
 ints.
 
-Rank and torsion of a large sparse matrix, such as a simplicial boundary,
-come from :func:`sparse_rank_torsion`: sparse unit pivots first, then the
-dense Smith form on the small residual that has no unit entry left.
+:func:`unit_pivots` is the one sparse elimination loop: it pivots on unit
+entries of ``{key: entry}`` vectors, over Z (units +-1) or over a local
+ring Z/p^k (units the entries p does not divide).  Rank and torsion of a
+large sparse integer matrix, such as a simplicial boundary, come from
+:func:`sparse_rank_torsion`: unit pivots first, then the dense Smith form
+on the small residual that has no unit entry left.  ``modsnf.mod_kernel``
+runs the same loop over each prime power of its modulus.
 """
 
 from __future__ import annotations
@@ -210,8 +214,90 @@ def invariant_factors(a: list[list[int]]) -> list[int]:
     return [d for d in smith_normal_form(a).diag if d]
 
 
-def _has_unit(v: dict[int, int]) -> bool:
-    return 1 in v.values() or -1 in v.values()
+def unit_pivots(vectors: Iterable[dict[int, int]], q: int = 0, p: int = 0
+                ) -> tuple[list[tuple[int, dict[int, int]]],
+                           list[dict[int, int]]]:
+    """Sparse elimination on unit entries, over Z or over Z/q with q = p^k.
+
+    Each vector is ``{key: entry}``; over Z/q entries are reduced mod q.
+    A unit is +-1 over Z (an exact unimodular step) and any entry that p
+    does not divide over the local ring Z/p^k.  Zero and repeated vectors
+    are dropped first.  Each step takes the shortest vector with a unit,
+    pivots at the unit whose key occurs in the fewest other vectors, which
+    keeps fill-in low, scales the vector to 1 there and clears that key
+    from every other vector.
+
+    Returns ``(pivots, residual)``.  ``pivots`` lists ``(key, v)`` in pivot
+    order, where ``e_key + v`` is the scaled pivot vector; v holds no key
+    pivoted before it.  ``residual`` holds the vectors left without a unit,
+    none with a pivot key, each taken once up to sign.
+    """
+    if q:
+        def is_unit(x):
+            return x % p != 0
+
+        def has_unit(v):
+            return any(x % p for x in v.values())
+    else:
+        def is_unit(x):
+            return x == 1 or x == -1
+
+        def has_unit(v):
+            return 1 in v.values() or -1 in v.values()
+    vecs: dict[int, dict[int, int]] = {}
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for vec in vectors:
+        if q:
+            vec = {k: x % q for k, x in vec.items()}
+        key = tuple(sorted((k, x) for k, x in vec.items() if x))
+        if key and key not in seen:
+            seen.add(key)
+            vecs[len(vecs)] = dict(key)
+    where = defaultdict(set)  # key -> vectors with an entry there
+    units = defaultdict(set)  # length -> vectors with a unit entry
+    for j, v in vecs.items():
+        for r in v:
+            where[r].add(j)
+        if has_unit(v):
+            units[len(v)].add(j)
+    pivots = []
+    while any(units.values()):
+        j = units[min(n for n, b in units.items() if b)].pop()
+        v = vecs.pop(j)
+        for key in v:
+            where[key].discard(j)
+        r = min((key for key, x in v.items() if is_unit(x)),
+                key=lambda key: len(where[key]))
+        inv = pow(v.pop(r), -1, q) if q else v.pop(r)
+        v = {key: x * inv % q if q else x * inv for key, x in v.items()}
+        pivots.append((r, v))
+        for k in where.pop(r):
+            w = vecs[k]
+            units[len(w)].discard(k)
+            f = w.pop(r)  # w - f (e_r + v) is zero at r
+            for key, x in v.items():
+                y = w.get(key)
+                z = -f * x if y is None else y - f * x
+                if q:
+                    z %= q
+                if z:
+                    if y is None:
+                        where[key].add(k)
+                    w[key] = z
+                elif y is not None:
+                    del w[key]
+                    where[key].discard(k)
+            if not w:
+                del vecs[k]
+            elif has_unit(w):
+                units[len(w)].add(k)
+    residual: dict[tuple[tuple[int, int], ...], None] = {}
+    for v in vecs.values():
+        key = tuple(sorted(v.items()))
+        if key[0][1] < 0 or (q and 2 * key[0][1] > q):
+            key = tuple((r, -x % q if q else -x) for r, x in key)
+        residual[key] = None
+    return pivots, [dict(key) for key in residual]
 
 
 def sparse_rank_torsion(
@@ -220,69 +306,20 @@ def sparse_rank_torsion(
 
     ``torsion`` lists the invariant factors greater than 1, ascending, so
     Z^rows modulo the column span is Z^(rows - rank) plus those cyclic
-    groups.  Zero and repeated columns are dropped first.  A pivot on a
-    +-1 entry is an exact unimodular step that splits off one row and one
-    column, so those pivots are taken in sparse form: the shortest column
-    with a unit entry, at the unit whose row occurs in the fewest columns,
-    which keeps fill-in low.  The columns left without a unit entry, taken
-    once up to sign, go over their own rows to :func:`smith_normal_form`.
+    groups.  A pivot on a +-1 entry is an exact unimodular step that splits
+    off one row and one column, so those pivots are taken in sparse form by
+    :func:`unit_pivots`; the columns left without a unit entry go over
+    their own rows to :func:`smith_normal_form`.
     """
-    vecs: dict[int, dict[int, int]] = {}
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for col in columns:
-        key = tuple(sorted((r, x) for r, x in col.items() if x))
-        if key and key not in seen:
-            seen.add(key)
-            vecs[len(vecs)] = dict(key)
-    where = defaultdict(set)  # row -> columns with an entry there
-    units = defaultdict(set)  # length -> columns with a unit entry
-    for j, v in vecs.items():
-        for r in v:
-            where[r].add(j)
-        if _has_unit(v):
-            units[len(v)].add(j)
-    rank = 0
-    while any(units.values()):
-        j = units[min(n for n, b in units.items() if b)].pop()
-        v = vecs.pop(j)
-        for row in v:
-            where[row].discard(j)
-        r = min((r for r, x in v.items() if x == 1 or x == -1),
-                key=lambda r: len(where[r]))
-        rank += 1
-        unit = v.pop(r)
-        for k in where.pop(r):
-            w = vecs[k]
-            units[len(w)].discard(k)
-            q = w.pop(r) * unit  # w - q v is zero in row r: unit * unit == 1
-            for row, x in v.items():
-                y = w.get(row)
-                if y is None:
-                    w[row] = -q * x
-                    where[row].add(k)
-                elif y == q * x:
-                    del w[row]
-                    where[row].discard(k)
-                else:
-                    w[row] = y - q * x
-            if not w:
-                del vecs[k]
-            elif _has_unit(w):
-                units[len(w)].add(k)
-    residual: dict[tuple[tuple[int, int], ...], None] = {}
-    for v in vecs.values():
-        key = tuple(sorted(v.items()))
-        if key[0][1] < 0:
-            key = tuple((r, -x) for r, x in key)
-        residual[key] = None
-    rows = sorted({r for key in residual for r, _ in key})
+    pivots, residual = unit_pivots(columns)
+    rows = sorted({r for v in residual for r in v})
     pos = {r: i for i, r in enumerate(rows)}
     dense = [[0] * len(residual) for _ in rows]
-    for c, key in enumerate(residual):
-        for r, x in key:
+    for c, v in enumerate(residual):
+        for r, x in v.items():
             dense[pos[r]][c] = x
     form = smith_normal_form(dense)
-    return (rank + form.rank,
+    return (len(pivots) + form.rank,
             tuple(d for d in form.diag[:form.rank] if d > 1))
 
 

@@ -1,12 +1,19 @@
-"""Smith normal form and solvers over Z/m, numpy-backed.
+"""Smith normal form, kernels and solvers over Z/m, numpy-backed.
 
 Z/m is a principal ideal ring, so every matrix over it is equivalent to a
 diagonal matrix whose entries form a divisibility chain of divisors of m.
-This module computes that form with invertible transforms, plus kernels and
-linear solves, using vectorized row/column eliminations.  It is the one
-elimination behind group cohomology for every coefficient module (finite
-modules with mixed moduli are carried over their largest modulus); the test
-suite cross-checks it against the exact integer Smith form.
+:func:`mod_smith` computes that form densely, with invertible transforms,
+for the small matrices that need it: elimination residuals, quotient
+relations and solver matrices.
+
+Kernels, the one large elimination behind group cohomology, never take a
+dense form of the whole matrix.  :func:`mod_kernel` splits m by CRT into
+prime powers q = p^k.  Over the local ring Z/q every entry that p does not
+divide is a unit, so sparse unit pivots (``intlinalg.unit_pivots``, the
+same pivot loop as integral homology) solve most columns exactly; only the
+residual rows, which have no unit left, go to :func:`mod_smith`, and the
+residual kernel is lifted back through the pivot rows.  The test suite
+cross-checks both against the exact integer Smith form.
 
 Conventions: matrix entries are stored canonically in [0, m).  Reported
 diagonal values are canonical divisors of m, with m itself standing for a
@@ -19,6 +26,9 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from scipy import sparse
+
+from . import intlinalg as il
 
 
 def dtype_for(m: int, max_dim: int):
@@ -191,24 +201,86 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
     return ModSmithForm(m, r, c, diag, U, Ui, V)
 
 
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, p^k) for each prime power exactly dividing m, ascending."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    if m > 1:
+        out.append((m, m))
+    return out
+
+
 def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int]]:
-    """Generators (as columns) and orders of {x in (Z/m)^c : a x = 0}."""
-    a = np.asarray(a)
-    r, c = a.shape
+    """Generators (as columns) and orders of {x in (Z/m)^c : a x = 0}.
+
+    ``a`` is a dense array or a scipy.sparse matrix.  The kernel is the
+    direct sum of its parts over the prime powers q of m: each part comes
+    from :func:`_local_kernel` and is carried into Z/m by the CRT
+    idempotent that is 1 mod q and 0 mod m/q, keeping its own orders (so
+    they need not form a divisibility chain).
+    """
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+    a = sparse.csr_matrix(a, dtype=np.int64)
+    a.sum_duplicates()
+    c = a.shape[1]
     if c == 0:
-        return np.zeros((0, 0), dtype=dtype_for(m, 1)), []
-    form = mod_smith(a, m, want_v=True)
-    gens = []
+        return np.zeros((0, 0), dtype=np.int64), []
+    gens, orders = [], []
+    for p, q in _prime_powers(m):
+        e = m // q * pow(m // q, -1, q) % m
+        x, o = _local_kernel(a, p, q)
+        gens.append(x * e % m)
+        orders += o
+    return np.hstack(gens), orders
+
+
+def _local_kernel(a: sparse.csr_matrix, p: int,
+                  q: int) -> tuple[np.ndarray, list[int]]:
+    """The kernel of ``a`` over the local ring Z/q, q = p^k.
+
+    Unit pivots on the rows (``intlinalg.unit_pivots``) solve each pivot
+    column in terms of later columns.  The residual rows have no unit, so
+    their kernel over the free (non-pivot) columns comes from the dense
+    :func:`mod_smith`.  The generators are lifted through the pivot rows
+    in reverse pivot order, which keeps the orders.
+    """
+    c = a.shape[1]
+    dtype_for(q, c)  # back-substitution sums at most c products below q^2
+    ptr, cols, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    pivots, residual = il.unit_pivots(
+        (dict(zip(cols[s:t], data[s:t])) for s, t in zip(ptr, ptr[1:])),
+        q, p)
+    pivoted = {key for key, _ in pivots}
+    free = [j for j in range(c) if j not in pivoted]
+    diag, basis = [], np.eye(len(free), dtype=np.int64)
+    if residual:
+        form = mod_smith(np.array([[row.get(j, 0) for j in free]
+                                   for row in residual], dtype=np.int64),
+                         q, want_v=True)
+        diag, basis = form.diag, form.v.astype(np.int64)
+    x = np.zeros((c, len(free)), dtype=np.int64)
     orders = []
-    for i in range(c):
-        d = form.diag[i] if i < len(form.diag) else m
-        if d == 1:
-            continue
-        gens.append((form.v[:, i] * (m // d)) % m)
-        orders.append(d)
-    if not gens:
-        return np.zeros((c, 0), dtype=form.v.dtype), []
-    return np.stack(gens, axis=1), orders
+    for i in range(len(free)):
+        d = diag[i] if i < len(diag) else q
+        if d > 1:
+            x[free, len(orders)] = basis[:, i] * (q // d) % q
+            orders.append(d)
+    x = x[:, :len(orders)]
+    for key, v in reversed(pivots):
+        if v:
+            keys = np.fromiter(v.keys(), dtype=np.int64, count=len(v))
+            vals = np.fromiter(v.values(), dtype=np.int64, count=len(v))
+            x[key] = -(vals @ x[keys]) % q
+    return x, orders
 
 
 class ModSolver:
@@ -222,25 +294,24 @@ class ModSolver:
             if self.cols else None
 
     def solve(self, b) -> np.ndarray | None:
+        """x with a x = b mod m, or None if there is none.
+
+        ``b`` is one right-hand side or a matrix of them in its columns; a
+        matrix gets the matrix of solutions, or None if any column has none.
+        """
         m = self.m
         b = np.asarray(b, dtype=np.int64) % m
+        shape = (self.cols,) + b.shape[1:]
         if self.cols == 0:
-            return (np.zeros(0, dtype=np.int64) if not b.any() else None)
+            return None if b.any() else np.zeros(shape, dtype=np.int64)
         f = self.form
         w = (f.u.astype(np.int64) @ b) % m
-        z = np.zeros(self.cols, dtype=np.int64)
         k = min(self.rows, self.cols)
-        for i in range(self.rows):
-            if i >= k:
-                if w[i]:
-                    return None
-                continue
-            d = f.diag[i]
-            if d == m:
-                if w[i]:
-                    return None
-            else:
-                if w[i] % d:
-                    return None
-                z[i] = w[i] // d
+        # a zero diagonal entry, reported as m, admits only w = 0
+        d = np.array(f.diag, dtype=np.int64).reshape(
+            (k,) + (1,) * (b.ndim - 1))
+        if w[k:].any() or (w[:k] % d).any():
+            return None
+        z = np.zeros(shape, dtype=np.int64)
+        z[:k] = w[:k] // d
         return (f.v.astype(np.int64) @ z) % m

@@ -78,12 +78,18 @@ def test_klein_four_group_mod_two_betti_numbers():
 def test_symmetric_group_low_degrees():
     """H^1(S3, Z/6) = Z/2 by abelianization; H^1(S3, Q/Z) = Hom(S3, Q/Z) =
     Z/2; H^2(S3, Q/Z) = Hom(Schur multiplier, Q/Z) = 0 since the Schur
-    multiplier of S3 is trivial."""
+    multiplier of S3 is trivial; H^3(S3, Q/Z) = H^4(S3, Z) = Z/6, computed
+    at the composite denominators 6 and 36, and its representative
+    classifies to the unit coordinate."""
     s3 = make_symmetric(3)
     assert cohomology(s3, finite_abelian(s3, (6,)), 1).invariant_factors \
         == (2,)
     assert cohomology(s3, rational_circle(s3), 1).invariant_factors == (2,)
     assert cohomology(s3, rational_circle(s3), 2).invariant_factors == ()
+    h3 = cohomology(s3, rational_circle(s3), 3)
+    assert h3.invariant_factors == (6,)
+    assert h3.denominator == 6
+    assert [h3.classify(rep) for rep in h3.representatives] == [(1,)]
 
 
 def test_twisted_inversion_action_oracle():

@@ -3,11 +3,12 @@ brute force."""
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
 import sympy
+from scipy import sparse
 from sympy.matrices.normalforms import smith_normal_form
 
 from xmodcoh.modsnf import ModSolver, mod_kernel, mod_smith, unit_part
@@ -96,6 +97,70 @@ def test_mod_kernel_matches_bruteforce_solution_count():
                 assert not (a @ gens[:, j] % m).any()
 
 
+def sparse_mod_matrix(rng, rows, cols, m, kind):
+    """A sparse integer matrix, entries not reduced mod m.  ``kind`` is
+    "unit" (every nonzero entry a unit mod m), "unit-free" (every entry
+    divisible by the least prime p of m, so no unit mod p^k), "repeated"
+    (rows copied from earlier rows) or "mixed"."""
+    p = next(d for d in range(2, m + 1) if m % d == 0)
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        if kind == "repeated" and i and rng.random() < 0.5:
+            a[i] = a[rng.randrange(i)]
+            continue
+        for j in rng.sample(range(cols), rng.randint(0, min(cols, 3))):
+            if kind == "unit":
+                x = rng.choice(units)
+            elif kind == "unit-free":
+                x = p * rng.randrange(1, 2 * m)
+            else:
+                x = rng.randrange(1, m)
+            a[i, j] = x * rng.choice((1, -1)) + m * rng.randint(-1, 1)
+    return a
+
+
+def integer_invariant_factors(a):
+    """Nonzero invariant factors of an integer matrix, from sympy."""
+    rows, cols = a.shape
+    if not rows or not cols or not a.any():
+        return []
+    snf = smith_normal_form(sympy.Matrix(a.tolist()))
+    return [abs(int(snf[i, i])) for i in range(min(rows, cols))
+            if snf[i, i]]
+
+
+def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
+    """a @ gens = 0 mod m, and |span(gens)| = prod(orders) = |ker a|: the
+    kernel of a over Z/m is (Z/m)^(c - rank) + sum Z/gcd(d_i, m) for the
+    integer invariant factors d_i of a, and the span's order is m^c over
+    the cokernel order of the integer matrix [gens | m I].  Composite m
+    covers the recombination of the prime-power parts."""
+    rng = random.Random(17)
+    kinds = ("unit", "unit-free", "repeated", "mixed")
+    for m in (2, 4, 8, 9, 27, 6, 12, 30, 36):
+        cases = [(0, 3, "mixed"), (3, 1, "mixed")]
+        cases += [(rng.randint(1, 8), rng.randint(1, 6), kind)
+                  for kind in kinds for _ in range(4)]
+        for rows, cols, kind in cases:
+            a = sparse_mod_matrix(rng, rows, cols, m, kind)
+            arg = sparse.csr_matrix(a) if rng.random() < 0.5 else a
+            gens, orders = mod_kernel(arg, m)
+            assert gens.shape == (cols, len(orders))
+            assert not (a @ gens % m).any(), (m, a)
+            assert all(1 < o and m % o == 0 for o in orders)
+            assert not (gens * np.array(orders, dtype=np.int64) % m).any()
+            factors = integer_invariant_factors(a)
+            kernel = m ** (cols - len(factors))
+            for d in factors:
+                kernel *= gcd(d, m)
+            span = m ** cols
+            for d in integer_invariant_factors(
+                    np.hstack([gens, m * np.eye(cols, dtype=np.int64)])):
+                span //= d
+            assert span == prod(orders) == kernel, (m, a, orders)
+
+
 def test_mod_solver_agrees_with_bruteforce():
     rng = random.Random(13)
     for m in (2, 3, 4, 6):
@@ -113,6 +178,29 @@ def test_mod_solver_agrees_with_bruteforce():
                     assert not solvable
                 else:
                     assert not ((a @ x - b) % m).any()
+
+
+def test_mod_solver_solves_a_matrix_of_right_hand_sides_column_by_column():
+    """A matrix of right-hand sides gets exactly the column-by-column
+    solutions, or None as soon as one column has none."""
+    rng = random.Random(19)
+    for m in (2, 4, 6, 9, 12):
+        for _ in range(20):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            a = random_mod_matrix(rng, rows, cols, m)
+            solver = ModSolver(a, m)
+            solvable = a @ random_mod_matrix(rng, cols, rng.randint(0, 4), m)
+            b = np.hstack([solvable, random_mod_matrix(rng, rows, 1, m)])
+            for rhs in (solvable, b):
+                each = [solver.solve(rhs[:, j]) for j in range(rhs.shape[1])]
+                got = solver.solve(rhs)
+                if any(x is None for x in each):
+                    assert got is None
+                    continue
+                want = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
+                for j, x in enumerate(each):
+                    want[:, j] = x
+                assert np.array_equal(got, want)
 
 
 def test_bad_modulus_rejected():
