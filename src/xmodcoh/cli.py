@@ -5,8 +5,10 @@ A bundle is a JSON object ``{"schema": 1, "task": <name>, ...payload...}``;
 the reply is a JSON report ``{"schema", "task", "status", "result",
 "provenance"}`` with status one of ``ok`` / ``violation`` /
 ``resource-error`` / ``input-error`` / ``internal-error`` and matching exit
-codes 0 / 1 / 2 / 3 / 4.  ``internal-error`` reports any other exception,
-with its type and message, in place of a traceback.
+codes 0 / 1 / 2 / 3 / 4.  ``violation`` is a failed mathematical check
+(a ``RuntimeError``); ``internal-error`` reports any other exception, such
+as a failed internal check (``errors.InvariantError``), with its type and
+message, in place of a traceback.
 Identical bundle and seed produce byte-identical reports apart from the
 ``wall_time_ms`` provenance field.
 """

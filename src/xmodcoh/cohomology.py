@@ -13,10 +13,12 @@ cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
 join the coboundaries.  The cocycles are the kernel of the row-scaled sparse
 outgoing differential, taken by ``modsnf.mod_kernel`` one prime power of m
 at a time: sparse unit pivots, then a dense Smith form of the small residual
-only.  The quotient by the incoming image comes from a Smith form of the
-relations among the kernel generators, which also yields generator
-representatives, classification of arbitrary cocycles, and coboundary
-witnesses.
+only.  A cocycle is fixed by its coordinates on the columns that no unit
+pivot took, so it is rewritten in the kernel generators by a solve on
+those coordinates alone.  The quotient by the incoming image comes from a
+Smith form of the relations among the kernel generators, which also yields
+generator representatives, classification of arbitrary cocycles, and
+coboundary witnesses.
 
 Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z at a
 working denominator m.  Because every class in H^n(G, Q/Z) is |G|-torsion,
@@ -38,7 +40,7 @@ from scipy import sparse
 
 from . import modsnf
 from .coefficients import CIRCLE, FINITE, AbelianCoefficients
-from .errors import ResourceLimit
+from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
 
 
@@ -351,26 +353,38 @@ class _Quotient:
     """ker/im over Z/m: invariant factors, representatives and membership.
 
     Generators of the kernel (with their orders, which need not form a
-    chain) come from ``modsnf.mod_kernel`` of the outgoing differential; the
-    incoming image is rewritten in those generators and quotiented out, and
-    the Smith form of those relations puts the factors in a chain.
+    chain) and its free coordinates come from ``modsnf.mod_kernel`` of the
+    outgoing differential.  A kernel vector is fixed by its free
+    coordinates, so a vector is rewritten in the generators by a solve on
+    those rows alone, then checked on all rows.  The incoming image,
+    rewritten this way, is quotiented out, and the Smith form of those
+    relations puts the factors in a chain.
     """
 
-    def __init__(self, m: int, gens, orders, l_cols):
+    def __init__(self, m: int, gens, orders, free, l_cols):
         self.m = m
         self.gens = gens
+        self.free = free
         r = gens.shape[1]
-        self._solver = modsnf.ModSolver(gens, m)
+        self._solver = modsnf.ModSolver(gens[free], m)
         n_l = l_cols.shape[1]
         rel = np.zeros((r, n_l + r), dtype=np.int64)
-        y = self._solver.solve(l_cols)
+        y = self._solve(l_cols)
         if y is None:
-            raise RuntimeError("boundary escapes the cocycle kernel")
+            raise InvariantError("boundary escapes the cocycle kernel")
         rel[:, :n_l] = y
         rel[range(r), range(n_l, n_l + r)] = orders
         self._form = modsnf.mod_smith(rel, m, want_u=True, want_uinv=True) \
             if r else None
         self.factors_all = list(self._form.diag) if r else []
+
+    def _solve(self, b) -> np.ndarray | None:
+        """y with gens @ y = b mod m, or None if b is not in their span."""
+        b = np.asarray(b, dtype=np.int64) % self.m
+        y = self._solver.solve(b[self.free])
+        if y is None or ((self.gens @ y - b) % self.m).any():
+            return None
+        return y
 
     @property
     def nontrivial(self) -> list[int]:
@@ -387,7 +401,7 @@ class _Quotient:
         return [int(x) for x in (self.gens.astype(np.int64) @ y) % self.m]
 
     def coordinates(self, vec) -> tuple[int, ...]:
-        y = self._solver.solve(np.asarray(vec))
+        y = self._solve(vec)
         if y is None:
             raise ValueError("vector is not in the cocycle lattice")
         if not self.factors_all:
@@ -417,16 +431,17 @@ class _Cohomology:
         self._wit_solver = None
         if self.a_n == 0 or m == 1:
             empty = np.zeros((self.a_n, 0), dtype=np.int64)
-            self.quot = _Quotient(1, empty, [], empty)
+            self.quot = _Quotient(1, empty, [], np.zeros(0, dtype=np.int64),
+                                  empty)
             return
         cx = self.cx
         scale = sparse.diags(cx.row_scale(n + 1), dtype=np.int64)
-        gens, orders = modsnf.mod_kernel(scale @ cx.differential(n), m)
+        gens, orders, free = modsnf.mod_kernel(scale @ cx.differential(n), m)
         self._lcols = cx.relations(n)
         if n >= 1:
             self._lcols = np.hstack([cx.differential(n - 1).toarray(),
                                      self._lcols])
-        self.quot = _Quotient(m, gens, orders, self._lcols)
+        self.quot = _Quotient(m, gens, orders, free, self._lcols)
 
     def witness(self, vec) -> Cochain | None:
         """A cochain w with d(w) = vec (mod moduli), or None."""
@@ -573,13 +588,13 @@ class _CircleImpl:
         coords_big = self.big.quot.coordinates(self._vec(c))
         if self._form is None:
             if any(coords_big):
-                raise RuntimeError("class outside the stable image")
+                raise InvariantError("class outside the stable image")
             return ()
         y = np.array(coords_big, dtype=np.int64) * self._embed % self.m1
         w = self._form.u.astype(np.int64) @ y % self.m1
         diag = self._form.diag + [self.m1] * (len(w) - len(self._form.diag))
         if any(int(x) % s for x, s in zip(w, diag)):
-            raise RuntimeError("class outside the stable image")
+            raise InvariantError("class outside the stable image")
         return tuple(int(w[l]) // diag[l] for l in self._keep)
 
     def witness(self, c):

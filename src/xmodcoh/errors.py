@@ -16,3 +16,9 @@ class ResourceLimit(Exception):
         self.bound = bound
         self.needed = needed
         self.allowed = allowed
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed: the program is at fault, not
+    the input.  Deliberately not a ``RuntimeError``, which reports a failed
+    mathematical check (a violation)."""

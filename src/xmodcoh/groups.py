@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
+from .errors import InvariantError
+
 
 def group_violations(mul) -> list[str]:
     """All multiplication-table axioms that fail, as human-readable strings."""
@@ -295,11 +297,11 @@ def abelian_basis(g: FiniteGroup, elems=None) -> AbelianBasis:
     for exps in itertools.product(*[range(d) for d in orders]):
         x = g.prod(g.power(a, k) for a, k in zip(gens, exps))
         if x in to_vec:
-            raise RuntimeError("abelian decomposition failed to be direct")
+            raise InvariantError("abelian decomposition failed to be direct")
         to_vec[x] = exps
         from_vec[exps] = x
     if len(to_vec) != len(elems):
-        raise RuntimeError("abelian decomposition misses elements")
+        raise InvariantError("abelian decomposition misses elements")
     return AbelianBasis(elems, tuple(gens), tuple(orders), to_vec, from_vec)
 
 

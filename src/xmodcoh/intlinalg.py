@@ -25,21 +25,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in mat_mul")
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in a]
-    for i, row in enumerate(a):
-        acc = out[i]
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                for j in range(cols):
-                    acc[j] += x * brow[j]
-    return out
-
-
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -207,11 +192,6 @@ def smith_normal_form(a: list[list[int]], transforms: bool = False) -> SmithForm
     if transforms:
         form.row_t, form.col_t = red.u, red.v
     return form
-
-
-def invariant_factors(a: list[list[int]]) -> list[int]:
-    """Nonzero diagonal entries of the Smith form (d1 | d2 | ...)."""
-    return [d for d in smith_normal_form(a).diag if d]
 
 
 def unit_pivots(vectors: Iterable[dict[int, int]], q: int = 0, p: int = 0

@@ -2,14 +2,18 @@
 
 Z/m is a principal ideal ring, so every matrix over it is equivalent to a
 diagonal matrix whose entries form a divisibility chain of divisors of m.
-:func:`mod_smith` computes that form densely, with invertible transforms,
-for the small matrices that need it: elimination residuals, quotient
-relations and solver matrices.
+By CRT, Z/m is the product of the local rings Z/q over the prime powers
+q = p^k exactly dividing m, and both :func:`mod_smith` and
+:func:`mod_kernel` work one local ring at a time.  Over Z/q every entry
+that p does not divide is a unit, and an entry of least p-valuation divides
+every other entry, so pivoting on one needs no gcd repair and the diagonal
+comes out as a chain with no further pass.
 
-Kernels, the one large elimination behind group cohomology, never take a
-dense form of the whole matrix.  :func:`mod_kernel` splits m by CRT into
-prime powers q = p^k.  Over the local ring Z/q every entry that p does not
-divide is a unit, so sparse unit pivots (``intlinalg.unit_pivots``, the
+:func:`mod_smith` computes the dense local forms, with invertible
+transforms, for the small matrices that need them (elimination residuals,
+quotient relations and solver matrices) and joins them by CRT.  Kernels,
+the one large elimination behind group cohomology, never take a dense form
+of the whole matrix: sparse unit pivots (``intlinalg.unit_pivots``, the
 same pivot loop as integral homology) solve most columns exactly; only the
 residual rows, which have no unit left, go to :func:`mod_smith`, and the
 residual kernel is lifted back through the pivot rows.  The test suite
@@ -23,7 +27,7 @@ zero entry (annihilator Z/m).  Transform matrices are invertible mod m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 from scipy import sparse
@@ -40,29 +44,21 @@ def dtype_for(m: int, max_dim: int):
     raise ValueError(f"modulus {m} too large for dimension {max_dim}")
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def unit_part(a: int, m: int) -> int:
-    """A unit u mod m with a = u * gcd(a, m) mod m."""
-    g = gcd(a, m)
-    u = (a // g) % m
-    if u == 0:
-        u = 1  # a = 0: gcd is m, any unit works
-    step = m // g
-    while gcd(u, m) != 1:
-        u = (u + step) % m or m
-    return u
+def _local_rings(m: int) -> list[tuple[int, int, int]]:
+    """(p, q, e) for each prime power q = p^k exactly dividing m, ascending
+    in p, with e the CRT idempotent of Z/m that is 1 mod q and 0 mod m/q."""
+    out, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    if rest > 1:
+        out.append((rest, rest))
+    return [(p, q, m // q * pow(m // q, -1, q) % m) for p, q in out]
 
 
 @dataclass
@@ -78,154 +74,108 @@ class ModSmithForm:
 
 def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
               want_v: bool = False) -> ModSmithForm:
+    """The Smith form of ``a`` over Z/m, with the requested transforms.
+
+    Each prime power q of m gets its own :func:`_local_smith`, with
+    diagonal d_{i,q}; the joined diagonal is d_i = prod_q d_{i,q}.  Row i
+    of each local U is scaled by the unit d_i / d_{i,q} mod q (column i of
+    U^-1 by its inverse), so that u @ a @ v has exactly d_i on its
+    diagonal, and the local transforms are summed over the CRT idempotents.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    a = np.asarray(a)
-    r, c = a.shape
-    dt = dtype_for(m, max(r, c, 1))
     a = np.array(a, dtype=np.int64) % m
+    r, c = a.shape
+    dtype_for(m, max(r, c, 1))  # the join multiplies entries by e < m
+    parts = [(q, e, _local_smith(a % q, p, q, want_u, want_uinv, want_v))
+             for p, q, e in _local_rings(m)]
+    diag = [prod(d) for d in zip(*(local[0] for _, _, local in parts))]
+    k = len(diag)
+    mats: list[np.ndarray | None] = [None, None, None]
+    for q, e, (d, *local) in parts:
+        unit = np.array([x // y % q for x, y in zip(diag, d)], dtype=np.int64)
+        u, u_inv, _ = local
+        if u is not None:
+            u[:k] = u[:k] * unit[:, None] % q
+        if u_inv is not None:
+            u_inv[:, :k] = u_inv[:, :k] * np.array(
+                [pow(int(x), -1, q) for x in unit], dtype=np.int64) % q
+        for slot, x in enumerate(local):
+            if x is not None:
+                x = x.astype(np.int64) * e % m
+                mats[slot] = x if mats[slot] is None else (mats[slot] + x) % m
+    return ModSmithForm(m, r, c, diag, *mats)
+
+
+def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
+                 want_uinv: bool, want_v: bool):
+    """(diag, U, U^-1, V) of ``a`` (entries in [0, q)) over Z/q, q = p^k.
+
+    Each step pivots on the first entry, row-major, of least p-valuation: a
+    unit if there is one, else the least gcd with q.  It divides every
+    entry left, so scaling its row makes the pivot p^v exactly and its row
+    and column clear without remainder; later pivots have valuation at
+    least v, so the diagonal is a chain.
+    """
+    r, c = a.shape
+    dt = dtype_for(q, max(r, c, 1))
     a = a.astype(dt)
     U = np.eye(r, dtype=dt) if want_u else None
     Ui = np.eye(r, dtype=dt) if want_uinv else None
     V = np.eye(c, dtype=dt) if want_v else None
-
-    def row_combo(i, j, c11, c12, c21, c22):
-        # row_i' = c11 row_i + c12 row_j ; row_j' = c21 row_i + c22 row_j
-        c11, c12, c21, c22 = (x % m for x in (c11, c12, c21, c22))
-        for mat in (a, U):
-            if mat is None:
-                continue
-            ri = (c11 * mat[i] + c12 * mat[j]) % m
-            rj = (c21 * mat[i] + c22 * mat[j]) % m
-            mat[i], mat[j] = ri, rj
-        if Ui is not None:
-            det = (c11 * c22 - c12 * c21) % m
-            di = pow(int(det), -1, m)
-            ci = (di * (c22 * Ui[:, i] - c21 * Ui[:, j])) % m
-            cj = (di * (-c12 * Ui[:, i] + c11 * Ui[:, j])) % m
-            Ui[:, i], Ui[:, j] = ci, cj
-
-    def col_combo(i, j, c11, c12, c21, c22):
-        # col_i' = c11 col_i + c12 col_j ; col_j' = c21 col_i + c22 col_j
-        c11, c12, c21, c22 = (x % m for x in (c11, c12, c21, c22))
-        for mat in (a, V):
-            if mat is None:
-                continue
-            ci = (c11 * mat[:, i] + c12 * mat[:, j]) % m
-            cj = (c21 * mat[:, i] + c22 * mat[:, j]) % m
-            mat[:, i], mat[:, j] = ci, cj
-
-    def scale_row(i, unit):
-        inv = pow(int(unit), -1, m)
-        a[i] = (a[i] * unit) % m
-        if U is not None:
-            U[i] = (U[i] * unit) % m
-        if Ui is not None:
-            Ui[:, i] = (Ui[:, i] * inv) % m
-
-    def repair_and_eliminate(t):
-        """Make the pivot at (t, t) divide its row and column, then clear."""
-        while True:
-            g = gcd(int(a[t, t]), m)
-            col = a[t + 1:, t]
-            bad = np.nonzero(col % g)[0]
-            if bad.size:
-                i2 = t + 1 + int(bad[0])
-                p, q = int(a[t, t]), int(a[i2, t])
-                gg, s, tt = _ext_gcd(p, q)
-                row_combo(t, i2, s, tt, -(q // gg), p // gg)
-                continue
-            row = a[t, t + 1:]
-            bad = np.nonzero(row % g)[0]
-            if bad.size:
-                j2 = t + 1 + int(bad[0])
-                p, q = int(a[t, t]), int(a[t, j2])
-                gg, s, tt = _ext_gcd(p, q)
-                col_combo(t, j2, s, tt, -(q // gg), p // gg)
-                continue
-            break
-        g = gcd(int(a[t, t]), m)
-        scale_row(t, pow(unit_part(int(a[t, t]), m), -1, m))
-        # column below the pivot, all entries divisible by g
-        f = a[t + 1:, t] // g
-        if f.size and np.any(f):
-            a[t + 1:, :] = (a[t + 1:, :] - np.outer(f, a[t, :])) % m
-            if U is not None:
-                U[t + 1:, :] = (U[t + 1:, :] - np.outer(f, U[t, :])) % m
-            if Ui is not None:
-                Ui[:, t] = (Ui[:, t] + Ui[:, t + 1:] @ f) % m
-        # row right of the pivot
-        fc = a[t, t + 1:] // g
-        if fc.size and np.any(fc):
-            a[:, t + 1:] = (a[:, t + 1:] - np.outer(a[:, t], fc)) % m
-            if V is not None:
-                V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], fc)) % m
-        return g
-
-    k = min(r, c)
-    rank = 0
-    for t in range(k):
+    diag = []
+    for t in range(min(r, c)):
         sub = a[t:, t:]
-        flat = int(np.argmax(sub != 0))
-        i, j = divmod(flat, c - t)
-        if sub[i, j] == 0:
-            break
-        if i:
-            row_combo(t, t + i, 0, 1, 1, 0)
-        if j:
-            col_combo(t, t + j, 0, 1, 1, 0)
-        repair_and_eliminate(t)
-        rank += 1
-
-    def report(i):
-        val = int(a[i, i])
-        return m if val == 0 else gcd(val, m)
-
-    # enforce the divisibility chain on the diagonal
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            di, dj = report(i), report(i + 1)
-            if dj % di == 0:
-                continue
-            changed = True
-            col_combo(i, i + 1, 1, 1, 0, 1)  # col_i += col_{i+1}
-            repair_and_eliminate(i)
-            # recanonicalize the (i+1) entry disturbed by the elimination
-            val = int(a[i + 1, i + 1])
-            if val:
-                scale_row(i + 1, pow(unit_part(val, m), -1, m))
-
-    diag = [report(i) for i in range(rank)] + [m] * (k - rank)
-    return ModSmithForm(m, r, c, diag, U, Ui, V)
-
-
-def _prime_powers(m: int) -> list[tuple[int, int]]:
-    """(p, p^k) for each prime power exactly dividing m, ascending."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            out.append((p, q))
-        p += 1
-    if m > 1:
-        out.append((m, m))
-    return out
+        i, j = divmod(int(np.argmax(sub % p != 0)), c - t)
+        if sub[i, j] % p == 0:
+            val = np.gcd(sub, q)
+            i, j = divmod(int(np.argmin(val)), c - t)
+            if val[i, j] == q:
+                break
+        i, j = i + t, j + t
+        a[[t, i]] = a[[i, t]]
+        a[:, [t, j]] = a[:, [j, t]]
+        if U is not None:
+            U[[t, i]] = U[[i, t]]
+        if Ui is not None:
+            Ui[:, [t, i]] = Ui[:, [i, t]]
+        if V is not None:
+            V[:, [t, j]] = V[:, [j, t]]
+        g = gcd(int(a[t, t]), q)
+        unit = int(a[t, t]) // g
+        inv = pow(unit, -1, q)
+        a[t] = a[t] * inv % q
+        if U is not None:
+            U[t] = U[t] * inv % q
+        if Ui is not None:
+            Ui[:, t] = Ui[:, t] * unit % q
+        f = a[t + 1:, t] // g
+        if f.any():
+            a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
+            if U is not None:
+                U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
+            if Ui is not None:
+                Ui[:, t] = (Ui[:, t] + Ui[:, t + 1:] @ f) % q
+        f = a[t, t + 1:] // g
+        if f.any():
+            a[t, t + 1:] = 0
+            if V is not None:
+                V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], f)) % q
+        diag.append(g)
+    return diag + [q] * (min(r, c) - len(diag)), U, Ui, V
 
 
-def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int]]:
-    """Generators (as columns) and orders of {x in (Z/m)^c : a x = 0}.
+def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Generators (as columns) and orders of {x in (Z/m)^c : a x = 0}, and
+    the free columns.
 
     ``a`` is a dense array or a scipy.sparse matrix.  The kernel is the
     direct sum of its parts over the prime powers q of m: each part comes
     from :func:`_local_kernel` and is carried into Z/m by the CRT
     idempotent that is 1 mod q and 0 mod m/q, keeping its own orders (so
-    they need not form a divisibility chain).
+    they need not form a divisibility chain).  A kernel vector is fixed
+    mod q by its entries on the columns that no unit pivot took, so
+    ``free``, the sorted union of those columns over q, fixes it mod m.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -233,19 +183,21 @@ def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int]]:
     a.sum_duplicates()
     c = a.shape[1]
     if c == 0:
-        return np.zeros((0, 0), dtype=np.int64), []
-    gens, orders = [], []
-    for p, q in _prime_powers(m):
-        e = m // q * pow(m // q, -1, q) % m
-        x, o = _local_kernel(a, p, q)
+        return (np.zeros((0, 0), dtype=np.int64), [],
+                np.zeros(0, dtype=np.int64))
+    gens, orders, free = [], [], set()
+    for p, q, e in _local_rings(m):
+        x, o, f = _local_kernel(a, p, q)
         gens.append(x * e % m)
         orders += o
-    return np.hstack(gens), orders
+        free.update(f)
+    return np.hstack(gens), orders, np.array(sorted(free), dtype=np.int64)
 
 
 def _local_kernel(a: sparse.csr_matrix, p: int,
-                  q: int) -> tuple[np.ndarray, list[int]]:
-    """The kernel of ``a`` over the local ring Z/q, q = p^k.
+                  q: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """The kernel of ``a`` over the local ring Z/q, q = p^k, and its free
+    columns.
 
     Unit pivots on the rows (``intlinalg.unit_pivots``) solve each pivot
     column in terms of later columns.  The residual rows have no unit, so
@@ -280,7 +232,7 @@ def _local_kernel(a: sparse.csr_matrix, p: int,
             keys = np.fromiter(v.keys(), dtype=np.int64, count=len(v))
             vals = np.fromiter(v.values(), dtype=np.int64, count=len(v))
             x[key] = -(vals @ x[keys]) % q
-    return x, orders
+    return x, orders, free
 
 
 class ModSolver:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from xmodcoh import cli
+from xmodcoh import cli, modsnf
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -201,6 +201,25 @@ def test_unexpected_exceptions_are_internal_errors(monkeypatch, tmp_path):
     assert report["result"] == {"type": "KeyError",
                                 "message": "'missing table'"}
     path = write_bundle(tmp_path, "broken.json", h2_bundle())
+    assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+def test_failed_internal_checks_are_internal_errors(monkeypatch, tmp_path):
+    """A solver that returns a wrong solution trips the cohomology quotient's
+    own check; that is the program's fault, not a violation."""
+    real = modsnf.ModSolver.solve
+
+    def wrong(self, b):
+        y = real(self, b)
+        return None if y is None else (y + 1) % self.m
+
+    monkeypatch.setattr(modsnf.ModSolver, "solve", wrong)
+    report = cli.run(h2_bundle())
+    assert report["status"] == "internal-error"
+    assert report["result"] == {
+        "type": "InvariantError",
+        "message": "boundary escapes the cocycle kernel"}
+    path = write_bundle(tmp_path, "wrong.json", h2_bundle())
     assert cli.main(["--bundle", path, "--quiet"]) == 4
 
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmodcoh.cohomology import (Cochain, add_cochains, bar_differential,
-                                cochain_from_function, cohomology, evaluate,
-                                is_coboundary, is_cocycle, normalize_cocycle,
-                                sub_cochains, zero_cochain)
+from xmodcoh.cohomology import (Cochain, _Cohomology, add_cochains,
+                                bar_differential, cochain_from_function,
+                                cohomology, evaluate, is_coboundary,
+                                is_cocycle, normalize_cocycle, sub_cochains,
+                                zero_cochain)
 from xmodcoh.coefficients import finite_abelian, rational_circle
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_product, make_symmetric, \
@@ -64,11 +65,13 @@ def test_circle_factors_of_mixed_orders_ascend():
 
 def test_klein_four_group_mod_two_betti_numbers():
     """H^k((Z/2)^r, Z/2) has dimension C(k+r-1, r-1) (polynomial algebra on
-    r generators): k+1 for r = 2 and 1, 3, 6, 10 for r = 3."""
+    r generators, Poincare series 1/(1-t)^r): k+1 for r = 2 and 1, 3, 6,
+    10, 15 for r = 3.  H^4((Z/2)^3, Z/2), a 16,807 x 2,401 differential, is
+    the largest elimination in the suite."""
     c2 = make_cyclic(2)
     v4 = make_product(c2, c2)
     for group, dims in ((v4, (1, 2, 3, 4)),
-                        (make_product(v4, c2), (1, 3, 6, 10))):
+                        (make_product(v4, c2), (1, 3, 6, 10, 15))):
         module = finite_abelian(group, (2,))
         for k, dim in enumerate(dims):
             factors = cohomology(group, module, k).invariant_factors
@@ -404,6 +407,26 @@ def test_classify_rejects_non_cocycles():
         pytest.skip("perturbation landed on a cocycle")
     with pytest.raises(ValueError):
         h2.classify(bad)
+
+
+def test_quotient_solves_on_free_coordinates_and_checks_every_row():
+    """A cocycle is fixed by its coordinates on the columns no unit pivot
+    took.  A vector that agrees with a cocycle there but not at one pivot
+    coordinate is no cocycle, and the quotient must refuse it."""
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    s3 = make_symmetric(3)
+    for group, moduli, degree in ((v4, (2,), 2), (s3, (6,), 2),
+                                  (s3, (2, 4), 1)):
+        quot = _Cohomology(group, finite_abelian(group, moduli),
+                           degree).quot
+        free = set(quot.free.tolist())
+        pivot = next(j for j in range(quot.gens.shape[0]) if j not in free)
+        for i in range(quot.gens.shape[1]):
+            vec = quot.gens[:, i].copy()
+            quot.coordinates(vec)
+            vec[pivot] = (vec[pivot] + 1) % quot.m
+            with pytest.raises(ValueError, match="cocycle lattice"):
+                quot.coordinates(vec)
 
 
 def test_circle_witness_exactness():

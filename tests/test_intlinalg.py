@@ -6,14 +6,18 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from xmodcoh.intlinalg import (invariant_factors, mat_mul, mat_vec,
-                               smith_normal_form as snf, solve_integer,
-                               solve_mod, sparse_rank_torsion)
+from xmodcoh.intlinalg import (mat_vec, smith_normal_form as snf,
+                               solve_integer, solve_mod, sparse_rank_torsion)
 
 
 def random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)]
             for _ in range(rows)]
+
+
+def invariant_factors(a):
+    """Nonzero diagonal entries of our Smith form (d1 | d2 | ...)."""
+    return [d for d in snf(a).diag if d]
 
 
 def sympy_factors(a):
@@ -87,11 +91,12 @@ def test_smith_transforms_reconstruct_diagonal():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, rows, cols)
         form = snf(a, transforms=True)
-        d = mat_mul(mat_mul(form.row_t, a), form.col_t)
+        d = sympy.Matrix(form.row_t) * sympy.Matrix(a) * \
+            sympy.Matrix(form.col_t)
         for i in range(rows):
             for j in range(cols):
                 want = form.diag[i] if i == j and i < len(form.diag) else 0
-                assert d[i][j] == want
+                assert d[i, j] == want
         # both transforms are unimodular
         assert abs(sympy.Matrix(form.row_t).det()) == 1
         assert abs(sympy.Matrix(form.col_t).det()) == 1

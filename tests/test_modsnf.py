@@ -11,20 +11,12 @@ import sympy
 from scipy import sparse
 from sympy.matrices.normalforms import smith_normal_form
 
-from xmodcoh.modsnf import ModSolver, mod_kernel, mod_smith, unit_part
+from xmodcoh.modsnf import ModSolver, mod_kernel, mod_smith
 
 
 def random_mod_matrix(rng, rows, cols, m):
     return np.array([[rng.randrange(m) for _ in range(cols)]
-                     for _ in range(rows)], dtype=np.int64)
-
-
-def test_unit_part_is_a_unit_with_the_right_product():
-    for m in (2, 3, 4, 6, 8, 9, 12):
-        for a in range(m):
-            u = unit_part(a, m)
-            assert gcd(u, m) == 1
-            assert (u * gcd(a, m)) % m == a % m
+                     for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
 
 
 def test_mod_smith_diag_divides_modulus_and_chains():
@@ -79,13 +71,76 @@ def test_mod_smith_agrees_with_integer_route():
                 sorted(d for d in got if d > 1)
 
 
+def check_smith_form(a, m):
+    """u a v = diag exactly, u u^-1 = I, v invertible, the diagonal a chain
+    of divisors of m, and its factors those of the integer Smith form of
+    [a | m I], which presents the same cokernel (Z/m)^rows / im(a)."""
+    rows, cols = a.shape
+    form = mod_smith(a, m, want_u=True, want_uinv=True, want_v=True)
+    d = form.diag
+    want = np.zeros((rows, cols), dtype=np.int64)
+    want[range(len(d)), range(len(d))] = np.array(d, dtype=np.int64) % m
+    assert np.array_equal(form.u @ a @ form.v % m, want), (m, a, d)
+    assert np.array_equal(form.u @ form.u_inv % m,
+                          np.eye(rows, dtype=np.int64))
+    assert gcd(int(sympy.Matrix(form.v.tolist()).det()) % m, m) == 1
+    assert all(m % x == 0 for x in d)
+    assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
+    augmented = np.hstack([a, m * np.eye(rows, dtype=np.int64)])
+    got = [x for x in d + [m] * (rows - len(d)) if x > 1]
+    assert got == [x for x in integer_invariant_factors(augmented) if x > 1]
+    return form
+
+
+def test_mod_smith_joins_local_forms_of_different_ranks():
+    """Composite m: the matrix is a random product of rank at most k_q mod
+    each prime power q, with distinct k_q, so the local diagonals end at
+    different places and the join must rescale them into one chain."""
+    rng = random.Random(23)
+    parts = {12: (4, 3), 30: (2, 3, 5), 36: (4, 9), 72: (8, 9)}
+    differing = cases = 0
+    for m, qs in parts.items():
+        for _ in range(12):
+            rows, cols = rng.randint(3, 6), rng.randint(3, 6)
+            ranks = rng.sample(range(min(rows, cols) + 1), len(qs))
+            a = np.zeros((rows, cols), dtype=np.int64)
+            for q, k in zip(qs, ranks):
+                p = next(d for d in range(2, q + 1) if q % d == 0)
+                local = random_mod_matrix(rng, rows, k, q) @ \
+                    random_mod_matrix(rng, k, cols, q)
+                if rng.random() < 0.5:
+                    local *= p  # no unit mod q left
+                e = m // q * pow(m // q, -1, q)
+                a = (a + local % q * e) % m
+            d = check_smith_form(a, m).diag
+            cases += 1
+            differing += len({sum(x % q == 0 for x in d) for q in qs}) > 1
+    assert differing >= cases // 2
+
+
+def test_mod_smith_pivots_on_least_valuation_over_prime_powers():
+    """Over Z/p^k the first nonzero entry need not divide the others; the
+    pivot is the first entry of least p-valuation."""
+    fixed = [([[2, 1], [1, 0]], 4), ([[3, 1], [1, 0]], 9),
+             ([[4, 2], [2, 0]], 8), ([[0, 9, 3], [3, 1, 0]], 27)]
+    for a, m in fixed:
+        check_smith_form(np.array(a, dtype=np.int64), m)
+    rng = random.Random(29)
+    for m, p in ((4, 2), (8, 2), (9, 3), (27, 3)):
+        for _ in range(20):
+            a = random_mod_matrix(rng, rng.randint(1, 5), rng.randint(1, 5),
+                                  m)
+            a[0, 0] = p * rng.randrange(m // p)
+            check_smith_form(a, m)
+
+
 def test_mod_kernel_matches_bruteforce_solution_count():
     rng = random.Random(11)
     for m in (2, 3, 4, 6):
         for _ in range(12):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             a = random_mod_matrix(rng, rows, cols, m)
-            gens, orders = mod_kernel(a, m)
+            gens, orders, _ = mod_kernel(a, m)
             brute = sum(
                 1 for x in itertools.product(range(m), repeat=cols)
                 if not (a @ np.array(x) % m).any())
@@ -135,7 +190,9 @@ def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
     kernel of a over Z/m is (Z/m)^(c - rank) + sum Z/gcd(d_i, m) for the
     integer invariant factors d_i of a, and the span's order is m^c over
     the cokernel order of the integer matrix [gens | m I].  Composite m
-    covers the recombination of the prime-power parts."""
+    covers the recombination of the prime-power parts.  The free columns
+    fix a kernel vector: the kernel's image on them is as large as the
+    kernel."""
     rng = random.Random(17)
     kinds = ("unit", "unit-free", "repeated", "mixed")
     for m in (2, 4, 8, 9, 27, 6, 12, 30, 36):
@@ -145,7 +202,7 @@ def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
         for rows, cols, kind in cases:
             a = sparse_mod_matrix(rng, rows, cols, m, kind)
             arg = sparse.csr_matrix(a) if rng.random() < 0.5 else a
-            gens, orders = mod_kernel(arg, m)
+            gens, orders, free = mod_kernel(arg, m)
             assert gens.shape == (cols, len(orders))
             assert not (a @ gens % m).any(), (m, a)
             assert all(1 < o and m % o == 0 for o in orders)
@@ -159,6 +216,13 @@ def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
                     np.hstack([gens, m * np.eye(cols, dtype=np.int64)])):
                 span //= d
             assert span == prod(orders) == kernel, (m, a, orders)
+            # the kernel maps onto its free coordinates without loss
+            assert free.tolist() == sorted(set(free.tolist()))
+            image = m ** len(free)
+            for d in integer_invariant_factors(np.hstack(
+                    [gens[free], m * np.eye(len(free), dtype=np.int64)])):
+                image //= d
+            assert image == kernel, (m, a, free)
 
 
 def test_mod_solver_agrees_with_bruteforce():
