@@ -166,6 +166,21 @@ def _task_exact_check(bundle, seed, budget):
     return ("ok" if rep.exact else "violation"), result
 
 
+def _nerve(bundle, kind, trunc, bud):
+    """The ordinary, duskin or diag nerve the bundle asks for, and its
+    crossed module (None for an ordinary nerve)."""
+    if kind == "ordinary":
+        if "group" not in bundle:
+            raise BundleError("/group", "ordinary nerve needs a group")
+        group = group_from_spec(bundle["group"], "/group")
+        return ordinary_nerve(group, trunc, budget=bud), None
+    if "xmod" not in bundle:
+        raise BundleError("/xmod", f"{kind} nerve needs a crossed module")
+    x = xmod_from_spec(bundle["xmod"], "/xmod")
+    build = duskin_nerve if kind == "duskin" else monoidal_diag_nerve
+    return build(x, trunc, budget=bud), x
+
+
 def _task_nerve(bundle, seed, budget):
     _payload(bundle, {"kind": str},
              {"xmod": (str, dict), "group": (str, dict), "trunc": int,
@@ -173,21 +188,9 @@ def _task_nerve(bundle, seed, budget):
     kind = bundle["kind"]
     trunc = expect_int(bundle.get("trunc", 3), "/trunc", 0)
     bud = _budget(bundle, budget, 10_000_000)
-    if kind == "ordinary":
-        if "group" not in bundle:
-            raise BundleError("/group", "ordinary nerve needs a group")
-        group = group_from_spec(bundle["group"], "/group")
-        s = ordinary_nerve(group, trunc, budget=bud)
-        x = None
-    elif kind in ("duskin", "diag"):
-        if "xmod" not in bundle:
-            raise BundleError("/xmod", f"{kind} nerve needs a crossed "
-                                       "module")
-        x = xmod_from_spec(bundle["xmod"], "/xmod")
-        build = duskin_nerve if kind == "duskin" else monoidal_diag_nerve
-        s = build(x, trunc, budget=bud)
-    else:
+    if kind not in ("duskin", "diag", "ordinary"):
         raise BundleError("/kind", "expected duskin, diag or ordinary")
+    s, x = _nerve(bundle, kind, trunc, bud)
     result = {"kind": kind, "N": s.N, "counts": list(s.counts())}
     if bundle.get("emit_tables", False):
         result["simplicial_set"] = simplicial_to_json(s)
@@ -215,26 +218,12 @@ def _task_homology(bundle, seed, budget):
     trunc = expect_int(bundle.get("trunc", maxdeg + 1), "/trunc",
                        maxdeg + 1)
     bud = _budget(bundle, budget, 10_000_000)
-
-    def build(which):
-        if which == "ordinary":
-            if "group" not in bundle:
-                raise BundleError("/group", "ordinary nerve needs a group")
-            return ordinary_nerve(group_from_spec(bundle["group"], "/group"),
-                                  trunc, budget=bud)
-        if "xmod" not in bundle:
-            raise BundleError("/xmod", f"{which} nerve needs a crossed "
-                                       "module")
-        x = xmod_from_spec(bundle["xmod"], "/xmod")
-        maker = duskin_nerve if which == "duskin" else monoidal_diag_nerve
-        return maker(x, trunc, budget=bud)
-
     if kind in ("duskin", "ordinary", "diag"):
-        h = homology(build(kind), maxdeg)
+        h = homology(_nerve(bundle, kind, trunc, bud)[0], maxdeg)
         return "ok", {"kind": kind, "groups": homology_to_json(h)}
     if kind == "both":
-        hd = homology(build("duskin"), maxdeg)
-        hm = homology(build("diag"), maxdeg)
+        hd = homology(_nerve(bundle, "duskin", trunc, bud)[0], maxdeg)
+        hm = homology(_nerve(bundle, "diag", trunc, bud)[0], maxdeg)
         agree = hd.factors[:maxdeg + 1] == hm.factors[:maxdeg + 1]
         result = {"kind": kind, "duskin": homology_to_json(hd),
                   "diag": homology_to_json(hm), "agree": agree}

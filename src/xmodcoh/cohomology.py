@@ -20,12 +20,20 @@ Smith form of the relations among the kernel generators, which also yields
 generator representatives, classification of arbitrary cocycles, and
 coboundary witnesses.
 
-Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z at a
-working denominator m.  Because every class in H^n(G, Q/Z) is |G|-torsion,
-the image of H^n at denominator m in H^n at denominator m*|G| is already the
-exact answer for m a multiple of |G| (one saturation step computes the full
-kernel of the map to the colimit); the implementation reports that image.
-A Q/Z cochain is read at the denominator lcm(|G|, value denominators).
+Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z =
+Z/m.  Every class in H^n(G; Q/Z) is |G|-torsion, so at a working
+denominator m0 that |G| divides the Q/Z answer is the image of
+H^n(G; Z/m0) in H^n(G; Z/m1), m1 = m0*s with s = |G|.  The long exact
+sequence of 0 -> Z/m0 -> Z/m1 -> Z/s -> 0 (the first map is x -> s*x, the
+inclusion of (1/m0)Z/Z in (1/m1)Z/Z) makes the kernel of that map the image
+of the Bockstein H^{n-1}(G; Z/s) -> H^n(G; Z/m0), which sends a cocycle b
+mod s to (d b mod m1) / s.  So Q/Z cohomology is the finite computation at
+m0 with the Bockstein columns joining the incoming image: one kernel of the
+outgoing differential, as for a finite module.  The complex at m1 serves
+only its small incoming differential, for the Bockstein columns and for
+coboundary witnesses (s*c = d(w) at m1 exactly when c is a coboundary in
+Q/Z).  A Q/Z cochain is read at the denominator lcm(|G|, value
+denominators).
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 from scipy import sparse
 
 from . import modsnf
-from .coefficients import CIRCLE, FINITE, AbelianCoefficients
+from .coefficients import CIRCLE, AbelianCoefficients
 from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
 
@@ -374,6 +382,7 @@ class _Quotient:
             raise InvariantError("boundary escapes the cocycle kernel")
         rel[:, :n_l] = y
         rel[range(r), range(n_l, n_l + r)] = orders
+        self.rel = rel
         self._form = modsnf.mod_smith(rel, m, want_u=True, want_uinv=True) \
             if r else None
         self.factors_all = list(self._form.diag) if r else []
@@ -411,51 +420,107 @@ class _Quotient:
 
 
 class _Cohomology:
-    """H^n of the normalized complex of one finite module, over Z/m.
+    """H^n of the normalized complex of one module over Z/m, with
+    classification and coboundary witnesses.
 
     Row i of the outgoing differential is scaled by m/d_i, so its kernel mod
     m is the preimage of the cocycles; the incoming image is joined by the
-    relation columns d_i e_i, which also join the witness solve.
+    relation columns d_i e_i, which also join the witness solve.  For Q/Z
+    the complex is the model at m0 = lcm(denominator, |G|), the incoming
+    image is also joined by the Bockstein columns of the sequence
+    0 -> Z/m0 -> Z/m1 -> Z/s -> 0 (s = |G|, m1 = m0*s), and witnesses are
+    solved at m1; the complex at m1 serves only its incoming differential.
     """
 
     def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
                  degree: int, denominator: int | None = None):
-        self.degree = degree
-        self.cx = _BarComplex(group, module, denominator,
-                              [g for g in group.elements()
-                               if g != group.identity])
+        self.group, self.module, self.degree = group, module, degree
+        elements = [g for g in group.elements() if g != group.identity]
+        self.s, self.denominator, self.stable = 1, None, None
+        if module.kind == CIRCLE:
+            self.s = group.order
+            self.denominator = lcm(denominator or 1, group.order)
+            self.stable = True
+        self.cx = _BarComplex(group, module, self.denominator, elements)
+        self.wx = self.cx if self.s == 1 else _BarComplex(
+            group, module, self.denominator * self.s, elements)
         self.m = m = self.cx.m
         n = degree
-        self.a_n = self.cx.dim(n)
-        self._lcols = None
         self._wit_solver = None
-        if self.a_n == 0 or m == 1:
-            empty = np.zeros((self.a_n, 0), dtype=np.int64)
+        if self.cx.dim(n) == 0 or m == 1:
+            empty = np.zeros((self.cx.dim(n), 0), dtype=np.int64)
             self.quot = _Quotient(1, empty, [], np.zeros(0, dtype=np.int64),
                                   empty)
             return
         cx = self.cx
         scale = sparse.diags(cx.row_scale(n + 1), dtype=np.int64)
         gens, orders, free = modsnf.mod_kernel(scale @ cx.differential(n), m)
-        self._lcols = cx.relations(n)
+        l_cols = cx.relations(n)
         if n >= 1:
-            self._lcols = np.hstack([cx.differential(n - 1).toarray(),
-                                     self._lcols])
-        self.quot = _Quotient(m, gens, orders, free, self._lcols)
+            l_cols = np.hstack([cx.differential(n - 1).toarray(), l_cols])
+        bock = self._bockstein() if self.s > 1 and n >= 1 else l_cols[:, :0]
+        self.quot = _Quotient(m, gens, orders, free,
+                              np.hstack([l_cols, bock]))
+        if bock.shape[1]:
+            n_l = l_cols.shape[1]
+            base = np.delete(self.quot.rel,
+                             np.s_[n_l:n_l + bock.shape[1]], axis=1)
+            self.stable = prod(modsnf.mod_smith(base, m).diag) \
+                == self.quot.order()
 
-    def witness(self, vec) -> Cochain | None:
-        """A cochain w with d(w) = vec (mod moduli), or None."""
-        if self.degree == 0:
+    def _bockstein(self) -> np.ndarray:
+        """Columns (d b mod m1) / s for the generators b of the degree-(n-1)
+        cocycles mod s, d the incoming differential at m1."""
+        wx, s = self.wx, self.s
+        d = wx.differential(self.degree - 1)
+        b = modsnf.mod_kernel(d, s)[0]
+        return (d @ b % wx.m) // s
+
+    def _vec(self, c: Cochain) -> np.ndarray:
+        c = _ingest(self.group, self.module, self.degree, c)
+        if self.denominator is not None:
+            for v in c.values:
+                q = Fraction(v).denominator
+                if self.m % q:
+                    raise ValueError(
+                        f"cocycle needs denominator {q}; rebuild the "
+                        f"cohomology with a finer denominator "
+                        f"(working denominator is {self.m})")
+        vec = self.cx.vector(c)
+        if not self.cx.closed(self.degree, vec):
+            raise ValueError("not a cocycle")
+        return vec
+
+    def classify(self, c: Cochain) -> tuple[int, ...]:
+        return self.quot.coordinates(self._vec(c))
+
+    def witness(self, c: Cochain) -> Cochain | None:
+        """A cochain w with d(w) = c, or None if c is no coboundary.  For
+        Q/Z, w takes values at m1 = m0*s, where d(w) = s*c."""
+        vec = self._vec(c)
+        n, wx = self.degree, self.wx
+        if n == 0:
             return None
-        dim = self.cx.dim(self.degree - 1)
+        dim = wx.dim(n - 1)
         sol = np.zeros(dim, dtype=np.int64)
-        if self._lcols is not None:
+        if wx.dim(n) and wx.m > 1:
             if self._wit_solver is None:
-                self._wit_solver = modsnf.ModSolver(self._lcols, self.m)
-            sol = self._wit_solver.solve(np.asarray(vec) % self.m)
+                self._wit_solver = modsnf.ModSolver(np.hstack(
+                    [wx.differential(n - 1).toarray(), wx.relations(n)]),
+                    wx.m)
+            sol = self._wit_solver.solve(vec * self.s)
             if sol is None:
                 return None
-        return self.cx.cochain(self.degree - 1, sol[:dim])
+        return wx.cochain(n - 1, sol[:dim])
+
+    def result(self) -> CohomologyGroup:
+        quot = self.quot
+        reps = tuple(self.cx.cochain(self.degree, quot.generator_vector(i))
+                     for i in quot.nontrivial)
+        return CohomologyGroup(
+            self.group, self.module, self.degree, quot.factors(), reps,
+            quot.order(), denominator=self.denominator, stable=self.stable,
+            _impl=self)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +533,12 @@ class CohomologyGroup:
 
     ``invariant_factors`` lists the cyclic factors > 1 (ascending chain);
     ``representatives`` holds one normalized cocycle per factor.  For
-    rational-circle coefficients ``denominator`` records the working
-    denominator m and ``stable`` whether H at m already injects at m*|group|
-    (the reported factors are the exact Q/Z answer either way).
+    rational-circle coefficients the factors are the exact Q/Z answer,
+    ``denominator`` records the working denominator m0 (a multiple of
+    |group|) and ``stable`` whether H^degree(group; Z/m0) already is that
+    answer: whether the image of the Bockstein from
+    H^{degree-1}(group; Z/|group|) is zero, so that H at m0 injects into H
+    at m0*|group|.
     """
 
     group: FiniteGroup
@@ -505,112 +573,6 @@ class CohomologyGroup:
         return list(product(*[range(f) for f in self.invariant_factors]))
 
 
-class _FiniteImpl:
-    def __init__(self, group, module, degree):
-        self.group, self.module, self.degree = group, module, degree
-        self.eng = _Cohomology(group, module, degree)
-
-    def _vec(self, c: Cochain):
-        c = _ingest(self.group, self.module, self.degree, c)
-        vec = self.eng.cx.vector(c)
-        if not self.eng.cx.closed(self.degree, vec):
-            raise ValueError("not a cocycle")
-        return vec
-
-    def classify(self, c):
-        return self.eng.quot.coordinates(self._vec(c))
-
-    def witness(self, c):
-        return self.eng.witness(self._vec(c))
-
-    def result(self):
-        quot = self.eng.quot
-        reps = tuple(self.eng.cx.cochain(self.degree, quot.generator_vector(i))
-                     for i in quot.nontrivial)
-        return CohomologyGroup(
-            self.group, self.module, self.degree,
-            quot.factors(), reps, quot.order(), _impl=self)
-
-
-class _CircleImpl:
-    """Q/Z cohomology: the image of H^n at denominator m in H^n at m*|G|.
-
-    The image is the column span of a matrix E in (Z/m1)^r whose column j
-    holds the coordinates at m1 of base generator j, coordinate i embedded
-    by m1/f_i.  Its Smith form U E V = diag(s) gives the image factors
-    m1/s_l, the coordinates (U y)_l / s_l and the generator pullbacks
-    V[:, l].
-    """
-
-    def __init__(self, group, module, degree, denominator):
-        self.group, self.module, self.degree = group, module, degree
-        self.m0 = lcm(denominator or 1, group.order)
-        self.m1 = self.m0 * group.order
-        self.base = _Cohomology(group, module, degree, self.m0)
-        self.big = _Cohomology(group, module, degree, self.m1)
-        scale = self.m1 // self.m0
-        self.base_reps_vec = [self.base.quot.generator_vector(i)
-                              for i in self.base.quot.nontrivial]
-        self._embed = np.array([self.m1 // f for f in self.big.quot.factors()],
-                               dtype=np.int64)
-        img = np.zeros((len(self._embed), len(self.base_reps_vec)),
-                       dtype=np.int64)
-        for j, v in enumerate(self.base_reps_vec):
-            img[:, j] = self.big.quot.coordinates([x * scale for x in v])
-        self._form = None
-        self._keep: list[int] = []
-        if img.size:
-            self._form = modsnf.mod_smith(img * self._embed[:, None] % self.m1,
-                                          self.m1, want_u=True, want_v=True)
-            # descending in divisibility; reversed for the ascending chain
-            self._keep = [l for l, s in enumerate(self._form.diag)
-                          if s < self.m1][::-1]
-        self.factors = tuple(self.m1 // self._form.diag[l]
-                             for l in self._keep)
-        self.order = prod(self.factors)
-        self.stable = (self.order == self.base.quot.order())
-
-    def _vec(self, c: Cochain):
-        """The cocycle c read at m0 and carried to m1."""
-        c = _ingest(self.group, self.module, self.degree, c)
-        for v in c.values:
-            if self.m0 % Fraction(v).denominator:
-                raise ValueError(
-                    f"cocycle needs denominator {Fraction(v).denominator}; "
-                    f"rebuild the cohomology with a finer denominator "
-                    f"(working denominator is {self.m0})")
-        vec = self.base.cx.vector(c)
-        if not self.base.cx.closed(self.degree, vec):
-            raise ValueError("not a cocycle")
-        return vec * (self.m1 // self.m0)
-
-    def classify(self, c):
-        coords_big = self.big.quot.coordinates(self._vec(c))
-        if self._form is None:
-            if any(coords_big):
-                raise InvariantError("class outside the stable image")
-            return ()
-        y = np.array(coords_big, dtype=np.int64) * self._embed % self.m1
-        w = self._form.u.astype(np.int64) @ y % self.m1
-        diag = self._form.diag + [self.m1] * (len(w) - len(self._form.diag))
-        if any(int(x) % s for x, s in zip(w, diag)):
-            raise InvariantError("class outside the stable image")
-        return tuple(int(w[l]) // diag[l] for l in self._keep)
-
-    def witness(self, c):
-        return self.big.witness(self._vec(c))
-
-    def result(self):
-        gens = np.array(self.base_reps_vec, dtype=np.int64).T
-        reps = [self.base.cx.cochain(
-                    self.degree, gens @ self._form.v[:, l].astype(np.int64))
-                for l in self._keep]
-        return CohomologyGroup(
-            self.group, self.module, self.degree, self.factors,
-            tuple(reps), self.order,
-            denominator=self.m0, stable=self.stable, _impl=self)
-
-
 def _ingest(group, module, degree, c: Cochain) -> Cochain:
     if c.degree != degree:
         raise ValueError(f"expected a degree-{degree} cochain, got {c.degree}")
@@ -632,9 +594,7 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
     if (group.order - 1) ** (degree + 1) > max_positions:
         raise ResourceLimit("cochain-table positions",
                             (group.order - 1) ** (degree + 1), max_positions)
-    if module.kind == FINITE:
-        return _FiniteImpl(group, module, degree).result()
-    return _CircleImpl(group, module, degree, denominator).result()
+    return _Cohomology(group, module, degree, denominator).result()
 
 
 def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
@@ -642,9 +602,11 @@ def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
                   ) -> Cochain | None:
     """A cochain w with d(w) = c, or None if the class is nonzero.
 
-    For rational-circle coefficients the witness is exact for Q/Z: it is
-    searched at one saturation step above the values' denominators, which is
-    sufficient for coboundaries over Q/Z.
+    For rational-circle coefficients the answer is exact for Q/Z.  With c
+    read at m0 = lcm(|G|, denominators), c is a coboundary in Q/Z exactly
+    when its class at m0 lies in the image of the Bockstein from
+    H^{n-1}(G; Z/|G|), that is when c = d(w) for a cochain w with values
+    in (1/(m0*|G|))Z/Z; w is found there.
     """
     if c.degree < 1:
         raise ValueError("degree must be at least 1 for coboundary checks")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .cohomology import (Cochain, CohomologyGroup, _check_normalized,
                          cohomology)
 from .coefficients import finite_abelian
-from .errors import ResourceLimit
+from .errors import InvariantError, ResourceLimit
 from .groups import (AbelianBasis, FiniteGroup, GroupHom, abelian_basis,
                      trivial_group)
 
@@ -434,9 +434,9 @@ def _pointed_set(group: FiniteGroup, x: CrossedModule,
             key = transform_cocycle(group, x, c, gamma, w).key()
             j = index.get(key)
             if j is None:
-                raise RuntimeError("transform escaped the cocycle set")
+                raise InvariantError("transform escaped the cocycle set")
             if assigned[j] >= 0 and assigned[j] != cls:
-                raise RuntimeError("transform orbits are not disjoint")
+                raise InvariantError("transform orbits are not disjoint")
             assigned[j] = cls
             members.add(j)
         classes.append(H1Class(c, len(members),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from xmodcoh import cli, modsnf
+from xmodcoh import cli, crossed, modsnf
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -220,6 +220,27 @@ def test_failed_internal_checks_are_internal_errors(monkeypatch, tmp_path):
         "type": "InvariantError",
         "message": "boundary escapes the cocycle kernel"}
     path = write_bundle(tmp_path, "wrong.json", h2_bundle())
+    assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+def test_h1_transforms_leaving_the_cocycle_set_are_internal_errors(
+        monkeypatch, tmp_path):
+    """The transforms of a validated crossed module stay among its
+    cocycles; one that leaves them is the program's fault."""
+    real = crossed.transform_cocycle
+
+    def escaping(group, x, c, gamma, w):
+        out = real(group, x, c, gamma, w)
+        return crossed.Cocycle1(out.alpha, out.u + (0,))
+
+    monkeypatch.setattr(crossed, "transform_cocycle", escaping)
+    bundle = {"schema": 1, "task": "h1", "group": "C2", "xmod": "C2->1"}
+    report = cli.run(bundle)
+    assert report["status"] == "internal-error"
+    assert report["result"] == {
+        "type": "InvariantError",
+        "message": "transform escaped the cocycle set"}
+    path = write_bundle(tmp_path, "escaping.json", bundle)
     assert cli.main(["--bundle", path, "--quiet"]) == 4
 
 

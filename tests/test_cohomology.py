@@ -1,5 +1,6 @@
 """Group cohomology with abelian coefficients: formula oracles, exhaustive
-enumeration cross-checks, dual finite/circle engines, witnesses."""
+enumeration cross-checks, circle coefficients against integral cohomology,
+witnesses."""
 
 import itertools
 import random
@@ -9,8 +10,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from xmodcoh.cohomology import (Cochain, _Cohomology, add_cochains,
+from xmodcoh import intlinalg, modsnf
+from xmodcoh.cohomology import (Cochain, _BarComplex, _Cohomology,
+                                add_cochains,
                                 bar_differential, cochain_from_function,
                                 cohomology, evaluate, is_coboundary,
                                 is_cocycle, normalize_cocycle, sub_cochains,
@@ -317,6 +321,78 @@ def test_circle_answer_is_independent_of_the_working_denominator():
             b = cohomology(group, qz, degree, denominator=2 * group.order)
             assert a.invariant_factors == want[degree - 1]
             assert b.invariant_factors == want[degree - 1]
+
+
+def integral_torsion(group, multipliers, n):
+    """The torsion of the cokernel of the integer normalized bar
+    differential d_n, which is H^{n+1}(group; Z) with Z acted on by the
+    multipliers.
+
+    d_n is read off the normalized complex of Z/M for a large odd M, with
+    entries lifted to the symmetric range and repeated entries summed."""
+    big = 1_000_003
+    module = finite_abelian(group, (big,),
+                            tuple(((e,),) for e in multipliers))
+    cx = _BarComplex(group, module, None,
+                     [g for g in group.elements() if g != group.identity])
+    rows, cols, vals = cx._diff_triples(n)
+    d = sparse.csc_matrix((vals, (rows, cols)),
+                          shape=(cx.dim(n + 1), cx.dim(n)))
+    d.sum_duplicates()
+    columns = []
+    for j in range(d.shape[1]):
+        lo, hi = d.indptr[j], d.indptr[j + 1]
+        col = {int(r): (int(x) + big // 2) % big - big // 2
+               for r, x in zip(d.indices[lo:hi], d.data[lo:hi])}
+        columns.append({r: x for r, x in col.items() if x})
+    return intlinalg.sparse_rank_torsion(columns)[1]
+
+
+def test_circle_cohomology_is_integral_cohomology_one_degree_up():
+    """H^n(G; Q/Z_e) = H^{n+1}(G; Z_e) for n >= 1, computed independently
+    as the torsion of an integer cokernel.  ``stable`` says whether
+    H^n(G; Z/m0) at the working denominator m0 already has that order."""
+    c6 = make_cyclic(6)
+    c2, c3 = make_cyclic(2), make_cyclic(3)
+    cases = [(c6, (1,) * 6), (c6, tuple((-1) ** i for i in range(6))),
+             (make_product(c2, c2), (1,) * 4),
+             (make_product(c2, make_cyclic(4)), (1,) * 8),
+             (make_symmetric(3), (1,) * 6),
+             (make_product(c3, c3), (1,) * 9)]
+    unstable = set()
+    for group, mult in cases:
+        for n in (1, 2, 3):
+            h = cohomology(group, rational_circle(group, mult), n)
+            assert h.invariant_factors == integral_torsion(group, mult, n), \
+                (group.label, mult, n)
+            m0 = finite_abelian(group, (h.denominator,),
+                                tuple(((e,),) for e in mult))
+            assert h.stable == (cohomology(group, m0, n).order == h.order)
+            if not h.stable:
+                unstable.add((group.label, n))
+    assert {("C2xC2", 3), ("C3xC3", 3)} <= unstable
+
+
+def test_circle_cohomology_takes_one_kernel_of_the_outgoing_differential(
+        monkeypatch):
+    """Q/Z cohomology eliminates the large outgoing differential once, at
+    the working denominator; the only other kernel is of the incoming
+    differential mod |G|, for the Bockstein columns."""
+    calls = []
+    real = modsnf.mod_kernel
+
+    def spy(a, m):
+        calls.append((a.shape, m))
+        return real(a, m)
+
+    monkeypatch.setattr(modsnf, "mod_kernel", spy)
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    for group, n in ((make_cyclic(4), 3), (v4, 2), (make_symmetric(3), 3)):
+        calls.clear()
+        h = cohomology(group, rational_circle(group), n)
+        e = group.order - 1
+        assert calls == [((e ** (n + 1), e ** n), h.denominator),
+                         ((e ** n, e ** (n - 1)), group.order)]
 
 
 def test_finite_classes_push_into_the_circle_as_the_textbook_says():
