@@ -150,19 +150,6 @@ class AbelianCoefficients:
     def is_zero(self, a) -> bool:
         return self.reduce(a) == self.zero()
 
-    def elements(self):
-        if self.kind != FINITE:
-            raise ValueError("rational-circle has infinitely many elements")
-        return list(product(*[range(d) for d in self.factors]))
-
-    def order(self) -> int:
-        if self.kind != FINITE:
-            raise ValueError("rational-circle is infinite")
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
-
     # --- integer-lattice view ----------------------------------------------
 
     def lattice_data(self, denominator: int | None = None):
@@ -178,20 +165,6 @@ class AbelianCoefficients:
             raise ValueError("rational-circle needs a positive denominator")
         mats = tuple(((t % denominator,),) for t in self.action)
         return (denominator,), mats
-
-    def to_vector(self, a, denominator: int | None = None):
-        if self.kind == FINITE:
-            return list(self.reduce(a))
-        frac = Fraction(a) % 1
-        if denominator % frac.denominator:
-            raise ValueError(
-                f"value {a} needs a denominator dividing {denominator}")
-        return [frac.numerator * (denominator // frac.denominator)]
-
-    def from_vector(self, vec, denominator: int | None = None):
-        if self.kind == FINITE:
-            return self.reduce(tuple(vec))
-        return Fraction(vec[0], denominator) % 1
 
 
 def trivial_matrices(group: FiniteGroup, k: int):

@@ -1,12 +1,19 @@
 """Cohomology of a finite group with abelian coefficients (degrees 0..4).
 
-Cochains are full tables on tuples of group elements (``Cochain.values``).
-``_BarComplex`` alone knows the bar differential and which coordinates each
-table entry takes.  Over all elements it is the full complex (cached per
-module), which applies d, tests cocycles and finds normalizing shifts.  Over
-the non-identity elements it is the normalized subcomplex (cochains vanishing
-when any argument is the identity, which computes the same groups), on which
-one elimination over Z/m (``modsnf``) computes cohomology and classifies.
+A cochain is its coordinate vector (``Cochain.coords``) in the full-table
+layout: the argument tuples in base |G| with the first argument most
+significant, k integer coordinates per tuple reduced mod the module's
+factors, and for Q/Z one numerator per tuple over the cochain's least
+denominator.  Only this module knows that layout; other modules build and
+read cochains through ``cochain_from_coords``, ``cochain_from_function``
+and ``evaluate``.  ``_BarComplex`` alone knows the bar differential and
+which coordinates of the table each of its positions takes.  Over all
+elements it is the full complex (cached per module), which applies d,
+tests cocycles and finds normalizing shifts.  Over the non-identity
+elements it is the normalized subcomplex (cochains vanishing when any
+argument is the identity, which computes the same groups), on which one
+elimination over Z/m (``modsnf``) computes cohomology and classifies.
+Whether a cochain is normalized is read off its coordinates.
 
 A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with m = dk: the
 cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
@@ -32,12 +39,12 @@ m0 with the Bockstein columns joining the incoming image: one kernel of the
 outgoing differential, as for a finite module.  The complex at m1 serves
 only its small incoming differential, for the Bockstein columns and for
 coboundary witnesses (s*c = d(w) at m1 exactly when c is a coboundary in
-Q/Z).  A Q/Z cochain is read at the denominator lcm(|G|, value
-denominators).
+Q/Z).  A Q/Z cochain is read at a multiple of its denominator.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -58,81 +65,124 @@ from .groups import FiniteGroup
 
 @dataclass(frozen=True)
 class Cochain:
-    """A map (group)^degree -> coefficients, stored as a flat table.
+    """A map (group)^degree -> coefficients, held as its coordinate vector.
 
-    The table is indexed in base ``order`` with the first argument most
-    significant.  A degree-0 cochain has a single entry.
+    ``coords`` runs over the argument tuples in base |group| order, first
+    argument most significant (a degree-0 cochain has one tuple), with the
+    tuple's k coordinates reduced mod the factors Z/d1 + ... + Z/dk, or for
+    Q/Z its one numerator over ``denominator``, the least one (None for
+    finite modules).  ``cochain_from_coords`` and ``cochain_from_function``
+    build this canonical form, so equal cochains are equal functions.
     """
 
     degree: int
-    values: tuple
-    normalized: bool
+    coords: tuple[int, ...]
+    denominator: int | None = None
 
 
-def tuple_index(order: int, args) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * order + a
-    return idx
-
-
-def index_to_tuple(order: int, degree: int, idx: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(degree):
-        idx, r = divmod(idx, order)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def evaluate(group: FiniteGroup, c: Cochain, args) -> object:
-    return c.values[tuple_index(group.order, args)]
+@lru_cache(maxsize=64)
+def _table_moduli(factors: tuple[int, ...], positions: int) -> np.ndarray:
+    """The modulus of each coordinate of a table of ``positions`` tuples."""
+    out = np.tile(np.array(factors, dtype=np.int64), positions)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=64)
 def _identity_positions(order: int, degree: int,
-                        identity: int) -> tuple[int, ...]:
-    """Flat indices of the argument tuples that contain the identity."""
-    return tuple(idx for idx in range(order ** degree)
-                 if identity in index_to_tuple(order, degree, idx))
+                        identity: int) -> np.ndarray:
+    """Mask of the argument tuples that contain the identity."""
+    digits = np.indices((order,) * degree).reshape(degree, order ** degree)
+    out = (digits == identity).any(axis=0)
+    out.flags.writeable = False
+    return out
 
 
-def _check_normalized(group: FiniteGroup, module: AbelianCoefficients,
-                      degree: int, values) -> bool:
-    """Whether a cochain table vanishes wherever an argument is the identity."""
-    zero = module.zero()  # stored zeros skip the reduction in is_zero
-    return all(values[idx] == zero or module.is_zero(values[idx]) for idx in
-               _identity_positions(group.order, degree, group.identity))
+def _check(group: FiniteGroup, module: AbelianCoefficients, c: Cochain,
+           degree: int | None = None) -> None:
+    """Refuse a cochain of another degree, size or kind of module."""
+    if degree is not None and c.degree != degree:
+        raise ValueError(f"expected a degree-{degree} cochain, got {c.degree}")
+    width = 1 if module.kind == CIRCLE else len(module.factors)
+    if len(c.coords) != group.order ** c.degree * width:
+        raise ValueError("cochain table has the wrong size")
+    if (module.kind == CIRCLE) != ((c.denominator or 0) > 0):
+        raise ValueError("a cochain has a positive denominator exactly when "
+                         "its module is Q/Z")
+
+
+def _is_normalized(group: FiniteGroup, c: Cochain) -> bool:
+    """Whether c vanishes wherever an argument is the identity."""
+    mask = _identity_positions(group.order, c.degree, group.identity)
+    return not np.asarray(c.coords).reshape(len(mask), -1)[mask].any()
+
+
+def cochain_from_coords(group: FiniteGroup, module: AbelianCoefficients,
+                        degree: int, coords,
+                        denominator: int | None = None) -> Cochain:
+    """The cochain with full-table coordinates ``coords`` (numerators over
+    ``denominator`` for Q/Z), in canonical form."""
+    _check(group, module, Cochain(degree, coords, denominator))
+    arr = np.asarray(coords, dtype=np.int64)
+    if denominator is None:
+        arr = arr % _table_moduli(module.factors, group.order ** degree)
+        return Cochain(degree, tuple(arr.tolist()))
+    arr = arr % denominator
+    g = int(np.gcd.reduce(arr, initial=denominator))
+    return Cochain(degree, tuple((arr // g).tolist()), denominator // g)
 
 
 def cochain_from_function(group: FiniteGroup, module: AbelianCoefficients,
                           degree: int, fn) -> Cochain:
-    order = group.order
-    values = tuple(
-        module.reduce(fn(*index_to_tuple(order, degree, idx)))
-        for idx in range(order ** degree))
-    return Cochain(degree, values,
-                   _check_normalized(group, module, degree, values))
+    """The cochain taking fn(*args) at each argument tuple: a tuple of
+    coordinates, or for Q/Z a fraction."""
+    values = [fn(*args) for args in
+              itertools.product(group.elements(), repeat=degree)]
+    if module.kind != CIRCLE:
+        return cochain_from_coords(group, module, degree,
+                                   [x for v in values for x in v])
+    fracs = [Fraction(v) % 1 for v in values]
+    denom = lcm(*[f.denominator for f in fracs])
+    return cochain_from_coords(
+        group, module, degree,
+        [f.numerator * (denom // f.denominator) for f in fracs], denom)
+
+
+def evaluate(group: FiniteGroup, c: Cochain, args) -> object:
+    """c at the argument tuple ``args``: its coordinates, or for Q/Z a
+    fraction."""
+    idx = 0
+    for a in args:
+        idx = idx * group.order + a
+    if c.denominator is not None:
+        return Fraction(c.coords[idx], c.denominator)
+    k = len(c.coords) // group.order ** c.degree
+    return c.coords[idx * k:(idx + 1) * k]
 
 
 def zero_cochain(group: FiniteGroup, module: AbelianCoefficients,
                  degree: int) -> Cochain:
-    return Cochain(degree, (module.zero(),) * (group.order ** degree), True)
+    return cochain_from_function(group, module, degree,
+                                 lambda *args: module.zero())
 
 
 def add_cochains(group: FiniteGroup, module: AbelianCoefficients,
                  a: Cochain, b: Cochain) -> Cochain:
     if a.degree != b.degree:
         raise ValueError("cochain degrees differ")
-    values = tuple(module.add(x, y) for x, y in zip(a.values, b.values))
-    return Cochain(a.degree, values,
-                   _check_normalized(group, module, a.degree, values))
+    _check(group, module, b)
+    da, db = a.denominator or 1, b.denominator or 1
+    d = lcm(da, db)
+    return cochain_from_coords(
+        group, module, a.degree,
+        np.multiply(a.coords, d // da) + np.multiply(b.coords, d // db),
+        a.denominator and d)
 
 
 def scale_cochain(group: FiniteGroup, module: AbelianCoefficients,
                   k: int, a: Cochain) -> Cochain:
-    values = tuple(module.scale(k, x) for x in a.values)
-    return Cochain(a.degree, values,
-                   _check_normalized(group, module, a.degree, values))
+    return cochain_from_coords(group, module, a.degree,
+                               np.multiply(a.coords, k), a.denominator)
 
 
 def sub_cochains(group: FiniteGroup, module: AbelianCoefficients,
@@ -161,12 +211,14 @@ def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
     c is already normalized.  Raises ValueError if no shift exists (the input
     was not a cocycle).
     """
-    if c.normalized or c.degree == 0:
+    _check(group, module, c)
+    if c.degree == 0 or _is_normalized(group, c):
         return c, None
     n = c.degree
     full, vec = _on_full_complex(group, module, c)
-    # positions of the full complex are the table indices
-    rows = full.rows(_identity_positions(group.order, n, group.identity))
+    # positions of the full complex are the table's argument tuples
+    rows = full.rows(np.flatnonzero(
+        _identity_positions(group.order, n, group.identity)))
     scale = full.row_scale(n)[rows]
     a = full.differential(n - 1)[rows].toarray() * scale[:, None]
     sol = modsnf.ModSolver(a, full.m).solve(vec[rows] * scale)
@@ -175,17 +227,9 @@ def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
                          "is it a cocycle?")
     shift = full.cochain(n - 1, sol)
     fixed = full.cochain(n, vec - full.apply(n - 1, sol))
-    if not fixed.normalized:
+    if not _is_normalized(group, fixed):
         raise ValueError("normalizing shift failed to normalize the cocycle")
     return fixed, shift
-
-
-def _circle_denominator(group: FiniteGroup, module: AbelianCoefficients,
-                        values) -> int | None:
-    """lcm(|G|, value denominators) for Q/Z values; None for finite ones."""
-    if module.kind != CIRCLE:
-        return None
-    return lcm(group.order, *[Fraction(v).denominator for v in values])
 
 
 @lru_cache(maxsize=16)
@@ -196,9 +240,12 @@ def _full_complex(group: FiniteGroup, module: AbelianCoefficients,
 
 def _on_full_complex(group: FiniteGroup, module: AbelianCoefficients,
                      c: Cochain):
-    """The full complex at c's denominator, and c's coordinates on it."""
-    full = _full_complex(group, module,
-                         _circle_denominator(group, module, c.values))
+    """The full complex at lcm(|G|, c's denominator), and c's coordinates
+    on it."""
+    _check(group, module, c)
+    denominator = None if c.denominator is None \
+        else lcm(group.order, c.denominator)
+    full = _full_complex(group, module, denominator)
     return full, full.vector(c)
 
 
@@ -233,7 +280,6 @@ class _BarComplex:
         self.k = len(factors)
         self.m = max(self.factors, default=1)
         self.elements = list(elements)
-        self.normalized = group.identity not in self.elements
         self._diff_cache: dict[int, sparse.csr_matrix] = {}
         self._table_cache: dict[int, np.ndarray] = {}
 
@@ -244,8 +290,8 @@ class _BarComplex:
         return self.positions(n) * self.k
 
     def moduli(self, n: int) -> np.ndarray:
-        return np.tile(np.array(self.factors, dtype=np.int64),
-                       self.positions(n))
+        """The modulus of each degree-n coordinate (cached)."""
+        return _table_moduli(tuple(self.factors), self.positions(n))
 
     def row_scale(self, n: int) -> np.ndarray:
         """m/d per degree-n coordinate: x = 0 mod d iff (m/d) x = 0 mod m."""
@@ -269,12 +315,13 @@ class _BarComplex:
         return np.indices((len(self.elements),) * n, dtype=np.int64) \
             .reshape(n, self.positions(n)).T
 
-    def table_index(self, n: int) -> np.ndarray:
-        """The full-table index of each degree-n position (cached)."""
+    def table_rows(self, n: int) -> np.ndarray:
+        """The index in ``Cochain.coords`` of each degree-n coordinate
+        (cached)."""
         if n not in self._table_cache:
             args = np.array(self.elements, dtype=np.int64)[self._digits(n)]
-            self._table_cache[n] = \
-                args @ self.group.order ** np.arange(n - 1, -1, -1)
+            self._table_cache[n] = self.rows(
+                args @ self.group.order ** np.arange(n - 1, -1, -1))
         return self._table_cache[n]
 
     def _diff_triples(self, n: int):
@@ -338,23 +385,25 @@ class _BarComplex:
         return not (self.apply(n, vec) % self.moduli(n + 1)).any()
 
     def vector(self, c: Cochain) -> np.ndarray:
-        """The coordinates of a cochain table at this complex's positions."""
-        to_vector, denom = self.module.to_vector, self.denominator
-        return np.array([x for t in self.table_index(c.degree).tolist()
-                         for x in to_vector(c.values[t], denom)],
-                        dtype=np.int64)
+        """The coordinates of c at this complex's positions, a gather of
+        its table rows; a Q/Z cochain is raised to this denominator."""
+        vec = np.asarray(c.coords, dtype=np.int64)[self.table_rows(c.degree)]
+        if self.denominator is None:
+            return vec
+        if self.denominator % c.denominator:
+            raise ValueError(
+                f"cocycle needs denominator {c.denominator}; rebuild the "
+                f"cohomology with a finer denominator (working denominator "
+                f"is {self.denominator})")
+        return vec * (self.denominator // c.denominator)
 
     def cochain(self, degree: int, vec) -> Cochain:
-        """The table holding vec at these positions, zero elsewhere."""
-        module, k = self.module, self.k
-        vec = [int(x) for x in vec]
-        values = [module.zero()] * (self.group.order ** degree)
-        for pos, t in enumerate(self.table_index(degree).tolist()):
-            values[t] = module.from_vector(vec[pos * k:(pos + 1) * k],
-                                           self.denominator)
-        values = tuple(values)
-        return Cochain(degree, values, self.normalized or _check_normalized(
-            self.group, module, degree, values))
+        """The cochain holding vec at these positions and zero elsewhere,
+        a scatter into its table rows."""
+        coords = np.zeros(self.group.order ** degree * self.k, dtype=np.int64)
+        coords[self.table_rows(degree)] = vec
+        return cochain_from_coords(self.group, self.module, degree, coords,
+                                   self.denominator)
 
 
 class _Quotient:
@@ -477,15 +526,9 @@ class _Cohomology:
         return (d @ b % wx.m) // s
 
     def _vec(self, c: Cochain) -> np.ndarray:
-        c = _ingest(self.group, self.module, self.degree, c)
-        if self.denominator is not None:
-            for v in c.values:
-                q = Fraction(v).denominator
-                if self.m % q:
-                    raise ValueError(
-                        f"cocycle needs denominator {q}; rebuild the "
-                        f"cohomology with a finer denominator "
-                        f"(working denominator is {self.m})")
+        _check(self.group, self.module, c, self.degree)
+        if not _is_normalized(self.group, c):
+            c, _ = normalize_cocycle(self.group, self.module, c)
         vec = self.cx.vector(c)
         if not self.cx.closed(self.degree, vec):
             raise ValueError("not a cocycle")
@@ -573,16 +616,6 @@ class CohomologyGroup:
         return list(product(*[range(f) for f in self.invariant_factors]))
 
 
-def _ingest(group, module, degree, c: Cochain) -> Cochain:
-    if c.degree != degree:
-        raise ValueError(f"expected a degree-{degree} cochain, got {c.degree}")
-    if len(c.values) != group.order ** degree:
-        raise ValueError("cochain table has the wrong size")
-    if not c.normalized:
-        c, _ = normalize_cocycle(group, module, c)
-    return c
-
-
 def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
                denominator: int | None = None,
                max_positions: int = 2_000_000) -> CohomologyGroup:
@@ -610,7 +643,5 @@ def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
     """
     if c.degree < 1:
         raise ValueError("degree must be at least 1 for coboundary checks")
-    if denominator is None:
-        denominator = _circle_denominator(group, module, c.values)
-    h = cohomology(group, module, c.degree, denominator)
+    h = cohomology(group, module, c.degree, denominator or c.denominator)
     return h.coboundary_witness(c)

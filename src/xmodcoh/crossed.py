@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cohomology import (Cochain, CohomologyGroup, _check_normalized,
-                         cohomology)
+from .cohomology import (Cochain, CohomologyGroup, cochain_from_function,
+                         cohomology, evaluate)
 from .coefficients import finite_abelian
 from .errors import InvariantError, ResourceLimit
 from .groups import (AbelianBasis, FiniteGroup, GroupHom, abelian_basis,
@@ -466,8 +466,8 @@ def pushforward(m: XModMorphism, group: FiniteGroup,
                    tuple(m.h_map[v] for v in c.u))
     problems = cocycle_violations(group, m.target, out)
     if problems:
-        raise RuntimeError("pushforward is not a cocycle: "
-                           + "; ".join(problems))
+        raise InvariantError("pushforward is not a cocycle: "
+                             + "; ".join(problems))
     return out
 
 
@@ -487,16 +487,14 @@ class AbelianShift:
 
     def cocycle_to_cochain(self, group: FiniteGroup, c: Cocycle1) -> Cochain:
         n = group.order
-        values = tuple(self.basis.vector_of(c.u[g * n + h])
-                       for g in group.elements() for h in group.elements())
-        return Cochain(2, values,
-                       _check_normalized(group, self.h2.module, 2, values))
+        return cochain_from_function(
+            group, self.h2.module, 2,
+            lambda g, h: self.basis.vector_of(c.u[g * n + h]))
 
     def cochain_to_cocycle(self, group: FiniteGroup, z: Cochain) -> Cocycle1:
-        n = group.order
-        u = tuple(self.basis.element_of(z.values[g * n + h])
+        u = tuple(self.basis.element_of(evaluate(group, z, (g, h)))
                   for g in group.elements() for h in group.elements())
-        return Cocycle1((0,) * n, u)
+        return Cocycle1((0,) * group.order, u)
 
 
 def abelian_shift(group: FiniteGroup, x: CrossedModule,

@@ -20,19 +20,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
 from .coefficients import AbelianCoefficients, finite_abelian, rational_circle
-from .cohomology import (Cochain, CohomologyGroup, _check_normalized,
-                         cohomology, is_cocycle)
+from .cohomology import (Cochain, CohomologyGroup, cochain_from_coords,
+                         cochain_from_function, cohomology, evaluate,
+                         is_cocycle)
 from .crossed import (Cocycle1, CrossedModule, H1PointedSet, XModMorphism,
                       cocycle_violations, compute_H1, pushforward,
                       transform_cocycle)
-from .errors import ResourceLimit
+from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup, abelian_basis
 
 
@@ -247,24 +247,18 @@ def obstruction_cocycle(ext: CentralXModExtension, group: FiniteGroup,
     n = group.order
     h0 = ext.h0group
     kset = set(ext.kernel_elements())
-    values = []
-    for g in group.elements():
-        for h in group.elements():
-            for k in group.elements():
-                hk = group.mul[h][k]
-                gh = group.mul[g][h]
-                w = h0.mul[ext.action0[c.alpha[g]][lift[h * n + k]]][
-                    lift[g * n + hk]]
-                w = h0.mul[w][h0.inv[lift[gh * n + k]]]
-                w = h0.mul[w][h0.inv[lift[g * n + h]]]
-                if w not in kset:
-                    raise RuntimeError(
-                        f"obstruction value escapes the kernel at "
-                        f"({g}, {h}, {k})")
-                values.append(induced.to_vector(w))
-    values = tuple(values)
-    return Cochain(3, values,
-                   _check_normalized(group, induced.module, 3, values))
+
+    def omega(g, h, k):
+        w = h0.mul[ext.action0[c.alpha[g]][lift[h * n + k]]][
+            lift[g * n + group.mul[h][k]]]
+        w = h0.mul[w][h0.inv[lift[group.mul[g][h] * n + k]]]
+        w = h0.mul[w][h0.inv[lift[g * n + h]]]
+        if w not in kset:
+            raise InvariantError(f"obstruction value escapes the kernel at "
+                                 f"({g}, {h}, {k})")
+        return induced.to_vector(w)
+
+    return cochain_from_function(group, induced.module, 3, omega)
 
 
 def theta(ext: CentralXModExtension, group: FiniteGroup, c: Cocycle1,
@@ -331,13 +325,12 @@ def conj_action(ext: CentralXModExtension, group: FiniteGroup, gamma: int,
         o = theta(ext, group, c)
     ind2 = induced_module(ext, group, c2)
     h3_2 = _h_cached(group, ind2.module, 3)
-    n = group.order
-    vals = []
-    for idx in range(n ** 3):
-        vec = o.cocycle.values[idx]
-        k_elem = o.induced.from_vector(vec)
-        vals.append(ind2.to_vector(ext.action0[gamma][k_elem]))
-    moved = Cochain(3, tuple(vals), o.cocycle.normalized)
+
+    def moved_value(*args):
+        k_elem = o.induced.from_vector(evaluate(group, o.cocycle, args))
+        return ind2.to_vector(ext.action0[gamma][k_elem])
+
+    moved = cochain_from_function(group, ind2.module, 3, moved_value)
     coords = h3_2.classify(moved)
     return c2, ObstructionClass(ind2, h3_2, moved, coords)
 
@@ -404,13 +397,13 @@ def verify_exactness(ext: CentralXModExtension, group: FiniteGroup,
     h2_image = set()
     for coords in h2.all_classes():
         z = h2.representative_of(coords)
-        u = tuple(basis.element_of(z.values[g * n + h])
+        u = tuple(basis.element_of(evaluate(group, z, (g, h)))
                   for g in group.elements() for h in group.elements())
         cocycle = Cocycle1((ext.ggroup.identity,) * n, u)
         problems = cocycle_violations(group, ext.xmod0(), cocycle)
         if problems:
-            raise RuntimeError("kernel class embeds badly: "
-                               + "; ".join(problems))
+            raise InvariantError("kernel class embeds badly: "
+                                 + "; ".join(problems))
         h2_image.add(h1_cover.class_of(cocycle))
     base_pre = tuple(i for i, j in enumerate(push_map)
                      if j == h1_quot.basepoint)
@@ -582,10 +575,9 @@ def matrix_kernel_obstruction(group: FiniteGroup, mats, tol: float = 1e-8,
                      - u_float[group.mul[g][h] * n + k]
                      - u_float[g * n + h]) % 1.0)
     max_snap = 0.0
-    phases = []
+    numerators = []
     for idx, x in enumerate(omega_float):
         r = round(x * denom)
-        snapped = Fraction(r, denom) % 1
         dist = abs(x - r / denom)
         dist = min(dist, 1 - dist) * 2 * np.pi
         max_snap = max(max_snap, float(dist))
@@ -596,9 +588,8 @@ def matrix_kernel_obstruction(group: FiniteGroup, mats, tol: float = 1e-8,
                 f"obstruction phase {x} at ({g}, {h}, {k}) is {dist:.3e} "
                 f"away from the 1/{denom} grid; this points to numeric "
                 "precision loss")
-        phases.append(snapped)
-    omega = Cochain(3, tuple(phases),
-                    _check_normalized(group, module, 3, phases))
+        numerators.append(r)
+    omega = cochain_from_coords(group, module, 3, numerators, denom)
     h3, coords, witness = _classify_circle_cocycle(group, denom, omega)
     return KernelObstructionReport(
         dimension=n_dim, denominator=denom, module_label="Q/Z",
@@ -615,6 +606,6 @@ def _classify_circle_cocycle(group: FiniteGroup, denom: int,
     lifts of one kernel all produce the identical snapped cocycle)."""
     module = rational_circle(group)
     if not is_cocycle(group, module, omega):
-        raise RuntimeError("scalar-defect coboundary is not a cocycle")
+        raise InvariantError("scalar-defect coboundary is not a cocycle")
     h3 = _h_cached(group, module, 3, denominator=lcm(group.order, denom))
     return h3, h3.classify(omega), h3.coboundary_witness(omega)

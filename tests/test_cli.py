@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from xmodcoh import cli, crossed, modsnf
+from xmodcoh import cli, crossed, modsnf, obstruction
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -241,6 +241,31 @@ def test_h1_transforms_leaving_the_cocycle_set_are_internal_errors(
         "type": "InvariantError",
         "message": "transform escaped the cocycle set"}
     path = write_bundle(tmp_path, "escaping.json", bundle)
+    assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+def test_theta_values_escaping_the_kernel_are_internal_errors(
+        monkeypatch, tmp_path):
+    """A lift that covers the u-table keeps every obstruction value in the
+    kernel.  With the coverage check off and one lift entry moved out of
+    its fiber, the value escapes, and that is the program's fault."""
+    real = obstruction.canonical_lift
+
+    def off_fiber(ext, group, c):
+        lift = list(real(ext, group, c))
+        lift[group.order + 1] = ext.h0group.mul[lift[group.order + 1]][1]
+        return tuple(lift)
+
+    monkeypatch.setattr(obstruction, "canonical_lift", off_fiber)
+    monkeypatch.setattr(obstruction, "_check_lift", lambda *args: None)
+    bundle = {"schema": 1, "task": "theta", "extension": "C2-C4-C2",
+              "gamma": "C4"}
+    report = cli.run(bundle)
+    assert report["status"] == "internal-error"
+    assert report["result"] == {
+        "type": "InvariantError",
+        "message": "obstruction value escapes the kernel at (1, 1, 2)"}
+    path = write_bundle(tmp_path, "off-fiber.json", bundle)
     assert cli.main(["--bundle", path, "--quiet"]) == 4
 
 

@@ -5,20 +5,20 @@ witnesses."""
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from xmodcoh import intlinalg, modsnf
+from xmodcoh import intlinalg, modsnf, obstruction
 from xmodcoh.cohomology import (Cochain, _BarComplex, _Cohomology,
-                                add_cochains,
-                                bar_differential, cochain_from_function,
+                                add_cochains, bar_differential,
+                                cochain_from_coords, cochain_from_function,
                                 cohomology, evaluate, is_coboundary,
-                                is_cocycle, normalize_cocycle, sub_cochains,
-                                zero_cochain)
+                                is_cocycle, normalize_cocycle, scale_cochain,
+                                sub_cochains, zero_cochain)
 from xmodcoh.coefficients import finite_abelian, rational_circle
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_product, make_symmetric, \
@@ -154,19 +154,22 @@ def test_mixed_moduli_with_a_twisted_summand():
         if degree == 0:
             continue
         for _ in range(5):
-            c = Cochain(degree - 1,
-                        tuple((rng.randrange(2), rng.randrange(4))
-                              for _ in range(2 ** (degree - 1))), False)
+            c = cochain_from_coords(
+                c2, module, degree - 1,
+                [x for _ in range(2 ** (degree - 1))
+                 for x in (rng.randrange(2), rng.randrange(4))])
             dc = bar_differential(c2, module, c)
             assert h.classify(dc) == (0, 0)
             fixed, shift = normalize_cocycle(c2, module, dc)
-            assert fixed.normalized
+            assert all(evaluate(c2, fixed, args) == (0, 0) for args in
+                       itertools.product(range(2), repeat=degree)
+                       if c2.identity in args)
             if shift is not None:
                 assert add_cochains(c2, module, fixed, bar_differential(
-                    c2, module, shift)).values == dc.values
+                    c2, module, shift)) == dc
             wit = h.coboundary_witness(dc)
             assert wit is not None
-            assert bar_differential(c2, module, wit).values == fixed.values
+            assert bar_differential(c2, module, wit) == fixed
 
 
 def test_circle_inversion_action():
@@ -182,32 +185,30 @@ def test_circle_inversion_action():
 # ---------------------------------------------------------------------------
 
 def reference_differential(group, module, c):
-    """The inhomogeneous-bar coboundary, entry by entry on the table:
+    """The inhomogeneous-bar coboundary, entry by entry on the table read
+    once through ``evaluate``, in the module's own element arithmetic:
 
     (dc)(g1,...,g_{n+1}) = g1.c(g2,...,g_{n+1})
       + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{n+1})
       + (-1)^{n+1} c(g1,...,g_n)
+
+    Returns the values by argument tuple.
     """
     n, order = c.degree, group.order
-
-    def at(args):
-        idx = 0
-        for a in args:
-            idx = idx * order + a
-        return c.values[idx]
-
-    out = []
+    at = {args: evaluate(group, c, args)
+          for args in itertools.product(range(order), repeat=n)}
+    out = {}
     for args in itertools.product(range(order), repeat=n + 1):
-        acc = module.act(args[0], at(args[1:]))
+        acc = module.act(args[0], at[args[1:]])
         sign = 1
         for i in range(1, n + 1):
             sign = -sign
             merged = args[:i - 1] + (group.mul[args[i - 1]][args[i]],) \
                 + args[i + 1:]
-            acc = module.add(acc, module.scale(sign, at(merged)))
-        acc = module.add(acc, module.scale(-sign, at(args[:-1])))
-        out.append(acc)
-    return tuple(out)
+            acc = module.add(acc, module.scale(sign, at[merged]))
+        acc = module.add(acc, module.scale(-sign, at[args[:-1]]))
+        out[args] = acc
+    return out
 
 
 def random_cochain(rng, group, module, degree, normalized):
@@ -242,15 +243,16 @@ def test_differential_matches_the_entry_by_entry_oracle():
                 for _ in range(3):
                     c = random_cochain(rng, group, module, degree,
                                        normalized)
-                    want = reference_differential(group, module, c)
+                    table = reference_differential(group, module, c)
+                    want = cochain_from_function(
+                        group, module, degree + 1, lambda *a: table[a])
                     dc = bar_differential(group, module, c)
                     assert dc.degree == degree + 1
-                    assert dc.values == want
-                    closed = all(module.is_zero(v) for v in want)
+                    assert dc == want
+                    closed = all(module.is_zero(v) for v in table.values())
                     assert is_cocycle(group, module, c) == closed
                     cocycles += closed
-                    assert is_cocycle(group, module,
-                                      Cochain(degree + 1, want, False))
+                    assert is_cocycle(group, module, want)
     # both answers of is_cocycle occur on the random cochains
     assert 0 < cocycles < 144
 
@@ -268,24 +270,22 @@ def brute_force_cohomology(group, m, degree):
 
     def all_cochains(deg):
         for combo in itertools.product(range(m), repeat=n ** deg):
-            yield Cochain(deg, tuple((v,) for v in combo), False)
+            yield cochain_from_coords(group, module, deg, combo)
 
     cocycles = [c for c in all_cochains(degree)
                 if is_cocycle(group, module, c)]
-    coboundaries = {bar_differential(group, module, c).values
+    coboundaries = {bar_differential(group, module, c)
                     for c in all_cochains(degree - 1)}
     classes = {}
     for c in cocycles:
         marked = False
         for rep in classes:
-            if sub_cochains(group, module, c,
-                            Cochain(degree, rep, False)).values \
-                    in coboundaries:
+            if sub_cochains(group, module, c, rep) in coboundaries:
                 classes[rep] += 1
                 marked = True
                 break
         if not marked:
-            classes[c.values] = 1
+            classes[c] = 1
     assert positions == n ** degree
     return len(classes)
 
@@ -409,10 +409,9 @@ def test_finite_classes_push_into_the_circle_as_the_textbook_says():
             images = []
             for coords in hf.all_classes():
                 rep = hf.representative_of(coords)
-                push = Cochain(degree,
-                               tuple(Fraction(int(v[0]), n) % 1
-                                     for v in rep.values),
-                               rep.normalized)
+                push = cochain_from_function(
+                    group, qz, degree,
+                    lambda *a: Fraction(evaluate(group, rep, a)[0], n))
                 assert is_cocycle(group, qz, push)
                 images.append(hq.classify(push))
             if injective:
@@ -465,7 +464,7 @@ def test_witness_recovers_coboundaries():
         assert h2.classify(df) == (0,) * len(h2.invariant_factors)
         wit = h2.coboundary_witness(df)
         assert wit is not None
-        assert bar_differential(group, module, wit).values == df.values
+        assert bar_differential(group, module, wit) == df
     # a nonzero class has no witness
     rep = h2.representative_of((1,))
     assert h2.coboundary_witness(rep) is None
@@ -476,13 +475,107 @@ def test_classify_rejects_non_cocycles():
     group = make_cyclic(2)
     module = finite_abelian(group, (2,))
     h2 = cohomology(group, module, 2)
-    bad = Cochain(2, ((0,), (0,), (0,), (1,)), False)
+    bad = cochain_from_coords(group, module, 2, (0, 0, 0, 1))
     bad = add_cochains(group, module, bad,
-                       Cochain(2, ((0,), (1,), (0,), (0,)), False))
+                       cochain_from_coords(group, module, 2, (0, 1, 0, 0)))
     if is_cocycle(group, module, bad):
         pytest.skip("perturbation landed on a cocycle")
     with pytest.raises(ValueError):
         h2.classify(bad)
+
+
+def test_a_non_cocycle_is_refused_however_it_is_built():
+    """1 at (e, e) and (g, g) over C2 with Z/2 is no cocycle.  Its entries
+    off the identity alone are the normalized cocycle of the nonzero class,
+    so a classifier that trusted a caller's word that the table was
+    normalized would answer (1,).  Normalization is read off the
+    coordinates, so every way of building this cochain is refused."""
+    c2 = make_cyclic(2)
+    module = finite_abelian(c2, (2,))
+    h2 = cohomology(c2, module, 2)
+    e = c2.identity
+    built = [
+        Cochain(2, (1, 0, 0, 1)),
+        cochain_from_coords(c2, module, 2, (1, 0, 0, 1)),
+        cochain_from_coords(c2, module, 2, (3, 2, -2, 5)),
+        cochain_from_function(c2, module, 2, lambda a, b: (int(a == b),)),
+        add_cochains(c2, module, h2.representatives[0],
+                     cochain_from_function(
+                         c2, module, 2,
+                         lambda a, b: (int(a == b == e),))),
+    ]
+    for c in built:
+        assert c == built[0]
+        assert not is_cocycle(c2, module, c)
+        with pytest.raises(ValueError):
+            normalize_cocycle(c2, module, c)
+        with pytest.raises(ValueError):
+            h2.classify(c)
+        with pytest.raises(ValueError):
+            h2.coboundary_witness(c)
+
+
+def test_circle_cochains_are_canonical_at_their_least_denominator():
+    """One Q/Z function built at denominator 4 with even numerators, at 8
+    with unreduced numerators, and at 2 is one cochain: equal, with one
+    hash, at denominator 2.  The kernel-obstruction cache of classified
+    cocycles keys on it."""
+    c2 = make_cyclic(2)
+    qz = rational_circle(c2)
+    rep = cohomology(c2, qz, 3).representatives[0]
+    assert rep.denominator == 2
+    at4 = cochain_from_coords(c2, qz, 3, [2 * x for x in rep.coords], 4)
+    at8 = cochain_from_coords(c2, qz, 3, [4 * x + 8 for x in rep.coords], 8)
+    by_values = cochain_from_function(
+        c2, qz, 3, lambda *a: Fraction(2 * evaluate(c2, rep, a)) / 2 + 5)
+    for c in (at4, at8, by_values):
+        assert c == rep and hash(c) == hash(rep)
+        assert c.denominator == 2
+    zero = cochain_from_coords(c2, qz, 3, [6] * 8, 6)
+    assert zero == zero_cochain(c2, qz, 3) and zero.denominator == 1
+    obstruction._classify_circle_cocycle.cache_clear()
+    first = obstruction._classify_circle_cocycle(c2, 4, at4)
+    assert obstruction._classify_circle_cocycle(c2, 4, rep) is first
+    info = obstruction._classify_circle_cocycle.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert first[1] == (1,)
+
+
+def test_sums_and_multiples_agree_with_the_module_arithmetic():
+    """add_cochains, sub_cochains and scale_cochain agree entrywise with
+    Fraction arithmetic across different Q/Z denominators, and with the
+    module's own arithmetic over Z/2 + Z/4; a Q/Z result sits at the lcm
+    of its value denominators."""
+    c3 = make_cyclic(3)
+    qz = rational_circle(c3, multipliers=(1, 1, 1))
+    mixed = finite_abelian(c3, (2, 4))
+    rng = random.Random(59)
+    for module in (qz, mixed):
+        for degree in (0, 1, 2):
+            for _ in range(8):
+                a = random_cochain(rng, c3, module, degree, False)
+                b = random_cochain(rng, c3, module, degree, False)
+                k = rng.randrange(-7, 8)
+                total = add_cochains(c3, module, a, b)
+                diff = sub_cochains(c3, module, a, b)
+                multiple = scale_cochain(c3, module, k, a)
+                for args in itertools.product(range(3), repeat=degree):
+                    x, y = evaluate(c3, a, args), evaluate(c3, b, args)
+                    if module is qz:
+                        assert evaluate(c3, total, args) == (x + y) % 1
+                        assert evaluate(c3, diff, args) == (x - y) % 1
+                        assert evaluate(c3, multiple, args) == (k * x) % 1
+                    else:
+                        assert evaluate(c3, total, args) == module.add(x, y)
+                        assert evaluate(c3, diff, args) == \
+                            module.add(x, module.neg(y))
+                        assert evaluate(c3, multiple, args) == \
+                            module.scale(k, x)
+                if module is qz:
+                    for c in (total, diff, multiple):
+                        assert c.denominator == lcm(*[
+                            evaluate(c3, c, args).denominator for args in
+                            itertools.product(range(3), repeat=degree)])
 
 
 def test_quotient_solves_on_free_coordinates_and_checks_every_row():
@@ -519,7 +612,7 @@ def test_circle_witness_exactness():
     assert h3.classify(tripled) == (0,)
     wit = h3.coboundary_witness(tripled)
     assert wit is not None
-    assert bar_differential(group, qz, wit).values == tripled.values
+    assert bar_differential(group, qz, wit) == tripled
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +626,7 @@ def small_cochain(draw):
     degree = draw(st.sampled_from([1, 2]))
     values = draw(st.lists(st.integers(0, m - 1),
                            min_size=n ** degree, max_size=n ** degree))
-    return n, m, degree, tuple((v,) for v in values)
+    return n, m, degree, values
 
 
 @settings(max_examples=60, deadline=None)
@@ -542,10 +635,10 @@ def test_differential_squares_to_zero(data):
     n, m, degree, values = data
     group = make_cyclic(n)
     module = finite_abelian(group, (m,))
-    c = Cochain(degree, values, False)
+    c = cochain_from_coords(group, module, degree, values)
     dc = bar_differential(group, module, c)
     ddc = bar_differential(group, module, dc)
-    assert all(module.is_zero(v) for v in ddc.values)
+    assert ddc == zero_cochain(group, module, degree + 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -554,7 +647,8 @@ def test_coboundaries_classify_to_zero(data):
     n, m, degree, values = data
     group = make_cyclic(n)
     module = finite_abelian(group, (m,))
-    dc = bar_differential(group, module, Cochain(degree, values, False))
+    dc = bar_differential(group, module,
+                          cochain_from_coords(group, module, degree, values))
     h = cohomology(group, module, degree + 1)
     assert h.classify(dc) == (0,) * len(h.invariant_factors)
 

@@ -6,8 +6,8 @@ classifier for unitary families."""
 import numpy as np
 import pytest
 
-from xmodcoh.cohomology import Cochain, bar_differential, cohomology, \
-    is_cocycle
+from xmodcoh.cohomology import bar_differential, cochain_from_coords, \
+    cohomology, is_cocycle, zero_cochain
 from xmodcoh.coefficients import finite_abelian, rational_circle
 from xmodcoh.crossed import (Cocycle1, abelian_shift, compute_H1,
                              trivial_cocycle)
@@ -102,12 +102,8 @@ def bockstein_oracle_coords(ext, group, c, h3):
                 d = (act[c.alpha[g]][lifted(h, k)] + lifted(g, hk)
                      - lifted(gh, k) - lifted(g, h)) % 4
                 assert d in (0, 2), "coboundary of the lift must be 2-torsion"
-                values.append((d // 2,))
-    e = group.identity
-    normalized = all(values[(g * n + h) * n + k] == (0,)
-                     for g in group.elements() for h in group.elements()
-                     for k in group.elements() if e in (g, h, k))
-    return h3.classify(Cochain(3, tuple(values), normalized))
+                values.append(d // 2)
+    return h3.classify(cochain_from_coords(group, h3.module, 3, values))
 
 
 @pytest.mark.parametrize("gname", ["C2", "C4", "V4"])
@@ -120,8 +116,7 @@ def test_theta_matches_the_bockstein_oracle(gname, inv):
     for cls in h1.classes:
         ob = theta(ext, group, cls.representative, check_second_lift=True,
                    rng_seed=11)
-        got = h3.classify(Cochain(3, ob.cocycle.values,
-                                  ob.cocycle.normalized))
+        got = h3.classify(ob.cocycle)
         want = bockstein_oracle_coords(ext, group, cls.representative, h3)
         assert got == want
 
@@ -138,7 +133,7 @@ def test_theta_class_data_is_consistent():
             lam = ob.witness()
             assert lam is not None
             diff = bar_differential(group, ob.induced.module, lam)
-            assert diff.values == ob.cocycle.values
+            assert diff == ob.cocycle
         else:
             assert ob.witness() is None
 
@@ -271,12 +266,11 @@ def test_pauli_family_has_zero_class_with_witness():
     assert rep.max_snap_residual < 1e-12
     # matrix associativity forces the defect table to be an exact cocycle,
     # so the obstruction coboundary vanishes identically
-    assert all(v == 0 for v in rep.omega.values)
-    assert any(p != 0 for p in rep.defect_phases)
     qz = rational_circle(group)
+    assert rep.omega == zero_cochain(group, qz, 3)
+    assert any(p != 0 for p in rep.defect_phases)
     assert is_cocycle(group, qz, rep.omega)
-    assert bar_differential(group, qz, rep.witness).values \
-        == rep.omega.values
+    assert bar_differential(group, qz, rep.witness) == rep.omega
 
 
 def test_honest_representation_has_no_defects():
@@ -290,7 +284,7 @@ def test_honest_representation_has_no_defects():
     rep = matrix_kernel_obstruction(s3, mats)
     assert rep.is_zero
     assert rep.defect_phases == (0.0,) * 36
-    assert all(v == 0 for v in rep.omega.values)
+    assert rep.omega == zero_cochain(s3, rational_circle(s3), 3)
 
 
 def test_scalar_perturbations_do_not_move_the_class():
@@ -303,7 +297,7 @@ def test_scalar_perturbations_do_not_move_the_class():
         rep = matrix_kernel_obstruction(group, moved)
         assert rep.coordinates == base.coordinates
         assert rep.invariant_factors == base.invariant_factors
-        assert rep.omega.values == base.omega.values
+        assert rep.omega == base.omega
 
 
 def test_identity_scalar_normalization_is_accepted():
