@@ -7,6 +7,7 @@ rounding used by printed reports (12 significant digits, rationals "p/q").
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -15,6 +16,10 @@ from .crossed import CrossedModule
 from .groups import (FiniteGroup, group_violations, make_cyclic, make_product,
                      make_symmetric, trivial_group)
 from .obstruction import CentralXModExtension
+
+
+MAX_SHORTHAND_ORDER = 720
+MAX_MODULUS = 2 ** 31 - 1
 
 
 class BundleError(Exception):
@@ -71,7 +76,10 @@ def expect_int(value, pointer: str, low: int | None = None,
 # ---------------------------------------------------------------------------
 
 def group_from_spec(spec, pointer: str) -> FiniteGroup:
-    """"1", "C<n>", "C<a>xC<b>", "S<n>", or an explicit {"mul": [[...]]}."""
+    """"1", "C<n>", "C<a>xC<b>", "S<n>", or an explicit {"mul": [[...]]}.
+
+    A shorthand names a group of order at most MAX_SHORTHAND_ORDER, the
+    order of S6; a larger one is refused before any table is built."""
     if isinstance(spec, str):
         try:
             if spec == "1":
@@ -86,6 +94,9 @@ def group_from_spec(spec, pointer: str) -> FiniteGroup:
                 orders = [int(p) for p in parts]
                 if not orders or any(o < 1 for o in orders):
                     raise ValueError
+                if prod(orders) > MAX_SHORTHAND_ORDER:
+                    raise BundleError(pointer, f"group order must be at most "
+                                               f"{MAX_SHORTHAND_ORDER}")
                 g = make_cyclic(orders[0])
                 for o in orders[1:]:
                     g = make_product(g, make_cyclic(o))
@@ -103,13 +114,17 @@ def group_from_spec(spec, pointer: str) -> FiniteGroup:
 
 def module_from_spec(spec, group: FiniteGroup,
                      pointer: str) -> AbelianCoefficients:
-    """"Z<m>-trivial" or "QZ-trivial" (trivial action)."""
+    """"Z<m>-trivial" with 2 <= m <= MAX_MODULUS, or "QZ-trivial"
+    (trivial action)."""
     if not isinstance(spec, str):
         raise BundleError(pointer, "expected a module shorthand string")
     if spec == "QZ-trivial":
         return rational_circle(group)
     if spec.startswith("Z") and spec.endswith("-trivial"):
         body = spec[1:-len("-trivial")]
+        if body.isdigit() and int(body) > MAX_MODULUS:
+            raise BundleError(pointer, f"modulus must be at most "
+                                       f"{MAX_MODULUS}")
         if body.isdigit() and int(body) >= 2:
             return finite_abelian(group, (int(body),))
     raise BundleError(pointer, f"unknown module shorthand {spec!r}")

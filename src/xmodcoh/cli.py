@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundles import (BundleError, expect_int, expect_object,
+from .bundles import (MAX_MODULUS, BundleError, expect_int, expect_object,
                       extension_from_spec, group_from_spec, homology_to_json,
                       matrix_from_json, matrix_to_json, module_from_spec,
                       path_from_json, simplicial_to_json, to_jsonable,
@@ -284,6 +284,8 @@ def _task_kernel_ob(bundle, seed, budget):
                 for i, mj in enumerate(mats_spec)]
     tol = float(bundle.get("tol", 1e-8))
     snap = bundle.get("snap_denominator")
+    if snap is not None:
+        snap = expect_int(snap, "/snap_denominator", 1, MAX_MODULUS)
     rep = matrix_kernel_obstruction(group, mats, tol=tol,
                                     snap_denominator=snap)
     witness = rep.witness

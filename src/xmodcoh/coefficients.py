@@ -13,7 +13,6 @@ Two kinds are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .groups import FiniteGroup
@@ -110,47 +109,6 @@ class AbelianCoefficients:
                                            self.factors, self.action)
         if problems:
             raise ValueError("bad coefficient module: " + "; ".join(problems))
-
-    # --- element arithmetic -------------------------------------------------
-
-    def zero(self):
-        if self.kind == FINITE:
-            return (0,) * len(self.factors)
-        return Fraction(0)
-
-    def reduce(self, a):
-        if self.kind == FINITE:
-            return tuple(x % d for x, d in zip(a, self.factors))
-        return Fraction(a) % 1
-
-    def add(self, a, b):
-        if self.kind == FINITE:
-            return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
-        return (a + b) % 1
-
-    def neg(self, a):
-        if self.kind == FINITE:
-            return tuple((-x) % d for x, d in zip(a, self.factors))
-        return (-a) % 1
-
-    def scale(self, k: int, a):
-        if self.kind == FINITE:
-            return tuple((k * x) % d for x, d in zip(a, self.factors))
-        return (k * a) % 1
-
-    def act(self, g: int, a):
-        if self.kind == FINITE:
-            mat = self.action[g]
-            k = len(self.factors)
-            return tuple(
-                sum(mat[i][j] * a[j] for j in range(k)) % self.factors[i]
-                for i in range(k))
-        return (self.action[g] * a) % 1
-
-    def is_zero(self, a) -> bool:
-        return self.reduce(a) == self.zero()
-
-    # --- integer-lattice view ----------------------------------------------
 
     def lattice_data(self, denominator: int | None = None):
         """(factors, action matrices) of the finite model used internally.

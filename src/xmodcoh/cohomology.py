@@ -24,8 +24,10 @@ only.  A cocycle is fixed by its coordinates on the columns that no unit
 pivot took, so it is rewritten in the kernel generators by a solve on
 those coordinates alone.  The quotient by the incoming image comes from a
 Smith form of the relations among the kernel generators, which also yields
-generator representatives, classification of arbitrary cocycles, and
-coboundary witnesses.
+generator representatives and classification of arbitrary cocycles.  A
+coboundary witness is read off the same relations: a solve against them
+writes the cocycle as a sum of incoming columns, whose differential part
+is the witness.
 
 Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z =
 Z/m.  Every class in H^n(G; Q/Z) is |G|-torsion, so at a working
@@ -37,15 +39,16 @@ of the Bockstein H^{n-1}(G; Z/s) -> H^n(G; Z/m0), which sends a cocycle b
 mod s to (d b mod m1) / s.  So Q/Z cohomology is the finite computation at
 m0 with the Bockstein columns joining the incoming image: one kernel of the
 outgoing differential, as for a finite module.  The complex at m1 serves
-only its small incoming differential, for the Bockstein columns and for
-coboundary witnesses (s*c = d(w) at m1 exactly when c is a coboundary in
-Q/Z).  A Q/Z cochain is read at a multiple of its denominator.
+only its small incoming differential, for the Bockstein columns; a witness
+of a Q/Z coboundary takes values in (1/m1)Z/Z, since each Bockstein column
+is d(b/m1) for a cocycle b mod s.  A Q/Z cochain is read at a multiple of
+its denominator.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -162,8 +165,11 @@ def evaluate(group: FiniteGroup, c: Cochain, args) -> object:
 
 def zero_cochain(group: FiniteGroup, module: AbelianCoefficients,
                  degree: int) -> Cochain:
-    return cochain_from_function(group, module, degree,
-                                 lambda *args: module.zero())
+    circle = module.kind == CIRCLE
+    width = 1 if circle else len(module.factors)
+    return cochain_from_coords(group, module, degree,
+                               [0] * (group.order ** degree * width),
+                               1 if circle else None)
 
 
 def add_cochains(group: FiniteGroup, module: AbelianCoefficients,
@@ -407,15 +413,17 @@ class _BarComplex:
 
 
 class _Quotient:
-    """ker/im over Z/m: invariant factors, representatives and membership.
+    """ker/im over Z/m: invariant factors, representatives, membership and
+    the incoming columns that sum to a coboundary.
 
     Generators of the kernel (with their orders, which need not form a
     chain) and its free coordinates come from ``modsnf.mod_kernel`` of the
     outgoing differential.  A kernel vector is fixed by its free
     coordinates, so a vector is rewritten in the generators by a solve on
-    those rows alone, then checked on all rows.  The incoming image,
-    rewritten this way, is quotiented out, and the Smith form of those
-    relations puts the factors in a chain.
+    those rows alone, then checked on all rows.  The relation matrix
+    ``rel`` holds the incoming columns rewritten this way, then the
+    generator orders: its Smith form puts the factors in a chain, and a
+    solve against it writes a coboundary as a sum of incoming columns.
     """
 
     def __init__(self, m: int, gens, orders, free, l_cols):
@@ -424,7 +432,7 @@ class _Quotient:
         self.free = free
         r = gens.shape[1]
         self._solver = modsnf.ModSolver(gens[free], m)
-        n_l = l_cols.shape[1]
+        self.n_l = n_l = l_cols.shape[1]
         rel = np.zeros((r, n_l + r), dtype=np.int64)
         y = self._solve(l_cols)
         if y is None:
@@ -434,6 +442,7 @@ class _Quotient:
         self.rel = rel
         self._form = modsnf.mod_smith(rel, m, want_u=True, want_uinv=True) \
             if r else None
+        self._rel_solver = None
         self.factors_all = list(self._form.diag) if r else []
 
     def _solve(self, b) -> np.ndarray | None:
@@ -454,125 +463,46 @@ class _Quotient:
     def order(self) -> int:
         return prod(self.factors_all)
 
-    def generator_vector(self, i: int) -> list[int]:
-        y = self._form.u_inv[:, i].astype(np.int64)
-        return [int(x) for x in (self.gens.astype(np.int64) @ y) % self.m]
+    def generators(self) -> np.ndarray:
+        """One kernel vector per nontrivial factor, as columns."""
+        if not self.factors_all:
+            return np.zeros((self.gens.shape[0], 0), dtype=np.int64)
+        u_inv = self._form.u_inv.astype(np.int64)[:, self.nontrivial]
+        return self.gens @ u_inv % self.m
 
-    def coordinates(self, vec) -> tuple[int, ...]:
+    def _kernel_coords(self, vec) -> np.ndarray:
         y = self._solve(vec)
         if y is None:
             raise ValueError("vector is not in the cocycle lattice")
+        return y
+
+    def coordinates(self, vec) -> tuple[int, ...]:
+        y = self._kernel_coords(vec)
         if not self.factors_all:
             return ()
         w = (self._form.u.astype(np.int64) @ y) % self.m
         return tuple(int(w[i]) % self.factors_all[i] for i in self.nontrivial)
 
-
-class _Cohomology:
-    """H^n of the normalized complex of one module over Z/m, with
-    classification and coboundary witnesses.
-
-    Row i of the outgoing differential is scaled by m/d_i, so its kernel mod
-    m is the preimage of the cocycles; the incoming image is joined by the
-    relation columns d_i e_i, which also join the witness solve.  For Q/Z
-    the complex is the model at m0 = lcm(denominator, |G|), the incoming
-    image is also joined by the Bockstein columns of the sequence
-    0 -> Z/m0 -> Z/m1 -> Z/s -> 0 (s = |G|, m1 = m0*s), and witnesses are
-    solved at m1; the complex at m1 serves only its incoming differential.
-    """
-
-    def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
-                 degree: int, denominator: int | None = None):
-        self.group, self.module, self.degree = group, module, degree
-        elements = [g for g in group.elements() if g != group.identity]
-        self.s, self.denominator, self.stable = 1, None, None
-        if module.kind == CIRCLE:
-            self.s = group.order
-            self.denominator = lcm(denominator or 1, group.order)
-            self.stable = True
-        self.cx = _BarComplex(group, module, self.denominator, elements)
-        self.wx = self.cx if self.s == 1 else _BarComplex(
-            group, module, self.denominator * self.s, elements)
-        self.m = m = self.cx.m
-        n = degree
-        self._wit_solver = None
-        if self.cx.dim(n) == 0 or m == 1:
-            empty = np.zeros((self.cx.dim(n), 0), dtype=np.int64)
-            self.quot = _Quotient(1, empty, [], np.zeros(0, dtype=np.int64),
-                                  empty)
-            return
-        cx = self.cx
-        scale = sparse.diags(cx.row_scale(n + 1), dtype=np.int64)
-        gens, orders, free = modsnf.mod_kernel(scale @ cx.differential(n), m)
-        l_cols = cx.relations(n)
-        if n >= 1:
-            l_cols = np.hstack([cx.differential(n - 1).toarray(), l_cols])
-        bock = self._bockstein() if self.s > 1 and n >= 1 else l_cols[:, :0]
-        self.quot = _Quotient(m, gens, orders, free,
-                              np.hstack([l_cols, bock]))
-        if bock.shape[1]:
-            n_l = l_cols.shape[1]
-            base = np.delete(self.quot.rel,
-                             np.s_[n_l:n_l + bock.shape[1]], axis=1)
-            self.stable = prod(modsnf.mod_smith(base, m).diag) \
-                == self.quot.order()
-
-    def _bockstein(self) -> np.ndarray:
-        """Columns (d b mod m1) / s for the generators b of the degree-(n-1)
-        cocycles mod s, d the incoming differential at m1."""
-        wx, s = self.wx, self.s
-        d = wx.differential(self.degree - 1)
-        b = modsnf.mod_kernel(d, s)[0]
-        return (d @ b % wx.m) // s
-
-    def _vec(self, c: Cochain) -> np.ndarray:
-        _check(self.group, self.module, c, self.degree)
-        if not _is_normalized(self.group, c):
-            c, _ = normalize_cocycle(self.group, self.module, c)
-        vec = self.cx.vector(c)
-        if not self.cx.closed(self.degree, vec):
-            raise ValueError("not a cocycle")
-        return vec
-
-    def classify(self, c: Cochain) -> tuple[int, ...]:
-        return self.quot.coordinates(self._vec(c))
-
-    def witness(self, c: Cochain) -> Cochain | None:
-        """A cochain w with d(w) = c, or None if c is no coboundary.  For
-        Q/Z, w takes values at m1 = m0*s, where d(w) = s*c."""
-        vec = self._vec(c)
-        n, wx = self.degree, self.wx
-        if n == 0:
-            return None
-        dim = wx.dim(n - 1)
-        sol = np.zeros(dim, dtype=np.int64)
-        if wx.dim(n) and wx.m > 1:
-            if self._wit_solver is None:
-                self._wit_solver = modsnf.ModSolver(np.hstack(
-                    [wx.differential(n - 1).toarray(), wx.relations(n)]),
-                    wx.m)
-            sol = self._wit_solver.solve(vec * self.s)
-            if sol is None:
-                return None
-        return wx.cochain(n - 1, sol[:dim])
-
-    def result(self) -> CohomologyGroup:
-        quot = self.quot
-        reps = tuple(self.cx.cochain(self.degree, quot.generator_vector(i))
-                     for i in quot.nontrivial)
-        return CohomologyGroup(
-            self.group, self.module, self.degree, quot.factors(), reps,
-            quot.order(), denominator=self.denominator, stable=self.stable,
-            _impl=self)
+    def combination(self, vec) -> np.ndarray | None:
+        """z with l_cols @ z = vec mod m, or None if vec's class is nonzero:
+        rel @ z = y for vec's kernel coordinates y gives vec = gens @ y =
+        l_cols @ z[:n_l].  The solver of rel is built on the first call."""
+        y = self._kernel_coords(vec)
+        if not len(y):  # no kernel generators: vec is zero
+            return np.zeros(self.n_l, dtype=np.int64)
+        if self._rel_solver is None:
+            self._rel_solver = modsnf.ModSolver(self.rel, self.m)
+        z = self._rel_solver.solve(y)
+        return None if z is None else z[:self.n_l]
 
 
 # ---------------------------------------------------------------------------
 # public cohomology object
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CohomologyGroup:
-    """H^degree(group, module) with classification machinery.
+    """H^degree(group, module), computed on construction, with
+    classification and coboundary witnesses.
 
     ``invariant_factors`` lists the cyclic factors > 1 (ascending chain);
     ``representatives`` holds one normalized cocycle per factor.  For
@@ -581,39 +511,108 @@ class CohomologyGroup:
     |group|) and ``stable`` whether H^degree(group; Z/m0) already is that
     answer: whether the image of the Bockstein from
     H^{degree-1}(group; Z/|group|) is zero, so that H at m0 injects into H
-    at m0*|group|.
+    at m0*|group|.  The group is one ``_Quotient`` of the normalized
+    complex (see the module docstring), whose relations also give the
+    witnesses.
     """
 
-    group: FiniteGroup
-    module: AbelianCoefficients
-    degree: int
-    invariant_factors: tuple[int, ...]
-    representatives: tuple[Cochain, ...]
-    order: int
-    denominator: int | None = None
-    stable: bool | None = None
-    _impl: object = field(default=None, repr=False)
+    def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
+                 degree: int, denominator: int | None = None):
+        self.group, self.module, self.degree = group, module, degree
+        elements = [g for g in group.elements() if g != group.identity]
+        self._s, self.denominator, self.stable = 1, None, None
+        if module.kind == CIRCLE:
+            self._s = group.order
+            self.denominator = lcm(denominator or 1, group.order)
+            self.stable = True
+        self._cx = cx = _BarComplex(group, module, self.denominator, elements)
+        self._wx = cx if self._s == 1 else _BarComplex(
+            group, module, self.denominator * self._s, elements)
+        m, n = cx.m, degree
+        if cx.dim(n) == 0 or m == 1:
+            gens, orders, free = np.zeros((cx.dim(n), 0), dtype=np.int64), \
+                [], np.zeros(0, dtype=np.int64)
+        else:
+            scale = sparse.diags(cx.row_scale(n + 1), dtype=np.int64)
+            gens, orders, free = modsnf.mod_kernel(
+                scale @ cx.differential(n), m)
+        l_cols = cx.relations(n)
+        if n >= 1:
+            l_cols = np.hstack([cx.differential(n - 1).toarray(), l_cols])
+        bock = l_cols[:, :0]
+        if self._s > 1 and n >= 1:
+            bock, self._bock_gens = self._bockstein()
+        self._quot = quot = _Quotient(m, gens, orders, free,
+                                      np.hstack([l_cols, bock]))
+        if bock.shape[1]:
+            n_l = l_cols.shape[1]
+            base = np.delete(quot.rel, np.s_[n_l:n_l + bock.shape[1]], axis=1)
+            self.stable = prod(modsnf.mod_smith(base, m).diag) == quot.order()
+        self.invariant_factors = quot.factors()
+        self.order = quot.order()
+        self._generators = quot.generators()
+        self.representatives = tuple(cx.cochain(n, col)
+                                     for col in self._generators.T)
+
+    def _bockstein(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Bockstein columns (d b mod m1) / s, and the generators b of
+        the degree-(n-1) cocycles mod s, d the incoming differential at
+        m1."""
+        wx, s = self._wx, self._s
+        d = wx.differential(self.degree - 1)
+        b = modsnf.mod_kernel(d, s)[0]
+        return (d @ b % wx.m) // s, b
+
+    def _vec(self, c: Cochain) -> tuple[np.ndarray, Cochain | None]:
+        """c's normalized representative at m, and the shift with
+        c = representative + d(shift) (None when c is normalized)."""
+        _check(self.group, self.module, c, self.degree)
+        shift = None
+        if not _is_normalized(self.group, c):
+            c, shift = normalize_cocycle(self.group, self.module, c)
+        vec = self._cx.vector(c)
+        if not self._cx.closed(self.degree, vec):
+            raise ValueError("not a cocycle")
+        return vec, shift
 
     def classify(self, c: Cochain) -> tuple[int, ...]:
         """Coordinates of [c] over the invariant factors."""
-        return self._impl.classify(c)
+        return self._quot.coordinates(self._vec(c)[0])
 
     def coboundary_witness(self, c: Cochain) -> Cochain | None:
-        return self._impl.witness(c)
+        """A cochain w with d(w) = c, or None if c is no coboundary.
+
+        The normalized representative of c is a sum of the incoming
+        columns, l_cols @ z: its first part z_d holds coordinates of the
+        incoming differential, so w = z_d, plus the normalizing shift.  For
+        Q/Z the sum is c = d(z_d) + sum_b z_b d(b)/s at m0, so w takes
+        values at m1 = m0*s: w = s*z_d + sum_b z_b*b."""
+        vec, shift = self._vec(c)
+        n, wx = self.degree, self._wx
+        if n == 0:
+            return None
+        z = self._quot.combination(vec)
+        if z is None:
+            return None
+        n_d = wx.dim(n - 1)
+        w = z[:n_d]
+        if self._s > 1:  # Q/Z has no relation columns; Bockstein part next
+            w = self._s * w + self._bock_gens @ z[n_d:]
+        w = wx.cochain(n - 1, w % wx.m)
+        return w if shift is None else \
+            add_cochains(self.group, self.module, w, shift)
 
     def representative_of(self, coords) -> Cochain:
         if len(coords) != len(self.invariant_factors):
             raise ValueError("coordinate length mismatch")
-        out = zero_cochain(self.group, self.module, self.degree)
-        for k, rep in zip(coords, self.representatives):
-            out = add_cochains(self.group, self.module, out,
-                               scale_cochain(self.group, self.module, k, rep))
-        return out
+        m = self._cx.m
+        vec = self._generators @ (np.asarray(coords, dtype=np.int64) % m)
+        return self._cx.cochain(self.degree, vec % m)
 
     def all_classes(self):
         """All coordinate tuples, basepoint first."""
-        from itertools import product
-        return list(product(*[range(f) for f in self.invariant_factors]))
+        return list(itertools.product(*[range(f)
+                                        for f in self.invariant_factors]))
 
 
 def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
@@ -627,7 +626,7 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
     if (group.order - 1) ** (degree + 1) > max_positions:
         raise ResourceLimit("cochain-table positions",
                             (group.order - 1) ** (degree + 1), max_positions)
-    return _Cohomology(group, module, degree, denominator).result()
+    return CohomologyGroup(group, module, degree, denominator)
 
 
 def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
@@ -638,8 +637,8 @@ def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
     For rational-circle coefficients the answer is exact for Q/Z.  With c
     read at m0 = lcm(|G|, denominators), c is a coboundary in Q/Z exactly
     when its class at m0 lies in the image of the Bockstein from
-    H^{n-1}(G; Z/|G|), that is when c = d(w) for a cochain w with values
-    in (1/(m0*|G|))Z/Z; w is found there.
+    H^{n-1}(G; Z/|G|); w, read off the relations of H^n, takes values in
+    (1/(m0*|G|))Z/Z.
     """
     if c.degree < 1:
         raise ValueError("degree must be at least 1 for coboundary checks")

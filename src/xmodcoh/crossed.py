@@ -24,8 +24,8 @@ from .cohomology import (Cochain, CohomologyGroup, cochain_from_function,
                          cohomology, evaluate)
 from .coefficients import finite_abelian
 from .errors import InvariantError, ResourceLimit
-from .groups import (AbelianBasis, FiniteGroup, GroupHom, abelian_basis,
-                     trivial_group)
+from .groups import (AbelianBasis, FiniteGroup, abelian_basis,
+                     hom_violations, trivial_group)
 
 
 def xmod_violations(hgroup: FiniteGroup, ggroup: FiniteGroup,
@@ -105,9 +105,6 @@ class CrossedModule:
     def act(self, g: int, a: int) -> int:
         return self.action[g][a]
 
-    def boundary_hom(self) -> GroupHom:
-        return GroupHom(self.hgroup, self.ggroup, self.boundary)
-
     def boundary_image(self) -> frozenset[int]:
         return frozenset(self.boundary)
 
@@ -157,9 +154,9 @@ class XModMorphism:
         s, t = self.source, self.target
         problems = []
         problems += [f"H-map: {p}" for p in
-                     _hom_check(s.hgroup, t.hgroup, self.h_map)]
+                     hom_violations(s.hgroup, t.hgroup, self.h_map)]
         problems += [f"G-map: {p}" for p in
-                     _hom_check(s.ggroup, t.ggroup, self.g_map)]
+                     hom_violations(s.ggroup, t.ggroup, self.g_map)]
         if problems:
             return problems
         for a in s.hgroup.elements():
@@ -171,11 +168,6 @@ class XModMorphism:
                         t.act(self.g_map[g], self.h_map[a]):
                     problems.append(f"action square fails at ({g}, {a})")
         return problems
-
-
-def _hom_check(source, target, mapping):
-    from .groups import hom_violations
-    return hom_violations(source, target, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -204,29 +204,6 @@ class GroupHom:
         if problems:
             raise ValueError("not a homomorphism: " + "; ".join(problems))
 
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.mapping)))
-
-    def kernel(self) -> tuple[int, ...]:
-        e = self.target.identity
-        return tuple(a for a in self.source.elements() if self.mapping[a] == e)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.order
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == self.source.order
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return GroupHom(inner.source, self.target,
-                        tuple(self.mapping[x] for x in inner.mapping))
-
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, tuple(g.elements()))

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from .crossed import (Cocycle1, CrossedModule, Witness1, cocycle_violations,
                       transform_cocycle)
-from .errors import ResourceLimit
+from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
 from .nerves import (PseudofunctorSimplex, SimplicialMap, duskin_nerve,
                      ordinary_nerve, simplicial_map_violations)
@@ -330,7 +330,7 @@ def find_simplicial_homotopy(f: SimplicialMap, g: SimplicialMap,
     hom = SimplicialHomotopy(f, g, cyl, layers)
     bad = homotopy_violations(hom)
     if bad:
-        raise RuntimeError("search produced invalid data: " + bad[0])
+        raise InvariantError("search produced invalid data: " + bad[0])
     return hom
 
 

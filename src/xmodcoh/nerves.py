@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import comb
 
 from .crossed import CrossedModule
-from .errors import ResourceLimit
+from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
 from .simplicial import TruncatedSimplicialSet, build_truncated
 
@@ -146,7 +146,7 @@ def transport_simplex(x: CrossedModule, s: PseudofunctorSimplex,
     target = PseudofunctorSimplex(n, alpha, tuple(u))
     bad = pseudofunctor_violations(x, target)
     if bad:
-        raise RuntimeError("transport left the simplex space: " + bad[0])
+        raise InvariantError("transport left the simplex space: " + bad[0])
     return NatTransform(s, target, w)
 
 
@@ -298,16 +298,6 @@ def ordinary_nerve(group: FiniteGroup, n_trunc: int,
 # ---------------------------------------------------------------------------
 # diagonal of the monoidal double nerve
 # ---------------------------------------------------------------------------
-
-def _column_after(x: CrossedModule, y0: int, us: tuple[int, ...],
-                  steps: int) -> int:
-    """Object reached from y0 after the first ``steps`` arrows."""
-    g = x.ggroup
-    y = y0
-    for r in range(steps):
-        y = g.op(x.boundary[us[r]], y)
-    return y
-
 
 def _column_merge(x: CrossedModule, c1, c2):
     """Monoidal product of two parallel vertical chains (action twist)."""

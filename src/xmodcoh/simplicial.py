@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlinalg as il
+from .errors import InvariantError
 
 
 @dataclass
@@ -45,12 +46,6 @@ class TruncatedSimplicialSet:
 
     def index_of(self, k: int, simplex) -> int:
         return self._index[k][simplex]
-
-    def face_of(self, k: int, i: int, idx: int) -> int:
-        return self.face[k][i][idx]
-
-    def degen_of(self, k: int, i: int, idx: int) -> int:
-        return self.degen[k][i][idx]
 
     def degenerate_indices(self, k: int) -> set[int]:
         """Indices at level k in the image of some degeneracy."""
@@ -244,7 +239,7 @@ def homology(s: TruncatedSimplicialSet, maxdeg: int) -> HomologyGroups:
         kernel_dim = dims[q] - rank_q
         free = kernel_dim - ranks[q]
         if free < 0:
-            raise RuntimeError("boundary ranks are inconsistent")
+            raise InvariantError("boundary ranks are inconsistent")
         factors.append((0,) * free + torsions[q])
     return HomologyGroups(maxdeg, tuple(factors), tuple(ranks), tuple(dims),
                           s.label)

@@ -8,8 +8,10 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xmodcoh import cli, crossed, modsnf, obstruction
+from xmodcoh import bundles, cli, crossed, intlinalg, modsnf, obstruction
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -267,6 +269,170 @@ def test_theta_values_escaping_the_kernel_are_internal_errors(
         "message": "obstruction value escapes the kernel at (1, 1, 2)"}
     path = write_bundle(tmp_path, "off-fiber.json", bundle)
     assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+def test_inconsistent_boundary_ranks_are_internal_errors(monkeypatch,
+                                                       tmp_path):
+    """Boundary ranks that exceed the chain dimensions are the program's
+    fault, not a failed claim."""
+    real = intlinalg.sparse_rank_torsion
+
+    def inflated(columns):
+        rank, torsion = real(columns)
+        return rank + 5, torsion
+
+    monkeypatch.setattr(intlinalg, "sparse_rank_torsion", inflated)
+    bundle = {"schema": 1, "task": "homology", "kind": "duskin",
+              "xmod": "C2->1", "maxdeg": 1}
+    report = cli.run(bundle)
+    assert report["status"] == "internal-error"
+    assert report["result"] == {"type": "InvariantError",
+                                "message": "boundary ranks are inconsistent"}
+    path = write_bundle(tmp_path, "ranks.json", bundle)
+    assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# guards that refuse before allocating
+# ---------------------------------------------------------------------------
+
+def test_large_cyclic_shorthands_are_refused_before_any_table(monkeypatch):
+    """A C<a>xC<b>... shorthand above the order of S6 is refused at /group
+    before a cyclic group is built; order 720 itself is accepted."""
+    built = []
+
+    def bounded(n, *args, **kwargs):
+        if n > 720:
+            raise AssertionError(f"built a cyclic group of order {n}")
+        built.append(n)
+        return bundles.trivial_group()
+
+    monkeypatch.setattr(bundles, "make_cyclic", bounded)
+    monkeypatch.setattr(bundles, "make_product", lambda g, h: g)
+    for spec in ("C9999999999", "C721", "C30xC30", "C2xC2xC200"):
+        report = cli.run({**h2_bundle(), "group": spec})
+        assert report["status"] == "input-error", spec
+        assert report["result"] == {"pointer": "/group",
+                                    "message": "group order must be at "
+                                               "most 720"}
+    assert built == []
+    bundles.group_from_spec("C24xC30", "/group")
+    assert built == [24, 30]
+
+
+def test_moduli_beyond_int32_are_refused_at_the_module():
+    for m in (2 ** 31, 2 ** 63, 10 ** 30):
+        report = cli.run({**h2_bundle(), "module": f"Z{m}-trivial"})
+        assert report["status"] == "input-error"
+        assert report["result"] == {"pointer": "/module",
+                                    "message": "modulus must be at most "
+                                               "2147483647"}
+    report = cli.run({**h2_bundle(), "module": f"Z{2 ** 31 - 1}-trivial",
+                      "n": 1})
+    assert report["status"] == "ok"
+
+
+def test_snap_denominator_is_a_bounded_positive_integer():
+    base = {"schema": 1, "task": "kernel-ob", "group": "C2xC2",
+            "mats": "clock-shift-2"}
+    for snap, message in ((10 ** 30, "must be <= 2147483647"),
+                          (-1, "must be >= 1"), (0, "must be >= 1"),
+                          (True, "expected int")):
+        report = cli.run({**base, "snap_denominator": snap})
+        assert report["status"] == "input-error", snap
+        assert report["result"] == {"pointer": "/snap_denominator",
+                                    "message": message}
+    assert cli.run({**base, "snap_denominator": 8})["status"] == "ok"
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 10),
+                  st.floats(allow_nan=True), st.text(max_size=4),
+                  st.lists(st.integers(-1, 3), max_size=3))
+_SMALL_GROUPS = st.sampled_from(
+    ["1", "C2", "C3", "C4", "C2xC2", "S3", "C2xC3", {"mul": [[0]]},
+     {"mul": [[0, 1], [1, 0]]}, {"mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}])
+_GROUPS = st.one_of(
+    _SMALL_GROUPS,
+    st.sampled_from(["C0", "S7", "C", "CxC2", "C2x", "C721", "C30xC30",
+                     "C9999999999", "Q8", "C" + "9" * 5000,
+                     {"mul": [[0, 1], [0, 1]]}, {"mul": [[1, 0], [0, 1]]},
+                     {"mul": [[0, 1], [1]]}, {"mul": []}, {"mul": [[0]],
+                                                            "x": 1}]),
+    st.text(alphabet="CSx12", max_size=4),
+    st.fixed_dictionaries({"mul": st.lists(
+        st.lists(st.integers(-1, 3), min_size=1, max_size=3),
+        max_size=3)}),
+    _JUNK)
+_SMALL_XMODS = st.sampled_from(["C2->1", "1->C2", "C2->id", "C3->id",
+                                "C4->1", "S3->id"])
+_FIELDS = {
+    "group": _GROUPS,
+    "module": st.one_of(
+        st.sampled_from(["Z1-trivial", "Z2147483648-trivial", "Z-trivial",
+                         "Z9-twisted", "Z" + "9" * 40 + "-trivial"]),
+        _JUNK),
+    "xmod": st.one_of(
+        st.sampled_from(["C2->2", "C721->1", "->1", "C2->", "S7->id"]),
+        st.fixed_dictionaries({"h": _GROUPS, "g": _GROUPS,
+                               "boundary": st.lists(st.integers(-1, 3),
+                                                    max_size=3),
+                               "action": st.lists(
+                                   st.lists(st.integers(-1, 3), max_size=3),
+                                   max_size=3)}),
+        _JUNK),
+    "mats": st.one_of(
+        st.sampled_from(["clock-shift-", "clock-shift-x", "clock-shift-3",
+                         "pauli"]),
+        st.lists(st.lists(st.lists(st.lists(st.integers(-1, 1),
+                                            max_size=2),
+                                   max_size=2), max_size=2), max_size=4),
+        _JUNK),
+    "n": st.one_of(st.integers(-2, 6), _JUNK),
+    "trunc": st.one_of(st.integers(-1, 4), _JUNK),
+    "snap_denominator": st.one_of(st.integers(-2, 10 ** 30), _JUNK),
+    "tol": st.one_of(st.floats(), _JUNK),
+}
+_VALID = {
+    "h-n": st.fixed_dictionaries({
+        "group": _SMALL_GROUPS,
+        "module": st.sampled_from(["Z2-trivial", "Z3-trivial", "Z4-trivial",
+                                   "QZ-trivial"]),
+        "n": st.integers(0, 4)}),
+    "h1": st.fixed_dictionaries({"group": _SMALL_GROUPS,
+                                 "xmod": _SMALL_XMODS}),
+    "validate": st.fixed_dictionaries({"xmod": _SMALL_XMODS}),
+    "nerve": st.fixed_dictionaries({
+        "kind": st.sampled_from(["duskin", "diag"]), "xmod": _SMALL_XMODS,
+        "trunc": st.integers(0, 3)}),
+    "kernel-ob": st.fixed_dictionaries({
+        "group": st.just("C2xC2"), "mats": st.just("clock-shift-2"),
+        "snap_denominator": st.integers(1, 64),
+        "perturbations": st.integers(0, 2)}),
+}
+
+
+@st.composite
+def fuzzed_bundles(draw):
+    """A valid bundle of a small task, a small work budget, and at most one
+    field replaced by a shorthand, table or value that may be malformed."""
+    task = draw(st.sampled_from(sorted(_VALID)))
+    bundle = {"schema": 1, "task": task, **draw(_VALID[task]),
+              "budget": draw(st.integers(1, 2000))}
+    field = draw(st.sampled_from([None, *sorted(bundle), "bogus"]))
+    if field is not None:
+        bundle[field] = draw(_FIELDS.get(field, _JUNK))
+    return bundle
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fuzzed_bundles())
+def test_fuzzed_bundles_end_in_a_documented_status(bundle):
+    """Every report carries a documented status other than internal-error,
+    and serializes."""
+    report = cli.run(bundle)
+    assert report["status"] in ("ok", "violation", "resource-error",
+                                "input-error"), report
+    json.loads(cli.serialize_report(report))
 
 
 def test_float_fields_are_printed_to_twelve_significant_digits():
