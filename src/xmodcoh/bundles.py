@@ -20,6 +20,8 @@ from .obstruction import CentralXModExtension
 
 MAX_SHORTHAND_ORDER = 720
 MAX_MODULUS = 2 ** 31 - 1
+# Python's default limit for int() of a decimal string
+MAX_DIGITS = 4300
 
 
 class BundleError(Exception):
@@ -75,6 +77,14 @@ def expect_int(value, pointer: str, low: int | None = None,
 # groups, coefficient modules, crossed modules, extensions
 # ---------------------------------------------------------------------------
 
+def _shorthand_int(text: str, pointer: str) -> int:
+    """int(text), refused at ``pointer`` past MAX_DIGITS characters."""
+    if len(text) > MAX_DIGITS:
+        raise BundleError(pointer, f"shorthand number has more than "
+                                   f"{MAX_DIGITS} digits")
+    return int(text)
+
+
 def group_from_spec(spec, pointer: str) -> FiniteGroup:
     """"1", "C<n>", "C<a>xC<b>", "S<n>", or an explicit {"mul": [[...]]}.
 
@@ -85,13 +95,13 @@ def group_from_spec(spec, pointer: str) -> FiniteGroup:
             if spec == "1":
                 return trivial_group()
             if spec.startswith("S") and spec[1:].isdigit():
-                n = int(spec[1:])
+                n = _shorthand_int(spec[1:], pointer)
                 if not 1 <= n <= 6:
                     raise BundleError(pointer, "symmetric rank must be 1..6")
                 return make_symmetric(n)
             if spec.startswith("C"):
                 parts = spec[1:].split("xC")
-                orders = [int(p) for p in parts]
+                orders = [_shorthand_int(p, pointer) for p in parts]
                 if not orders or any(o < 1 for o in orders):
                     raise ValueError
                 if prod(orders) > MAX_SHORTHAND_ORDER:
@@ -122,11 +132,12 @@ def module_from_spec(spec, group: FiniteGroup,
         return rational_circle(group)
     if spec.startswith("Z") and spec.endswith("-trivial"):
         body = spec[1:-len("-trivial")]
-        if body.isdigit() and int(body) > MAX_MODULUS:
+        m = _shorthand_int(body, pointer) if body.isdigit() else 0
+        if m > MAX_MODULUS:
             raise BundleError(pointer, f"modulus must be at most "
                                        f"{MAX_MODULUS}")
-        if body.isdigit() and int(body) >= 2:
-            return finite_abelian(group, (int(body),))
+        if m >= 2:
+            return finite_abelian(group, (m,))
     raise BundleError(pointer, f"unknown module shorthand {spec!r}")
 
 

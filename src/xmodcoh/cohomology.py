@@ -29,6 +29,18 @@ coboundary witness is read off the same relations: a solve against them
 writes the cocycle as a sum of incoming columns, whose differential part
 is the witness.
 
+The kernel needs only the rows whose first argument lies in a generating
+set S (``FiniteGroup.generators``): a normalized n-cochain c is a cocycle
+exactly when (dc)(s, g2, ..., g_{n+1}) = 0 for all s in S.  For d(dc) = 0
+at (s, h, g2, ...) writes (dc)(sh, g2, ...) as s.(dc)(h, g2, ...) plus
+terms whose first argument is s (terms with an identity argument vanish,
+as d keeps cochains normalized); induction on the length of the first
+argument as a positive word in S gives every row, whatever the action.
+So the elimination takes |S|*(|G|-1)^n rows instead of (|G|-1)^(n+1)
+(K. Brown, Cohomology of Groups, ch. III, for the bar complex).  Each
+representative is checked closed on every row, so a set that does not
+generate fails.
+
 Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z =
 Z/m.  Every class in H^n(G; Q/Z) is |G|-torsion, so at a working
 denominator m0 that |G| divides the Q/Z answer is the image of
@@ -316,6 +328,15 @@ class _BarComplex:
         pos = np.asarray(positions, dtype=np.int64)
         return (pos[:, None] * self.k + np.arange(self.k)).ravel()
 
+    def generator_rows(self, n: int) -> np.ndarray:
+        """The degree-n coordinate rows whose first argument is in the
+        group's generating set: |S| contiguous blocks, since the first
+        argument is the most significant."""
+        block = self.dim(n - 1)
+        starts = np.array([self.elements.index(s) * block
+                           for s in self.group.generators], dtype=np.int64)
+        return (starts[:, None] + np.arange(block)).ravel()
+
     def _digits(self, n: int) -> np.ndarray:
         """Row p: the indices into ``elements`` of the arguments at p."""
         return np.indices((len(self.elements),) * n, dtype=np.int64) \
@@ -533,9 +554,10 @@ class CohomologyGroup:
             gens, orders, free = np.zeros((cx.dim(n), 0), dtype=np.int64), \
                 [], np.zeros(0, dtype=np.int64)
         else:
-            scale = sparse.diags(cx.row_scale(n + 1), dtype=np.int64)
+            rows = cx.generator_rows(n + 1)
+            scale = sparse.diags(cx.row_scale(n + 1)[rows], dtype=np.int64)
             gens, orders, free = modsnf.mod_kernel(
-                scale @ cx.differential(n), m)
+                scale @ cx.differential(n)[rows], m)
         l_cols = cx.relations(n)
         if n >= 1:
             l_cols = np.hstack([cx.differential(n - 1).toarray(), l_cols])
@@ -551,16 +573,19 @@ class CohomologyGroup:
         self.invariant_factors = quot.factors()
         self.order = quot.order()
         self._generators = quot.generators()
+        if not all(cx.closed(n, col) for col in self._generators.T):
+            raise InvariantError("a representative is not a cocycle on "
+                                 "every row")
         self.representatives = tuple(cx.cochain(n, col)
                                      for col in self._generators.T)
 
     def _bockstein(self) -> tuple[np.ndarray, np.ndarray]:
         """The Bockstein columns (d b mod m1) / s, and the generators b of
         the degree-(n-1) cocycles mod s, d the incoming differential at
-        m1."""
+        m1; the cocycles are the kernel of d's generator rows."""
         wx, s = self._wx, self._s
         d = wx.differential(self.degree - 1)
-        b = modsnf.mod_kernel(d, s)[0]
+        b = modsnf.mod_kernel(d[wx.generator_rows(self.degree)], s)[0]
         return (d @ b % wx.m) // s, b
 
     def _vec(self, c: Cochain) -> tuple[np.ndarray, Cochain | None]:
@@ -615,10 +640,20 @@ class CohomologyGroup:
                                         for f in self.invariant_factors]))
 
 
+# the dense kernel basis of c coordinates may take c x c int64 entries
+MAX_BASIS_BYTES = 2 ** 30
+
+
 def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
                denominator: int | None = None,
                max_positions: int = 2_000_000) -> CohomologyGroup:
-    """H^degree(group, module).  Degrees 0..4 are supported."""
+    """H^degree(group, module).  Degrees 0..4 are supported.
+
+    Two guards refuse before any work: ``max_positions`` bounds the
+    outgoing differential's (|G|-1)^(degree+1) positions, and
+    MAX_BASIS_BYTES the dense kernel basis that the elimination may
+    allocate, c^2 int64 entries for the c = (|G|-1)^degree * k coordinates.
+    """
     if module.group != group:
         raise ValueError("module is not over this group")
     if not 0 <= degree <= 4:
@@ -626,6 +661,10 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
     if (group.order - 1) ** (degree + 1) > max_positions:
         raise ResourceLimit("cochain-table positions",
                             (group.order - 1) ** (degree + 1), max_positions)
+    k = 1 if module.kind == CIRCLE else len(module.factors)
+    basis = ((group.order - 1) ** degree * k) ** 2 * 8
+    if basis > MAX_BASIS_BYTES:
+        raise ResourceLimit("kernel basis bytes", basis, MAX_BASIS_BYTES)
     return CohomologyGroup(group, module, degree, denominator)
 
 

@@ -332,6 +332,22 @@ def test_moduli_beyond_int32_are_refused_at_the_module():
     assert report["status"] == "ok"
 
 
+def test_shorthand_numbers_past_the_digit_limit_have_their_own_error():
+    """Numbers longer than Python's int-conversion limit of 4,300 digits
+    are refused at their pointer before int() sees them."""
+    long = "9" * 4301
+    for field, spec in (("group", f"C{long}"), ("group", f"S{long}"),
+                        ("group", f"C2xC{long}"),
+                        ("module", f"Z{long}-trivial")):
+        report = cli.run({**h2_bundle(), field: spec})
+        assert report["status"] == "input-error", spec[:8]
+        assert report["result"] == {
+            "pointer": f"/{field}",
+            "message": "shorthand number has more than 4300 digits"}
+    at_limit = cli.run({**h2_bundle(), "group": "C" + "0" * 4299 + "2"})
+    assert at_limit["status"] == "ok"
+
+
 def test_snap_denominator_is_a_bounded_positive_integer():
     base = {"schema": 1, "task": "kernel-ob", "group": "C2xC2",
             "mats": "clock-shift-2"}

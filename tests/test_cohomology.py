@@ -5,7 +5,7 @@ witnesses."""
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -13,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from xmodcoh import intlinalg, modsnf, obstruction
-from xmodcoh.cohomology import (Cochain, _BarComplex,
+from xmodcoh import cli, intlinalg, modsnf, obstruction
+from xmodcoh import cohomology as cohomology_module
+from xmodcoh.cohomology import (Cochain, _BarComplex, _Quotient,
                                 add_cochains, bar_differential,
                                 cochain_from_coords, cochain_from_function,
                                 cohomology, evaluate, is_coboundary,
                                 is_cocycle, normalize_cocycle, scale_cochain,
                                 sub_cochains, zero_cochain)
 from xmodcoh.coefficients import finite_abelian, rational_circle
-from xmodcoh.errors import ResourceLimit
+from xmodcoh.errors import InvariantError, ResourceLimit
 from xmodcoh.groups import make_cyclic, make_product, make_symmetric, \
     relabel_group
 
@@ -405,9 +406,10 @@ def test_circle_cohomology_is_integral_cohomology_one_degree_up():
 
 def test_circle_cohomology_takes_one_kernel_of_the_outgoing_differential(
         monkeypatch):
-    """Q/Z cohomology eliminates the large outgoing differential once, at
-    the working denominator; the only other kernel is of the incoming
-    differential mod |G|, for the Bockstein columns."""
+    """Q/Z cohomology eliminates the generator-first rows of the outgoing
+    differential once, at the working denominator, |S|*e^n of its e^(n+1)
+    rows; the only other kernel is of the incoming differential's
+    generator-first rows mod |G|, for the Bockstein columns."""
     calls = []
     real = modsnf.mod_kernel
 
@@ -420,9 +422,118 @@ def test_circle_cohomology_takes_one_kernel_of_the_outgoing_differential(
     for group, n in ((make_cyclic(4), 3), (v4, 2), (make_symmetric(3), 3)):
         calls.clear()
         h = cohomology(group, rational_circle(group), n)
-        e = group.order - 1
-        assert calls == [((e ** (n + 1), e ** n), h.denominator),
-                         ((e ** n, e ** (n - 1)), group.order)]
+        e, gens = group.order - 1, len(group.generators)
+        assert calls == [((gens * e ** n, e ** n), h.denominator),
+                         ((gens * e ** (n - 1), e ** (n - 1)), group.order)]
+
+
+def kernel_order(a, m):
+    return prod(modsnf.mod_kernel(a, m)[1])
+
+
+def full_row_factors(group, module, n):
+    """The kernel orders of the normalized outgoing differential on every
+    row and on the generator-first rows, and the invariant factors of
+    H^n from the full-row kernels (of the Bockstein's incoming differential
+    too, for Q/Z)."""
+    circle = module.kind == "rational-circle"
+    s = group.order if circle else 1
+    elements = [g for g in group.elements() if g != group.identity]
+    cx = _BarComplex(group, module, s if circle else None, elements)
+    m = cx.m
+    rows = cx.generator_rows(n + 1)
+    d = sparse.diags(cx.row_scale(n + 1), dtype=np.int64) @ \
+        cx.differential(n)
+    orders = kernel_order(d, m), kernel_order(d[rows], m)
+    gens, kernel, free = modsnf.mod_kernel(d, m)
+    l_cols = np.hstack([cx.differential(n - 1).toarray(), cx.relations(n)])
+    if circle:
+        wx = _BarComplex(group, module, s * s, elements)
+        dw = wx.differential(n - 1)
+        b = modsnf.mod_kernel(dw, s)[0]
+        assert kernel_order(dw, s) == \
+            kernel_order(dw[wx.generator_rows(n)], s)
+        l_cols = np.hstack([l_cols, dw @ b % wx.m // s])
+    return orders, _Quotient(m, gens, kernel, free, l_cols).factors()
+
+
+def test_generator_rows_cut_out_the_full_cocycle_kernel():
+    """A normalized cochain is a cocycle iff d of it vanishes on the rows
+    whose first argument is a generator: over relabelled groups with
+    trivial, twisted and Q/Z coefficients, the generator-row kernel has
+    the order of the full-row kernel, and cohomology() gives the invariant
+    factors of the full-row computation."""
+    rng = random.Random(11)
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    c2c4 = make_product(make_cyclic(2), make_cyclic(4))
+    s3 = make_symmetric(3)
+    sign = [1 if parity == 0 else -1 for parity in
+            (sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+             for p in itertools.permutations(range(3)))]
+    cases = []
+    # the full-row kernels of C2 x C4 in degree 4, of S3 in degree 4 at
+    # the two-prime denominator 6 of Q/Z, and of mixed moduli past order 4
+    # take seconds each, so the cases stop short of them
+    for group, top, trivial in ((make_cyclic(4), 4, (2, 4)),
+                                (v4, 4, (2, 4)), (c2c4, 3, (4,)),
+                                (s3, 4, (9,))):
+        perm = list(group.elements())
+        rng.shuffle(perm)
+        g = relabel_group(group, perm)
+        modules = [(finite_abelian(g, trivial), top),
+                   (rational_circle(g), top if g.order == 4 else 3)]
+        if group is s3:
+            signs = [0] * 6
+            for a, x in enumerate(sign):
+                signs[perm[a]] = x
+            modules += [(finite_abelian(g, (9,), [((x,),) for x in signs]),
+                         4), (rational_circle(g, multipliers=signs), 3)]
+        cases += [(g, module, n) for module, last in modules
+                  for n in range(1, last + 1)]
+    for group, module, n in cases:
+        (full, first), factors = full_row_factors(group, module, n)
+        assert full == first, (group.label, module.label, n)
+        assert cohomology(group, module, n).invariant_factors == factors, \
+            (group.label, module.label, n)
+
+
+def test_a_representative_that_is_not_closed_is_an_internal_error():
+    """With a generator dropped, the generator-row kernel is too large, and
+    the check of each representative on every row refuses it."""
+    for group, module, n in ((make_cyclic(4), (2,), 2),
+                             (make_symmetric(3), None, 3)):
+        object.__setattr__(group, "generators", group.generators[:-1])
+        module = rational_circle(group) if module is None \
+            else finite_abelian(group, module)
+        with pytest.raises(InvariantError, match="not a cocycle"):
+            cohomology(group, module, n)
+
+
+def test_the_dense_kernel_basis_is_bounded_before_any_work(monkeypatch):
+    """H^4(C2^4; Z/2) passes the positions guard but its kernel basis
+    would take (15^4)^2 int64 entries: it is refused before a differential
+    is built, and its bundle is a resource-error."""
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    c2_4 = make_product(v4, v4)
+    monkeypatch.setattr(_BarComplex, "differential", None)
+    with pytest.raises(ResourceLimit) as info:
+        cohomology(c2_4, finite_abelian(c2_4, (2,)), 4)
+    assert info.value.bound == "kernel basis bytes"
+    assert info.value.needed == 15 ** 8 * 8
+    monkeypatch.undo()
+    report = cli.run({"schema": 1, "task": "h-n", "group": "C2xC2xC2xC2",
+                      "module": "Z2-trivial", "n": 4})
+    assert report["status"] == "resource-error"
+    assert report["result"]["bound"] == "kernel basis bytes"
+    assert report["provenance"]["wall_time_ms"] < 1000
+    # the largest accepted case: 15^3 coordinates over C4 x C4
+    c4c4 = make_product(make_cyclic(4), make_cyclic(4))
+    qz = rational_circle(c4c4)
+    monkeypatch.setattr(cohomology_module, "CohomologyGroup",
+                        lambda *args: "admitted")
+    assert cohomology(c4c4, qz, 3) == "admitted"
+    with pytest.raises(ResourceLimit):
+        cohomology(c4c4, finite_abelian(c4c4, (2, 2, 2, 4)), 3)
 
 
 def test_finite_classes_push_into_the_circle_as_the_textbook_says():

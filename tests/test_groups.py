@@ -1,5 +1,6 @@
 """Finite groups as multiplication tables."""
 
+import itertools
 import random
 
 import pytest
@@ -37,6 +38,64 @@ def test_group_violations_catches_broken_tables():
     assert group_violations(((0, 1), (1, 5))) != []
     # a relabeled Z/2 whose identity is element 1 is still a group
     assert group_violations(((1, 0), (0, 1))) == []
+
+
+def brute_force_associativity(mul):
+    n = len(mul)
+    return {(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]}
+
+
+def test_lights_test_sees_one_swapped_pair_of_entries():
+    """Swapping two entries of a non-identity row keeps the identity and
+    the latin square, and breaks associativity: checking it only against
+    the greedy generators still reports it, each reported triple is a real
+    failure, and unbroken tables pass."""
+    rng = random.Random(5)
+    groups = (make_cyclic(6), make_symmetric(3), make_cyclic(8),
+              make_product(make_cyclic(2), make_cyclic(4)),
+              relabel_group(make_symmetric(3), [3, 5, 0, 1, 4, 2]))
+    for g in groups:
+        assert group_violations(g.mul) == []
+        others = [x for x in g.elements() if x != g.identity]
+        for _ in range(12):
+            a = rng.choice(others)
+            b, c = rng.sample(others, 2)
+            mul = [list(row) for row in g.mul]
+            mul[a][b], mul[a][c] = mul[a][c], mul[a][b]
+            wrong = brute_force_associativity(mul)
+            assert wrong
+            problems = group_violations(mul)
+            assert problems and all(p.startswith("associativity fails")
+                                    or p.startswith("...") for p in problems)
+            for p in problems[:10]:
+                assert tuple(map(int, p[p.index("(") + 1:-1].split(", "))) \
+                    in wrong
+
+
+def test_tables_without_identity_are_checked_at_every_element():
+    problems = group_violations(((1, 0), (0, 0)))
+    assert problems[0] == "no two-sided identity element"
+    wrong = brute_force_associativity(((1, 0), (0, 0)))
+    assert problems[1:] == [f"associativity fails at {t}"
+                            for t in sorted(wrong)]
+
+
+def test_symmetric_tables_match_composition_loops():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        assert make_symmetric(n).mul == tuple(
+            tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms)
+            for p in perms)
+
+
+def test_greedy_generators_generate_in_element_order():
+    for g, want in ((make_cyclic(6), (1,)), (make_symmetric(3), (1, 2)),
+                    (make_product(make_cyclic(4), make_cyclic(4)), (1, 4)),
+                    (trivial_group(), ())):
+        assert g.generators == want
+        assert generated_subgroup(g, g.generators) == tuple(g.elements())
 
 
 def test_inverse_and_power_and_element_order():
