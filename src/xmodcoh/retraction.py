@@ -18,6 +18,17 @@ the filler and connector at each degree) and by replaying the one-step chain
 it spans through :func:`check_chain`, so every prism identity is written
 once.  Failures name the identity, the first slot where its two sides
 differ, and the simplex.
+
+Replays share their slot-level work.  Within one verification, each
+pullback of a simplex or table along an index map, each transport target,
+each filler (which depends on the first object, the first morphism and the
+degree) and each connector is computed once, and every distinct simplex or
+table gets a small int id.  A chain is a tuple of ids, so building one is a
+row of dictionary lookups and comparing two sides of an identity compares
+ints, slot by slot.  The memo (:class:`_Slots`) is made by the head suite
+and by the sampled replay and dropped with them: it never outlives a
+verification, so a replaced ``mu_simplex``, ``h_table`` or pullback helper
+reaches every slot it computes, and restoring it leaves nothing stale.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ def strict_include(x: CrossedModule, chain: tuple[int, ...]
     n = len(chain)
     alpha = tuple(g.prod(chain[i:j])
                   for i, j in combinations(range(n + 1), 2))
-    u = (x.hgroup.identity,) * len(list(combinations(range(n + 1), 3)))
+    u = (x.hgroup.identity,) * comb(n + 1, 3)
     return PseudofunctorSimplex(n, alpha, u)
 
 
@@ -121,46 +132,118 @@ def eta_table(x: CrossedModule, s: PseudofunctorSimplex) -> tuple[int, ...]:
 # chains of transformations and the prism data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaxChain:
-    """A composable chain of transformations between pseudofunctors on [n]."""
+class _Slots:
+    """Slot-level results of one verification, each computed once.
 
-    n: int
-    objects: tuple
-    ws: tuple
+    A chain x0 -w0-> x1 -w1-> ... -> xm over [n] is the tuple of ids
+    (x0, w0, x1, w1, ..., xm), so slot 2i holds object i and slot 2i+1
+    morphism i.  Pullbacks are memoized on (id, index map), transport
+    targets on (object, table), fillers on (x0, w0, k) (x1 is the transport
+    target of x0 along w0) and connectors on (w0, k).  Results are computed
+    through this module's ``reindex``, ``pull_table``,
+    ``transport_simplex``, ``mu_simplex`` and ``h_table``.
+    """
 
-    @property
-    def m(self) -> int:
-        return len(self.ws)
+    def __init__(self, x: CrossedModule):
+        self.x = x
+        self.values: list = []
+        self.dims: list[int] = []
+        self._ids: dict = {}
+        self._pulls: dict[tuple[int, ...], dict[int, int]] = {}
+        self._targets: dict[tuple[int, int], int] = {}
+        self._fillers: dict[tuple[int, int, int], int] = {}
+        self._connectors: dict[tuple[int, int], int] = {}
+        self._maps: dict[int, tuple[list, list]] = {}
+
+    def intern(self, value, n: int) -> int:
+        """The id of a simplex or table over [n]."""
+        i = self._ids.get(value)
+        if i is None:
+            i = self._ids[value] = len(self.values)
+            self.values.append(value)
+            self.dims.append(n)
+        return i
+
+    def maps(self, n: int) -> tuple[list, list]:
+        """The face maps [n-1] -> [n] and degeneracy maps [n+1] -> [n]."""
+        out = self._maps.get(n)
+        if out is None:
+            out = self._maps[n] = ([delta_map(n, i) for i in range(n + 1)],
+                                   [sigma_map(n, i) for i in range(n + 1)])
+        return out
+
+    def along(self, theta: tuple[int, ...]) -> dict[int, int]:
+        """The pullbacks along theta computed so far, by slot id."""
+        return self._pulls.setdefault(theta, {})
+
+    def pull(self, i: int, theta: tuple[int, ...]) -> int:
+        """The id of slot ``i`` pulled back along theta."""
+        memo = self.along(theta)
+        j = memo.get(i)
+        if j is None:
+            v = self.values[i]
+            if isinstance(v, PseudofunctorSimplex):
+                v = reindex(self.x, v, theta)
+            else:
+                v = pull_table(self.x, self.dims[i], v, theta)
+            j = memo[i] = self.intern(v, len(theta) - 1)
+        return j
+
+    def target(self, o: int, w: int) -> int:
+        """The id of the target of the morphism out of ``o`` along ``w``."""
+        key = (o, w)
+        j = self._targets.get(key)
+        if j is None:
+            v = self.values
+            t = transport_simplex(self.x, v[o], v[w]).target
+            j = self._targets[key] = self.intern(t, t.n)
+        return j
+
+    def filler(self, c: tuple[int, ...], k: int) -> int:
+        """The id of the degree-k filler of the chain ``c``."""
+        key = (c[0], c[1], k)
+        j = self._fillers.get(key)
+        if j is None:
+            v = self.values
+            mu = mu_simplex(self.x, v[c[0]], v[c[1]], v[c[2]], k)
+            j = self._fillers[key] = self.intern(mu, mu.n)
+        return j
+
+    def connector(self, w0: int, k: int) -> int:
+        """The id of the degree-k connector of the first morphism ``w0``."""
+        key = (w0, k)
+        j = self._connectors.get(key)
+        if j is None:
+            n = self.dims[w0]
+            j = self._connectors[key] = self.intern(
+                h_table(self.x, self.values[w0], n, k), n + 1)
+        return j
 
 
-def make_chain(x: CrossedModule, x0: PseudofunctorSimplex,
-               ws: tuple) -> LaxChain:
-    objs = [x0]
-    for w in ws:
-        objs.append(transport_simplex(x, objs[-1], w).target)
-    return LaxChain(x0.n, tuple(objs), tuple(ws))
+def chain_reindex(slots: _Slots, c: tuple[int, ...],
+                  theta: tuple[int, ...]) -> tuple[int, ...]:
+    """Pull every slot of a chain back along theta."""
+    memo = slots.along(theta)
+    try:
+        return tuple([memo[i] for i in c])
+    except KeyError:
+        return tuple([slots.pull(i, theta) for i in c])
 
 
-def chain_reindex(x: CrossedModule, c: LaxChain,
-                  theta: tuple[int, ...]) -> LaxChain:
-    objs = tuple(reindex(x, o, theta) for o in c.objects)
-    ws = tuple(pull_table(x, c.n, w, theta) for w in c.ws)
-    return LaxChain(len(theta) - 1, objs, ws)
+def chain_face_v(slots: _Slots, c: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return chain_reindex(slots, c, slots.maps(slots.dims[c[0]])[0][i])
 
 
-def chain_face_v(x: CrossedModule, c: LaxChain, i: int) -> LaxChain:
-    return chain_reindex(x, c, delta_map(c.n, i))
+def chain_degen_v(slots: _Slots, c: tuple[int, ...],
+                  i: int) -> tuple[int, ...]:
+    return chain_reindex(slots, c, slots.maps(slots.dims[c[0]])[1][i])
 
 
-def chain_degen_v(x: CrossedModule, c: LaxChain, i: int) -> LaxChain:
-    return chain_reindex(x, c, sigma_map(c.n, i))
-
-
-def chain_collapse_h(x: CrossedModule, c: LaxChain) -> LaxChain:
+def chain_collapse_h(slots: _Slots, c: tuple[int, ...]) -> tuple[int, ...]:
     """s0_h d0_h: drop the first transformation, restart with the identity."""
-    e = (x.hgroup.identity,) * len(c.ws[0])
-    return LaxChain(c.n, (c.objects[1],) + c.objects[1:], (e,) + c.ws[1:])
+    w0 = c[1]
+    e = (slots.x.hgroup.identity,) * len(slots.values[w0])
+    return (c[2], slots.intern(e, slots.dims[w0])) + c[2:]
 
 
 def mu_simplex(x: CrossedModule, x0: PseudofunctorSimplex,
@@ -201,14 +284,11 @@ def h_table(x: CrossedModule, w0: tuple[int, ...], n: int,
     return tuple(out)
 
 
-def homotopy_chain(x: CrossedModule, c: LaxChain, k: int) -> LaxChain:
+def homotopy_chain(slots: _Slots, c: tuple[int, ...],
+                   k: int) -> tuple[int, ...]:
     """Degree-k prism image of a chain (filler, connector, degenerate tail)."""
-    sig = sigma_map(c.n, k)
-    head = mu_simplex(x, c.objects[0], c.ws[0], c.objects[1], k)
-    objs = (head,) + tuple(reindex(x, o, sig) for o in c.objects[1:])
-    ws = (h_table(x, c.ws[0], c.n, k),) + tuple(
-        pull_table(x, c.n, w, sig) for w in c.ws[1:])
-    return LaxChain(c.n + 1, objs, ws)
+    return ((slots.filler(c, k), slots.connector(c[1], k))
+            + chain_reindex(slots, c[2:], slots.maps(slots.dims[c[0]])[1][k]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +315,10 @@ class RetractionReport:
 
 
 def _identity_pairs(n: int):
-    """(name, lhs-map, rhs-map) composites that settle all later slots."""
+    """(name, lhs-map, rhs-map) composites that settle all later slots.
+
+    There is one pair per prism identity that :func:`check_chain` replays.
+    """
     out = []
     out.append(("d0 H0 = id",
                 _compose(sigma_map(n, 0), delta_map(n + 1, 0)),
@@ -245,11 +328,9 @@ def _identity_pairs(n: int):
                 tuple(range(n + 1))))
     for k in range(n + 1):
         for i in range(k):
-            if k >= 1:
-                out.append((f"d_{i} H_{k} = H_{k - 1} d_{i}",
-                            _compose(sigma_map(n, k), delta_map(n + 1, i)),
-                            _compose(delta_map(n, i), sigma_map(n - 1, k - 1))
-                            if n >= 1 else None))
+            out.append((f"d_{i} H_{k} = H_{k - 1} d_{i}",
+                        _compose(sigma_map(n, k), delta_map(n + 1, i)),
+                        _compose(delta_map(n, i), sigma_map(n - 1, k - 1))))
     for k in range(n):
         out.append((f"d_{k + 1} H_{k + 1} = d_{k + 1} H_{k}",
                     _compose(sigma_map(n, k + 1), delta_map(n + 1, k + 1)),
@@ -272,75 +353,77 @@ def _identity_pairs(n: int):
     return out
 
 
-def _check_head(x: CrossedModule, x0: PseudofunctorSimplex,
-                w0: tuple[int, ...], tag: str) -> list[str]:
+def _check_head(slots: _Slots, x0: int, w0: int, tag: str) -> list[str]:
     """All head-dependent identities for one (object, first morphism)."""
-    n = x0.n
+    x = slots.x
+    n = slots.dims[x0]
+    v = slots.values
     bad: list[str] = []
-    nt = transport_simplex(x, x0, w0)
-    x1 = nt.target
-    mus = [mu_simplex(x, x0, w0, x1, k) for k in range(n + 1)]
-    hts = [h_table(x, w0, n, k) for k in range(n + 1)]
-
-    if mus[0] != reindex(x, x0, sigma_map(n, 0)):
+    c = (x0, w0, slots.target(x0, w0))
+    if slots.filler(c, 0) != slots.pull(x0, sigma_map(n, 0)):
         bad.append(f"filler at 0 is not the degenerate start ({tag})")
     for k in range(n + 1):
-        target = reindex(x, x1, sigma_map(n, k))
-        probs = pseudofunctor_violations(x, mus[k])
+        mu = v[slots.filler(c, k)]
+        target = v[slots.pull(c[2], sigma_map(n, k))]
+        probs = pseudofunctor_violations(x, mu)
         probs += nat_violations(
-            x, NatTransform(mus[k], target, hts[k]))
+            x, NatTransform(mu, target, v[slots.connector(w0, k)]))
         bad += [f"degree {k}: {p} ({tag})" for p in probs]
-    return bad + check_chain(x, LaxChain(n, (x0, x1), (w0,)), tag)
+    return bad + check_chain(slots, c, tag)
 
 
-def _first_difference(a: LaxChain, b: LaxChain) -> str | None:
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> str | None:
     """The first slot where two chains of equal length differ, if any."""
-    for i, (oa, ob) in enumerate(zip(a.objects, b.objects)):
-        if oa != ob:
+    for p, (ia, ib) in enumerate(zip(a, b)):
+        if ia != ib:
+            i, is_morphism = divmod(p, 2)
+            if is_morphism:
+                return "connector" if i == 0 else f"morphism {i}"
             return "filler" if i == 0 else f"object {i}"
-        if i < a.m and a.ws[i] != b.ws[i]:
-            return "connector" if i == 0 else f"morphism {i}"
     return None
 
 
-def check_chain(x: CrossedModule, c: LaxChain, tag: str) -> list[str]:
+def check_chain(slots: _Slots, c: tuple[int, ...], tag: str) -> list[str]:
     """Replay every prism identity literally on one full chain.
 
     A failure names the identity and the first slot where its two sides
     differ: the filler or connector in slot 0, a later object or morphism
     after that.
     """
-    n = c.n
+    n = slots.dims[c[0]]
     bad: list[str] = []
 
-    def expect(what: str, lhs: LaxChain, rhs: LaxChain) -> None:
-        slot = _first_difference(lhs, rhs)
-        if slot is not None:
-            bad.append(f"{what}: {slot} differs ({tag})")
+    def expect(what: str, lhs: tuple, rhs: tuple) -> None:
+        if lhs != rhs:
+            bad.append(f"{what}: {_first_difference(lhs, rhs)} differs "
+                       f"({tag})")
 
-    hs = [homotopy_chain(x, c, k) for k in range(n + 1)]
-    expect("d_0 H_0 is not the identity side", chain_face_v(x, hs[0], 0), c)
+    hs = [homotopy_chain(slots, c, k) for k in range(n + 1)]
+    expect("d_0 H_0 is not the identity side",
+           chain_face_v(slots, hs[0], 0), c)
     expect(f"d_{n + 1} H_{n} is not the collapsed side",
-           chain_face_v(x, hs[n], n + 1), chain_collapse_h(x, c))
+           chain_face_v(slots, hs[n], n + 1), chain_collapse_h(slots, c))
     for k in range(n + 1):
         for i in range(n + 2):
             if i < k:
-                rhs = homotopy_chain(x, chain_face_v(x, c, i), k - 1)
+                rhs = homotopy_chain(slots, chain_face_v(slots, c, i), k - 1)
             elif i > k + 1:
-                rhs = homotopy_chain(x, chain_face_v(x, c, i - 1), k)
+                rhs = homotopy_chain(slots, chain_face_v(slots, c, i - 1), k)
             else:
                 continue
             expect(f"face {i} square at degree {k}",
-                   chain_face_v(x, hs[k], i), rhs)
+                   chain_face_v(slots, hs[k], i), rhs)
     for k in range(n):
         expect(f"adjacent prism faces at {k + 1}",
-               chain_face_v(x, hs[k + 1], k + 1), chain_face_v(x, hs[k], k + 1))
+               chain_face_v(slots, hs[k + 1], k + 1),
+               chain_face_v(slots, hs[k], k + 1))
     for k in range(n + 1):
         for i in range(n + 2):
-            rhs = (homotopy_chain(x, chain_degen_v(x, c, i), k + 1) if i <= k
-                   else homotopy_chain(x, chain_degen_v(x, c, i - 1), k))
+            rhs = (homotopy_chain(slots, chain_degen_v(slots, c, i), k + 1)
+                   if i <= k else
+                   homotopy_chain(slots, chain_degen_v(slots, c, i - 1), k))
             expect(f"degeneracy {i} square at degree {k}",
-                   chain_degen_v(x, hs[k], i), rhs)
+                   chain_degen_v(slots, hs[k], i), rhs)
     return bad
 
 
@@ -364,7 +447,11 @@ def _head_suite(x: CrossedModule, n: int) -> tuple:
                 bad.append(f"projection misses the morphism {chain}/{hs}")
 
     objects = _enumerate_duskin_level(x, n)
-    pairs = len(pair_positions(n))
+    slots = _Slots(x)
+    obj_ids = [slots.intern(s, n) for s in objects]
+    w_ids = [slots.intern(w, n)
+             for w in product(h.elements(), repeat=len(pair_positions(n)))]
+    v = slots.values
 
     # (b) the connecting transformation, objectwise and naturally
     for oi, s in enumerate(objects):
@@ -374,8 +461,9 @@ def _head_suite(x: CrossedModule, n: int) -> tuple:
         bad += [f"eta at object {oi}: {p}" for p in probs]
     for oi, s in enumerate(objects):
         eta_s = eta_table(x, s)
-        for w in product(h.elements(), repeat=pairs):
-            nt = transport_simplex(x, s, w)
+        for wi in w_ids:
+            w = v[wi]
+            nt = NatTransform(s, v[slots.target(obj_ids[oi], wi)], w)
             eta_t = eta_table(x, nt.target)
             push = strict_project_morphism(x, nt)
             lhs = tuple(h.op(a, b) for a, b in zip(eta_t, w))
@@ -386,16 +474,14 @@ def _head_suite(x: CrossedModule, n: int) -> tuple:
 
     # prism identity index maps (settle every slot beyond the head)
     for name, lhs, rhs in _identity_pairs(n):
-        if rhs is not None and lhs != rhs:
+        if lhs != rhs:
             bad.append(f"index maps differ for {name}")
 
     # (c)+(d) heads
-    heads = 0
-    for oi, s in enumerate(objects):
-        for w in product(h.elements(), repeat=pairs):
-            bad += _check_head(x, s, w, f"object {oi}, morphism {w}")
-            heads += 1
-    return tuple(bad), len(objects), h.order ** pairs, heads
+    for oi, o in enumerate(obj_ids):
+        for wi in w_ids:
+            bad += _check_head(slots, o, wi, f"object {oi}, morphism {v[wi]}")
+    return tuple(bad), len(objects), len(w_ids), len(obj_ids) * len(w_ids)
 
 
 def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
@@ -407,15 +493,24 @@ def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
     later chain slots reduce to index-map equalities, checked once.  A
     seeded sample of full chains is replayed literally as a cross-check
     (exhaustively, when the chain space is no larger than the sample).
+    Both the head enumeration and the replay, counted as chains times
+    slots per chain times identities per chain, are bounded by ``budget``.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     g, h = x.ggroup, x.hgroup
     pairs = len(pair_positions(n))
-    est_heads = (g.order ** n * h.order ** comb(n + 1, 3)
-                 * h.order ** pairs)
+    est_objects = g.order ** n * h.order ** comb(n + 1, 3)
+    est_heads = est_objects * h.order ** pairs
     if est_heads > budget:
         raise ResourceLimit("retraction head enumeration", est_heads, budget)
+    per_chain = (m + 1) * len(_identity_pairs(n))
+    # checked alone first, so that m is small enough to count chains
+    if per_chain > budget:
+        raise ResourceLimit("retraction chain replay", per_chain, budget)
+    est_replay = min(sample, est_objects * h.order ** (pairs * m)) * per_chain
+    if est_replay > budget:
+        raise ResourceLimit("retraction chain replay", est_replay, budget)
 
     failures, n_objects, n_morph, heads = _head_suite(x, n)
     failures = list(failures)
@@ -423,27 +518,29 @@ def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
     objects = _enumerate_duskin_level(x, n)
     chains_total = len(objects) * n_morph ** m
     rng = random.Random(seed)
-    w_space = list(product(h.elements(), repeat=pairs))
+    slots = _Slots(x)
+    obj_ids = [slots.intern(s, n) for s in objects]
+    w_ids = [slots.intern(w, n)
+             for w in product(h.elements(), repeat=pairs)]
 
-    def chain_at(obj_idx: int, w_idxs: tuple[int, ...]) -> LaxChain:
-        return make_chain(x, objects[obj_idx],
-                          tuple(w_space[i] for i in w_idxs))
+    def replay(obj_idx: int, w_idxs: tuple[int, ...]) -> list[str]:
+        c = [obj_ids[obj_idx]]
+        for i in w_idxs:
+            c += (w_ids[i], slots.target(c[-1], w_ids[i]))
+        return check_chain(slots, tuple(c),
+                           f"object {obj_idx}, morphisms {w_idxs}")
 
     sampled = 0
     if chains_total <= sample:
         for obj_idx in range(len(objects)):
-            for w_idxs in product(range(len(w_space)), repeat=m):
-                failures += check_chain(
-                    x, chain_at(obj_idx, w_idxs),
-                    f"object {obj_idx}, morphisms {w_idxs}")
+            for w_idxs in product(range(len(w_ids)), repeat=m):
+                failures += replay(obj_idx, w_idxs)
                 sampled += 1
     else:
         for _ in range(sample):
             obj_idx = rng.randrange(len(objects))
-            w_idxs = tuple(rng.randrange(len(w_space)) for _ in range(m))
-            failures += check_chain(
-                x, chain_at(obj_idx, w_idxs),
-                f"object {obj_idx}, morphisms {w_idxs}")
+            w_idxs = tuple(rng.randrange(len(w_ids)) for _ in range(m))
+            failures += replay(obj_idx, w_idxs)
             sampled += 1
 
     return RetractionReport(

@@ -1,15 +1,17 @@
 """Deformation retraction of strict chains inside pseudofunctor chains:
 exhaustive verification on small crossed modules, structural bookkeeping of
 the report, resource guards, and fault-injection checks that corrupted
-connector and filler data are located and that restoring them cleans the
-verdict."""
+connector and filler data, and a corrupted later chain slot, are located and
+that restoring them cleans the verdict."""
 
+import time
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
 import xmodcoh.retraction as rt
+from xmodcoh import cli
 from xmodcoh.crossed import xmod_abelian, xmod_identity
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic
@@ -92,6 +94,37 @@ def test_head_enumeration_budget_guard():
         rt.verify_appendix_retraction(x, 2, 1, budget=10)
 
 
+def test_chain_replay_is_bounded_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the replay guard")
+
+    monkeypatch.setattr(rt, "_head_suite", no_work)
+    monkeypatch.setattr(rt, "_enumerate_duskin_level", no_work)
+    x = xmod_identity(make_cyclic(2))
+    # 22 identities per chain at n = 2, each over m + 1 = 3 objects
+    with pytest.raises(ResourceLimit, match="retraction chain replay") as exc:
+        rt.verify_appendix_retraction(x, 2, 2, sample=200, budget=13199)
+    assert exc.value.needed == 200 * 3 * 22
+    # a chain space smaller than the sample is replayed whole
+    with pytest.raises(ResourceLimit, match="retraction chain replay") as exc:
+        rt.verify_appendix_retraction(x, 1, 1, sample=10 ** 6, budget=32)
+    assert exc.value.needed == 4 * 2 * 11
+    # m alone can exceed the budget; the chain space is then never counted
+    with pytest.raises(ResourceLimit, match="retraction chain replay") as exc:
+        rt.verify_appendix_retraction(x, 2, 10 ** 12, sample=1)
+    assert exc.value.needed == (10 ** 12 + 1) * 22
+
+    bundles = [{"xmod": "C3->id", "n": 2, "m": 3, "sample": 10 ** 8},
+               {"xmod": "C2->id", "n": 2, "m": 10 ** 9, "sample": 1},
+               {"xmod": "C2->id", "n": 2, "m": 3000, "sample": 10 ** 5}]
+    for extra in bundles:
+        start = time.perf_counter()
+        report = cli.run({"schema": 1, "task": "appendix-check", **extra})
+        assert time.perf_counter() - start < 0.1
+        assert report["status"] == "resource-error"
+        assert report["result"]["bound"] == "retraction chain replay"
+
+
 # ---------------------------------------------------------------------------
 # fault injection: a corrupted connector must be caught, and only it
 # ---------------------------------------------------------------------------
@@ -146,4 +179,36 @@ def test_corrupted_filler_labels_are_located(monkeypatch):
         rt._head_suite.cache_clear()
 
     clean = rt.verify_appendix_retraction(x, 1, 1)
+    assert clean.passed
+
+
+# ---------------------------------------------------------------------------
+# fault injection past the head: only the replay of long chains can see it
+# ---------------------------------------------------------------------------
+
+def test_corrupted_later_slots_are_located_by_the_replay(monkeypatch):
+    # A chain is the id tuple (x0, w0, x1, w1, x2, ...); the crooked
+    # pullback hands object 2 the pulled-back object 1.  One-step chains
+    # (x0, w0, x1) have no object 2, so the head suite stays clean.
+    x = xmod_identity(make_cyclic(2))
+    true_chain_reindex = rt.chain_reindex
+
+    def crooked(slots, c, theta):
+        out = true_chain_reindex(slots, c, theta)
+        return out[:4] + out[2:3] + out[5:] if len(out) > 4 else out
+
+    try:
+        monkeypatch.setattr(rt, "chain_reindex", crooked)
+        rt._head_suite.cache_clear()
+        assert rt._head_suite(x, 2)[0] == ()
+        rep = rt.verify_appendix_retraction(x, 2, 2)
+        assert not rep.passed
+        assert all(": object 2 differs (" in f for f in rep.failures)
+        assert any(f.startswith("d_0 H_0 is not the identity side")
+                   for f in rep.failures)
+    finally:
+        monkeypatch.undo()
+        rt._head_suite.cache_clear()
+
+    clean = rt.verify_appendix_retraction(x, 2, 2)
     assert clean.passed
