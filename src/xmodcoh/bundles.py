@@ -13,6 +13,7 @@ import numpy as np
 
 from .coefficients import AbelianCoefficients, finite_abelian, rational_circle
 from .crossed import CrossedModule
+from .errors import MAX_DIGITS
 from .groups import (FiniteGroup, group_violations, make_cyclic, make_product,
                      make_symmetric, trivial_group)
 from .obstruction import CentralXModExtension
@@ -20,8 +21,8 @@ from .obstruction import CentralXModExtension
 
 MAX_SHORTHAND_ORDER = 720
 MAX_MODULUS = 2 ** 31 - 1
-# Python's default limit for int() of a decimal string
-MAX_DIGITS = 4300
+# bounds a chain length or a sample size: guard estimates from it print
+MAX_COUNT = 2 ** 63 - 1
 
 
 class BundleError(Exception):

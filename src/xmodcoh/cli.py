@@ -25,11 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundles import (MAX_MODULUS, BundleError, expect_int, expect_object,
-                      extension_from_spec, group_from_spec, homology_to_json,
-                      matrix_from_json, matrix_to_json, module_from_spec,
-                      path_from_json, simplicial_to_json, to_jsonable,
-                      xmod_from_spec, xmod_parts_from_spec)
+from .bundles import (MAX_COUNT, MAX_MODULUS, BundleError, expect_int,
+                      expect_object, extension_from_spec, group_from_spec,
+                      homology_to_json, matrix_from_json, matrix_to_json,
+                      module_from_spec, path_from_json, simplicial_to_json,
+                      to_jsonable, xmod_from_spec, xmod_parts_from_spec)
 from .cohomology import cohomology
 from .crossed import compute_H1, compute_H1_ff, xmod_violations
 from .errors import ResourceLimit
@@ -236,8 +236,9 @@ def _task_appendix_check(bundle, seed, budget):
              {"sample": int})
     x = xmod_from_spec(bundle["xmod"], "/xmod")
     rep = verify_appendix_retraction(
-        x, expect_int(bundle["n"], "/n", 1), expect_int(bundle["m"], "/m", 1),
-        sample=expect_int(bundle.get("sample", 200), "/sample", 1),
+        x, expect_int(bundle["n"], "/n", 1),
+        expect_int(bundle["m"], "/m", 1, MAX_COUNT),
+        sample=expect_int(bundle.get("sample", 200), "/sample", 1, MAX_COUNT),
         seed=_seed(bundle, seed),
         budget=_budget(bundle, budget, 10_000_000))
     result = {"passed": rep.passed, "objects": rep.objects,

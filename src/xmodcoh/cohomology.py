@@ -8,12 +8,13 @@ denominator.  Only this module knows that layout; other modules build and
 read cochains through ``cochain_from_coords``, ``cochain_from_function``
 and ``evaluate``.  ``_BarComplex`` alone knows the bar differential and
 which coordinates of the table each of its positions takes.  Over all
-elements it is the full complex (cached per module), which applies d,
-tests cocycles and finds normalizing shifts.  Over the non-identity
-elements it is the normalized subcomplex (cochains vanishing when any
-argument is the identity, which computes the same groups), on which one
-elimination over Z/m (``modsnf``) computes cohomology and classifies.
-Whether a cochain is normalized is read off its coordinates.
+elements it is the full complex (cached per module), which applies d and
+tests cocycles.  Over the non-identity elements it is the normalized
+subcomplex (cochains vanishing when any argument is the identity, which
+computes the same groups), on which one elimination over Z/m (``modsnf``)
+computes cohomology and classifies.  Whether a cochain is normalized is
+read off its coordinates; ``normalize_cocycle`` moves any other cocycle
+into it by degeneracy shifts, a gather and a product with d per slot.
 
 A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with m = dk: the
 cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
@@ -104,11 +105,13 @@ def _table_moduli(factors: tuple[int, ...], positions: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _identity_positions(order: int, degree: int,
-                        identity: int) -> np.ndarray:
-    """Mask of the argument tuples that contain the identity."""
-    digits = np.indices((order,) * degree).reshape(degree, order ** degree)
-    out = (digits == identity).any(axis=0)
+def _identity_slots(order: int, degree: int, identity: int) -> np.ndarray:
+    """Row j: the argument tuples with the identity in slot j, ordered by
+    the other arguments, so that row j gathers s_j c from c's table."""
+    # the weight of the arguments after slot j, for j = 0, ..., degree-1
+    low = order ** np.arange(degree - 1, -1, -1)[:, None]
+    p = np.arange(order ** max(degree - 1, 0))
+    out = p // low * low * order + identity * low + p % low
     out.flags.writeable = False
     return out
 
@@ -128,8 +131,9 @@ def _check(group: FiniteGroup, module: AbelianCoefficients, c: Cochain,
 
 def _is_normalized(group: FiniteGroup, c: Cochain) -> bool:
     """Whether c vanishes wherever an argument is the identity."""
-    mask = _identity_positions(group.order, c.degree, group.identity)
-    return not np.asarray(c.coords).reshape(len(mask), -1)[mask].any()
+    slots = _identity_slots(group.order, c.degree, group.identity)
+    return not np.asarray(c.coords).reshape(
+        group.order ** c.degree, -1)[slots].any()
 
 
 def cochain_from_coords(group: FiniteGroup, module: AbelianCoefficients,
@@ -223,31 +227,30 @@ def is_cocycle(group: FiniteGroup, module: AbelianCoefficients,
 
 def normalize_cocycle(group: FiniteGroup, module: AbelianCoefficients,
                       c: Cochain) -> tuple[Cochain, Cochain | None]:
-    """A normalized cocycle in the same class, plus the shift used.
+    """(c', shift): c = c' + d(shift) with c' normalized, shift None when c
+    is.  Raises ValueError if c is not a cocycle.
 
-    Returns (c', shift) with c' = c - d(shift) normalized; shift is None when
-    c is already normalized.  Raises ValueError if no shift exists (the input
-    was not a cocycle).
+    For j = 0, ..., n-1 in turn, c <- c - (-1)^j d(s_j c), s_j c being c
+    with the identity put in slot j.  These degeneracy homotopies retract
+    all cochains onto the normalized ones (Eilenberg-Mac Lane; J. P. May,
+    Simplicial Objects in Algebraic Topology, 1967).
     """
-    _check(group, module, c)
-    if c.degree == 0 or _is_normalized(group, c):
-        return c, None
     n = c.degree
     full, vec = _on_full_complex(group, module, c)
+    if not full.closed(n, vec):
+        raise ValueError("not a cocycle")
+    if _is_normalized(group, c):
+        return c, None
+    shift = np.zeros(full.dim(n - 1), dtype=np.int64)
     # positions of the full complex are the table's argument tuples
-    rows = full.rows(np.flatnonzero(
-        _identity_positions(group.order, n, group.identity)))
-    scale = full.row_scale(n)[rows]
-    a = full.differential(n - 1)[rows].toarray() * scale[:, None]
-    sol = modsnf.ModSolver(a, full.m).solve(vec[rows] * scale)
-    if sol is None:
-        raise ValueError("cochain admits no normalizing shift; "
-                         "is it a cocycle?")
-    shift = full.cochain(n - 1, sol)
-    fixed = full.cochain(n, vec - full.apply(n - 1, sol))
+    for j, slot in enumerate(_identity_slots(group.order, n, group.identity)):
+        s = (-1) ** j * vec.reshape(-1, full.k)[slot].ravel()
+        vec = vec - full.apply(n - 1, s)
+        shift += s
+    fixed = full.cochain(n, vec)
     if not _is_normalized(group, fixed):
-        raise ValueError("normalizing shift failed to normalize the cocycle")
-    return fixed, shift
+        raise InvariantError("degeneracy shifts left a cocycle unnormalized")
+    return fixed, full.cochain(n - 1, shift)
 
 
 @lru_cache(maxsize=16)
@@ -323,11 +326,6 @@ class _BarComplex:
         out[rows, np.arange(len(rows))] = moduli[rows]
         return out
 
-    def rows(self, positions) -> np.ndarray:
-        """The coordinate rows of the given positions."""
-        pos = np.asarray(positions, dtype=np.int64)
-        return (pos[:, None] * self.k + np.arange(self.k)).ravel()
-
     def generator_rows(self, n: int) -> np.ndarray:
         """The degree-n coordinate rows whose first argument is in the
         group's generating set: |S| contiguous blocks, since the first
@@ -347,8 +345,9 @@ class _BarComplex:
         (cached)."""
         if n not in self._table_cache:
             args = np.array(self.elements, dtype=np.int64)[self._digits(n)]
-            self._table_cache[n] = self.rows(
-                args @ self.group.order ** np.arange(n - 1, -1, -1))
+            pos = args @ self.group.order ** np.arange(n - 1, -1, -1)
+            self._table_cache[n] = (pos[:, None] * self.k
+                                    + np.arange(self.k)).ravel()
         return self._table_cache[n]
 
     def _diff_triples(self, n: int):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+MAX_DIGITS = 4300  # Python's limit for int() and str() of a decimal string
+
 
 class ResourceLimit(Exception):
     """An enumeration or memory guard tripped before the work started.

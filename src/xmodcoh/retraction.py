@@ -25,22 +25,22 @@ each filler (which depends on the first object, the first morphism and the
 degree) and each connector is computed once, and every distinct simplex or
 table gets a small int id.  A chain is a tuple of ids, so building one is a
 row of dictionary lookups and comparing two sides of an identity compares
-ints, slot by slot.  The memo (:class:`_Slots`) is made by the head suite
-and by the sampled replay and dropped with them: it never outlives a
-verification, so a replaced ``mu_simplex``, ``h_table`` or pullback helper
-reaches every slot it computes, and restoring it leaves nothing stale.
+ints, slot by slot.  The memo (:class:`_Slots`) is made once per
+verification, shared by the head suite and the sampled replay, and dropped
+when the verification returns: nothing outlives it, so a replaced
+``mu_simplex``, ``h_table`` or pullback helper reaches every slot it
+computes, and restoring it leaves nothing stale.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, log10
 
 from .crossed import CrossedModule
-from .errors import ResourceLimit
+from .errors import MAX_DIGITS, ResourceLimit
 from .nerves import (NatTransform, PseudofunctorSimplex, delta_map,
                      nat_violations, pair_positions, pseudofunctor_violations,
                      pull_back, pullback_positions, reindex, sigma_map,
@@ -427,10 +427,14 @@ def check_chain(slots: _Slots, c: tuple[int, ...], tag: str) -> list[str]:
     return bad
 
 
-@lru_cache(maxsize=32)
-def _head_suite(x: CrossedModule, n: int) -> tuple:
-    """Exhaustive n-dependent checks: section/retraction, eta, heads."""
+def _head_suite(slots: _Slots, n: int, obj_ids: list[int],
+                w_ids: list[int]) -> list[str]:
+    """Exhaustive n-dependent checks: section/retraction, eta, heads, over
+    the objects and morphisms interned in ``slots``."""
+    x = slots.x
     g, h = x.ggroup, x.hgroup
+    v = slots.values
+    objects = [v[o] for o in obj_ids]
     bad: list[str] = []
 
     # (a) the projection retracts the inclusion, on objects and morphisms
@@ -445,13 +449,6 @@ def _head_suite(x: CrossedModule, n: int) -> tuple:
             bad += [f"strict morphism {chain}/{hs}: {p}" for p in probs]
             if strict_project_morphism(x, nt) != w:
                 bad.append(f"projection misses the morphism {chain}/{hs}")
-
-    objects = _enumerate_duskin_level(x, n)
-    slots = _Slots(x)
-    obj_ids = [slots.intern(s, n) for s in objects]
-    w_ids = [slots.intern(w, n)
-             for w in product(h.elements(), repeat=len(pair_positions(n)))]
-    v = slots.values
 
     # (b) the connecting transformation, objectwise and naturally
     for oi, s in enumerate(objects):
@@ -481,7 +478,7 @@ def _head_suite(x: CrossedModule, n: int) -> tuple:
     for oi, o in enumerate(obj_ids):
         for wi in w_ids:
             bad += _check_head(slots, o, wi, f"object {oi}, morphism {v[wi]}")
-    return tuple(bad), len(objects), len(w_ids), len(obj_ids) * len(w_ids)
+    return bad
 
 
 def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
@@ -508,20 +505,22 @@ def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
     # checked alone first, so that m is small enough to count chains
     if per_chain > budget:
         raise ResourceLimit("retraction chain replay", per_chain, budget)
+    # the chain count is reported: its digits are bounded before it is formed
+    digits = int(log10(est_objects) + pairs * m * log10(h.order)) + 1
+    if digits > MAX_DIGITS:
+        raise ResourceLimit("retraction chain count digits", digits,
+                            MAX_DIGITS)
     est_replay = min(sample, est_objects * h.order ** (pairs * m)) * per_chain
     if est_replay > budget:
         raise ResourceLimit("retraction chain replay", est_replay, budget)
 
-    failures, n_objects, n_morph, heads = _head_suite(x, n)
-    failures = list(failures)
-
-    objects = _enumerate_duskin_level(x, n)
-    chains_total = len(objects) * n_morph ** m
-    rng = random.Random(seed)
     slots = _Slots(x)
-    obj_ids = [slots.intern(s, n) for s in objects]
+    obj_ids = [slots.intern(s, n) for s in _enumerate_duskin_level(x, n)]
     w_ids = [slots.intern(w, n)
              for w in product(h.elements(), repeat=pairs)]
+    failures = _head_suite(slots, n, obj_ids, w_ids)
+    chains_total = len(obj_ids) * len(w_ids) ** m
+    rng = random.Random(seed)
 
     def replay(obj_idx: int, w_idxs: tuple[int, ...]) -> list[str]:
         c = [obj_ids[obj_idx]]
@@ -530,20 +529,18 @@ def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
         return check_chain(slots, tuple(c),
                            f"object {obj_idx}, morphisms {w_idxs}")
 
-    sampled = 0
     if chains_total <= sample:
-        for obj_idx in range(len(objects)):
-            for w_idxs in product(range(len(w_ids)), repeat=m):
-                failures += replay(obj_idx, w_idxs)
-                sampled += 1
+        picks = product(range(len(obj_ids)),
+                        product(range(len(w_ids)), repeat=m))
     else:
-        for _ in range(sample):
-            obj_idx = rng.randrange(len(objects))
-            w_idxs = tuple(rng.randrange(len(w_ids)) for _ in range(m))
-            failures += replay(obj_idx, w_idxs)
-            sampled += 1
+        picks = ((rng.randrange(len(obj_ids)),
+                  tuple(rng.randrange(len(w_ids)) for _ in range(m)))
+                 for _ in range(sample))
+    for obj_idx, w_idxs in picks:
+        failures += replay(obj_idx, w_idxs)
 
     return RetractionReport(
-        label=x.label, n=n, m=m, objects=n_objects,
-        morphisms_per_object=n_morph, chains_total=chains_total,
-        heads_checked=heads, sampled_chains=sampled, failures=failures)
+        label=x.label, n=n, m=m, objects=len(obj_ids),
+        morphisms_per_object=len(w_ids), chains_total=chains_total,
+        heads_checked=len(obj_ids) * len(w_ids),
+        sampled_chains=min(chains_total, sample), failures=failures)

@@ -838,6 +838,119 @@ def test_witnesses_solve_in_the_relations_of_the_quotient(monkeypatch):
         assert calls == [h._quot.rel.shape]
 
 
+def identity_row_shift(group, module, c):
+    """Oracle: a w with d(w) = c on every argument tuple that contains the
+    identity, from a dense solve over the full complex's identity rows
+    (each coordinate row scaled by m/d), or None if there is none."""
+    full, vec = cohomology_module._on_full_complex(group, module, c)
+    n = c.degree
+    digits = np.indices((group.order,) * n).reshape(n, -1)
+    pos = np.flatnonzero((digits == group.identity).any(axis=0))
+    rows = (pos[:, None] * full.k + np.arange(full.k)).ravel()
+    scale = full.row_scale(n)[rows]
+    a = full.differential(n - 1)[rows].toarray() * scale[:, None]
+    sol = modsnf.ModSolver(a, full.m).solve(vec[rows] * scale)
+    return None if sol is None else full.cochain(n - 1, sol)
+
+
+def normalization_modules():
+    """Trivial, twisted, mixed-moduli and Q/Z modules, with the
+    denominator their cohomology is read at."""
+    c2, c3, c4, s3 = (make_cyclic(2), make_cyclic(3), make_cyclic(4),
+                      make_symmetric(3))
+    # the even permutations of S3 are those with g^3 = e
+    sign = [1 if s3.mul[s3.mul[g][g]][g] == s3.identity else -1
+            for g in s3.elements()]
+    return [(finite_abelian(c3, (3,)), None),
+            (finite_abelian(make_product(c2, c2), (2,)), None),
+            (finite_abelian(s3, (9,), action=[((t,),) for t in sign]), None),
+            (finite_abelian(c4, (4,), action=[((1 - 2 * (g % 2),),)
+                                               for g in c4.elements()]), None),
+            (finite_abelian(c2, (2, 4), action=(((1, 0), (0, 1)),
+                                                ((1, 0), (0, -1)))), None),
+            (twisted_v4_module(), None),
+            (rational_circle(c3), 60),
+            (rational_circle(s3, multipliers=sign), 60)]
+
+
+def test_degeneracy_shifts_normalize_like_the_identity_row_solve():
+    """A representative plus d(s), s unnormalized, in degrees 2..4: the
+    identity-row oracle and normalize_cocycle agree that a normalizing
+    shift exists, the result vanishes on identity arguments, fixed +
+    d(shift) = c, and the class is unchanged."""
+    rng = random.Random(71)
+    unnormalized = 0
+    for module, denominator in normalization_modules():
+        group = module.group
+        for degree in (2, 3, 4):
+            if group.order ** degree > 300:
+                continue
+            h = cohomology(group, module, degree, denominator=denominator)
+            for _ in range(2):
+                coords = tuple(rng.randrange(f) for f in h.invariant_factors)
+                s = random_cochain(rng, group, module, degree - 1, False)
+                c = add_cochains(group, module, h.representative_of(coords),
+                                 bar_differential(group, module, s))
+                fixed, shift = normalize_cocycle(group, module, c)
+                oracle = identity_row_shift(group, module, c)
+                assert oracle is not None
+                if shift is None:
+                    assert cohomology_module._is_normalized(group, c)
+                    continue
+                unnormalized += 1
+                assert cohomology_module._is_normalized(group, fixed)
+                assert all(not any(np.ravel(evaluate(group, fixed, args)))
+                           for args in itertools.product(group.elements(),
+                                                         repeat=degree)
+                           if group.identity in args)
+                assert add_cochains(group, module, fixed, bar_differential(
+                    group, module, shift)) == c
+                assert cohomology_module._is_normalized(group, sub_cochains(
+                    group, module, c, bar_differential(group, module,
+                                                       oracle)))
+                assert h.classify(c) == h.classify(fixed) == coords
+    assert unnormalized >= 30
+
+
+def test_normalization_takes_no_smith_form(monkeypatch):
+    """Degeneracy shifts are gathers and sparse products only: no Smith
+    form and no solver is built, whatever the module."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("normalize_cocycle took a Smith form")
+
+    monkeypatch.setattr(modsnf, "mod_smith", spy)
+    monkeypatch.setattr(modsnf, "ModSolver", spy)
+    rng = random.Random(73)
+    for module, _ in normalization_modules():
+        group = module.group
+        s = random_cochain(rng, group, module, 2, False)
+        c = bar_differential(group, module, s)
+        fixed, shift = normalize_cocycle(group, module, c)
+        assert shift is not None and cohomology_module._is_normalized(
+            group, fixed)
+    assert calls == []
+
+
+def test_normalizing_a_non_cocycle_is_refused():
+    """A cochain that is not closed raises ValueError before any shift,
+    whether or not it is normalized."""
+    rng = random.Random(79)
+    refused = 0
+    for module, _ in normalization_modules():
+        group = module.group
+        for normalized in (False, True):
+            c = random_cochain(rng, group, module, 2, normalized)
+            if is_cocycle(group, module, c):
+                continue
+            refused += 1
+            with pytest.raises(ValueError, match="not a cocycle"):
+                normalize_cocycle(group, module, c)
+    assert refused >= 12
+
+
 # ---------------------------------------------------------------------------
 # structural properties (hypothesis)
 # ---------------------------------------------------------------------------

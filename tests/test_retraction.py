@@ -4,6 +4,7 @@ the report, resource guards, and fault-injection checks that corrupted
 connector and filler data, and a corrupted later chain slot, are located and
 that restoring them cleans the verdict."""
 
+import json
 import time
 from itertools import combinations, product
 from math import comb
@@ -125,6 +126,56 @@ def test_chain_replay_is_bounded_before_any_work(monkeypatch):
         assert report["result"]["bound"] == "retraction chain replay"
 
 
+def test_counts_past_the_printable_digits_end_in_a_typed_status(
+        monkeypatch):
+    # a chain count of 2 * 2^15000 has 4,516 digits, and a count of
+    # 10^4299 makes every guard estimate formed from it longer than the
+    # 4,300 digits a report can print
+    def no_work(*args):
+        raise AssertionError("work started before the guards")
+
+    monkeypatch.setattr(rt, "_head_suite", no_work)
+    monkeypatch.setattr(rt, "_enumerate_duskin_level", no_work)
+    big = 10 ** 4299
+    cases = [({"n": 1, "m": 15000, "sample": 1}, "resource-error", None),
+             ({"n": 2, "m": 5000, "sample": 1}, "resource-error", None),
+             ({"n": 2, "m": big, "sample": 1}, "input-error", "/m"),
+             ({"n": 2, "m": 5000, "sample": big}, "input-error", "/sample"),
+             ({"n": 2, "m": 3, "sample": big}, "input-error", "/sample")]
+    for extra, status, pointer in cases:
+        report = cli.run({"schema": 1, "task": "appendix-check",
+                          "xmod": "C2->id", **extra})
+        assert report["status"] == status, extra
+        if pointer is None:
+            assert report["result"]["bound"] == \
+                "retraction chain count digits"
+            assert report["result"]["needed"] > report["result"]["allowed"]
+        else:
+            assert report["result"]["pointer"] == pointer
+        assert json.loads(cli.serialize_report(report)) == report
+
+
+# ---------------------------------------------------------------------------
+# one memo per verification
+# ---------------------------------------------------------------------------
+
+def test_each_filler_is_built_once_per_verification(monkeypatch):
+    # the head suite and the sampled replay share one memo, so a filler
+    # keyed (x0, w0, k) is never built twice in one verification
+    x = xmod_abelian(make_cyclic(3))
+    true_mu_simplex = rt.mu_simplex
+    built = []
+
+    def counted(xm, x0, w0, x1, k):
+        built.append((x0, w0, k))
+        return true_mu_simplex(xm, x0, w0, x1, k)
+
+    monkeypatch.setattr(rt, "mu_simplex", counted)
+    rep = rt.verify_appendix_retraction(x, 1, 2)
+    assert rep.passed and rep.sampled_chains == rep.chains_total == 9
+    assert built and len(built) == len(set(built))
+
+
 # ---------------------------------------------------------------------------
 # fault injection: a corrupted connector must be caught, and only it
 # ---------------------------------------------------------------------------
@@ -139,13 +190,11 @@ def test_corrupted_connector_tables_are_located(monkeypatch):
 
     try:
         monkeypatch.setattr(rt, "h_table", crooked)
-        rt._head_suite.cache_clear()
         rep = rt.verify_appendix_retraction(x, 1, 1)
         assert not rep.passed
         assert any("connector" in f for f in rep.failures)
     finally:
         monkeypatch.undo()
-        rt._head_suite.cache_clear()
 
     clean = rt.verify_appendix_retraction(x, 1, 1)
     assert clean.passed
@@ -170,13 +219,11 @@ def test_corrupted_filler_labels_are_located(monkeypatch):
 
     try:
         monkeypatch.setattr(rt, "mu_simplex", crooked)
-        rt._head_suite.cache_clear()
         rep = rt.verify_appendix_retraction(x, 1, 1)
         assert not rep.passed
         assert any("filler" in f for f in rep.failures)
     finally:
         monkeypatch.undo()
-        rt._head_suite.cache_clear()
 
     clean = rt.verify_appendix_retraction(x, 1, 1)
     assert clean.passed
@@ -192,23 +239,29 @@ def test_corrupted_later_slots_are_located_by_the_replay(monkeypatch):
     # (x0, w0, x1) have no object 2, so the head suite stays clean.
     x = xmod_identity(make_cyclic(2))
     true_chain_reindex = rt.chain_reindex
+    true_head_suite = rt._head_suite
+    heads = []
 
     def crooked(slots, c, theta):
         out = true_chain_reindex(slots, c, theta)
         return out[:4] + out[2:3] + out[5:] if len(out) > 4 else out
 
+    def head_suite(*args):
+        out = true_head_suite(*args)
+        heads.append(list(out))
+        return out
+
     try:
         monkeypatch.setattr(rt, "chain_reindex", crooked)
-        rt._head_suite.cache_clear()
-        assert rt._head_suite(x, 2)[0] == ()
+        monkeypatch.setattr(rt, "_head_suite", head_suite)
         rep = rt.verify_appendix_retraction(x, 2, 2)
+        assert heads == [[]]
         assert not rep.passed
         assert all(": object 2 differs (" in f for f in rep.failures)
         assert any(f.startswith("d_0 H_0 is not the identity side")
                    for f in rep.failures)
     finally:
         monkeypatch.undo()
-        rt._head_suite.cache_clear()
 
     clean = rt.verify_appendix_retraction(x, 2, 2)
     assert clean.passed
