@@ -236,7 +236,7 @@ def _task_appendix_check(bundle, seed, budget):
              {"sample": int})
     x = xmod_from_spec(bundle["xmod"], "/xmod")
     rep = verify_appendix_retraction(
-        x, expect_int(bundle["n"], "/n", 1),
+        x, expect_int(bundle["n"], "/n", 1, MAX_COUNT),
         expect_int(bundle["m"], "/m", 1, MAX_COUNT),
         sample=expect_int(bundle.get("sample", 200), "/sample", 1, MAX_COUNT),
         seed=_seed(bundle, seed),

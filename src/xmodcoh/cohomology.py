@@ -129,11 +129,19 @@ def _check(group: FiniteGroup, module: AbelianCoefficients, c: Cochain,
                          "its module is Q/Z")
 
 
+def _unnormalized_rows(group: FiniteGroup, degree: int,
+                       tables: np.ndarray) -> np.ndarray:
+    """Per row of ``tables`` (degree-n cochain tables), whether it fails to
+    vanish somewhere an argument is the identity."""
+    slots = _identity_slots(group.order, degree, group.identity)
+    rows = tables.reshape(len(tables), group.order ** degree, -1)[:, slots]
+    return rows.reshape(len(tables), -1).any(axis=1)
+
+
 def _is_normalized(group: FiniteGroup, c: Cochain) -> bool:
     """Whether c vanishes wherever an argument is the identity."""
-    slots = _identity_slots(group.order, c.degree, group.identity)
-    return not np.asarray(c.coords).reshape(
-        group.order ** c.degree, -1)[slots].any()
+    return not _unnormalized_rows(group, c.degree,
+                                  np.asarray(c.coords)[None])[0]
 
 
 def cochain_from_coords(group: FiniteGroup, module: AbelianCoefficients,
@@ -407,21 +415,29 @@ class _BarComplex:
         return self.differential(n) @ vec % self.m
 
     def closed(self, n: int, vec) -> bool:
-        """Whether a degree-n coordinate vector is a cocycle."""
-        return not (self.apply(n, vec) % self.moduli(n + 1)).any()
+        """Whether a degree-n coordinate vector, or every column of a
+        matrix of them, is a cocycle."""
+        return not (self.apply(n, vec).T % self.moduli(n + 1)).any()
 
     def vector(self, c: Cochain) -> np.ndarray:
-        """The coordinates of c at this complex's positions, a gather of
-        its table rows; a Q/Z cochain is raised to this denominator."""
-        vec = np.asarray(c.coords, dtype=np.int64)[self.table_rows(c.degree)]
+        """The coordinates of c at this complex's positions."""
+        return self.gather(c.degree, c.coords, c.denominator)
+
+    def gather(self, degree: int, tables, denominator: int | None
+               ) -> np.ndarray:
+        """The coordinates at this complex's positions of a degree-n
+        cochain table, or of each row of a matrix of them: a gather of
+        their table rows.  Q/Z numerators over ``denominator`` are raised
+        to this complex's denominator."""
+        vec = np.asarray(tables, dtype=np.int64)[..., self.table_rows(degree)]
         if self.denominator is None:
             return vec
-        if self.denominator % c.denominator:
+        if self.denominator % denominator:
             raise ValueError(
-                f"cocycle needs denominator {c.denominator}; rebuild the "
+                f"cocycle needs denominator {denominator}; rebuild the "
                 f"cohomology with a finer denominator (working denominator "
                 f"is {self.denominator})")
-        return vec * (self.denominator // c.denominator)
+        return vec * (self.denominator // denominator)
 
     def cochain(self, degree: int, vec) -> Cochain:
         """The cochain holding vec at these positions and zero elsewhere,
@@ -496,12 +512,19 @@ class _Quotient:
             raise ValueError("vector is not in the cocycle lattice")
         return y
 
-    def coordinates(self, vec) -> tuple[int, ...]:
-        y = self._kernel_coords(vec)
+    def coordinates(self, vecs) -> list[tuple[int, ...]]:
+        """The class coordinates of each column of ``vecs`` (a vector is
+        one column), from one solve over all of them."""
+        vecs = np.asarray(vecs)
+        if vecs.ndim == 1:
+            vecs = vecs[:, None]
+        y = self._kernel_coords(vecs)
         if not self.factors_all:
-            return ()
-        w = (self._form.u.astype(np.int64) @ y) % self.m
-        return tuple(int(w[i]) % self.factors_all[i] for i in self.nontrivial)
+            return [()] * vecs.shape[1]
+        keep = self.nontrivial
+        w = (self._form.u.astype(np.int64)[keep] @ y) % self.m
+        w %= np.array(self.factors_all, dtype=np.int64)[keep, None]
+        return list(map(tuple, w.T.tolist()))
 
     def combination(self, vec) -> np.ndarray | None:
         """z with l_cols @ z = vec mod m, or None if vec's class is nonzero:
@@ -534,6 +557,10 @@ class CohomologyGroup:
     at m0*|group|.  The group is one ``_Quotient`` of the normalized
     complex (see the module docstring), whose relations also give the
     witnesses.
+
+    ``classify_tables`` classifies a matrix of cochain tables, one cocycle
+    per row, with one closed check over all columns and one solve against
+    the kernel generators; ``classify`` is its one-row case.
     """
 
     def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
@@ -587,21 +614,42 @@ class CohomologyGroup:
         b = modsnf.mod_kernel(d[wx.generator_rows(self.degree)], s)[0]
         return (d @ b % wx.m) // s, b
 
-    def _vec(self, c: Cochain) -> tuple[np.ndarray, Cochain | None]:
-        """c's normalized representative at m, and the shift with
-        c = representative + d(shift) (None when c is normalized)."""
-        _check(self.group, self.module, c, self.degree)
-        shift = None
-        if not _is_normalized(self.group, c):
-            c, shift = normalize_cocycle(self.group, self.module, c)
-        vec = self._cx.vector(c)
-        if not self._cx.closed(self.degree, vec):
+    def _vecs(self, tables, denominator: int | None
+              ) -> tuple[np.ndarray, list[Cochain | None]]:
+        """The normalized representatives at m of the cochains whose tables
+        are the rows of ``tables``, as columns, and per row the shift with
+        c = representative + d(shift) (None when c is normalized).  A row
+        that is not normalized goes through ``normalize_cocycle``; every
+        representative is checked closed."""
+        tables = np.asarray(tables, dtype=np.int64)
+        group, module, n = self.group, self.module, self.degree
+        # the rows share one width, so one row's check covers all
+        _check(group, module, Cochain(n, tables[0], denominator), n)
+        vecs = self._cx.gather(n, tables, denominator)
+        shifts: list[Cochain | None] = [None] * len(tables)
+        for i in np.flatnonzero(_unnormalized_rows(group, n, tables)):
+            c = cochain_from_coords(group, module, n, tables[i], denominator)
+            c, shifts[i] = normalize_cocycle(group, module, c)
+            vecs[i] = self._cx.vector(c)
+        if not self._cx.closed(n, vecs.T):
             raise ValueError("not a cocycle")
-        return vec, shift
+        return vecs.T, shifts
 
     def classify(self, c: Cochain) -> tuple[int, ...]:
-        """Coordinates of [c] over the invariant factors."""
-        return self._quot.coordinates(self._vec(c)[0])
+        """Coordinates of [c] over the invariant factors: the one-row case
+        of ``classify_tables``."""
+        _check(self.group, self.module, c, self.degree)
+        return self.classify_tables([c.coords], c.denominator)[0]
+
+    def classify_tables(self, tables, denominator: int | None = None
+                        ) -> list[tuple[int, ...]]:
+        """The class coordinates of each row of ``tables``, a matrix of
+        cocycle tables in the layout of ``Cochain.coords`` (for Q/Z,
+        numerators over ``denominator``).  Every row is checked closed and
+        in the cocycle lattice, and all rows are classified by one solve;
+        a row that is not normalized is normalized first, as in
+        ``normalize_cocycle``."""
+        return self._quot.coordinates(self._vecs(tables, denominator)[0])
 
     def coboundary_witness(self, c: Cochain) -> Cochain | None:
         """A cochain w with d(w) = c, or None if c is no coboundary.
@@ -611,8 +659,9 @@ class CohomologyGroup:
         incoming differential, so w = z_d, plus the normalizing shift.  For
         Q/Z the sum is c = d(z_d) + sum_b z_b d(b)/s at m0, so w takes
         values at m1 = m0*s: w = s*z_d + sum_b z_b*b."""
-        vec, shift = self._vec(c)
-        n, wx = self.degree, self._wx
+        _check(self.group, self.module, c, self.degree)
+        vecs, (shift,) = self._vecs([c.coords], c.denominator)
+        vec, n, wx = vecs[:, 0], self.degree, self._wx
         if n == 0:
             return None
         z = self._quot.combination(vec)

@@ -12,6 +12,16 @@ a 3-cocycle for the K-module structure induced by alpha.  Its class theta is
 independent of the lift and of the representative; it vanishes exactly on
 the image of H^1 of the covering crossed module.
 
+One builder computes omega, for one lift or for many: a lift is a row of an
+int array with |G|^2 columns, and omega is four fancy-index gathers into the
+multiplication, inverse and alpha-action tables of H0 through index maps
+computed once per base group and cocycle, then a lookup of each value's
+kernel coordinates.  The lift sweep, which checks that theta does not
+depend on the lift, takes the lifts in ``itertools.product`` order in
+chunks of LIFT_CHUNK, builds each chunk's omega tables at once and
+classifies them with one ``CohomologyGroup.classify_tables`` call, which
+checks every table closed and in the cocycle lattice.
+
 The numeric variant extracts the same kind of class from a family of unitary
 matrices indexed by the group whose products agree up to scalars.
 """
@@ -241,24 +251,54 @@ def _check_lift(ext: CentralXModExtension, group: FiniteGroup,
                 raise ValueError("lift must be normalized")
 
 
-def obstruction_cocycle(ext: CentralXModExtension, group: FiniteGroup,
-                        c: Cocycle1, lift, induced: InducedModule) -> Cochain:
-    """omega(g,h,k) as a degree-3 cochain over the induced kernel module."""
+def _omega_builder(ext: CentralXModExtension, group: FiniteGroup,
+                   c: Cocycle1, induced: InducedModule):
+    """The omega tables of many lifts at once.
+
+    The returned function takes lifts as the rows of an int array with
+    |group|^2 columns and returns their omega tables as rows, in the layout
+    of ``Cochain.coords``.  omega at t = (g, h, k) is four gathers into the
+    multiplication and inverse tables of h0group, through index maps into
+    the lift computed here once: h*n+k (under the alpha_g-action), g*n+hk,
+    gh*n+k and g*n+h.  A lookup from h0group to kernel slots, -1 outside
+    the kernel, then gives each value's kernel vector; a value outside the
+    kernel raises.
+    """
     n = group.order
     h0 = ext.h0group
-    kset = set(ext.kernel_elements())
+    g, h, k = np.indices((n, n, n)).reshape(3, -1)
+    mul = np.array(group.mul)
+    hk, g_hk, gh_k, g_h = h * n + k, g * n + mul[h, k], mul[g, h] * n + k, \
+        g * n + h
+    alpha_g = np.array(c.alpha)[g]
+    action, h0mul = np.array(ext.action0), np.array(h0.mul)
+    h0inv = np.array(h0.inv)
+    kernel = ext.kernel_elements()
+    slot = np.full(h0.order, -1)
+    slot[list(kernel)] = np.arange(len(kernel))
+    vectors = np.array([induced.to_vector(a) for a in kernel],
+                       dtype=np.int64).reshape(len(kernel), -1)
 
-    def omega(g, h, k):
-        w = h0.mul[ext.action0[c.alpha[g]][lift[h * n + k]]][
-            lift[g * n + group.mul[h][k]]]
-        w = h0.mul[w][h0.inv[lift[group.mul[g][h] * n + k]]]
-        w = h0.mul[w][h0.inv[lift[g * n + h]]]
-        if w not in kset:
+    def build(lifts: np.ndarray) -> np.ndarray:
+        w = h0mul[action[alpha_g, lifts[:, hk]], lifts[:, g_hk]]
+        w = h0mul[w, h0inv[lifts[:, gh_k]]]
+        w = slot[h0mul[w, h0inv[lifts[:, g_h]]]]
+        if (w < 0).any():
+            t = np.argwhere(w < 0)[0, 1]
             raise InvariantError(f"obstruction value escapes the kernel at "
-                                 f"({g}, {h}, {k})")
-        return induced.to_vector(w)
+                                 f"({g[t]}, {h[t]}, {k[t]})")
+        return vectors[w].reshape(len(lifts), -1)
 
-    return cochain_from_function(group, induced.module, 3, omega)
+    return build
+
+
+def obstruction_cocycle(ext: CentralXModExtension, group: FiniteGroup,
+                        c: Cocycle1, lift, induced: InducedModule) -> Cochain:
+    """omega(g,h,k) as a degree-3 cochain over the induced kernel module:
+    the one-row case of ``_omega_builder``."""
+    build = _omega_builder(ext, group, c, induced)
+    return cochain_from_coords(group, induced.module, 3,
+                               build(np.array([lift], dtype=np.int64))[0])
 
 
 def theta(ext: CentralXModExtension, group: FiniteGroup, c: Cocycle1,
@@ -290,9 +330,18 @@ def theta(ext: CentralXModExtension, group: FiniteGroup, c: Cocycle1,
     return ObstructionClass(induced, h3, omega, coords)
 
 
+# lifts whose omega tables are built and classified together in the sweep
+LIFT_CHUNK = 4096
+
+
 def theta_lift_sweep(ext: CentralXModExtension, group: FiniteGroup,
                      c: Cocycle1, budget: int = 1_000_000) -> list[tuple]:
-    """Classes of omega over every normalized lift (should be a singleton)."""
+    """Classes of omega over every normalized lift (should be a singleton).
+
+    The lifts are taken in ``itertools.product`` order, LIFT_CHUNK at a
+    time: one gather builds the chunk's omega tables and one batched
+    classification checks each closed and in the cocycle lattice.
+    """
     induced = induced_module(ext, group, c)
     h3 = _h_cached(group, induced.module, 3)
     positions, fibers = _lift_fibers(ext, group, c)
@@ -301,11 +350,14 @@ def theta_lift_sweep(ext: CentralXModExtension, group: FiniteGroup,
         total *= len(fiber)
         if total > budget:
             raise ResourceLimit("lift sweep size", total, budget)
+    build = _omega_builder(ext, group, c, induced)
+    choices = itertools.product(*fibers)
     seen = set()
-    for choice in itertools.product(*fibers):
-        lift = _lift_table(ext, group, positions, choice)
-        omega = obstruction_cocycle(ext, group, c, lift, induced)
-        seen.add(h3.classify(omega))
+    while chunk := list(itertools.islice(choices, LIFT_CHUNK)):
+        lifts = np.full((len(chunk), group.order ** 2), ext.h0group.identity)
+        lifts[:, positions] = np.array(chunk, dtype=np.int64).reshape(
+            len(chunk), len(positions))
+        seen.update(h3.classify_tables(build(lifts)))
     return sorted(seen)
 
 

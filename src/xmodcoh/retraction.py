@@ -314,6 +314,11 @@ class RetractionReport:
         return not self.failures
 
 
+def _identity_count(n: int) -> int:
+    """len(_identity_pairs(n)), without building them."""
+    return 2 + n + n * (n + 1) + (n + 1) * (n + 2)
+
+
 def _identity_pairs(n: int):
     """(name, lhs-map, rhs-map) composites that settle all later slots.
 
@@ -496,12 +501,23 @@ def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     g, h = x.ggroup, x.hgroup
-    pairs = len(pair_positions(n))
-    est_objects = g.order ** n * h.order ** comb(n + 1, 3)
+    pairs, triples = comb(n + 1, 2), comb(n + 1, 3)
+    # the head count's digits are bounded before it is formed
+    head_digits = int(n * log10(g.order)
+                      + (triples + pairs) * log10(h.order)) + 1
+    if head_digits > MAX_DIGITS:
+        raise ResourceLimit("retraction head count digits", head_digits,
+                            MAX_DIGITS)
+    est_objects = g.order ** n * h.order ** triples
     est_heads = est_objects * h.order ** pairs
     if est_heads > budget:
         raise ResourceLimit("retraction head enumeration", est_heads, budget)
-    per_chain = (m + 1) * len(_identity_pairs(n))
+    # one head replays every identity on simplices of pairs + triples
+    # labels; over trivial groups this alone bounds n
+    head_size = _identity_count(n) * (pairs + triples)
+    if head_size > budget:
+        raise ResourceLimit("retraction head size", head_size, budget)
+    per_chain = (m + 1) * _identity_count(n)
     # checked alone first, so that m is small enough to count chains
     if per_chain > budget:
         raise ResourceLimit("retraction chain replay", per_chain, budget)

@@ -13,7 +13,7 @@ recorded and corrected exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
 
@@ -31,7 +31,13 @@ DEFAULT_EQ_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 def operator_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a), 2))
+    """The largest singular value, as ``np.linalg.norm(a, 2)`` computes it
+    for a matrix (integer input is cast to float first), without its
+    axis handling."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def tau(a) -> complex:
@@ -52,9 +58,13 @@ def as_unitary(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
 
 
 def as_selfadjoint(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
+    """The self-adjoint part of a square matrix, refused when its defect
+    exceeds ``tol``; an infinite ``tol`` takes no norm."""
     h = np.asarray(entries, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
+    if tol == np.inf:
+        return (h + h.conj().T) / 2
     defect = operator_norm(h - h.conj().T)
     if defect > tol:
         raise ValueError(f"matrix is not self-adjoint within {tol:g} "
@@ -107,18 +117,27 @@ def _widest_gap_rotation(angles: np.ndarray) -> tuple[float, float]:
 
 @dataclass(eq=False)
 class UnitaryPath:
-    """Based path in U(n), sampled at ascending times, geodesic in between."""
+    """Based path in U(n), sampled at ascending times, geodesic in between.
+
+    Each segment's logarithm is computed once per path, on first use, and
+    kept read-only.
+    """
 
     ts: tuple
     mats: tuple
+    _logs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.mats[0].shape[0]
 
     def segment_log(self, k: int) -> np.ndarray:
-        return _segment_log(self.mats[k], self.mats[k + 1],
-                            self.ts[k], self.ts[k + 1])
+        log = self._logs.get(k)
+        if log is None:
+            log = self._logs[k] = _segment_log(self.mats[k], self.mats[k + 1],
+                                               self.ts[k], self.ts[k + 1])
+            log.flags.writeable = False
+        return log
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate the geodesic interpolation at time t."""

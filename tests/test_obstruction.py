@@ -1,19 +1,24 @@
 """Obstruction theory for central crossed-module extensions: the boundary
 map theta against an independent cochain-lifting (Bockstein) oracle, lift
-independence, exactness of the six-term tail, and the numeric scalar-defect
-classifier for unitary families."""
+independence, the batched lift sweep against a per-entry omega, exactness
+of the six-term tail, and the numeric scalar-defect classifier for unitary
+families."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from xmodcoh.cohomology import bar_differential, cochain_from_coords, \
-    cohomology, is_cocycle, zero_cochain
+from xmodcoh import obstruction
+from xmodcoh.cohomology import (CohomologyGroup, bar_differential,
+                                cochain_from_coords, cochain_from_function,
+                                cohomology, is_cocycle, zero_cochain)
 from xmodcoh.coefficients import finite_abelian, rational_circle
 from xmodcoh.crossed import (Cocycle1, abelian_shift, compute_H1,
-                             trivial_cocycle)
-from xmodcoh.errors import ResourceLimit
-from xmodcoh.groups import (make_cyclic, make_product, make_symmetric,
-                            trivial_group)
+                             transform_cocycle, trivial_cocycle)
+from xmodcoh.errors import InvariantError, ResourceLimit
+from xmodcoh.groups import (FiniteGroup, make_cyclic, make_product,
+                            make_symmetric, trivial_group)
 from xmodcoh.obstruction import (CentralXModExtension, canonical_lift,
                                  conj_action, induced_module,
                                  matrix_kernel_obstruction,
@@ -184,6 +189,187 @@ def test_lift_validation():
     # a non-canonical but valid lift gives the same class
     ob = theta(ext, group, c, lift=(0, 0, 0, 2))
     assert ob.coordinates == theta(ext, group, c).coordinates
+
+
+# ---------------------------------------------------------------------------
+# the batched lift sweep against the per-entry omega
+# ---------------------------------------------------------------------------
+
+def omega_oracle(ext, group, c, lift, induced):
+    """omega(g,h,k) = alpha_g.v(h,k) v(g,hk) v(gh,k)^-1 v(g,h)^-1, entry by
+    entry, as a degree-3 cochain over the induced kernel module."""
+    n = group.order
+    h0 = ext.h0group
+    kset = set(ext.kernel_elements())
+
+    def omega(g, h, k):
+        w = h0.mul[ext.action0[c.alpha[g]][lift[h * n + k]]][
+            lift[g * n + group.mul[h][k]]]
+        w = h0.mul[w][h0.inv[lift[group.mul[g][h] * n + k]]]
+        w = h0.mul[w][h0.inv[lift[g * n + h]]]
+        assert w in kset, f"omega leaves the kernel at ({g}, {h}, {k})"
+        return induced.to_vector(w)
+
+    return cochain_from_function(group, induced.module, 3, omega)
+
+
+def quaternion_ext():
+    """Q8 -> V4 = Inn(Q8), acting by conjugation, over V4 -> V4: the kernel
+    {1, -1} is central, and the cover is not abelian, so the order of the
+    factors of omega matters."""
+    units = "1ijk"
+    table = {"11": "+1", "1i": "+i", "1j": "+j", "1k": "+k",
+             "i1": "+i", "ii": "-1", "ij": "+k", "ik": "-j",
+             "j1": "+j", "ji": "-k", "jj": "-1", "jk": "+i",
+             "k1": "+k", "ki": "+j", "kj": "-i", "kk": "-1"}
+
+    def times(a, b):  # element 2u + s is (-1)^s times unit u
+        sign, unit = table[units[a // 2] + units[b // 2]]
+        return 2 * units.index(unit) + (a + b + (sign == "-")) % 2
+
+    q8 = FiniteGroup(tuple(tuple(times(a, b) for b in range(8))
+                           for a in range(8)))
+    v4 = BASE_GROUPS["V4"]
+    phi0 = tuple((0, 2, 1, 3)[a // 2] for a in range(8))
+    rep = [phi0.index(g) for g in v4.elements()]
+    conj = tuple(tuple(q8.conj(rep[g], a) for a in q8.elements())
+                 for g in v4.elements())
+    return CentralXModExtension(
+        v4, q8, v4, phi0, phi0, tuple(v4.elements()), conj,
+        (tuple(v4.elements()),) * 4, label="Q8-V4")
+
+
+SWEEP_EXTENSIONS = {"C2-C4-C2": lambda: central_ext(),
+                    "C2-C4-C2-inv": lambda: central_ext(inv=True),
+                    "Q8-V4": quaternion_ext}
+
+
+def sweep_cocycles(ext, group):
+    """The H^1 class representatives; over Q8 also the trivial cocycle
+    moved by w = (1, a, b, 1), whose u-values lie over the noncommuting
+    fibers {+-i}, {+-j} and {+-k}, so that omega depends on the order of
+    its factors."""
+    x1 = ext.xmod1()
+    out = [cls.representative for cls in compute_H1(group, x1).classes]
+    if ext.label == "Q8-V4":
+        out.append(transform_cocycle(group, x1, trivial_cocycle(group, x1),
+                                     0, (0, 2, 1, 0)[:group.order]))
+    return out
+
+
+def recorded_sweep(ext, group, c, chunk):
+    """The sweep's classes in chunks of ``chunk`` lifts, and the omega
+    tables and classes it passed through ``classify_tables``, stacked,
+    with the chunk sizes."""
+    real = CohomologyGroup.classify_tables
+    chunks = []
+
+    def recorded(self, tables, denominator=None):
+        out = real(self, tables, denominator)
+        chunks.append((np.array(tables), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(obstruction, "LIFT_CHUNK", chunk)
+        m.setattr(CohomologyGroup, "classify_tables", recorded)
+        sweep = theta_lift_sweep(ext, group, c)
+    return (sweep, np.vstack([t for t, _ in chunks]),
+            [x for _, out in chunks for x in out], [len(t) for t, _ in chunks])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_EXTENSIONS))
+def test_batched_sweep_matches_the_per_entry_oracle(name):
+    """Every lift's batched omega equals the per-entry one, in product
+    order, and is classified as ``classify`` classifies the per-entry
+    omega.  Chunks of 7 lifts, which split each cocycle's lifts across
+    chunks, give the same tables and classes."""
+    ext = SWEEP_EXTENSIONS[name]()
+    for group in BASE_GROUPS.values():
+        for c in sweep_cocycles(ext, group):
+            induced = induced_module(ext, group, c)
+            h3 = obstruction._h_cached(group, induced.module, 3)
+            positions, fibers = obstruction._lift_fibers(ext, group, c)
+            lifts = list(itertools.product(*fibers))
+            sweep, tables, classes, sizes = recorded_sweep(
+                ext, group, c, obstruction.LIFT_CHUNK)
+            assert sizes == [len(lifts)]
+            for i, (choice, row) in enumerate(zip(lifts, tables)):
+                lift = obstruction._lift_table(ext, group, positions, choice)
+                omega = omega_oracle(ext, group, c, lift, induced)
+                assert tuple(row.tolist()) == omega.coords
+                assert classes[i] == h3.classify(omega)
+                if i == 0:
+                    assert obstruction_cocycle(ext, group, c, lift,
+                                               induced) == omega
+            assert sweep == sorted(set(classes))
+            assert sweep == [theta(ext, group, c).coordinates]
+            split = recorded_sweep(ext, group, c, 7)
+            assert split[0] == sweep
+            assert (split[1] == tables).all() and split[2] == classes
+            assert split[3] == [min(7, len(lifts) - i)
+                                for i in range(0, len(lifts), 7)]
+
+
+def corrupt_builder(monkeypatch, corrupt):
+    """Wrap the sweep's omega builder: ``corrupt(lifts, tables)`` may change
+    the lifts before the gathers, or the tables after them."""
+    real = obstruction._omega_builder
+
+    def wrapped(*args):
+        build = real(*args)
+
+        def corrupted(lifts):
+            lifts = lifts.copy()
+            corrupt(lifts, None)
+            tables = build(lifts)
+            corrupt(None, tables)
+            return tables
+
+        return corrupted
+
+    monkeypatch.setattr(obstruction, "_omega_builder", wrapped)
+
+
+def test_the_sweep_fails_on_a_corrupted_lift(monkeypatch):
+    """Corruptions of one lift in the middle of a chunk are caught: a
+    cocycle of another class is a second class, a single changed value is
+    no cocycle, and a value outside the kernel escapes.  The sweep is clean
+    again once the corruption is undone."""
+    ext = central_ext()
+    group = BASE_GROUPS["V4"]
+    c = compute_H1(group, ext.xmod1()).classes[0].representative
+    induced = induced_module(ext, group, c)
+    h3 = obstruction._h_cached(group, induced.module, 3)
+    assert theta_lift_sweep(ext, group, c) == [(0,) * 4]
+    other = h3.representative_of((0, 1, 0, 0)).coords
+    mid = 256  # of the 512 lifts in the one chunk
+    n = group.order
+
+    def add_class(lifts, tables):
+        if tables is not None:
+            tables[mid] = (tables[mid] + other) % 2
+
+    def one_value(lifts, tables):
+        if tables is not None:
+            at = (1 * n + 2) * n + 3  # omega(1, 2, 3)
+            tables[mid, at] ^= 1
+
+    def off_kernel(lifts, tables):
+        if lifts is not None:  # 1 in C4 is outside the kernel {0, 2}
+            lifts[mid, 1 * n + 1] = ext.h0group.mul[lifts[mid, n + 1]][1]
+
+    with monkeypatch.context() as m:
+        corrupt_builder(m, add_class)
+        assert theta_lift_sweep(ext, group, c) == [(0,) * 4, (0, 1, 0, 0)]
+    with monkeypatch.context() as m:
+        corrupt_builder(m, one_value)
+        with pytest.raises(ValueError, match="not a cocycle"):
+            theta_lift_sweep(ext, group, c)
+    with monkeypatch.context() as m:
+        corrupt_builder(m, off_kernel)
+        with pytest.raises(InvariantError, match="escapes the kernel"):
+            theta_lift_sweep(ext, group, c)
+    assert theta_lift_sweep(ext, group, c) == [(0,) * 4]
 
 
 # ---------------------------------------------------------------------------

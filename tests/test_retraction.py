@@ -155,6 +155,42 @@ def test_counts_past_the_printable_digits_end_in_a_typed_status(
         assert json.loads(cli.serialize_report(report)) == report
 
 
+def test_large_levels_are_refused_before_any_work(monkeypatch):
+    # n = 10^6 once ran out of memory forming 2^comb(n+1, 3); over the
+    # trivial crossed module every count is 1, and only the size of one
+    # head bounds n
+    def no_work(*args):
+        raise AssertionError("work started before the guards")
+
+    monkeypatch.setattr(rt, "_head_suite", no_work)
+    monkeypatch.setattr(rt, "_enumerate_duskin_level", no_work)
+    monkeypatch.setattr(rt, "_identity_pairs", no_work)
+    cases = [("C2->id", 10 ** 6, "resource-error",
+              "retraction head count digits"),
+             ("1->1", 10 ** 6, "resource-error", "retraction head size"),
+             ("1->1", 31, "resource-error", "retraction head size"),
+             ("C2->id", 2 ** 63 - 1, "resource-error",
+              "retraction head count digits"),
+             ("C2->id", 2 ** 63, "input-error", None)]
+    for xmod, n, status, bound in cases:
+        start = time.perf_counter()
+        report = cli.run({"schema": 1, "task": "appendix-check",
+                          "xmod": xmod, "n": n, "m": 1})
+        assert time.perf_counter() - start < 1
+        assert report["status"] == status, (xmod, n)
+        if bound is None:
+            assert report["result"]["pointer"] == "/n"
+        else:
+            assert report["result"]["bound"] == bound
+            assert report["result"]["needed"] > report["result"]["allowed"]
+        assert json.loads(cli.serialize_report(report)) == report
+
+
+def test_identity_count_is_the_number_of_identity_pairs():
+    for n in range(1, 8):
+        assert rt._identity_count(n) == len(rt._identity_pairs(n))
+
+
 # ---------------------------------------------------------------------------
 # one memo per verification
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from xmodcoh import unitary
 from xmodcoh.unitary import (as_selfadjoint, as_unitary, ball_element,
                              check_exp_inequalities, circle_value, d_tau,
                              decompose_path, dlhs_delta, dlhs_path, el_tau,
@@ -35,6 +36,22 @@ def test_norm_and_trace_basics():
     assert operator_norm([[0, 2], [0, 0]]) == pytest.approx(2.0)
     assert tau(np.eye(3)) == pytest.approx(1.0)
     assert tau(np.diag([1, -1])) == pytest.approx(0.0)
+
+
+def test_operator_norm_is_numpys_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(41)
+    inputs = [np.array([[3]]), np.array([[2.5]]), np.array([[1 - 2j]]),
+              np.array([[True, False], [True, True]])]
+    for n in range(1, 7):
+        for _ in range(20):
+            inputs += [rng.normal(size=(n, n))
+                       + 1j * rng.normal(size=(n, n)),
+                       rng.normal(size=(n, n)),
+                       rng.integers(-9, 10, size=(n, n)),
+                       random_unitary(n, rng) - np.eye(n)]
+    inputs.append([[0, 2], [0, 0]])
+    for a in inputs:
+        assert operator_norm(a) == float(np.linalg.norm(a, 2))
 
 
 def test_unitary_and_selfadjoint_gates():
@@ -260,6 +277,35 @@ def test_decomposition_anchors():
     dec = decompose_path(diag_loop([1, 0]))
     assert dec.h[-1] == pytest.approx(0.5, abs=1e-12)
     assert operator_norm(dec.g[-1] + np.eye(2)) <= 1e-9
+
+
+def test_each_segment_log_is_computed_once_per_path(monkeypatch):
+    """As the decompose task runs them: building, decomposing and refining
+    a path, and decomposing the refinement, take each segment's logarithm
+    once for the path and once for each refined segment."""
+    real = unitary._segment_log
+    calls = []
+
+    def counted(a, b, t0, t1):
+        calls.append((t0, t1))
+        return real(a, b, t0, t1)
+
+    monkeypatch.setattr(unitary, "_segment_log", counted)
+    rng = np.random.default_rng(12)
+    for segments, factor in ((3, 2), (5, 3)):
+        calls.clear()
+        path = random_based_path(3, segments, rng)
+        dec = decompose_path(path)
+        fine = refine_path(path, factor)
+        decompose_path(fine)
+        dlhs_path(path)
+        dlhs_path(fine)
+        assert sorted(calls) == sorted(
+            list(zip(path.ts, path.ts[1:])) + list(zip(fine.ts, fine.ts[1:])))
+        assert len(calls) == segments * (1 + factor)
+        assert dec.h == decompose_path(path).h
+    with pytest.raises(ValueError, match="read-only"):
+        path.segment_log(0)[0, 0] = 1.0
 
 
 def test_decomposition_reconstructs_and_respects_refinement():
