@@ -11,6 +11,26 @@ Three constructions land in :class:`~xmodcoh.simplicial.TruncatedSimplicialSet`:
   (m, n) cells are m-chains of natural transformations between strict
   functors [n] -> (the one-object 2-group), i.e. n-tuples of m-chains in the
   action groupoid, multiplied horizontally with the action twist.
+
+Each level is built as an int64 array of label rows, and each face or
+degeneracy table of a level is computed at once by numpy gathers into the
+group tables (``mul``, ``inv``) and the crossed module's ``boundary`` and
+``action``.  Gathered rows become simplex indices by mixed-radix
+arithmetic:
+
+* the ordinary and diagonal levels are full products, so a simplex's index
+  is the radix value of its row (``_radix``);
+* a Duskin simplex's key is its free data, the edge chain in base |G| and
+  then the u table in base |H|.  Levels are enumerated in key order, so
+  they are sorted, and a pulled-back row is found by binary search and then
+  compared on its whole alpha row.  The key range is |G|^k * |H|^C(k+1,3),
+  refused past int64; candidates are decoded ``_BLOCK`` rows at a time.
+
+The comparison maps to the ordinary nerve are radix values of edge chains
+or object columns, and the map checks compare whole tables at once.
+``simplices[k]`` holds the same Python objects as the per-simplex
+construction did (``PseudofunctorSimplex``, chain tuples, column tuples),
+for the homotopy and retraction code that reads them.
 """
 
 from __future__ import annotations
@@ -20,12 +40,19 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
+
 from .crossed import CrossedModule
 from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
 from .simplicial import TruncatedSimplicialSet, build_truncated
 
 _DIM_CAP = 10 ** 7
+# candidate rows decoded at once by the Duskin enumerator, which bounds its
+# scratch memory whatever the level's key range
+_BLOCK = 65_536
+# keys are int64
+_KEY_MAX = 2 ** 63 - 1
 
 
 @lru_cache(maxsize=None)
@@ -194,54 +221,108 @@ def sigma_map(k: int, i: int) -> tuple[int, ...]:
     return tuple(range(i + 1)) + tuple(range(i, k + 1))
 
 
+def _arrays(x: CrossedModule):
+    """(G mul, G inv, H mul, boundary, action) as int64 gather tables."""
+    return tuple(np.array(t, dtype=np.int64) for t in (
+        x.ggroup.mul, x.ggroup.inv, x.hgroup.mul, x.boundary, x.action))
+
+
+def _radix(rows: np.ndarray, bases) -> np.ndarray:
+    """Mixed-radix value of each row, first column most significant."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for c, base in enumerate(bases):
+        out *= base
+        out += rows[:, c]
+    return out
+
+
+def _digits(values: np.ndarray, bases) -> np.ndarray:
+    """The digit rows of ``values``: the inverse of ``_radix``."""
+    out = np.empty((len(values), len(bases)), dtype=np.int64)
+    rest = values
+    for c in range(len(bases) - 1, -1, -1):
+        rest, out[:, c] = np.divmod(rest, bases[c])
+    return out
+
+
+def _merge(a: np.ndarray, i: int, merged: np.ndarray, axis: int = 1
+           ) -> np.ndarray:
+    """``a`` with its entries i-1 and i along ``axis`` replaced by
+    ``merged``: the middle face of a bar-style chain."""
+    return np.insert(np.delete(a, [i - 1, i], axis), i - 1, merged, axis)
+
+
+def _duskin_bases(x: CrossedModule, k: int) -> list[int]:
+    """Radix of a Duskin key: the edge chain in base |G|, then the u table
+    in base |H|."""
+    return [x.ggroup.order] * k + [x.hgroup.order] * comb(k + 1, 3)
+
+
+def _duskin_key_range(x: CrossedModule, k: int, budget: int | None = None
+                      ) -> int:
+    """The number of level-k keys, refused past the budget or int64."""
+    size = x.ggroup.order ** k * x.hgroup.order ** comb(k + 1, 3)
+    if budget is not None and size > budget:
+        raise ResourceLimit(f"duskin level {k} enumeration", size, budget)
+    if size > _KEY_MAX:
+        raise ResourceLimit(f"duskin level {k} keys", size, _KEY_MAX)
+    return size
+
+
+def _duskin_level_rows(x: CrossedModule, k: int):
+    """All valid k-simplices as (keys, rows), ascending in key.
+
+    A row holds alpha over the pairs, then u over the triples, each in
+    lexicographic order.  Candidates are the key range, decoded in blocks
+    of ``_BLOCK`` rows; the triangle relations at (i, j-1, j) fill in the
+    derived edges, and the remaining triangles and all tetrahedra mask.
+    """
+    gmul, ginv, hmul, bnd, act = _arrays(x)
+    size = _duskin_key_range(x, k)
+    bases = _duskin_bases(x, k)
+    pairs = pair_positions(k)
+    col = {**pairs, **{t: len(pairs) + p
+                       for t, p in triple_positions(k).items()}}
+    check_triples = [t for t in combinations(range(k + 1), 3)
+                     if t[2] - t[1] > 1]
+    quads = list(combinations(range(k + 1), 4))
+    keys, rows = [], []
+    for lo in range(0, size, _BLOCK):
+        key = np.arange(lo, min(lo + _BLOCK, size), dtype=np.int64)
+        digits = _digits(key, bases)
+        row = np.empty((len(key), len(col)), dtype=np.int64)
+        row[:, len(pairs):] = digits[:, k:]
+
+        def at(*simplex):
+            return row[:, col[simplex]]
+        for i in range(k):
+            row[:, col[(i, i + 1)]] = digits[:, i]
+        for span in range(2, k + 1):
+            for i in range(k + 1 - span):
+                j = i + span
+                row[:, col[(i, j)]] = gmul[ginv[bnd[at(i, j - 1, j)]],
+                                           gmul[at(i, j - 1), at(j - 1, j)]]
+        ok = np.ones(len(key), dtype=bool)
+        for i, j, l in check_triples:
+            ok &= gmul[at(i, j), at(j, l)] == gmul[bnd[at(i, j, l)], at(i, l)]
+        for i, j, l, m in quads:
+            ok &= (hmul[act[at(i, j), at(j, l, m)], at(i, j, m)]
+                   == hmul[at(i, j, l), at(i, l, m)])
+        keys.append(key[ok])
+        rows.append(row[ok])
+    return np.concatenate(keys), np.concatenate(rows)
+
+
+def _duskin_simplices(k: int, rows: np.ndarray) -> list:
+    pairs = comb(k + 1, 2)
+    return [PseudofunctorSimplex(k, alpha, u) for alpha, u in zip(
+        map(tuple, rows[:, :pairs].tolist()),
+        map(tuple, rows[:, pairs:].tolist()))]
+
+
 def _enumerate_duskin_level(x: CrossedModule, k: int) -> list:
     """All valid k-simplices, lexicographic in (edge chain, u table)."""
-    g, h = x.ggroup, x.hgroup
-    if k == 0:
-        return [PseudofunctorSimplex(0, (), ())]
-    pair_pos = pair_positions(k)
-    triples = list(combinations(range(k + 1), 3))
-    triple_pos = {t: i for i, t in enumerate(triples)}
-    # Triangle relations at (i, j-1, j) determine alpha_{ij} from the edge
-    # chain and the u table; the remaining triangles and all tetrahedra are
-    # then pure constraints.
-    check_triples = [t for t in triples if t[2] - t[1] > 1]
-    quads = list(combinations(range(k + 1), 4))
-    out = []
-    for chain in product(g.elements(), repeat=k):
-        for utab in product(h.elements(), repeat=len(triples)):
-            alpha = [0] * len(pair_pos)
-            for i in range(k):
-                alpha[pair_pos[(i, i + 1)]] = chain[i]
-            for span in range(2, k + 1):
-                for i in range(k + 1 - span):
-                    j = i + span
-                    du = x.boundary[utab[triple_pos[(i, j - 1, j)]]]
-                    alpha[pair_pos[(i, j)]] = g.op(
-                        g.inv[du],
-                        g.op(alpha[pair_pos[(i, j - 1)]], chain[j - 1]))
-            ok = True
-            for i, j, kk in check_triples:
-                a_ij = alpha[pair_pos[(i, j)]]
-                a_jk = alpha[pair_pos[(j, kk)]]
-                a_ik = alpha[pair_pos[(i, kk)]]
-                if g.op(a_ij, a_jk) != g.op(
-                        x.boundary[utab[triple_pos[(i, j, kk)]]], a_ik):
-                    ok = False
-                    break
-            if ok:
-                for i, j, kk, l in quads:
-                    lhs = h.op(x.act(alpha[pair_pos[(i, j)]],
-                                     utab[triple_pos[(j, kk, l)]]),
-                               utab[triple_pos[(i, j, l)]])
-                    rhs = h.op(utab[triple_pos[(i, j, kk)]],
-                               utab[triple_pos[(i, kk, l)]])
-                    if lhs != rhs:
-                        ok = False
-                        break
-            if ok:
-                out.append(PseudofunctorSimplex(k, tuple(alpha), utab))
-    return out
+    return _duskin_simplices(k, _duskin_level_rows(x, k)[1])
 
 
 def duskin_nerve(x: CrossedModule, n_trunc: int,
@@ -251,19 +332,51 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
     Each level is enumerated from free data (the edge chain plus the full
     u table) with the derived edges filled in by the triangle relations, so
     the guard bounds |G|^k * |H|^C(k+1,3) per dimension rather than the full
-    label space.
+    label space.  That count is also the level's key range.
+
+    A structure map pulls the rows back through ``pullback_positions``, with
+    an identity column appended so that position -1 reads the identity, and
+    finds the pulled rows by binary search on the sorted keys.  A row whose
+    key is missing, or whose derived edges differ from the stored ones,
+    leaves the level and raises ``ValueError``.
     """
     g, h = x.ggroup, x.hgroup
     for k in range(n_trunc + 1):
-        est = g.order ** k * h.order ** comb(k + 1, 3)
-        if est > budget:
-            raise ResourceLimit(f"duskin level {k} enumeration", est, budget)
-    levels = [_enumerate_duskin_level(x, k) for k in range(n_trunc + 1)]
+        _duskin_key_range(x, k, budget)
+    keys, rows = zip(*(_duskin_level_rows(x, k)
+                       for k in range(n_trunc + 1)))
+    # alpha and u of each level, each with an identity column appended
+    padded = []
+    for k, r in enumerate(rows):
+        pairs = comb(k + 1, 2)
+        padded.append((np.insert(r[:, :pairs], pairs, g.identity, axis=1),
+                       np.insert(r[:, pairs:], r.shape[1] - pairs,
+                                 h.identity, axis=1)))
+
+    def table(k: int, theta: tuple[int, ...], what: str) -> np.ndarray:
+        m = len(theta) - 1
+        alpha, u = padded[k]
+        alpha = alpha[:, np.array(pullback_positions(k, theta, 2), dtype=int)]
+        u = u[:, np.array(pullback_positions(k, theta, 3), dtype=int)]
+        pairs = pair_positions(m)
+        chain = alpha[:, [pairs[(i, i + 1)] for i in range(m)]]
+        key = _radix(np.hstack([chain, u]), _duskin_bases(x, m))
+        pos = np.minimum(np.searchsorted(keys[m], key), len(keys[m]) - 1)
+        if not (np.array_equal(keys[m][pos], key)
+                and np.array_equal(rows[m][pos, :len(pairs)], alpha)):
+            raise ValueError(what)
+        return pos
+
+    face = {k: [table(k, delta_map(k, i),
+                      f"face d_{i} leaves the level-{k - 1} simplex list")
+                for i in range(k + 1)] for k in range(1, n_trunc + 1)}
+    degen = {k: [table(k, sigma_map(k, i),
+                       f"degeneracy s_{i} leaves the level-{k + 1} list")
+                 for i in range(k + 1)] for k in range(n_trunc)}
     return build_truncated(
-        n_trunc, levels,
-        lambda k, i, s: reindex(x, s, delta_map(k, i)),
-        lambda k, i, s: reindex(x, s, sigma_map(k, i)),
-        label=f"duskin({x.label})" if x.label else "duskin")
+        n_trunc, [_duskin_simplices(k, r) for k, r in enumerate(rows)],
+        face, degen, label=f"duskin({x.label})" if x.label else "duskin",
+        rows=list(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -272,60 +385,42 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
 
 def ordinary_nerve(group: FiniteGroup, n_trunc: int,
                    budget: int = _DIM_CAP) -> TruncatedSimplicialSet:
-    """Chains (g_1, ..., g_k) with bar-style faces and unit insertions."""
+    """Chains (g_1, ..., g_k) with bar-style faces and unit insertions.
+
+    A chain's index is its base-|G| value, first element most significant.
+    """
     if group.order ** n_trunc > budget:
         raise ResourceLimit(f"nerve level {n_trunc}",
                             group.order ** n_trunc, budget)
-    levels = [[tuple(c) for c in product(group.elements(), repeat=k)]
-              for k in range(n_trunc + 1)]
+    n = group.order
+    mul = np.array(group.mul, dtype=np.int64)
+    rows = [_digits(np.arange(n ** k, dtype=np.int64), [n] * k)
+            for k in range(n_trunc + 1)]
 
-    def face(k, i, chain):
+    def face(k, i):
+        r = rows[k]
         if i == 0:
-            return chain[1:]
+            return r[:, 1:]
         if i == k:
-            return chain[:-1]
-        return (chain[:i - 1] + (group.op(chain[i - 1], chain[i]),)
-                + chain[i + 1:])
-
-    def degen(k, i, chain):
-        return chain[:i] + (group.identity,) + chain[i:]
+            return r[:, :-1]
+        return _merge(r, i, mul[r[:, i - 1], r[:, i]])
 
     return build_truncated(
-        n_trunc, levels, face, degen,
-        label=f"nerve({group.label})" if group.label else "nerve")
+        n_trunc,
+        [list(product(group.elements(), repeat=k))
+         for k in range(n_trunc + 1)],
+        {k: [_radix(face(k, i), [n] * (k - 1)) for i in range(k + 1)]
+         for k in range(1, n_trunc + 1)},
+        {k: [_radix(np.insert(rows[k], i, group.identity, axis=1),
+                    [n] * (k + 1)) for i in range(k + 1)]
+         for k in range(n_trunc)},
+        label=f"nerve({group.label})" if group.label else "nerve",
+        rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # diagonal of the monoidal double nerve
 # ---------------------------------------------------------------------------
-
-def _column_merge(x: CrossedModule, c1, c2):
-    """Monoidal product of two parallel vertical chains (action twist)."""
-    g, h = x.ggroup, x.hgroup
-    y1, us1 = c1
-    y2, us2 = c2
-    run = y1
-    out = []
-    for u1, u2 in zip(us1, us2):
-        out.append(h.op(u1, x.act(run, u2)))
-        run = g.op(x.boundary[u1], run)
-    return (g.op(y1, y2), tuple(out))
-
-
-def _v_face(x: CrossedModule, r: int, col):
-    y0, us = col
-    if r == 0:
-        return (x.ggroup.op(x.boundary[us[0]], y0), us[1:])
-    if r == len(us):
-        return (y0, us[:-1])
-    merged = x.hgroup.op(us[r], us[r - 1])
-    return (y0, us[:r - 1] + (merged,) + us[r + 1:])
-
-
-def _v_degen(x: CrossedModule, r: int, col):
-    y0, us = col
-    return (y0, us[:r] + (x.hgroup.identity,) + us[r:])
-
 
 def monoidal_diag_nerve(x: CrossedModule, n_trunc: int,
                         budget: int = _DIM_CAP) -> TruncatedSimplicialSet:
@@ -337,38 +432,71 @@ def monoidal_diag_nerve(x: CrossedModule, n_trunc: int,
     column) followed by the vertical face (drop or compose a level) in every
     remaining column; degeneracies insert a trivial column and an identity
     level.
+
+    Level k is the full product of its columns, so a simplex's index is the
+    radix value of its row: per column the object in base |G|, then its k
+    arrow labels in base |H|.  The tensor merge of two columns runs the
+    twist run <- boundary(u) * run down the levels.
     """
     g, h = x.ggroup, x.hgroup
-    for k in range(n_trunc + 1):
-        est = (g.order * h.order ** k) ** k
+    sizes = [(g.order * h.order ** k) ** k for k in range(n_trunc + 1)]
+    for k, est in enumerate(sizes):
         if est > budget:
             raise ResourceLimit(f"diagonal level {k}", est, budget)
+    gmul, _, hmul, bnd, act = _arrays(x)
+
+    def bases(k):
+        return ([g.order] + [h.order] * k) * k
+
+    # cells[k][simplex, column] = (object, arrow labels by level)
+    cells = [_digits(np.arange(size, dtype=np.int64), bases(k))
+             .reshape(size, k, k + 1) for k, size in enumerate(sizes)]
+
+    def index(y, us):
+        count, width = us.shape[:2]
+        return _radix(np.concatenate([y[:, :, None], us], axis=2)
+                      .reshape(count, width * (width + 1)), bases(width))
+
+    def face(k, i):
+        y, us = cells[k][:, :, 0], cells[k][:, :, 1:]
+        if i == 0:
+            y, us = y[:, 1:], us[:, 1:]
+        elif i == k:
+            y, us = y[:, :-1], us[:, :-1]
+        else:
+            run = y[:, i - 1]
+            merged = np.empty_like(us[:, i])
+            for lvl in range(k):
+                u1 = us[:, i - 1, lvl]
+                merged[:, lvl] = hmul[u1, act[run, us[:, i, lvl]]]
+                run = gmul[bnd[u1], run]
+            y = _merge(y, i, gmul[y[:, i - 1], y[:, i]])
+            us = _merge(us, i, merged)
+        if i == 0:
+            y, us = gmul[bnd[us[:, :, 0]], y], us[:, :, 1:]
+        elif i == k:
+            us = us[:, :, :-1]
+        else:
+            us = _merge(us, i, hmul[us[:, :, i], us[:, :, i - 1]], axis=2)
+        return index(y, us)
+
+    def degen(k, i):
+        y = np.insert(cells[k][:, :, 0], i, g.identity, axis=1)
+        us = np.insert(cells[k][:, :, 1:], i, h.identity, axis=1)
+        return index(y, np.insert(us, i, h.identity, axis=2))
 
     def level(k):
         cols = [(y0, tuple(us)) for y0 in g.elements()
                 for us in product(h.elements(), repeat=k)]
-        return [tuple(c) for c in product(cols, repeat=k)]
-
-    levels = [level(k) for k in range(n_trunc + 1)]
-
-    def face(k, i, cols):
-        if i == 0:
-            kept = cols[1:]
-        elif i == k:
-            kept = cols[:-1]
-        else:
-            kept = (cols[:i - 1] + (_column_merge(x, cols[i - 1], cols[i]),)
-                    + cols[i + 1:])
-        return tuple(_v_face(x, i, c) for c in kept)
-
-    def degen(k, i, cols):
-        trivial = (g.identity, (h.identity,) * k)
-        widened = cols[:i] + (trivial,) + cols[i:]
-        return tuple(_v_degen(x, i, c) for c in widened)
+        return list(product(cols, repeat=k))
 
     return build_truncated(
-        n_trunc, levels, face, degen,
-        label=f"diag({x.label})" if x.label else "diag")
+        n_trunc, [level(k) for k in range(n_trunc + 1)],
+        {k: [face(k, i) for i in range(k + 1)]
+         for k in range(1, n_trunc + 1)},
+        {k: [degen(k, i) for i in range(k + 1)] for k in range(n_trunc)},
+        label=f"diag({x.label})" if x.label else "diag",
+        rows=[c.reshape(len(c), -1) for c in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +515,13 @@ class SimplicialMap:
         return self.layers[k][idx]
 
 
+def _ints(table) -> np.ndarray:
+    return np.asarray(table, dtype=np.int64)
+
+
 def simplicial_map_violations(f: SimplicialMap) -> list[str]:
-    """Exhaustive face/degeneracy compatibility check within the truncation."""
+    """Exhaustive face/degeneracy compatibility check within the truncation,
+    reported in (level, map, simplex) order."""
     a, b = f.source, f.target
     bad = []
     if a.N != b.N:
@@ -398,20 +531,19 @@ def simplicial_map_violations(f: SimplicialMap) -> list[str]:
         if len(f.layers[k]) != a.count(k):
             bad.append(f"layer {k} has wrong length")
             return bad
+    layers = [_ints(t) for t in f.layers]
     for k in range(1, a.N + 1):
         for i in range(k + 1):
-            for idx in range(a.count(k)):
-                if f.layers[k - 1][a.face[k][i][idx]] != \
-                        b.face[k][i][f.layers[k][idx]]:
-                    bad.append(f"face square fails at level {k}, d_{i}, "
-                               f"simplex {idx}")
+            fails = layers[k - 1][_ints(a.face[k][i])] \
+                != _ints(b.face[k][i])[layers[k]]
+            bad += [f"face square fails at level {k}, d_{i}, simplex {idx}"
+                    for idx in np.flatnonzero(fails).tolist()]
     for k in range(a.N):
         for i in range(k + 1):
-            for idx in range(a.count(k)):
-                if f.layers[k + 1][a.degen[k][i][idx]] != \
-                        b.degen[k][i][f.layers[k][idx]]:
-                    bad.append(f"degeneracy square fails at level {k}, "
-                               f"s_{i}, simplex {idx}")
+            fails = layers[k + 1][_ints(a.degen[k][i])] \
+                != _ints(b.degen[k][i])[layers[k]]
+            bad += [f"degeneracy square fails at level {k}, s_{i}, "
+                    f"simplex {idx}" for idx in np.flatnonzero(fails).tolist()]
     return bad
 
 
@@ -423,7 +555,7 @@ def isomorphism_violations(f: SimplicialMap) -> list[str]:
     for k in range(f.source.N + 1):
         if f.source.count(k) != f.target.count(k):
             bad.append(f"level {k} sizes differ")
-        elif len(set(f.layers[k])) != f.source.count(k):
+        elif len(np.unique(_ints(f.layers[k]))) != f.source.count(k):
             bad.append(f"level {k} map is not injective")
     return bad
 
@@ -432,28 +564,23 @@ def duskin_to_ordinary(x: CrossedModule, dusk: TruncatedSimplicialSet,
                        ordn: TruncatedSimplicialSet) -> SimplicialMap:
     """Project Duskin simplices of (1 -> G) to their edge chains.
 
-    For a trivial H this is the isomorphism identifying the Duskin nerve
-    with the ordinary nerve; validity is the caller's check via
+    ``ordn`` is ``ordinary_nerve(x.ggroup, ·)``, so a chain's index is its
+    base-|G| value.  For a trivial H this is the isomorphism identifying the
+    Duskin nerve with the ordinary nerve; validity is the caller's check via
     ``isomorphism_violations``.
     """
     layers = []
     for k in range(dusk.N + 1):
-        table = []
-        for s in dusk.simplices[k]:
-            chain = tuple(s.alpha_at(x, i, i + 1) for i in range(k))
-            table.append(ordn.index_of(k, chain))
-        layers.append(table)
+        pairs = pair_positions(k)
+        chain = dusk.rows[k][:, [pairs[(i, i + 1)] for i in range(k)]]
+        layers.append(_radix(chain, [x.ggroup.order] * k).tolist())
     return SimplicialMap(dusk, ordn, layers)
 
 
 def diag_to_ordinary(x: CrossedModule, diag: TruncatedSimplicialSet,
                      ordn: TruncatedSimplicialSet) -> SimplicialMap:
-    """Project diagonal simplices of (1 -> G) to their object chains."""
-    layers = []
-    for k in range(diag.N + 1):
-        table = []
-        for cols in diag.simplices[k]:
-            chain = tuple(c[0] for c in cols)
-            table.append(ordn.index_of(k, chain))
-        layers.append(table)
+    """Project diagonal simplices of (1 -> G) to their object chains,
+    indexed in ``ordn = ordinary_nerve(x.ggroup, ·)`` by base-|G| value."""
+    layers = [_radix(diag.rows[k][:, ::k + 1], [x.ggroup.order] * k).tolist()
+              for k in range(diag.N + 1)]
     return SimplicialMap(diag, ordn, layers)

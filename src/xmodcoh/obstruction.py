@@ -44,6 +44,7 @@ from .crossed import (Cocycle1, CrossedModule, H1PointedSet, XModMorphism,
                       transform_cocycle)
 from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup, abelian_basis
+from .unitary import operator_norm
 
 
 @lru_cache(maxsize=64)
@@ -586,12 +587,12 @@ def matrix_kernel_obstruction(group: FiniteGroup, mats, tol: float = 1e-8,
     for i, m in enumerate(mats):
         if m.shape != (n_dim, n_dim):
             raise ValueError(f"matrix {i} has shape {m.shape}")
-        if np.linalg.norm(m @ m.conj().T - np.eye(n_dim), 2) > 1e-10:
+        if operator_norm(m @ m.conj().T - np.eye(n_dim)) > 1e-10:
             raise ValueError(f"matrix {i} is not unitary within 1e-10")
     e = group.identity
     ce = np.trace(mats[e]) / n_dim
     if abs(abs(ce) - 1) > tol or \
-            np.linalg.norm(mats[e] - ce * np.eye(n_dim), 2) > tol:
+            operator_norm(mats[e] - ce * np.eye(n_dim)) > tol:
         raise ValueError("identity matrix must be scalar")
     mats = [m / ce if i == e else m for i, m in enumerate(mats)]
 
@@ -605,7 +606,7 @@ def matrix_kernel_obstruction(group: FiniteGroup, mats, tol: float = 1e-8,
             defect = mats[g] @ mats[h] @ mats[gh].conj().T
             c = np.trace(defect) / n_dim
             resid = max(abs(abs(c) - 1),
-                        np.linalg.norm(defect - c * np.eye(n_dim), 2))
+                        operator_norm(defect - c * np.eye(n_dim)))
             max_scalar = max(max_scalar, float(resid))
             if resid > tol:
                 raise ValueError(

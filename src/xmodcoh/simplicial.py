@@ -1,16 +1,25 @@
 """Truncated simplicial sets and integral homology of their realizations.
 
 A truncated simplicial set stores canonical-ordered simplex lists per level
-together with face and degeneracy index tables.  Homology is computed from
-the normalized chain complex (degenerate simplices quotiented away), which is
-the right desk-scale shadow of the geometric realization in low degrees.
-Each boundary stays as sparse columns: sparse unit pivots first, then the
-dense Smith form on the small residual.
+together with face and degeneracy index tables.  The nerves build those
+tables a whole level at a time: each level is an int64 array of label rows,
+a structure map is a numpy gather on that array, and the gathered rows turn
+back into simplex indices by mixed-radix arithmetic (``nerves``).
+``build_truncated`` is the one constructor; it takes the tables as index
+arrays and stores them as lists of Python ints.  The ``{simplex: index}``
+dictionary of a level is built on its first ``index_of`` call.
+
+Homology is computed from the normalized chain complex (degenerate simplices
+quotiented away), which is the right desk-scale shadow of the geometric
+realization in low degrees.  Each boundary stays as sparse columns: sparse
+unit pivots first, then the dense Smith form on the small residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import intlinalg as il
 from .errors import InvariantError
@@ -23,6 +32,8 @@ class TruncatedSimplicialSet:
     ``face[k][i]`` maps level-k indices to level-(k-1) indices (1 <= k <= N,
     0 <= i <= k); ``degen[k][i]`` maps level-k indices to level-(k+1) indices
     (0 <= k < N, 0 <= i <= k).  ``simplices[k]`` is the canonical ordering.
+    ``rows[k]``, when the set was built from labels, is the int64 array of
+    label rows of level k in the same order.
     """
 
     N: int
@@ -30,13 +41,8 @@ class TruncatedSimplicialSet:
     face: dict
     degen: dict
     label: str = ""
-    _index: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = [
-                {s: i for i, s in enumerate(level)}
-                for level in self.simplices]
+    rows: list = field(default_factory=list, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def count(self, k: int) -> int:
         return len(self.simplices[k])
@@ -45,7 +51,11 @@ class TruncatedSimplicialSet:
         return tuple(len(level) for level in self.simplices)
 
     def index_of(self, k: int, simplex) -> int:
-        return self._index[k][simplex]
+        index = self._index.get(k)
+        if index is None:
+            index = self._index[k] = {
+                s: i for i, s in enumerate(self.simplices[k])}
+        return index[simplex]
 
     def degenerate_indices(self, k: int) -> set[int]:
         """Indices at level k in the image of some degeneracy."""
@@ -57,39 +67,17 @@ class TruncatedSimplicialSet:
         return out
 
 
-def build_truncated(n_trunc: int, levels: list, face_fn, degen_fn,
-                    label: str = "") -> TruncatedSimplicialSet:
-    """Assemble index tables from simplex-valued face/degeneracy functions."""
-    index = [{s: i for i, s in enumerate(level)} for level in levels]
-    for k, level in enumerate(levels):
-        if len(index[k]) != len(level):
-            raise ValueError(f"duplicate simplices at level {k}")
-    face: dict = {}
-    degen: dict = {}
-    for k in range(1, n_trunc + 1):
-        face[k] = []
-        for i in range(k + 1):
-            table = []
-            for s in levels[k]:
-                t = face_fn(k, i, s)
-                if t not in index[k - 1]:
-                    raise ValueError(
-                        f"face d_{i} leaves the level-{k - 1} simplex list")
-                table.append(index[k - 1][t])
-            face[k].append(table)
-    for k in range(n_trunc):
-        degen[k] = []
-        for i in range(k + 1):
-            table = []
-            for s in levels[k]:
-                t = degen_fn(k, i, s)
-                if t not in index[k + 1]:
-                    raise ValueError(
-                        f"degeneracy s_{i} leaves the level-{k + 1} list")
-                table.append(index[k + 1][t])
-            degen[k].append(table)
-    return TruncatedSimplicialSet(n_trunc, levels, face, degen, label,
-                                  _index=index)
+def build_truncated(n_trunc: int, levels: list, face: dict, degen: dict,
+                    label: str = "", rows: list | None = None
+                    ) -> TruncatedSimplicialSet:
+    """Assemble a set from index arrays: ``face[k][i]`` (1 <= k <= n_trunc)
+    and ``degen[k][i]`` (0 <= k < n_trunc) hold, for each level-k simplex,
+    the index of its image one level down or up."""
+    def lists(tables):
+        return {k: [np.asarray(t).tolist() for t in tables[k]]
+                for k in sorted(tables)}
+    return TruncatedSimplicialSet(n_trunc, levels, lists(face), lists(degen),
+                                  label, rows or [])
 
 
 def simplicial_violations(s: TruncatedSimplicialSet) -> list[str]:
@@ -146,19 +134,24 @@ def prism(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
 
     A level-k simplex is (idx, t) where t in 0..k+1 counts the vertices sent
     to the 0 end of the interval (vertices 0..t-1 at time 0, the rest at
-    time 1).  ``t = k+1`` is the time-0 end, ``t = 0`` the time-1 end.
+    time 1).  ``t = k+1`` is the time-0 end, ``t = 0`` the time-1 end.  The
+    cell (idx, t) has index idx * (k+2) + t.
     """
+    def cells(k):
+        return np.divmod(np.arange(s.count(k) * (k + 2)), k + 2)
+
+    face: dict = {}
+    degen: dict = {}
+    for k in range(1, s.N + 1):
+        idx, t = cells(k)
+        face[k] = [np.asarray(s.face[k][i])[idx] * (k + 1)
+                   + np.where(i < t, t - 1, t) for i in range(k + 1)]
+    for k in range(s.N):
+        idx, t = cells(k)
+        degen[k] = [np.asarray(s.degen[k][i])[idx] * (k + 3)
+                    + np.where(i < t, t + 1, t) for i in range(k + 1)]
     levels = [[(idx, t) for idx in range(s.count(k)) for t in range(k + 2)]
               for k in range(s.N + 1)]
-
-    def face(k, i, cell):
-        idx, t = cell
-        return (s.face[k][i][idx], t - 1 if i < t else t)
-
-    def degen(k, i, cell):
-        idx, t = cell
-        return (s.degen[k][i][idx], t + 1 if i < t else t)
-
     return build_truncated(s.N, levels, face, degen,
                            label=f"{s.label} x I" if s.label else "prism")
 
@@ -166,8 +159,7 @@ def prism(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
 def prism_end(p: TruncatedSimplicialSet, k: int, idx: int,
               zero_end: bool) -> int:
     """Index in the prism of base simplex ``idx`` at one end of the interval."""
-    t = k + 1 if zero_end else 0
-    return p.index_of(k, (idx, t))
+    return idx * (k + 2) + (k + 1 if zero_end else 0)
 
 
 # ---------------------------------------------------------------------------

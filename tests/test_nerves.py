@@ -1,11 +1,16 @@
 """Nerve constructions for groups and strict 2-groups: structural counts,
 simplicial validity, comparison isomorphisms onto the ordinary nerve, and
-homology agreement between the Duskin and monoidal-diagonal models."""
+homology agreement between the Duskin and monoidal-diagonal models.
 
-from itertools import combinations
+The nerves build their tables with array gathers; the per-simplex
+construction they replaced (a face or degeneracy function per simplex and a
+dictionary lookup) is kept here as the oracle they must match."""
+
+from itertools import combinations, product
 
 import pytest
 
+from xmodcoh import cli, nerves
 from xmodcoh.crossed import CrossedModule, xmod_abelian, xmod_identity
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
@@ -18,7 +23,7 @@ from xmodcoh.nerves import (NatTransform, PseudofunctorSimplex, SimplicialMap,
                             pseudofunctor_violations, reindex, sigma_map,
                             simplicial_map_violations, transport_simplex)
 from xmodcoh.retraction import pull_table
-from xmodcoh.simplicial import homology, simplicial_violations
+from xmodcoh.simplicial import homology, prism, simplicial_violations
 
 
 def one_to(g):
@@ -77,16 +82,52 @@ def test_diag_nerve_of_a_group_is_the_ordinary_nerve():
     assert isomorphism_violations(f) == []
 
 
+def oracle_map_violations(f):
+    """The per-simplex loop form of ``isomorphism_violations``."""
+    a, b = f.source, f.target
+    bad = []
+    for k in range(1, a.N + 1):
+        for i in range(k + 1):
+            for idx in range(a.count(k)):
+                if f.layers[k - 1][a.face[k][i][idx]] != \
+                        b.face[k][i][f.layers[k][idx]]:
+                    bad.append(f"face square fails at level {k}, d_{i}, "
+                               f"simplex {idx}")
+    for k in range(a.N):
+        for i in range(k + 1):
+            for idx in range(a.count(k)):
+                if f.layers[k + 1][a.degen[k][i][idx]] != \
+                        b.degen[k][i][f.layers[k][idx]]:
+                    bad.append(f"degeneracy square fails at level {k}, "
+                               f"s_{i}, simplex {idx}")
+    if bad:
+        return bad
+    for k in range(a.N + 1):
+        if len(set(f.layers[k])) != a.count(k):
+            bad.append(f"level {k} map is not injective")
+    return bad
+
+
 def test_map_violations_detect_tampering():
     g = make_cyclic(2)
     x = one_to(g)
     dusk = duskin_nerve(x, 3)
     ordn = ordinary_nerve(g, 3)
     good = duskin_to_ordinary(x, dusk, ordn)
+    assert good.layers == [[ordn.index_of(k, tuple(s.alpha_at(x, i, i + 1)
+                                                   for i in range(k)))
+                            for s in dusk.simplices[k]] for k in range(4)]
     layers = [list(t) for t in good.layers]
     layers[2][0], layers[2][1] = layers[2][1], layers[2][0]
     bad = SimplicialMap(dusk, ordn, layers)
     assert simplicial_map_violations(bad) != []
+    assert isomorphism_violations(bad) == oracle_map_violations(bad)
+    moved = [list(t) for t in good.layers]
+    moved[3][5] = moved[3][6]
+    moved[1][1] = 0
+    bad = SimplicialMap(dusk, ordn, moved)
+    assert len(isomorphism_violations(bad)) > 2
+    assert isomorphism_violations(bad) == oracle_map_violations(bad)
     # collapsing onto the identity chains is simplicial but not injective
     collapsed = [[ordn.index_of(k, (g.identity,) * k)] * dusk.count(k)
                  for k in range(dusk.N + 1)]
@@ -94,6 +135,8 @@ def test_map_violations_detect_tampering():
         SimplicialMap(dusk, ordn, collapsed)) == []
     assert any("not injective" in p for p in isomorphism_violations(
         SimplicialMap(dusk, ordn, collapsed)))
+    assert isomorphism_violations(SimplicialMap(dusk, ordn, collapsed)) \
+        == oracle_map_violations(SimplicialMap(dusk, ordn, collapsed))
     short = ordinary_nerve(g, 2)
     assert simplicial_map_violations(
         SimplicialMap(dusk, short, good.layers)) \
@@ -213,3 +256,226 @@ def test_nerve_budget_guards():
         duskin_nerve(one_to(make_symmetric(3)), 4, budget=100)
     with pytest.raises(ResourceLimit):
         monoidal_diag_nerve(xmod_identity(make_cyclic(2)), 3, budget=100)
+
+
+# ---------------------------------------------------------------------------
+# the array builder against the per-simplex oracle
+# ---------------------------------------------------------------------------
+
+def oracle_tables(n_trunc, levels, face_fn, degen_fn):
+    """Face and degeneracy tables from simplex-valued structure maps, looked
+    up one simplex at a time in a dictionary per level."""
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
+    assert [len(i) for i in index] == [len(level) for level in levels]
+    face = {k: [[index[k - 1][face_fn(k, i, s)] for s in levels[k]]
+                for i in range(k + 1)] for k in range(1, n_trunc + 1)}
+    degen = {k: [[index[k + 1][degen_fn(k, i, s)] for s in levels[k]]
+                 for i in range(k + 1)] for k in range(n_trunc)}
+    return face, degen
+
+
+def oracle_duskin_level(x, k):
+    """The valid k-simplices, one candidate (edge chain, u table) at a time
+    in lexicographic order, with the derived edges filled in by the triangle
+    relations at (i, j-1, j)."""
+    g, h = x.ggroup, x.hgroup
+    pp = pair_positions(k)
+    triples = list(combinations(range(k + 1), 3))
+    tp = {t: i for i, t in enumerate(triples)}
+    out = []
+    for chain in product(g.elements(), repeat=k):
+        for u in product(h.elements(), repeat=len(triples)):
+            alpha = [0] * len(pp)
+            for i in range(k):
+                alpha[pp[(i, i + 1)]] = chain[i]
+            for span in range(2, k + 1):
+                for i in range(k + 1 - span):
+                    j = i + span
+                    du = x.boundary[u[tp[(i, j - 1, j)]]]
+                    alpha[pp[(i, j)]] = g.op(
+                        g.inv[du], g.op(alpha[pp[(i, j - 1)]], chain[j - 1]))
+            s = PseudofunctorSimplex(k, tuple(alpha), u)
+            if not pseudofunctor_violations(x, s):
+                out.append(s)
+    return out
+
+
+def oracle_duskin(x, n):
+    levels = [oracle_duskin_level(x, k) for k in range(n + 1)]
+    return (levels,) + oracle_tables(
+        n, levels, lambda k, i, s: reindex(x, s, delta_map(k, i)),
+        lambda k, i, s: reindex(x, s, sigma_map(k, i)))
+
+
+def oracle_ordinary(group, n):
+    levels = [list(product(group.elements(), repeat=k)) for k in range(n + 1)]
+
+    def face(k, i, chain):
+        if i == 0:
+            return chain[1:]
+        if i == k:
+            return chain[:-1]
+        return (chain[:i - 1] + (group.op(chain[i - 1], chain[i]),)
+                + chain[i + 1:])
+
+    def degen(k, i, chain):
+        return chain[:i] + (group.identity,) + chain[i:]
+
+    return (levels,) + oracle_tables(n, levels, face, degen)
+
+
+def oracle_diag(x, n):
+    g, h = x.ggroup, x.hgroup
+
+    def merge(c1, c2):
+        (y1, us1), (y2, us2) = c1, c2
+        run, out = y1, []
+        for u1, u2 in zip(us1, us2):
+            out.append(h.op(u1, x.act(run, u2)))
+            run = g.op(x.boundary[u1], run)
+        return (g.op(y1, y2), tuple(out))
+
+    def v_face(r, col):
+        y0, us = col
+        if r == 0:
+            return (g.op(x.boundary[us[0]], y0), us[1:])
+        if r == len(us):
+            return (y0, us[:-1])
+        return (y0, us[:r - 1] + (h.op(us[r], us[r - 1]),) + us[r + 1:])
+
+    def face(k, i, cols):
+        if i == 0:
+            kept = cols[1:]
+        elif i == k:
+            kept = cols[:-1]
+        else:
+            kept = cols[:i - 1] + (merge(cols[i - 1], cols[i]),) + cols[i + 1:]
+        return tuple(v_face(i, c) for c in kept)
+
+    def degen(k, i, cols):
+        widened = cols[:i] + ((g.identity, (h.identity,) * k),) + cols[i:]
+        return tuple((y0, us[:i] + (h.identity,) + us[i:])
+                     for y0, us in widened)
+
+    levels = []
+    for k in range(n + 1):
+        cols = [(y0, us) for y0 in g.elements()
+                for us in product(h.elements(), repeat=k)]
+        levels.append(list(product(cols, repeat=k)))
+    return (levels,) + oracle_tables(n, levels, face, degen)
+
+
+def oracle_prism(s):
+    levels = [[(idx, t) for idx in range(s.count(k)) for t in range(k + 2)]
+              for k in range(s.N + 1)]
+    return (levels,) + oracle_tables(
+        s.N, levels,
+        lambda k, i, c: (s.face[k][i][c[0]], c[1] - 1 if i < c[1] else c[1]),
+        lambda k, i, c: (s.degen[k][i][c[0]], c[1] + 1 if i < c[1] else c[1]))
+
+
+def assert_same_set(s, oracle):
+    levels, face, degen = oracle
+    assert s.simplices == levels
+    assert s.face == face
+    assert s.degen == degen
+    assert all(type(v) is int for k in s.face for t in s.face[k] for v in t)
+
+
+def c2_inverting_c3():
+    """C3 -> C2 with trivial boundary, C2 acting by inversion."""
+    h, g = make_cyclic(3), make_cyclic(2)
+    return CrossedModule(h, g, (h.identity,) * 3,
+                         (tuple(h.elements()), tuple(h.inv)), "C3-inv")
+
+
+@pytest.mark.parametrize("x_fn,n", [
+    pytest.param(lambda: one_to(make_symmetric(4)), 3, id="1->S4"),
+    pytest.param(lambda: one_to(make_symmetric(3)), 4, id="1->S3"),
+    pytest.param(lambda: xmod_abelian(make_cyclic(3)), 4, id="C3->1"),
+    pytest.param(lambda: xmod_identity(make_cyclic(2)), 3, id="C2->id"),
+    pytest.param(lambda: xmod_identity(make_cyclic(3)), 3, id="C3->id"),
+    pytest.param(lambda: xmod_identity(make_symmetric(3)), 2, id="S3->id"),
+    pytest.param(c2_inverting_c3, 3, id="C3-inv"),
+])
+def test_duskin_tables_match_the_oracle(x_fn, n):
+    x = x_fn()
+    assert_same_set(duskin_nerve(x, n), oracle_duskin(x, n))
+
+
+@pytest.mark.parametrize("x_fn,n", [
+    pytest.param(lambda: xmod_abelian(make_cyclic(3)), 3, id="C3->1"),
+    pytest.param(lambda: xmod_identity(make_cyclic(2)), 3, id="C2->id"),
+    pytest.param(lambda: one_to(make_symmetric(3)), 3, id="1->S3"),
+    pytest.param(lambda: xmod_identity(make_symmetric(3)), 2, id="S3->id"),
+    pytest.param(c2_inverting_c3, 2, id="C3-inv"),
+])
+def test_diag_tables_match_the_oracle(x_fn, n):
+    x = x_fn()
+    assert_same_set(monoidal_diag_nerve(x, n), oracle_diag(x, n))
+
+
+@pytest.mark.parametrize("group_fn,n", [
+    pytest.param(lambda: make_symmetric(3), 4, id="S3"),
+    pytest.param(lambda: make_cyclic(4), 3, id="C4"),
+])
+def test_ordinary_tables_match_the_oracle(group_fn, n):
+    group = group_fn()
+    assert_same_set(ordinary_nerve(group, n), oracle_ordinary(group, n))
+
+
+@pytest.mark.parametrize("base_fn", [
+    pytest.param(lambda: ordinary_nerve(make_cyclic(3), 3), id="nerve-C3"),
+    pytest.param(lambda: duskin_nerve(xmod_identity(make_cyclic(2)), 3),
+                 id="duskin-C2->id"),
+])
+def test_prism_tables_match_the_oracle(base_fn):
+    base = base_fn()
+    assert_same_set(prism(base), oracle_prism(base))
+
+
+def test_small_enumeration_blocks_give_the_same_nerve(monkeypatch):
+    monkeypatch.setattr(nerves, "_BLOCK", 7)
+    for x, n in [(xmod_identity(make_symmetric(3)), 2),
+                 (c2_inverting_c3(), 3), (xmod_abelian(make_cyclic(3)), 3)]:
+        assert_same_set(duskin_nerve(x, n), oracle_duskin(x, n))
+
+
+def test_a_face_missing_from_its_level_is_refused(monkeypatch):
+    x = one_to(make_symmetric(3))
+    true_rows = nerves._duskin_level_rows
+
+    def drop_last(x, k):
+        keys, rows = true_rows(x, k)
+        return (keys[:-1], rows[:-1]) if k == 2 else (keys, rows)
+
+    def bend_derived_edge(x, k):
+        keys, rows = true_rows(x, k)
+        if k == 2:
+            rows = rows.copy()
+            rows[-1, 1] = (rows[-1, 1] + 1) % x.ggroup.order  # alpha_02
+        return keys, rows
+
+    monkeypatch.setattr(nerves, "_duskin_level_rows", drop_last)
+    with pytest.raises(ValueError, match="face d_. leaves the level-2"):
+        duskin_nerve(x, 3)
+    monkeypatch.setattr(nerves, "_duskin_level_rows", bend_derived_edge)
+    with pytest.raises(ValueError, match="leaves the level"):
+        duskin_nerve(x, 3)
+
+
+def test_a_key_range_past_int64_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("enumeration started before the key guard")
+
+    monkeypatch.setattr(nerves, "_duskin_level_rows", no_work)
+    # 6^5 * 6^C(6,3) = 6^25 keys at level 5, under the budget
+    report = cli.run({"schema": 1, "task": "nerve", "kind": "duskin",
+                      "xmod": "S3->id", "trunc": 5, "budget": 10 ** 30})
+    assert report["status"] == "resource-error"
+    assert report["result"] == {"bound": "duskin level 5 keys",
+                                "needed": 6 ** 25, "allowed": 2 ** 63 - 1}
+    # the enumerator keeps the guard for callers with their own budgets
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimit, match="duskin level 5 keys"):
+        nerves._enumerate_duskin_level(xmod_identity(make_symmetric(3)), 5)
