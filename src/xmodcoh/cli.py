@@ -34,7 +34,7 @@ from .cohomology import cohomology
 from .crossed import compute_H1, compute_H1_ff, xmod_violations
 from .errors import ResourceLimit
 from .nerves import (diag_to_ordinary, duskin_nerve, duskin_to_ordinary,
-                     isomorphism_violations, monoidal_diag_nerve,
+                     isomorphism_violations, monoidal_diag_nerve, nerve_guard,
                      ordinary_nerve)
 from .obstruction import (matrix_kernel_obstruction, theta, theta_lift_sweep,
                           verify_exactness)
@@ -166,19 +166,26 @@ def _task_exact_check(bundle, seed, budget):
     return ("ok" if rep.exact else "violation"), result
 
 
-def _nerve(bundle, kind, trunc, bud):
-    """The ordinary, duskin or diag nerve the bundle asks for, and its
-    crossed module (None for an ordinary nerve)."""
+def _nerve_source(bundle, kind):
+    """The group of an ordinary nerve, or the crossed module of a duskin or
+    diag nerve."""
     if kind == "ordinary":
         if "group" not in bundle:
             raise BundleError("/group", "ordinary nerve needs a group")
-        group = group_from_spec(bundle["group"], "/group")
-        return ordinary_nerve(group, trunc, budget=bud), None
+        return group_from_spec(bundle["group"], "/group")
     if "xmod" not in bundle:
         raise BundleError("/xmod", f"{kind} nerve needs a crossed module")
-    x = xmod_from_spec(bundle["xmod"], "/xmod")
-    build = duskin_nerve if kind == "duskin" else monoidal_diag_nerve
-    return build(x, trunc, budget=bud), x
+    return xmod_from_spec(bundle["xmod"], "/xmod")
+
+
+def _nerves(plan, trunc, bud):
+    """The nerve of each (kind, source) of ``plan``; every guard runs before
+    any nerve is built."""
+    for kind, source in plan:
+        nerve_guard(kind, source, trunc, bud)
+    build = {"ordinary": ordinary_nerve, "duskin": duskin_nerve,
+             "diag": monoidal_diag_nerve}
+    return [build[kind](source, trunc, budget=bud) for kind, source in plan]
 
 
 def _task_nerve(bundle, seed, budget):
@@ -190,19 +197,21 @@ def _task_nerve(bundle, seed, budget):
     bud = _budget(bundle, budget, 10_000_000)
     if kind not in ("duskin", "diag", "ordinary"):
         raise BundleError("/kind", "expected duskin, diag or ordinary")
-    s, x = _nerve(bundle, kind, trunc, bud)
+    source = _nerve_source(bundle, kind)
+    iso = bundle.get("check_ordinary_iso", False)
+    if iso and kind == "ordinary":
+        raise BundleError("/check_ordinary_iso",
+                          "only meaningful for duskin or diag nerves")
+    plan = [(kind, source)] + ([("ordinary", source.ggroup)] if iso else [])
+    s, *ordn = _nerves(plan, trunc, bud)
     result = {"kind": kind, "N": s.N, "counts": list(s.counts())}
     if bundle.get("emit_tables", False):
         result["simplicial_set"] = simplicial_to_json(s)
     status = "ok"
-    if bundle.get("check_ordinary_iso", False):
-        if x is None:
-            raise BundleError("/check_ordinary_iso",
-                              "only meaningful for duskin or diag nerves")
-        ordn = ordinary_nerve(x.ggroup, trunc, budget=bud)
+    if iso:
         to_ordinary = duskin_to_ordinary if kind == "duskin" \
             else diag_to_ordinary
-        problems = isomorphism_violations(to_ordinary(x, s, ordn))
+        problems = isomorphism_violations(to_ordinary(source, s, ordn[0]))
         result["ordinary_iso"] = not problems
         result["iso_violations"] = problems[:20]
         if problems:
@@ -219,11 +228,13 @@ def _task_homology(bundle, seed, budget):
                        maxdeg + 1)
     bud = _budget(bundle, budget, 10_000_000)
     if kind in ("duskin", "ordinary", "diag"):
-        h = homology(_nerve(bundle, kind, trunc, bud)[0], maxdeg)
-        return "ok", {"kind": kind, "groups": homology_to_json(h)}
+        s, = _nerves([(kind, _nerve_source(bundle, kind))], trunc, bud)
+        return "ok", {"kind": kind,
+                      "groups": homology_to_json(homology(s, maxdeg))}
     if kind == "both":
-        hd = homology(_nerve(bundle, "duskin", trunc, bud)[0], maxdeg)
-        hm = homology(_nerve(bundle, "diag", trunc, bud)[0], maxdeg)
+        x = _nerve_source(bundle, "duskin")
+        hd, hm = (homology(s, maxdeg) for s in
+                  _nerves([("duskin", x), ("diag", x)], trunc, bud))
         agree = hd.factors[:maxdeg + 1] == hm.factors[:maxdeg + 1]
         result = {"kind": kind, "duskin": homology_to_json(hd),
                   "diag": homology_to_json(hm), "agree": agree}

@@ -1,24 +1,28 @@
-"""Exact integer linear algebra, and the sparse unit-pivot core.
+"""Exact integer linear algebra: Smith normal form, solves, and the rank
+and torsion of large sparse integer matrices.
 
-Everything here works over arbitrary-precision Python ints: Smith normal
-form with optional unimodular transforms, integer linear solves, and solves
-modulo a vector of moduli.  Matrices are lists of rows; vectors are lists of
-ints.
+The Smith form and the solves work over arbitrary-precision Python ints on
+matrices given as lists of rows.
 
-:func:`unit_pivots` is the one sparse elimination loop: it pivots on unit
-entries of ``{key: entry}`` vectors, over Z (units +-1) or over a local
-ring Z/p^k (units the entries p does not divide).  Rank and torsion of a
-large sparse integer matrix, such as a simplicial boundary, come from
-:func:`sparse_rank_torsion`: unit pivots first, then the dense Smith form
-on the small residual that has no unit entry left.  ``modsnf.mod_kernel``
-runs the same loop over each prime power of its modulus.
+:func:`sparse_rank_torsion` takes a ``scipy.sparse`` matrix, such as a
+simplicial boundary, and eliminates whole blocks of +-1 pivots at once:
+each round takes the columns whose first entry is +-1, one per row, which
+form a unimodular triangular block, and replaces the matrix by the Schur
+complement of that block (Faugere-Lachartre pivot selection).  The work is
+numpy array operations on int64 triples, bounded by a headroom check that
+refuses with a typed ``ResourceLimit`` before an entry could wrap.  Only
+the small residual with no +-1 entry goes to the dense Smith form.  The
+one-pivot-at-a-time loop over Z/p^k lives in ``modsnf``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
+from scipy import sparse
+
+from .errors import ResourceLimit
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -194,112 +198,185 @@ def smith_normal_form(a: list[list[int]], transforms: bool = False) -> SmithForm
     return form
 
 
-def unit_pivots(vectors: Iterable[dict[int, int]], q: int = 0, p: int = 0
-                ) -> tuple[list[tuple[int, dict[int, int]]],
-                           list[dict[int, int]]]:
-    """Sparse elimination on unit entries, over Z or over Z/q with q = p^k.
+# Entries stay below this bound, so the sum of two cannot wrap int64, and
+# a product that could reach it is refused before it is formed.
+HEADROOM = 2 ** 62
 
-    Each vector is ``{key: entry}``; over Z/q entries are reduced mod q.
-    A unit is +-1 over Z (an exact unimodular step) and any entry that p
-    does not divide over the local ring Z/p^k.  Zero and repeated vectors
-    are dropped first.  Each step takes the shortest vector with a unit,
-    pivots at the unit whose key occurs in the fewest other vectors, which
-    keeps fill-in low, scales the vector to 1 there and clears that key
-    from every other vector.
-
-    Returns ``(pivots, residual)``.  ``pivots`` lists ``(key, v)`` in pivot
-    order, where ``e_key + v`` is the scaled pivot vector; v holds no key
-    pivoted before it.  ``residual`` holds the vectors left without a unit,
-    none with a pivot key, each taken once up to sign.
-    """
-    if q:
-        def is_unit(x):
-            return x % p != 0
-
-        def has_unit(v):
-            return any(x % p for x in v.values())
-    else:
-        def is_unit(x):
-            return x == 1 or x == -1
-
-        def has_unit(v):
-            return 1 in v.values() or -1 in v.values()
-    vecs: dict[int, dict[int, int]] = {}
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for vec in vectors:
-        if q:
-            vec = {k: x % q for k, x in vec.items()}
-        key = tuple(sorted((k, x) for k, x in vec.items() if x))
-        if key and key not in seen:
-            seen.add(key)
-            vecs[len(vecs)] = dict(key)
-    where = defaultdict(set)  # key -> vectors with an entry there
-    units = defaultdict(set)  # length -> vectors with a unit entry
-    for j, v in vecs.items():
-        for r in v:
-            where[r].add(j)
-        if has_unit(v):
-            units[len(v)].add(j)
-    pivots = []
-    while any(units.values()):
-        j = units[min(n for n, b in units.items() if b)].pop()
-        v = vecs.pop(j)
-        for key in v:
-            where[key].discard(j)
-        r = min((key for key, x in v.items() if is_unit(x)),
-                key=lambda key: len(where[key]))
-        inv = pow(v.pop(r), -1, q) if q else v.pop(r)
-        v = {key: x * inv % q if q else x * inv for key, x in v.items()}
-        pivots.append((r, v))
-        for k in where.pop(r):
-            w = vecs[k]
-            units[len(w)].discard(k)
-            f = w.pop(r)  # w - f (e_r + v) is zero at r
-            for key, x in v.items():
-                y = w.get(key)
-                z = -f * x if y is None else y - f * x
-                if q:
-                    z %= q
-                if z:
-                    if y is None:
-                        where[key].add(k)
-                    w[key] = z
-                elif y is not None:
-                    del w[key]
-                    where[key].discard(k)
-            if not w:
-                del vecs[k]
-            elif has_unit(w):
-                units[len(w)].add(k)
-    residual: dict[tuple[tuple[int, int], ...], None] = {}
-    for v in vecs.values():
-        key = tuple(sorted(v.items()))
-        if key[0][1] < 0 or (q and 2 * key[0][1] > q):
-            key = tuple((r, -x % q if q else -x) for r, x in key)
-        residual[key] = None
-    return pivots, [dict(key) for key in residual]
+# Inside the elimination a sparse matrix is a triple (rows, cols, values)
+# of int64 arrays, canonical when sorted by column and then row, with no
+# repeated position and no zero.
 
 
-def sparse_rank_torsion(
-        columns: Iterable[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion of the integer matrix with ``{row: entry}`` columns.
+def _refuse(what: str, bound: int) -> None:
+    if bound >= HEADROOM:
+        raise ResourceLimit(f"int64 elimination {what}", bound, HEADROOM)
+
+
+def _canonical(r, c, x, m: int):
+    """Canonical triples of an m-row matrix, entries at one position
+    summed; refused when an entry reaches the headroom."""
+    key = c * m + r
+    order = np.argsort(key)
+    key, x = key[order], x[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    x = np.add.reduceat(x, start) if len(x) else x
+    key, x = key[start][x != 0], x[x != 0]
+    _refuse("entry", int(np.abs(x).max(initial=0)))
+    return key % m, key // m, x
+
+
+def _times(u, v, k: int):
+    """Triples of u @ v, v with k rows, in the order of u's entries and
+    with positions repeated.  No entry exceeds max|u| * max|v| times the
+    longest row of u, which is checked first."""
+    (ur, uc, ux), (vr, vc, vx) = u, v
+    if len(ux) and len(vx):
+        _refuse("product", int(np.abs(ux).max()) * int(np.abs(vx).max())
+                * int(np.bincount(ur).max()))
+    order = np.argsort(vr)
+    ptr = np.searchsorted(vr[order], np.arange(k + 1))
+    cnt = ptr[uc + 1] - ptr[uc]
+    pick = order[np.repeat(ptr[uc] - np.cumsum(cnt) + cnt, cnt)
+                 + np.arange(cnt.sum())]
+    return np.repeat(ur, cnt), vc[pick], np.repeat(ux, cnt) * vx[pick]
+
+
+def _minus(a, p, m: int):
+    return _canonical(*(np.concatenate([s, t]) for s, t in
+                        zip(a, (p[0], p[1], -p[2]))), m)
+
+
+def _transpose(t):
+    return t[1], t[0], t[2]
+
+
+def _solve(b, e, k: int, m: int):
+    """B (I + E)^-1 for an m-row B and a nilpotent k x k E: z <- B - z E
+    from z = B is exact once it stops changing."""
+    z = b
+    while True:
+        nxt = _minus(b, _times(z, e, k), m)
+        if all(map(np.array_equal, nxt, z)):
+            return z
+        z = nxt
+
+
+def _distinct_columns(r, c, x):
+    """Canonical triples without empty columns, relabelled, each column
+    negated to a positive head (first entry) and kept once; neither step
+    changes rank or torsion.  Copies share a hash of their entries and are
+    then compared entry by entry; after a hash collision all are kept."""
+    new = np.diff(c, prepend=-1) != 0
+    c, start = np.cumsum(new) - 1, np.flatnonzero(new)
+    x = x * np.sign(x[start])[c]
+    size = np.diff(start, append=len(c))
+    mix = (r.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    h = np.add.reduceat(x.astype(np.uint64) * (mix ^ mix >> np.uint64(29)),
+                        start) + size.astype(np.uint64)
+    first, inverse = np.unique(h, return_index=True, return_inverse=True)[1:]
+    rep = first[inverse]
+    if not np.array_equal(size[rep], size):
+        return r, c, x
+    twin = start[rep][c] + np.arange(len(c)) - start[c]
+    if not (np.array_equal(r[twin], r) and np.array_equal(x[twin], x)):
+        return r, c, x
+    kept = np.zeros(len(start), dtype=bool)
+    kept[first] = True
+    return r[kept[c]], (np.cumsum(kept) - 1)[c[kept[c]]], x[kept[c]]
+
+
+def _pivot_block(r, c, x):
+    """Pivot rows and columns of canonical triples whose columns are all
+    nonempty with positive heads: a column headed by 1 is a candidate, and
+    the sparsest candidate of each head row is taken.  In ascending row
+    order the block A[rows, cols] is lower triangular with 1 on the
+    diagonal, so it is unimodular."""
+    start = np.flatnonzero(np.diff(c, prepend=-1))
+    cand = np.flatnonzero(x[start] == 1)
+    lead = r[start]
+    cand = cand[np.lexsort((np.diff(start, append=len(c))[cand], lead[cand]))]
+    cols = cand[np.diff(lead[cand], prepend=-1) != 0]
+    return lead[cols], cols
+
+
+def _units_first(r, c, x, m: int):
+    """The rows holding a +-1 entry moved first, in order; the first of
+    them then heads a column at a +-1 entry."""
+    unit = np.isin(np.arange(m), r[np.abs(x) == 1])
+    pos = np.argsort(np.argsort(~unit, kind="stable"))
+    return _canonical(pos[r], c, x, m)
+
+
+def _split(idx, piv, size: int):
+    """Per index: whether it is a pivot, and its position among the pivots
+    (in pivot order) or among the rest (ascending)."""
+    inside = np.zeros(size, dtype=bool)
+    inside[piv] = True
+    pos = np.empty(size, dtype=np.int64)
+    pos[piv] = np.arange(len(piv))
+    pos[~inside] = np.arange(size - len(piv))
+    return inside[idx], pos[idx]
+
+
+def _eliminate(r, c, x, m: int, n: int, rows, cols):
+    """The Schur complement S = A22 - A21 A11^-1 A12 of the pivot block
+    A11 = A[rows, cols] = I + E, solved on the side with fewer right-hand
+    sides.  Unimodular row and column operations take A to I + S, so S
+    has the torsion of A."""
+    k = len(rows)
+    (rin, rpos), (cin, cpos) = _split(r, rows, m), _split(c, cols, n)
+    a11, a12, a21, a22 = (tuple(t[(rin == i) & (cin == j)]
+                                for t in (rpos, cpos, x))
+                          for i, j in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    e = tuple(t[a11[0] != a11[1]] for t in a11)
+    # The transposed product is formed grouped by the columns of S, which
+    # halves the sort that sums it.
+    if m <= n:  # Z = A21 A11^-1 and S = A22 - Z A12
+        z = _solve(_canonical(*a21, m - k), e, k, m - k)
+        pt = _times(_transpose(a12), _transpose(z), k)
+    else:  # Z = (A11^-1 A12)^T and S = A22 - A21 Z^T
+        z = _solve(_canonical(*_transpose(a12), n - k), _transpose(e), k,
+                   n - k)
+        order = np.argsort(z[0], kind="stable")
+        pt = _times(tuple(t[order] for t in z), _transpose(a21), k)
+    return _minus(a22, _transpose(pt), m - k)
+
+
+def sparse_rank_torsion(a) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion of an integer matrix given in ``scipy.sparse`` form.
 
     ``torsion`` lists the invariant factors greater than 1, ascending, so
     Z^rows modulo the column span is Z^(rows - rank) plus those cyclic
-    groups.  A pivot on a +-1 entry is an exact unimodular step that splits
-    off one row and one column, so those pivots are taken in sparse form by
-    :func:`unit_pivots`; the columns left without a unit entry go over
-    their own rows to :func:`smith_normal_form`.
+    groups.  Each round pivots at once on a unimodular block of +-1 entries
+    (:func:`_pivot_block`) and goes on with its Schur complement, which has
+    the same torsion.  Entries stay in int64 under :data:`HEADROOM`, past
+    which a ``ResourceLimit`` is raised.  When no +-1 entry is left, the
+    distinct columns of the residual go to :func:`smith_normal_form`.
     """
-    pivots, residual = unit_pivots(columns)
-    rows = sorted({r for v in residual for r in v})
-    pos = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(residual) for _ in rows]
-    for c, v in enumerate(residual):
-        for r, x in v.items():
-            dense[pos[r]][c] = x
-    form = smith_normal_form(dense)
-    return (len(pivots) + form.rank,
+    a = sparse.csc_matrix(a)
+    r, c, x = _canonical(
+        a.indices.astype(np.int64),
+        np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)),
+        a.data.astype(np.int64), a.shape[0])
+    rank = 0
+    while len(x):
+        used = np.zeros(a.shape[0], dtype=bool)
+        used[r] = True
+        r, m = (np.cumsum(used) - 1)[r], int(used.sum())
+        r, c, x = _distinct_columns(r, c, x)
+        rows, cols = _pivot_block(r, c, x)
+        if len(rows):
+            rank += len(rows)
+            r, c, x = _eliminate(r, c, x, m, int(c[-1]) + 1, rows, cols)
+        elif (np.abs(x) == 1).any():
+            r, c, x = _units_first(r, c, x, m)
+        else:
+            break
+    dense = np.zeros((r.max(initial=-1) + 1, c.max(initial=-1) + 1),
+                     dtype=np.int64)
+    dense[r, c] = x
+    form = smith_normal_form(np.unique(dense, axis=1).tolist())
+    return (rank + form.rank,
             tuple(d for d in form.diag[:form.rank] if d > 1))
 
 

@@ -13,11 +13,11 @@ comes out as a chain with no further pass.
 transforms, for the small matrices that need them (elimination residuals,
 quotient relations and solver matrices) and joins them by CRT.  Kernels,
 the one large elimination behind group cohomology, never take a dense form
-of the whole matrix: sparse unit pivots (``intlinalg.unit_pivots``, the
-same pivot loop as integral homology) solve most columns exactly; only the
-residual rows, which have no unit left, go to :func:`mod_smith`, and the
-residual kernel is lifted back through the pivot rows.  The test suite
-cross-checks both against the exact integer Smith form.
+of the whole matrix: sparse unit pivots (:func:`unit_pivots`, one pivot at
+a time on dict rows) solve most columns exactly; only the residual rows,
+which have no unit left, go to :func:`mod_smith`, and the residual kernel
+is lifted back through the pivot rows.  The test suite cross-checks both
+against the exact integer Smith form.
 
 Conventions: matrix entries are stored canonically in [0, m).  Reported
 diagonal values are canonical divisors of m, with m itself standing for a
@@ -26,13 +26,14 @@ zero entry (annihilator Z/m).  Transform matrices are invertible mod m.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd, prod
 
 import numpy as np
 from scipy import sparse
 
-from . import intlinalg as il
 
 
 def dtype_for(m: int, max_dim: int):
@@ -194,12 +195,81 @@ def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int], np.ndarray]:
     return np.hstack(gens), orders, np.array(sorted(free), dtype=np.int64)
 
 
+def unit_pivots(vectors: Iterable[dict[int, int]], q: int, p: int
+                ) -> tuple[list[tuple[int, dict[int, int]]],
+                           list[dict[int, int]]]:
+    """Sparse elimination on unit entries over the local ring Z/q, q = p^k.
+
+    Each vector is ``{key: entry}``, with entries reduced mod q.  A unit is
+    any entry that p does not divide.  Zero and repeated vectors are
+    dropped first.  Each step takes the shortest vector with a unit, pivots
+    at the unit whose key occurs in the fewest other vectors, which keeps
+    fill-in low, scales the vector to 1 there and clears that key from
+    every other vector.
+
+    Returns ``(pivots, residual)``.  ``pivots`` lists ``(key, v)`` in pivot
+    order, where ``e_key + v`` is the scaled pivot vector; v holds no key
+    pivoted before it.  ``residual`` holds the vectors left without a unit,
+    none with a pivot key, each taken once up to sign.
+    """
+    vecs: dict[int, dict[int, int]] = {}
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for vec in vectors:
+        key = tuple(sorted((k, x % q) for k, x in vec.items() if x % q))
+        if key and key not in seen:
+            seen.add(key)
+            vecs[len(vecs)] = dict(key)
+    where = defaultdict(set)  # key -> vectors with an entry there
+    units = defaultdict(set)  # length -> vectors with a unit entry
+    for j, v in vecs.items():
+        for r in v:
+            where[r].add(j)
+        if any(x % p for x in v.values()):
+            units[len(v)].add(j)
+    pivots = []
+    while any(units.values()):
+        j = units[min(n for n, b in units.items() if b)].pop()
+        v = vecs.pop(j)
+        for key in v:
+            where[key].discard(j)
+        r = min((key for key, x in v.items() if x % p),
+                key=lambda key: len(where[key]))
+        inv = pow(v.pop(r), -1, q)
+        v = {key: x * inv % q for key, x in v.items()}
+        pivots.append((r, v))
+        for k in where.pop(r):
+            w = vecs[k]
+            units[len(w)].discard(k)
+            f = w.pop(r)  # w - f (e_r + v) is zero at r
+            for key, x in v.items():
+                y = w.get(key)
+                z = (-f * x if y is None else y - f * x) % q
+                if z:
+                    if y is None:
+                        where[key].add(k)
+                    w[key] = z
+                elif y is not None:
+                    del w[key]
+                    where[key].discard(k)
+            if not w:
+                del vecs[k]
+            elif any(x % p for x in w.values()):
+                units[len(w)].add(k)
+    residual: dict[tuple[tuple[int, int], ...], None] = {}
+    for v in vecs.values():
+        key = tuple(sorted(v.items()))
+        if 2 * key[0][1] > q:
+            key = tuple((r, -x % q) for r, x in key)
+        residual[key] = None
+    return pivots, [dict(key) for key in residual]
+
+
 def _local_kernel(a: sparse.csr_matrix, p: int,
                   q: int) -> tuple[np.ndarray, list[int], list[int]]:
     """The kernel of ``a`` over the local ring Z/q, q = p^k, and its free
     columns.
 
-    Unit pivots on the rows (``intlinalg.unit_pivots``) solve each pivot
+    Unit pivots on the rows (:func:`unit_pivots`) solve each pivot
     column in terms of later columns.  The residual rows have no unit, so
     their kernel over the free (non-pivot) columns comes from the dense
     :func:`mod_smith`.  The generators are lifted through the pivot rows
@@ -208,7 +278,7 @@ def _local_kernel(a: sparse.csr_matrix, p: int,
     c = a.shape[1]
     dtype_for(q, c)  # back-substitution sums at most c products below q^2
     ptr, cols, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    pivots, residual = il.unit_pivots(
+    pivots, residual = unit_pivots(
         (dict(zip(cols[s:t], data[s:t])) for s, t in zip(ptr, ptr[1:])),
         q, p)
     pivoted = {key for key, _ in pivots}

@@ -30,7 +30,10 @@ The comparison maps to the ordinary nerve are radix values of edge chains
 or object columns, and the map checks compare whole tables at once.
 ``simplices[k]`` holds the same Python objects as the per-simplex
 construction did (``PseudofunctorSimplex``, chain tuples, column tuples),
-for the homotopy and retraction code that reads them.
+built from the level's rows on first read, for the homotopy and
+retraction code that reads them; the nerve and homology tasks never do.
+Every builder runs its ``nerve_guard`` before any work, and a task that
+needs several nerves runs all their guards first.
 """
 
 from __future__ import annotations
@@ -325,6 +328,24 @@ def _enumerate_duskin_level(x: CrossedModule, k: int) -> list:
     return _duskin_simplices(k, _duskin_level_rows(x, k)[1])
 
 
+def nerve_guard(kind: str, source, n_trunc: int,
+                budget: int = _DIM_CAP) -> None:
+    """Refuse, before any work, the ``kind`` nerve truncated at ``n_trunc``
+    when a level exceeds the budget: "ordinary" of a group, "duskin" or
+    "diag" of a crossed module.  Each builder runs its guard first."""
+    if kind == "ordinary":
+        if source.order ** n_trunc > budget:
+            raise ResourceLimit(f"nerve level {n_trunc}",
+                                source.order ** n_trunc, budget)
+    elif kind == "duskin":
+        for k in range(n_trunc + 1):
+            _duskin_key_range(source, k, budget)
+    else:
+        for k, est in enumerate(_diag_sizes(source, n_trunc)):
+            if est > budget:
+                raise ResourceLimit(f"diagonal level {k}", est, budget)
+
+
 def duskin_nerve(x: CrossedModule, n_trunc: int,
                  budget: int = _DIM_CAP) -> TruncatedSimplicialSet:
     """The Duskin nerve of the 2-group of ``x``, truncated at ``n_trunc``.
@@ -341,8 +362,7 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
     leaves the level and raises ``ValueError``.
     """
     g, h = x.ggroup, x.hgroup
-    for k in range(n_trunc + 1):
-        _duskin_key_range(x, k, budget)
+    nerve_guard("duskin", x, n_trunc, budget)
     keys, rows = zip(*(_duskin_level_rows(x, k)
                        for k in range(n_trunc + 1)))
     # alpha and u of each level, each with an identity column appended
@@ -374,9 +394,8 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
                        f"degeneracy s_{i} leaves the level-{k + 1} list")
                  for i in range(k + 1)] for k in range(n_trunc)}
     return build_truncated(
-        n_trunc, [_duskin_simplices(k, r) for k, r in enumerate(rows)],
-        face, degen, label=f"duskin({x.label})" if x.label else "duskin",
-        rows=list(rows))
+        n_trunc, list(rows), lambda k: _duskin_simplices(k, rows[k]), face,
+        degen, label=f"duskin({x.label})" if x.label else "duskin")
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +408,7 @@ def ordinary_nerve(group: FiniteGroup, n_trunc: int,
 
     A chain's index is its base-|G| value, first element most significant.
     """
-    if group.order ** n_trunc > budget:
-        raise ResourceLimit(f"nerve level {n_trunc}",
-                            group.order ** n_trunc, budget)
+    nerve_guard("ordinary", group, n_trunc, budget)
     n = group.order
     mul = np.array(group.mul, dtype=np.int64)
     rows = [_digits(np.arange(n ** k, dtype=np.int64), [n] * k)
@@ -406,21 +423,24 @@ def ordinary_nerve(group: FiniteGroup, n_trunc: int,
         return _merge(r, i, mul[r[:, i - 1], r[:, i]])
 
     return build_truncated(
-        n_trunc,
-        [list(product(group.elements(), repeat=k))
-         for k in range(n_trunc + 1)],
+        n_trunc, rows,
+        lambda k: list(product(group.elements(), repeat=k)),
         {k: [_radix(face(k, i), [n] * (k - 1)) for i in range(k + 1)]
          for k in range(1, n_trunc + 1)},
         {k: [_radix(np.insert(rows[k], i, group.identity, axis=1),
                     [n] * (k + 1)) for i in range(k + 1)]
          for k in range(n_trunc)},
-        label=f"nerve({group.label})" if group.label else "nerve",
-        rows=rows)
+        label=f"nerve({group.label})" if group.label else "nerve")
 
 
 # ---------------------------------------------------------------------------
 # diagonal of the monoidal double nerve
 # ---------------------------------------------------------------------------
+
+def _diag_sizes(x: CrossedModule, n_trunc: int) -> list[int]:
+    return [(x.ggroup.order * x.hgroup.order ** k) ** k
+            for k in range(n_trunc + 1)]
+
 
 def monoidal_diag_nerve(x: CrossedModule, n_trunc: int,
                         budget: int = _DIM_CAP) -> TruncatedSimplicialSet:
@@ -439,10 +459,8 @@ def monoidal_diag_nerve(x: CrossedModule, n_trunc: int,
     twist run <- boundary(u) * run down the levels.
     """
     g, h = x.ggroup, x.hgroup
-    sizes = [(g.order * h.order ** k) ** k for k in range(n_trunc + 1)]
-    for k, est in enumerate(sizes):
-        if est > budget:
-            raise ResourceLimit(f"diagonal level {k}", est, budget)
+    nerve_guard("diag", x, n_trunc, budget)
+    sizes = _diag_sizes(x, n_trunc)
     gmul, _, hmul, bnd, act = _arrays(x)
 
     def bases(k):
@@ -491,12 +509,11 @@ def monoidal_diag_nerve(x: CrossedModule, n_trunc: int,
         return list(product(cols, repeat=k))
 
     return build_truncated(
-        n_trunc, [level(k) for k in range(n_trunc + 1)],
+        n_trunc, [c.reshape(len(c), -1) for c in cells], level,
         {k: [face(k, i) for i in range(k + 1)]
          for k in range(1, n_trunc + 1)},
         {k: [degen(k, i) for i in range(k + 1)] for k in range(n_trunc)},
-        label=f"diag({x.label})" if x.label else "diag",
-        rows=[c.reshape(len(c), -1) for c in cells])
+        label=f"diag({x.label})" if x.label else "diag")
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,52 @@
 """Truncated simplicial sets and integral homology of their realizations.
 
-A truncated simplicial set stores canonical-ordered simplex lists per level
-together with face and degeneracy index tables.  The nerves build those
-tables a whole level at a time: each level is an int64 array of label rows,
-a structure map is a numpy gather on that array, and the gathered rows turn
-back into simplex indices by mixed-radix arithmetic (``nerves``).
-``build_truncated`` is the one constructor; it takes the tables as index
-arrays and stores them as lists of Python ints.  The ``{simplex: index}``
-dictionary of a level is built on its first ``index_of`` call.
+A truncated simplicial set stores, per level, the int64 array of label
+rows together with face and degeneracy index tables.  The nerves build
+those tables a whole level at a time: a structure map is a numpy gather on
+the label rows, and the gathered rows turn back into simplex indices by
+mixed-radix arithmetic (``nerves``).  ``build_truncated`` is the one
+constructor; it takes the tables as index arrays and stores them as lists
+of Python ints.  The simplex objects of a level are built from its rows on
+first read, and its ``{simplex: index}`` dictionary on its first
+``index_of`` call; counting and homology need neither.
 
 Homology is computed from the normalized chain complex (degenerate simplices
 quotiented away), which is the right desk-scale shadow of the geometric
-realization in low degrees.  Each boundary stays as sparse columns: sparse
-unit pivots first, then the dense Smith form on the small residual.
+realization in low degrees.  Each boundary is a sparse int64 matrix
+gathered from the face tables, and its rank and torsion come from the
+batched elimination of ``intlinalg.sparse_rank_torsion``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import intlinalg as il
 from .errors import InvariantError
+
+
+class Levels(Sequence):
+    """The simplex lists of a set; level k is built by ``make(k)`` on its
+    first read."""
+
+    def __init__(self, make, n_levels: int):
+        self._make = make
+        self._levels = [None] * n_levels
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+    def __getitem__(self, k: int) -> list:
+        if self._levels[k] is None:
+            self._levels[k] = self._make(k)
+        return self._levels[k]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
@@ -31,13 +55,12 @@ class TruncatedSimplicialSet:
 
     ``face[k][i]`` maps level-k indices to level-(k-1) indices (1 <= k <= N,
     0 <= i <= k); ``degen[k][i]`` maps level-k indices to level-(k+1) indices
-    (0 <= k < N, 0 <= i <= k).  ``simplices[k]`` is the canonical ordering.
-    ``rows[k]``, when the set was built from labels, is the int64 array of
-    label rows of level k in the same order.
+    (0 <= k < N, 0 <= i <= k).  ``rows[k]`` is the int64 array of label rows
+    of level k, and ``simplices[k]`` the simplex objects in the same order.
     """
 
     N: int
-    simplices: list
+    simplices: Levels
     face: dict
     degen: dict
     label: str = ""
@@ -45,10 +68,10 @@ class TruncatedSimplicialSet:
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def count(self, k: int) -> int:
-        return len(self.simplices[k])
+        return len(self.rows[k])
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.simplices)
+        return tuple(len(level) for level in self.rows)
 
     def index_of(self, k: int, simplex) -> int:
         index = self._index.get(k)
@@ -57,27 +80,27 @@ class TruncatedSimplicialSet:
                 s: i for i, s in enumerate(self.simplices[k])}
         return index[simplex]
 
-    def degenerate_indices(self, k: int) -> set[int]:
-        """Indices at level k in the image of some degeneracy."""
-        if k == 0:
-            return set()
-        out: set[int] = set()
-        for i in range(k):
-            out.update(self.degen[k - 1][i])
-        return out
+    def nondegenerate_indices(self, k: int) -> np.ndarray:
+        """Indices at level k outside the image of every degeneracy,
+        ascending."""
+        mask = np.ones(self.count(k), dtype=bool)
+        for table in self.degen.get(k - 1, ()):
+            mask[table] = False
+        return np.flatnonzero(mask)
 
 
-def build_truncated(n_trunc: int, levels: list, face: dict, degen: dict,
-                    label: str = "", rows: list | None = None
-                    ) -> TruncatedSimplicialSet:
-    """Assemble a set from index arrays: ``face[k][i]`` (1 <= k <= n_trunc)
-    and ``degen[k][i]`` (0 <= k < n_trunc) hold, for each level-k simplex,
-    the index of its image one level down or up."""
+def build_truncated(n_trunc: int, rows: list, level, face: dict,
+                    degen: dict, label: str = "") -> TruncatedSimplicialSet:
+    """Assemble a set from the label rows of each level, the function
+    ``level(k)`` that builds the simplex objects of level k on first read,
+    and index arrays: ``face[k][i]`` (1 <= k <= n_trunc) and ``degen[k][i]``
+    (0 <= k < n_trunc) hold, for each level-k simplex, the index of its
+    image one level down or up."""
     def lists(tables):
         return {k: [np.asarray(t).tolist() for t in tables[k]]
                 for k in sorted(tables)}
-    return TruncatedSimplicialSet(n_trunc, levels, lists(face), lists(degen),
-                                  label, rows or [])
+    return TruncatedSimplicialSet(n_trunc, Levels(level, n_trunc + 1),
+                                  lists(face), lists(degen), label, rows)
 
 
 def simplicial_violations(s: TruncatedSimplicialSet) -> list[str]:
@@ -150,10 +173,10 @@ def prism(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
         idx, t = cells(k)
         degen[k] = [np.asarray(s.degen[k][i])[idx] * (k + 3)
                     + np.where(i < t, t + 1, t) for i in range(k + 1)]
-    levels = [[(idx, t) for idx in range(s.count(k)) for t in range(k + 2)]
-              for k in range(s.N + 1)]
-    return build_truncated(s.N, levels, face, degen,
-                           label=f"{s.label} x I" if s.label else "prism")
+    rows = [np.stack(cells(k), axis=1) for k in range(s.N + 1)]
+    return build_truncated(
+        s.N, rows, lambda k: list(map(tuple, rows[k].tolist())), face, degen,
+        label=f"{s.label} x I" if s.label else "prism")
 
 
 def prism_end(p: TruncatedSimplicialSet, k: int, idx: int,
@@ -184,39 +207,41 @@ class HomologyGroups:
         return self.factors[q]
 
 
-def boundary_matrix(s: TruncatedSimplicialSet, k: int, nd_low: list[int],
-                    nd_high: list[int]) -> list[dict[int, int]]:
-    """Normalized boundary from level k to level k-1 as sparse columns.
+def boundary_matrix(s: TruncatedSimplicialSet, k: int, nd_low, nd_high
+                    ) -> sparse.csc_matrix:
+    """Normalized boundary from level k to level k-1, an int64 CSC matrix.
 
-    Column c is ``{p: coefficient}`` for simplex ``nd_high[c]``, where p is
-    a position in ``nd_low``; face signs are summed and zeros dropped.
+    Column c is simplex ``nd_high[c]`` and row p simplex ``nd_low[p]``.
+    Face d_i adds (-1)^i at the position of its image, gathered through
+    ``low_pos`` (-1 marks a degenerate face, which is dropped); signs on
+    one row are summed and zeros dropped.
     """
-    low_pos = {idx: p for p, idx in enumerate(nd_low)}
-    faces = s.face[k]
-    out = []
-    for idx in nd_high:
-        col: dict[int, int] = {}
-        sign = 1
-        for face in faces:
-            p = low_pos.get(face[idx])
-            if p is not None:
-                col[p] = col.get(p, 0) + sign
-            sign = -sign
-        out.append({p: x for p, x in col.items() if x})
+    high = np.asarray(nd_high, dtype=np.int64)
+    low_pos = np.full(s.count(k - 1), -1, dtype=np.int64)
+    low_pos[np.asarray(nd_low, dtype=np.int64)] = np.arange(len(nd_low))
+    rows = np.stack([low_pos[np.asarray(face)[high]] for face in s.face[k]],
+                    axis=1)
+    keep = rows >= 0
+    signs = np.broadcast_to((-1) ** np.arange(k + 1), rows.shape)
+    out = sparse.csc_matrix(
+        (signs[keep], rows[keep],
+         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+        shape=(len(nd_low), len(high)), dtype=np.int64)
+    out.sum_duplicates()
+    out.eliminate_zeros()
     return out
 
 
 def homology(s: TruncatedSimplicialSet, maxdeg: int) -> HomologyGroups:
-    """H_0..H_maxdeg of the normalized chains: sparse unit pivots, then the
-    dense Smith form on the small residual."""
+    """H_0..H_maxdeg of the normalized chains, from the rank and torsion of
+    each sparse boundary matrix."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
     if maxdeg > s.N - 1:
         raise ValueError(
             f"homology through degree {maxdeg} needs simplices in degree "
             f"{maxdeg + 1}; the set is truncated at {s.N}")
-    nd = [sorted(set(range(s.count(k))) - s.degenerate_indices(k))
-          for k in range(maxdeg + 2)]
+    nd = [s.nondegenerate_indices(k) for k in range(maxdeg + 2)]
     dims = [len(x) for x in nd]
     ranks = []
     torsions = []

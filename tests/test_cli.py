@@ -180,6 +180,37 @@ def test_budget_override_trips_the_resource_guard():
     assert report["result"]["allowed"] == 100
 
 
+def test_every_nerve_guard_runs_before_any_nerve_is_built(monkeypatch):
+    """A bundle that needs two nerves is refused by the second one's guard
+    before the first is built; the builders here fail if called."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a nerve was built")
+
+    for name in ("duskin_nerve", "monoidal_diag_nerve", "ordinary_nerve"):
+        monkeypatch.setattr(cli, name, no_build)
+    both = {"schema": 1, "task": "homology", "kind": "both",
+            "xmod": "C2->1", "maxdeg": 4, "trunc": 5}
+    report = cli.run(both)
+    assert report["status"] == "resource-error"
+    assert report["result"]["bound"] == "diagonal level 5"
+    iso = {"schema": 1, "task": "nerve", "kind": "duskin", "xmod": "1->S3",
+           "trunc": 4, "check_ordinary_iso": True}
+    report = cli.run(iso, budget=100)
+    assert report["status"] == "resource-error"
+    assert report["result"]["bound"] == "duskin level 3 enumeration"
+
+
+def test_elimination_past_the_int64_headroom_is_a_resource_error(
+        monkeypatch):
+    bundle = json.loads((PRESETS / "hom-both-z3-mod.bundle.json")
+                        .read_text())
+    monkeypatch.setattr(intlinalg, "HEADROOM", 2)
+    report = cli.run(bundle)
+    assert report["status"] == "resource-error"
+    assert report["result"]["bound"].startswith("int64 elimination ")
+    assert report["result"]["allowed"] == 2
+
+
 def test_memory_exhaustion_is_a_resource_error(monkeypatch, tmp_path):
     def exhausted(bundle, seed, budget):
         raise MemoryError

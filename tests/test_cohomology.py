@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import columns_matrix
 from scipy import sparse
 
 from xmodcoh import cli, intlinalg, modsnf, obstruction
@@ -376,7 +377,7 @@ def integral_torsion(group, multipliers, n):
         col = {int(r): (int(x) + big // 2) % big - big // 2
                for r, x in zip(d.indices[lo:hi], d.data[lo:hi])}
         columns.append({r: x for r, x in col.items() if x})
-    return intlinalg.sparse_rank_torsion(columns)[1]
+    return intlinalg.sparse_rank_torsion(columns_matrix(columns))[1]
 
 
 def test_circle_cohomology_is_integral_cohomology_one_degree_up():

@@ -4,8 +4,11 @@ import random
 
 import pytest
 import sympy
+from oracles import columns_matrix, loop_rank_torsion
 from sympy.matrices.normalforms import smith_normal_form
 
+from xmodcoh import intlinalg
+from xmodcoh.errors import ResourceLimit
 from xmodcoh.intlinalg import (mat_vec, smith_normal_form as snf,
                                solve_integer, solve_mod, sparse_rank_torsion)
 
@@ -36,9 +39,11 @@ def test_invariant_factors_match_sympy_on_random_matrices():
         assert invariant_factors(a) == sympy_factors(a)
 
 
-def random_sparse_columns(rng, rows, cols):
+def random_sparse_columns(rng, rows, cols, heads_two=False):
     """Boundary-like ``{row: entry}`` columns: mostly +-1 with some +-2/+-3,
-    plus zero columns, repeated columns and sign-flipped repeats."""
+    plus zero columns, repeated columns and sign-flipped repeats.  With
+    ``heads_two`` every column's first entry is 2, so that the only units
+    lie below the column heads."""
     out = []
     for _ in range(cols):
         roll = rng.random()
@@ -52,19 +57,26 @@ def random_sparse_columns(rng, rows, cols):
             picked = rng.sample(range(rows), min(rows, rng.randint(1, 3)))
             out.append({r: rng.choice([1, -1, 1, -1, 1, -1, 2, -2, 3, -3])
                         for r in picked})
+        if heads_two and out[-1]:
+            out[-1] = {**out[-1], min(out[-1]): 2}
     return out
 
 
 def test_sparse_rank_torsion_matches_sympy():
+    """Wide, tall and square matrices, also with every column headed by a
+    2, against sympy and against the one-pivot-at-a-time loop."""
     rng = random.Random(31)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (9, 3), (3, 12)]
     shapes += [(rng.randint(1, 8), rng.randint(1, 12)) for _ in range(80)]
+    shapes += [(n, n) for n in range(2, 9)] + [(12, 4), (4, 14)]
     for rows, cols in shapes:
-        columns = random_sparse_columns(rng, rows, cols)
-        dense = [[col.get(r, 0) for col in columns] for r in range(rows)]
-        want = sympy_factors(dense)
-        got = sparse_rank_torsion(columns)
-        assert got == (len(want), tuple(d for d in want if d > 1)), dense
+        for heads_two in (False, True):
+            columns = random_sparse_columns(rng, rows, cols, heads_two)
+            dense = [[col.get(r, 0) for col in columns] for r in range(rows)]
+            want = sympy_factors(dense)
+            got = sparse_rank_torsion(columns_matrix(columns, rows))
+            assert got == (len(want), tuple(d for d in want if d > 1)), dense
+            assert got == loop_rank_torsion(columns), dense
 
 
 def test_sparse_rank_torsion_keeps_columns_equal_up_to_entry_signs():
@@ -72,8 +84,9 @@ def test_sparse_rank_torsion_keeps_columns_equal_up_to_entry_signs():
     of index 18 (factors 3, 6); only an overall sign makes columns equal."""
     columns = [{0: 3, 1: 3}, {0: 3, 1: -3}]
     assert sympy_factors([[3, 3], [3, -3]]) == [3, 6]
-    assert sparse_rank_torsion(columns) == (2, (3, 6))
-    assert sparse_rank_torsion(columns + [{0: -3, 1: 3}]) == (2, (3, 6))
+    assert sparse_rank_torsion(columns_matrix(columns)) == (2, (3, 6))
+    assert sparse_rank_torsion(
+        columns_matrix(columns + [{0: -3, 1: 3}])) == (2, (3, 6))
 
 
 def test_invariant_factors_divisibility_chain():
@@ -146,3 +159,54 @@ def test_empty_and_degenerate_shapes():
     assert invariant_factors([[5]]) == [5]
     with pytest.raises(ValueError):
         snf([[1, 2], [3]])
+
+
+def test_heads_without_units_still_pivot_on_the_units_below(monkeypatch):
+    """Every column head is 2, and the units lie below: a round moves the
+    rows holding units first rather than stopping."""
+    moves = []
+    real = intlinalg._units_first
+    monkeypatch.setattr(intlinalg, "_units_first",
+                        lambda *a: moves.append(a) or real(*a))
+    columns = [{0: 2, 1: 1}, {0: 2, 2: -1}, {1: 2, 2: 1}]
+    dense = [[col.get(r, 0) for col in columns] for r in range(3)]
+    want = sympy_factors(dense)
+    assert sparse_rank_torsion(columns_matrix(columns)) == (
+        len(want), tuple(d for d in want if d > 1)) == (3, (2,))
+    assert moves
+
+
+def test_the_residual_has_no_unit_entry(monkeypatch):
+    """What reaches the dense Smith form has no +-1 entry, and no column
+    twice."""
+    seen = []
+    real = intlinalg.smith_normal_form
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", spy)
+    rng = random.Random(41)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 12)
+        columns = random_sparse_columns(rng, rows, cols, rng.random() < 0.3)
+        sparse_rank_torsion(columns_matrix(columns, rows))
+    assert len(seen) == 60
+    assert any(any(row) for a in seen for row in a)
+    for a in seen:
+        assert all(abs(x) != 1 for row in a for x in row)
+        assert len(set(zip(*a))) == (len(a[0]) if a else 0)
+
+
+def test_entries_past_the_int64_headroom_are_refused(monkeypatch):
+    """A product that could pass the headroom is refused with a typed
+    error, before it is formed."""
+    columns = [{0: 1, 1: 3}, {0: 3, 1: 5}]
+    assert sparse_rank_torsion(columns_matrix(columns)) == (2, (4,))
+    monkeypatch.setattr(intlinalg, "HEADROOM", 9)
+    with pytest.raises(ResourceLimit, match="int64 elimination product"):
+        sparse_rank_torsion(columns_matrix(columns))
+    monkeypatch.setattr(intlinalg, "HEADROOM", 3)
+    with pytest.raises(ResourceLimit, match="int64 elimination entry"):
+        sparse_rank_torsion(columns_matrix(columns))

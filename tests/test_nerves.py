@@ -479,3 +479,30 @@ def test_a_key_range_past_int64_is_refused_before_any_work(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ResourceLimit, match="duskin level 5 keys"):
         nerves._enumerate_duskin_level(xmod_identity(make_symmetric(3)), 5)
+
+
+def test_nerve_and_homology_bundles_build_no_simplex_objects(monkeypatch):
+    """The nerve and homology tasks read only the label rows and the
+    tables; a level's simplex objects are built on its first read."""
+    def no_objects(*args):
+        raise AssertionError("a simplex object was built")
+
+    monkeypatch.setattr(nerves, "PseudofunctorSimplex", no_objects)
+    report = cli.run({"schema": 1, "task": "nerve", "kind": "duskin",
+                      "xmod": "1->S4", "trunc": 3,
+                      "check_ordinary_iso": True})
+    assert report["status"] == "ok"
+    assert report["result"]["counts"] == [1, 24, 576, 13824]
+    assert report["result"]["ordinary_iso"] is True
+    report = cli.run({"schema": 1, "task": "homology", "kind": "duskin",
+                      "xmod": "1->S3", "maxdeg": 3})
+    assert report["status"] == "ok"
+    assert [g["factors"] for g in report["result"]["groups"]] == [
+        [0], [2], [], [6]]
+    s = duskin_nerve(one_to(make_symmetric(3)), 3)
+    with pytest.raises(AssertionError, match="simplex object"):
+        s.simplices[2]
+    monkeypatch.undo()
+    assert s.counts() == (1, 6, 36, 216)
+    assert s.simplices[2] == _enumerate_duskin_level(
+        one_to(make_symmetric(3)), 2)

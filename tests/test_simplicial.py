@@ -5,11 +5,13 @@ import copy
 
 import numpy as np
 import pytest
+from oracles import columns_matrix, dict_boundary
 
+from xmodcoh.bundles import xmod_from_spec
 from xmodcoh.crossed import CrossedModule
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
-from xmodcoh.nerves import duskin_nerve, ordinary_nerve
+from xmodcoh.nerves import duskin_nerve, monoidal_diag_nerve, ordinary_nerve
 from xmodcoh.simplicial import (boundary_matrix, homology, prism, prism_end,
                                 simplicial_violations)
 
@@ -32,11 +34,16 @@ def test_tampered_face_table_is_reported():
 
 def test_degenerate_indices():
     s = ordinary_nerve(make_cyclic(2), 2)
-    assert s.degenerate_indices(0) == set()
+
+    def degenerate(k):
+        return set(range(s.count(k))) - set(
+            s.nondegenerate_indices(k).tolist())
+
+    assert degenerate(0) == set()
     e = make_cyclic(2).identity
-    assert s.degenerate_indices(1) == {s.index_of(1, (e,))}
+    assert degenerate(1) == {s.index_of(1, (e,))}
     # level 2 degenerates: (e, g), (g, e), (e, e) -- all chains with a unit
-    assert s.degenerate_indices(2) == {
+    assert degenerate(2) == {
         s.index_of(2, c) for c in [(0, 0), (0, 1), (1, 0)]}
 
 
@@ -59,24 +66,16 @@ def test_prism_ends_are_simplicial_inclusions():
                         p, k - 1, s.face[k][i][idx], zero_end)
 
 
-def dense(columns, rows):
-    out = np.zeros((rows, len(columns)), dtype=np.int64)
-    for c, col in enumerate(columns):
-        for p, x in col.items():
-            out[p, c] = x
-    return out
-
-
 def test_normalized_boundaries_square_to_zero():
     s = ordinary_nerve(make_symmetric(3), 3)
-    nd = [sorted(set(range(s.count(k))) - s.degenerate_indices(k))
-          for k in range(4)]
+    nd = [s.nondegenerate_indices(k) for k in range(4)]
     d2 = boundary_matrix(s, 2, nd[1], nd[2])
     d3 = boundary_matrix(s, 3, nd[2], nd[3])
-    assert len(d2) == len(nd[2]) and len(d3) == len(nd[3])
-    assert all(x for col in d2 + d3 for x in col.values())
-    product = dense(d2, len(nd[1])) @ dense(d3, len(nd[2]))
-    assert dense(d3, len(nd[2])).any() and not product.any()
+    assert d2.shape == (len(nd[1]), len(nd[2]))
+    assert d3.shape == (len(nd[2]), len(nd[3]))
+    assert d2.dtype == d3.dtype == np.int64
+    assert d2.data.all() and d3.data.all() and d3.nnz
+    assert not (d2 @ d3).toarray().any()
 
 
 def test_homology_of_cyclic_classifying_spaces():
@@ -123,3 +122,30 @@ def test_homology_guards():
 def test_nerve_budget_guard():
     with pytest.raises(ResourceLimit):
         ordinary_nerve(make_symmetric(3), 4, budget=100)
+
+
+def boundary_nerves():
+    """Duskin 1->S3, diagonal C3->1 and ordinary S3, each with its top
+    level for the boundary checks."""
+    return [(duskin_nerve(xmod_from_spec("1->S3", "/xmod"), 3), 3),
+            (monoidal_diag_nerve(xmod_from_spec("C3->1", "/xmod"), 3), 3),
+            (ordinary_nerve(make_symmetric(3), 3), 3)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_sparse_boundaries_match_the_dict_columns(case):
+    """Each sparse boundary equals the per-simplex dict-column builder,
+    and consecutive boundaries compose to zero."""
+    s, top = boundary_nerves()[case]
+    nd = [s.nondegenerate_indices(k) for k in range(top + 1)]
+    d = [boundary_matrix(s, k, nd[k - 1], nd[k]) for k in range(1, top + 1)]
+    for k, m in enumerate(d, 1):
+        assert m.format == "csc" and m.dtype == np.int64
+        assert m.has_canonical_format and m.data.all()
+        want = columns_matrix(
+            dict_boundary(s, k, nd[k - 1].tolist(), nd[k].tolist()),
+            len(nd[k - 1]))
+        assert m.shape == want.shape and (m != want).nnz == 0
+    assert all(m.nnz for m in d[1:])
+    for low, high in zip(d, d[1:]):
+        assert (low @ high).nnz == 0
