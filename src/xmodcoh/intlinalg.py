@@ -307,15 +307,11 @@ def _units_first(r, c, x, m: int):
     return _canonical(pos[r], c, x, m)
 
 
-def _split(idx, piv, size: int):
-    """Per index: whether it is a pivot, and its position among the pivots
-    (in pivot order) or among the rest (ascending)."""
-    inside = np.zeros(size, dtype=bool)
-    inside[piv] = True
-    pos = np.empty(size, dtype=np.int64)
-    pos[piv] = np.arange(len(piv))
-    pos[~inside] = np.arange(size - len(piv))
-    return inside[idx], pos[idx]
+def _pivots_first(piv, size: int):
+    """New positions of 0..size-1: the pivots first, in pivot order, then
+    the rest, ascending."""
+    rest = np.setdiff1d(np.arange(size), piv)
+    return np.argsort(np.concatenate([piv, rest]))
 
 
 def _eliminate(r, c, x, m: int, n: int, rows, cols):
@@ -324,10 +320,13 @@ def _eliminate(r, c, x, m: int, n: int, rows, cols):
     sides.  Unimodular row and column operations take A to I + S, so S
     has the torsion of A."""
     k = len(rows)
-    (rin, rpos), (cin, cpos) = _split(r, rows, m), _split(c, cols, n)
-    a11, a12, a21, a22 = (tuple(t[(rin == i) & (cin == j)]
-                                for t in (rpos, cpos, x))
-                          for i, j in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    rpos, cpos = _pivots_first(rows, m)[r], _pivots_first(cols, n)[c]
+
+    def block(top: bool, left: bool):
+        mask = ((rpos < k) == top) & ((cpos < k) == left)
+        return rpos[mask] - k * (not top), cpos[mask] - k * (not left), x[mask]
+
+    a11, a12, a21 = block(True, True), block(True, False), block(False, True)
     e = tuple(t[a11[0] != a11[1]] for t in a11)
     # The transposed product is formed grouped by the columns of S, which
     # halves the sort that sums it.
@@ -339,7 +338,7 @@ def _eliminate(r, c, x, m: int, n: int, rows, cols):
                    n - k)
         order = np.argsort(z[0], kind="stable")
         pt = _times(tuple(t[order] for t in z), _transpose(a21), k)
-    return _minus(a22, _transpose(pt), m - k)
+    return _minus(block(False, False), _transpose(pt), m - k)
 
 
 def sparse_rank_torsion(a) -> tuple[int, tuple[int, ...]]:
