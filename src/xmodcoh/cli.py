@@ -533,6 +533,11 @@ def run(bundle, seed: int | None = None, budget: int | None = None) -> dict:
     except ValueError as exc:
         status = "input-error"
         result = {"message": str(exc)}
+    except RecursionError as exc:
+        # a RuntimeError subclass, but a fault of the program, not of the
+        # mathematics
+        status = "internal-error"
+        result = {"type": type(exc).__name__, "message": str(exc)}
     except RuntimeError as exc:
         status = "violation"
         result = {"message": str(exc)}

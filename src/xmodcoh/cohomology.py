@@ -695,7 +695,8 @@ MAX_BASIS_BYTES = 2 ** 30
 def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
                denominator: int | None = None,
                max_positions: int = 2_000_000) -> CohomologyGroup:
-    """H^degree(group, module).  Degrees 0..4 are supported.
+    """H^degree(group, module).  Degrees 0..4 are supported, except H^0
+    with trivial Q/Z coefficients, which is Q/Z itself and is refused.
 
     Two guards refuse before any work: ``max_positions`` bounds the
     outgoing differential's (|G|-1)^(degree+1) positions, and
@@ -706,6 +707,10 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
         raise ValueError("module is not over this group")
     if not 0 <= degree <= 4:
         raise ValueError("degree must be between 0 and 4")
+    if degree == 0 and module.kind == CIRCLE and \
+            all(t == 1 for t in module.action):
+        raise ValueError("H^0 with trivial Q/Z coefficients is Q/Z, which "
+                         "is infinite")
     if (group.order - 1) ** (degree + 1) > max_positions:
         raise ResourceLimit("cochain-table positions",
                             (group.order - 1) ** (degree + 1), max_positions)

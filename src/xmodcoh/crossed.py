@@ -264,7 +264,8 @@ def enumerate_Z1(group: FiniteGroup, x: CrossedModule,
     Enumerates alpha maps whose failure-to-be-a-homomorphism lands in the
     boundary image, then backtracks over the u-table positions, each ranging
     over a boundary fiber, pruning with the u relation as soon as all of a
-    triple's positions are assigned.
+    triple's positions are assigned.  The backtracking keeps its own stack,
+    so the (|group|-1)^2 positions may outnumber Python's recursion limit.
     """
     n = group.order
     e = group.identity
@@ -280,59 +281,62 @@ def enumerate_Z1(group: FiniteGroup, x: CrossedModule,
 
     positions = [(g, h) for g in nz for h in nz]
     pos_index = {p: i for i, p in enumerate(positions)}
-    # schedule each (g,h,k) triple at the latest involved variable position
-    constraints: list[list[tuple[int, int, int]]] = \
-        [[] for _ in positions]
+    # schedule each (g,h,k) triple at the latest involved variable position,
+    # as g and the u-table slots of the relation
+    # alpha(g).u(h,k) * u(g,hk) = u(g,h) * u(gh,k)
+    constraints: list[list[tuple[int, ...]]] = [[] for _ in positions]
     for g in nz:
         for h in nz:
             for k in nz:
+                gh, hk = group.mul[g][h], group.mul[h][k]
                 involved = [(g, h), (h, k)]
-                if group.mul[h][k] != e:
-                    involved.append((g, group.mul[h][k]))
-                if group.mul[g][h] != e:
-                    involved.append((group.mul[g][h], k))
+                if hk != e:
+                    involved.append((g, hk))
+                if gh != e:
+                    involved.append((gh, k))
                 last = max(pos_index[p] for p in involved)
-                constraints[last].append((g, h, k))
+                constraints[last].append(
+                    (g, h * n + k, g * n + hk, g * n + h, gh * n + k))
 
+    slots = [g * n + h for g, h in positions]
     out: list[Cocycle1] = []
     u_table = [hh.identity] * (n * n)
-
-    def u_of(g: int, h: int) -> int:
-        return u_table[g * n + h]
+    hmul, act = hh.mul, x.action
 
     for alpha_nz in itertools.product(gg.elements(), repeat=len(nz)):
         alpha = [gg.identity] * n
         for g, a in zip(nz, alpha_nz):
             alpha[g] = a
-        defects = {}
-        ok = True
+        options = []  # the boundary fiber over each position's defect
         for g, h in positions:
             d = gg.mul[gg.mul[alpha[g]][alpha[h]]][
                 gg.inv[alpha[group.mul[g][h]]]]
             if d not in fibers:
-                ok = False
                 break
-            defects[(g, h)] = d
-        if not ok:
+            options.append(fibers[d])
+        if len(options) < len(positions):
             continue
 
-        def check(g: int, h: int, k: int) -> bool:
-            lhs = hh.mul[x.act(alpha[g], u_of(h, k))][u_of(g, group.mul[h][k])]
-            rhs = hh.mul[u_of(g, h)][u_of(group.mul[g][h], k)]
-            return lhs == rhs
+        def holds(g: int, hk: int, g_hk: int, g_h: int, gh_k: int) -> bool:
+            return (hmul[act[alpha[g]][u_table[hk]]][u_table[g_hk]]
+                    == hmul[u_table[g_h]][u_table[gh_k]])
 
-        def backtrack(i: int) -> None:
+        # depth first with an explicit stack: tried[i] counts the fiber
+        # values tried at position i since position i-1 last moved
+        tried = [0] * len(positions)
+        i = 0
+        while i >= 0:
             if i == len(positions):
                 out.append(Cocycle1(tuple(alpha), tuple(u_table)))
-                return
-            g, h = positions[i]
-            for v in fibers[defects[(g, h)]]:
-                u_table[g * n + h] = v
-                if all(check(*t) for t in constraints[i]):
-                    backtrack(i + 1)
-            u_table[g * n + h] = hh.identity
-
-        backtrack(0)
+                i -= 1
+            elif tried[i] == len(options[i]):
+                tried[i] = 0
+                i -= 1
+            else:
+                u_table[slots[i]] = options[i][tried[i]]
+                tried[i] += 1
+                if all(holds(*t) for t in constraints[i]):
+                    i += 1
     out.sort(key=Cocycle1.key)
     return out
 

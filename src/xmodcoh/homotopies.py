@@ -7,20 +7,36 @@ products.  A coboundary witness with trivial twist turns into explicit
 homotopy data on the prism (nerve x Delta^1); witnesses with a nontrivial
 twist factor through the conjugation automorphism of the crossed module,
 by either of two routes that are checked to agree cell by cell.
+
+Each builder works a level at a time on label rows (the nerve's chains,
+the prism's cells (idx, t), the Duskin labels): the labels a level maps to
+are gathered from the cocycle tables and found in the target by one
+``nerves.duskin_positions`` call.  Layers are lists of Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
+
+import numpy as np
 
 from .crossed import (Cocycle1, CrossedModule, Witness1, cocycle_violations,
                       transform_cocycle)
 from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
-from .nerves import (PseudofunctorSimplex, SimplicialMap, duskin_nerve,
+from .nerves import (SimplicialMap, duskin_nerve, duskin_positions,
                      ordinary_nerve, simplicial_map_violations)
-from .simplicial import TruncatedSimplicialSet, prism, prism_end
+from .simplicial import TruncatedSimplicialSet, _ints, prism, prism_end
+
+
+def _layers(x: CrossedModule, target: TruncatedSimplicialSet, labels,
+            what: str) -> list[list[int]]:
+    """The target index of each level's labels (alpha, u)."""
+    return [duskin_positions(x, k, target.rows[k], alpha, u,
+                             f"{what} leaves the level-{k} simplex list"
+                             ).tolist() for k, (alpha, u) in enumerate(labels)]
 
 
 def cocycle_to_simplicial_map(group: FiniteGroup, x: CrossedModule,
@@ -32,7 +48,8 @@ def cocycle_to_simplicial_map(group: FiniteGroup, x: CrossedModule,
 
     A chain (g_1, ..., g_k) goes to the simplex with
     alpha_{ij} = alpha(g_{i+1} ... g_j) and
-    u_{ijk} = u(g_{i+1} ... g_j, g_{j+1} ... g_k).
+    u_{ijk} = u(g_{i+1} ... g_j, g_{j+1} ... g_k): the homotopy labels of
+    :func:`_theta_simplex` at t = 0, where every vertex is at c's end.
     """
     bad = cocycle_violations(group, x, c)
     if bad:
@@ -41,20 +58,10 @@ def cocycle_to_simplicial_map(group: FiniteGroup, x: CrossedModule,
         source = ordinary_nerve(group, n_trunc)
     if target is None:
         target = duskin_nerve(x, n_trunc)
-    n = group.order
-    layers = []
-    for k in range(source.N + 1):
-        table = []
-        for chain in source.simplices[k]:
-            prods = {(i, j): group.prod(chain[i:j])
-                     for i, j in combinations(range(k + 1), 2)}
-            alpha = tuple(c.alpha[prods[(i, j)]]
-                          for i, j in combinations(range(k + 1), 2))
-            u = tuple(c.u[prods[(i, j)] * n + prods[(j, kk)]]
-                      for i, j, kk in combinations(range(k + 1), 3))
-            table.append(target.index_of(k, PseudofunctorSimplex(k, alpha, u)))
-        layers.append(table)
-    f = SimplicialMap(source, target, layers)
+    ones = (x.hgroup.identity,) * group.order
+    f = SimplicialMap(source, target, _layers(x, target, (
+        _theta_simplex(group, x, c, c, ones, chains, 0)
+        for chains in source.rows), "the classifying map"))
     bad = simplicial_map_violations(f)
     if bad:
         raise RuntimeError("cocycle data is not simplicial: " + bad[0])
@@ -82,45 +89,51 @@ class SimplicialHomotopy:
 
 
 def homotopy_violations(h: SimplicialHomotopy) -> list[str]:
-    """Simplicial-map check on the cylinder plus both end restrictions."""
+    """Simplicial-map check on the cylinder plus both end restrictions,
+    compared on whole layers and reported per base simplex, time 0 first."""
     if h.start.target is not h.end.target and \
             h.start.target.counts() != h.end.target.counts():
         return ["the two maps have different targets"]
     bad = simplicial_map_violations(h.as_map())
-    src = h.start.source
-    for k in range(src.N + 1):
-        for idx in range(src.count(k)):
-            if h.layers[k][prism_end(h.cylinder, k, idx, True)] != \
-                    h.start.layers[k][idx]:
-                bad.append(f"time-0 end differs at level {k}, simplex {idx}")
-            if h.layers[k][prism_end(h.cylinder, k, idx, False)] != \
-                    h.end.layers[k][idx]:
-                bad.append(f"time-1 end differs at level {k}, simplex {idx}")
+    for k in range(h.start.source.N + 1):
+        idx = np.arange(h.start.source.count(k))
+        layer = _ints(h.layers[k])
+        fails = [layer[prism_end(h.cylinder, k, idx, zero_end)]
+                 != _ints(f.layers[k]) for zero_end, f in ((True, h.start),
+                                                           (False, h.end))]
+        for i in np.flatnonzero(fails[0] | fails[1]).tolist():
+            bad += [f"time-{t} end differs at level {k}, simplex {i}"
+                    for t in (0, 1) if fails[t][i]]
     return bad
 
 
 def _theta_simplex(group: FiniteGroup, x: CrossedModule, a: Cocycle1,
-                   b: Cocycle1, w, chain, t: int) -> PseudofunctorSimplex:
-    """The homotopy value on (chain, t): vertices below t sit at time 0."""
-    k = len(chain)
-    n = group.order
-    h = x.hgroup
-    prods = {(i, j): group.prod(chain[i:j])
-             for i, j in combinations(range(k + 1), 2)}
-    alpha = []
-    for i, j in combinations(range(k + 1), 2):
+                   b: Cocycle1, w, chains: np.ndarray, t
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The homotopy labels (alpha, u) on the cells (chain, t), one row per
+    row of ``chains``: vertices below t sit at time 0 (a's end), the rest
+    at time 1 (b's end), and a triangle that crosses between its first two
+    vertices carries the witness w.  ``t`` is an array or one int."""
+    n, k = group.order, chains.shape[1]
+    gmul, hmul, act = (_ints(v) for v in (group.mul, x.hgroup.mul, x.action))
+    aa, au, ba, bu, w = (_ints(v) for v in (a.alpha, a.u, b.alpha, b.u, w))
+    prods = {}  # (i, j): the interval product g_{i+1} ... g_j
+    for i in range(k):
+        prods[(i, i + 1)] = chains[:, i]
+        for j in range(i + 2, k + 1):
+            prods[(i, j)] = gmul[prods[(i, j - 1)], chains[:, j - 1]]
+    alpha = np.empty((len(chains), len(prods)), dtype=np.int64)
+    for c, (i, j) in enumerate(combinations(range(k + 1), 2)):
         p = prods[(i, j)]
-        alpha.append(b.alpha[p] if i >= t else a.alpha[p])
-    u = []
-    for i, j, kk in combinations(range(k + 1), 3):
+        alpha[:, c] = np.where(i >= t, ba[p], aa[p])
+    triples = list(combinations(range(k + 1), 3))
+    u = np.empty((len(chains), len(triples)), dtype=np.int64)
+    for c, (i, j, kk) in enumerate(triples):
         p, q = prods[(i, j)], prods[(j, kk)]
-        if i >= t:
-            u.append(b.u[p * n + q])
-        elif j >= t:
-            u.append(h.op(x.act(a.alpha[p], w[q]), a.u[p * n + q]))
-        else:
-            u.append(a.u[p * n + q])
-    return PseudofunctorSimplex(k, tuple(alpha), tuple(u))
+        pq = p * n + q
+        u[:, c] = np.where(i >= t, bu[pq], np.where(
+            j >= t, hmul[act[aa[p], w[q]], au[pq]], au[pq]))
+    return alpha, u
 
 
 def coboundary_to_homotopy(group: FiniteGroup, x: CrossedModule,
@@ -143,15 +156,11 @@ def coboundary_to_homotopy(group: FiniteGroup, x: CrossedModule,
     fb = cocycle_to_simplicial_map(group, x, b, n_trunc,
                                    fa.source, fa.target)
     cyl = prism(fa.source)
-    layers = []
-    for k in range(cyl.N + 1):
-        table = []
-        for idx, t in cyl.simplices[k]:
-            s = _theta_simplex(group, x, a, b, wit.w,
-                               fa.source.simplices[k][idx], t)
-            table.append(fa.target.index_of(k, s))
-        layers.append(table)
-    hom = SimplicialHomotopy(fa, fb, cyl, layers)
+    labels = (_theta_simplex(group, x, a, b, wit.w,
+                             fa.source.rows[k][cells[:, 0]], cells[:, 1])
+              for k, cells in enumerate(cyl.rows))
+    hom = SimplicialHomotopy(fa, fb, cyl,
+                             _layers(x, fa.target, labels, "the homotopy"))
     bad = homotopy_violations(hom)
     if bad:
         raise RuntimeError("homotopy data fails verification: " + bad[0])
@@ -180,18 +189,16 @@ def _check_witness(group: FiniteGroup, x: CrossedModule, a: Cocycle1,
 
 def conjugation_nerve_map(x: CrossedModule, gamma: int,
                           dusk: TruncatedSimplicialSet) -> SimplicialMap:
-    """Automorphism of the Duskin nerve induced by conjugation by gamma."""
+    """Automorphism of the Duskin nerve induced by conjugation by gamma:
+    alpha labels are conjugated and u labels acted on, by two gathers."""
     g = x.ggroup
-    layers = []
-    for k in range(dusk.N + 1):
-        table = []
-        for s in dusk.simplices[k]:
-            alpha = tuple(g.conj(gamma, v) for v in s.alpha)
-            u = tuple(x.act(gamma, v) for v in s.u)
-            table.append(dusk.index_of(
-                k, PseudofunctorSimplex(k, alpha, u)))
-        layers.append(table)
-    return SimplicialMap(dusk, dusk, layers)
+    conj = _ints([g.conj(gamma, v) for v in g.elements()])
+    act = _ints(x.action[gamma])
+    labels = []
+    for k, rows in enumerate(dusk.rows):
+        pairs = comb(k + 1, 2)
+        labels.append((conj[rows[:, :pairs]], act[rows[:, pairs:]]))
+    return SimplicialMap(dusk, dusk, _layers(x, dusk, labels, "conjugation"))
 
 
 def compose_maps(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
@@ -228,9 +235,7 @@ def outer_witness_homotopy(group: FiniteGroup, x: CrossedModule,
     route2_inner = coboundary_to_homotopy(
         group, x, a, mid, Witness1(g.identity, w_back), n_trunc,
         route1.start.source, route1.start.target)
-    lifted = [[conj.layers[k][v] for v in route2_inner.layers[k]]
-              for k in range(route2_inner.cylinder.N + 1)]
-    if lifted != route1.layers:
+    if compose_maps(conj, route2_inner.as_map()).layers != route1.layers:
         raise RuntimeError(
             "the two factorizations of the twisted witness disagree")
     fa = cocycle_to_simplicial_map(group, x, a, n_trunc,
@@ -250,7 +255,7 @@ def find_simplicial_homotopy(f: SimplicialMap, g: SimplicialMap,
                              ) -> SimplicialHomotopy | None:
     """Search all prism fillings from f to g; None if none exists.
 
-    Levels are filled in ascending order.  Faces of a level-k cell live at
+    The levels are filled in ascending order.  Faces of a level-k cell live at
     level k-1 and are already assigned, so each cell's candidate set is
     computed independently; degeneracy images are forced outright.  The
     search branches only over nondegenerate interior cells.

@@ -21,26 +21,27 @@ arithmetic:
 * the ordinary and diagonal levels are full products, so a simplex's index
   is the radix value of its row (``_radix``);
 * a Duskin simplex's key is its free data, the edge chain in base |G| and
-  then the u table in base |H|.  Levels are enumerated in key order, so
-  they are sorted, and a pulled-back row is found by binary search and then
-  compared on its whole alpha row.  The key range is |G|^k * |H|^C(k+1,3),
-  refused past int64; candidates are decoded ``_BLOCK`` rows at a time.
+  then the u table in base |H|.  A level is enumerated in key order, and
+  ``duskin_positions``, the one Duskin lookup, finds labels in it by binary
+  search on the key and a comparison of the whole alpha row.  The key
+  range is |G|^k * |H|^C(k+1,3), refused past int64; candidates are
+  decoded ``_BLOCK`` rows at a time.
 
-The comparison maps to the ordinary nerve are radix values of edge chains
-or object columns, and the map checks compare whole tables at once.
-``simplices[k]`` holds the same Python objects as the per-simplex
-construction did (``PseudofunctorSimplex``, chain tuples, column tuples),
-built from the level's rows on first read, for the homotopy and
-retraction code that reads them; the nerve and homology tasks never do.
-Every builder runs its ``nerve_guard`` before any work, and a task that
-needs several nerves runs all their guards first.
+A level is its label rows alone: a Duskin row is alpha over the pairs, then
+u over the triples; an ordinary row is the chain; a diagonal row is its
+columns, each the object then its arrow labels.  ``PseudofunctorSimplex``
+describes one simplex, for the appendix retraction.  The comparison maps
+to the ordinary nerve are radix values of edge chains or object columns,
+and the map checks compare whole tables at once.  Every builder runs its
+``nerve_guard`` before any work, and a task that needs several nerves runs
+all their guards first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -48,7 +49,7 @@ import numpy as np
 from .crossed import CrossedModule
 from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
-from .simplicial import TruncatedSimplicialSet, build_truncated
+from .simplicial import TruncatedSimplicialSet, _ints, build_truncated
 
 _DIM_CAP = 10 ** 7
 # candidate rows decoded at once by the Duskin enumerator, which bounds its
@@ -272,6 +273,31 @@ def _duskin_key_range(x: CrossedModule, k: int, budget: int | None = None
     return size
 
 
+def duskin_positions(x: CrossedModule, k: int, level_rows: np.ndarray,
+                     alpha: np.ndarray, u: np.ndarray, what: str,
+                     keys: np.ndarray | None = None) -> np.ndarray:
+    """The index in the Duskin level ``level_rows`` of each simplex with
+    labels (alpha, u), one per row; ``keys`` are the level's keys if known.
+
+    A binary search on the key finds the candidate, and its whole alpha row
+    must match, since the key leaves out the derived edges.  Labels that
+    are not in the level raise ``ValueError(what)``.
+    """
+    pairs = comb(k + 1, 2)
+    chain = [pair_positions(k)[(i, i + 1)] for i in range(k)]
+
+    def key_of(alpha, u):
+        return _radix(np.hstack([alpha[:, chain], u]), _duskin_bases(x, k))
+    if keys is None:
+        keys = key_of(level_rows[:, :pairs], level_rows[:, pairs:])
+    key = key_of(alpha, u)
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    if not (np.array_equal(keys[pos], key)
+            and np.array_equal(level_rows[pos, :pairs], alpha)):
+        raise ValueError(what)
+    return pos
+
+
 def _duskin_level_rows(x: CrossedModule, k: int):
     """All valid k-simplices as (keys, rows), ascending in key.
 
@@ -357,9 +383,9 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
 
     A structure map pulls the rows back through ``pullback_positions``, with
     an identity column appended so that position -1 reads the identity, and
-    finds the pulled rows by binary search on the sorted keys.  A row whose
-    key is missing, or whose derived edges differ from the stored ones,
-    leaves the level and raises ``ValueError``.
+    finds the pulled rows by ``duskin_positions``.  A row whose key is
+    missing, or whose derived edges differ from the stored ones, leaves the
+    level and raises ``ValueError``.
     """
     g, h = x.ggroup, x.hgroup
     nerve_guard("duskin", x, n_trunc, budget)
@@ -376,16 +402,11 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
     def table(k: int, theta: tuple[int, ...], what: str) -> np.ndarray:
         m = len(theta) - 1
         alpha, u = padded[k]
-        alpha = alpha[:, np.array(pullback_positions(k, theta, 2), dtype=int)]
-        u = u[:, np.array(pullback_positions(k, theta, 3), dtype=int)]
-        pairs = pair_positions(m)
-        chain = alpha[:, [pairs[(i, i + 1)] for i in range(m)]]
-        key = _radix(np.hstack([chain, u]), _duskin_bases(x, m))
-        pos = np.minimum(np.searchsorted(keys[m], key), len(keys[m]) - 1)
-        if not (np.array_equal(keys[m][pos], key)
-                and np.array_equal(rows[m][pos, :len(pairs)], alpha)):
-            raise ValueError(what)
-        return pos
+        return duskin_positions(
+            x, m, rows[m],
+            alpha[:, np.array(pullback_positions(k, theta, 2), dtype=int)],
+            u[:, np.array(pullback_positions(k, theta, 3), dtype=int)],
+            what, keys[m])
 
     face = {k: [table(k, delta_map(k, i),
                       f"face d_{i} leaves the level-{k - 1} simplex list")
@@ -394,8 +415,8 @@ def duskin_nerve(x: CrossedModule, n_trunc: int,
                        f"degeneracy s_{i} leaves the level-{k + 1} list")
                  for i in range(k + 1)] for k in range(n_trunc)}
     return build_truncated(
-        n_trunc, list(rows), lambda k: _duskin_simplices(k, rows[k]), face,
-        degen, label=f"duskin({x.label})" if x.label else "duskin")
+        n_trunc, list(rows), face, degen,
+        label=f"duskin({x.label})" if x.label else "duskin")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +445,6 @@ def ordinary_nerve(group: FiniteGroup, n_trunc: int,
 
     return build_truncated(
         n_trunc, rows,
-        lambda k: list(product(group.elements(), repeat=k)),
         {k: [_radix(face(k, i), [n] * (k - 1)) for i in range(k + 1)]
          for k in range(1, n_trunc + 1)},
         {k: [_radix(np.insert(rows[k], i, group.identity, axis=1),
@@ -503,13 +523,8 @@ def monoidal_diag_nerve(x: CrossedModule, n_trunc: int,
         us = np.insert(cells[k][:, :, 1:], i, h.identity, axis=1)
         return index(y, np.insert(us, i, h.identity, axis=2))
 
-    def level(k):
-        cols = [(y0, tuple(us)) for y0 in g.elements()
-                for us in product(h.elements(), repeat=k)]
-        return list(product(cols, repeat=k))
-
     return build_truncated(
-        n_trunc, [c.reshape(len(c), -1) for c in cells], level,
+        n_trunc, [c.reshape(len(c), -1) for c in cells],
         {k: [face(k, i) for i in range(k + 1)]
          for k in range(1, n_trunc + 1)},
         {k: [degen(k, i) for i in range(k + 1)] for k in range(n_trunc)},
@@ -527,13 +542,6 @@ class SimplicialMap:
     source: TruncatedSimplicialSet
     target: TruncatedSimplicialSet
     layers: list[list[int]]
-
-    def apply(self, k: int, idx: int) -> int:
-        return self.layers[k][idx]
-
-
-def _ints(table) -> np.ndarray:
-    return np.asarray(table, dtype=np.int64)
 
 
 def simplicial_map_violations(f: SimplicialMap) -> list[str]:

@@ -1,14 +1,14 @@
 """Truncated simplicial sets and integral homology of their realizations.
 
 A truncated simplicial set stores, per level, the int64 array of label
-rows together with face and degeneracy index tables.  The nerves build
-those tables a whole level at a time: a structure map is a numpy gather on
-the label rows, and the gathered rows turn back into simplex indices by
-mixed-radix arithmetic (``nerves``).  ``build_truncated`` is the one
-constructor; it takes the tables as index arrays and stores them as lists
-of Python ints.  The simplex objects of a level are built from its rows on
-first read, and its ``{simplex: index}`` dictionary on its first
-``index_of`` call; counting and homology need neither.
+rows together with face and degeneracy index tables.  The label rows are
+the level: a simplex is its row index, and what its labels mean is up to
+the construction that built them (``nerves``, ``prism``).  The nerves
+build their tables a whole level at a time: a structure map is a numpy
+gather on the label rows, and the gathered rows turn back into simplex
+indices by mixed-radix arithmetic or by key search.  ``build_truncated``
+is the one constructor; it takes the tables as index arrays and stores
+them as lists of Python ints.  The identity checks compare whole tables.
 
 Homology is computed from the normalized chain complex (degenerate simplices
 quotiented away), which is the right desk-scale shadow of the geometric
@@ -19,8 +19,7 @@ batched elimination of ``intlinalg.sparse_rank_torsion``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -29,56 +28,27 @@ from . import intlinalg as il
 from .errors import InvariantError
 
 
-class Levels(Sequence):
-    """The simplex lists of a set; level k is built by ``make(k)`` on its
-    first read."""
-
-    def __init__(self, make, n_levels: int):
-        self._make = make
-        self._levels = [None] * n_levels
-
-    def __len__(self) -> int:
-        return len(self._levels)
-
-    def __getitem__(self, k: int) -> list:
-        if self._levels[k] is None:
-            self._levels[k] = self._make(k)
-        return self._levels[k]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
 @dataclass
 class TruncatedSimplicialSet:
-    """Levels 0..N with face/degeneracy tables on simplex indices.
+    """The levels 0..N with face/degeneracy tables on simplex indices.
 
-    ``face[k][i]`` maps level-k indices to level-(k-1) indices (1 <= k <= N,
-    0 <= i <= k); ``degen[k][i]`` maps level-k indices to level-(k+1) indices
-    (0 <= k < N, 0 <= i <= k).  ``rows[k]`` is the int64 array of label rows
-    of level k, and ``simplices[k]`` the simplex objects in the same order.
+    ``rows[k]`` is the int64 array of label rows of level k, one row per
+    simplex.  ``face[k][i]`` maps level-k indices to level-(k-1) indices
+    (1 <= k <= N, 0 <= i <= k); ``degen[k][i]`` maps level-k indices to
+    level-(k+1) indices (0 <= k < N, 0 <= i <= k).
     """
 
     N: int
-    simplices: Levels
+    rows: list
     face: dict
     degen: dict
     label: str = ""
-    rows: list = field(default_factory=list, repr=False, compare=False)
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def count(self, k: int) -> int:
         return len(self.rows[k])
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.rows)
-
-    def index_of(self, k: int, simplex) -> int:
-        index = self._index.get(k)
-        if index is None:
-            index = self._index[k] = {
-                s: i for i, s in enumerate(self.simplices[k])}
-        return index[simplex]
 
     def nondegenerate_indices(self, k: int) -> np.ndarray:
         """Indices at level k outside the image of every degeneracy,
@@ -89,76 +59,69 @@ class TruncatedSimplicialSet:
         return np.flatnonzero(mask)
 
 
-def build_truncated(n_trunc: int, rows: list, level, face: dict,
-                    degen: dict, label: str = "") -> TruncatedSimplicialSet:
-    """Assemble a set from the label rows of each level, the function
-    ``level(k)`` that builds the simplex objects of level k on first read,
-    and index arrays: ``face[k][i]`` (1 <= k <= n_trunc) and ``degen[k][i]``
-    (0 <= k < n_trunc) hold, for each level-k simplex, the index of its
-    image one level down or up."""
+def _ints(table) -> np.ndarray:
+    return np.asarray(table, dtype=np.int64)
+
+
+def build_truncated(n_trunc: int, rows: list, face: dict, degen: dict,
+                    label: str = "") -> TruncatedSimplicialSet:
+    """Assemble a set from the label rows of each level and index arrays:
+    ``face[k][i]`` (1 <= k <= n_trunc) and ``degen[k][i]`` (0 <= k <
+    n_trunc) hold, for each level-k simplex, the index of its image one
+    level down or up."""
     def lists(tables):
-        return {k: [np.asarray(t).tolist() for t in tables[k]]
+        return {k: [_ints(t).tolist() for t in tables[k]]
                 for k in sorted(tables)}
-    return TruncatedSimplicialSet(n_trunc, Levels(level, n_trunc + 1),
-                                  lists(face), lists(degen), label, rows)
+    return TruncatedSimplicialSet(n_trunc, rows, lists(face), lists(degen),
+                                  label)
 
 
 def simplicial_violations(s: TruncatedSimplicialSet) -> list[str]:
-    """All simplicial-identity failures checkable within the truncation."""
+    """All simplicial-identity failures checkable within the truncation,
+    each identity compared on whole tables and reported in (identity,
+    level, (i, j), simplex) order."""
+    face = {k: [_ints(t) for t in ts] for k, ts in s.face.items()}
+    degen = {k: [_ints(t) for t in ts] for k, ts in s.degen.items()}
     bad: list[str] = []
 
-    def report(kind, k, i, j, idx):
-        bad.append(f"{kind} identity fails at level {k}, (i,j)=({i},{j}), "
-                   f"simplex {idx}")
+    def report(kind, k, i, j, fails):
+        bad.extend(f"{kind} identity fails at level {k}, (i,j)=({i},{j}), "
+                   f"simplex {idx}" for idx in np.flatnonzero(fails).tolist())
 
     for k in range(2, s.N + 1):
         for j in range(1, k + 1):
             for i in range(j):
-                fi, fj = s.face[k][i], s.face[k][j]
-                fl = s.face[k - 1]
-                for idx in range(s.count(k)):
-                    if fl[i][fj[idx]] != fl[j - 1][fi[idx]]:
-                        report("d_i d_j", k, i, j, idx)
+                report("d_i d_j", k, i, j, face[k - 1][i][face[k][j]]
+                       != face[k - 1][j - 1][face[k][i]])
     for k in range(s.N - 1):
         for i in range(k + 1):
             for j in range(i, k + 1):
-                si, sj = s.degen[k][i], s.degen[k][j]
-                sl = s.degen[k + 1]
-                for idx in range(s.count(k)):
-                    if sl[i][sj[idx]] != sl[j + 1][si[idx]]:
-                        report("s_i s_j", k, i, j, idx)
+                report("s_i s_j", k, i, j, degen[k + 1][i][degen[k][j]]
+                       != degen[k + 1][j + 1][degen[k][i]])
+    # at k = 0 only i = j, j + 1 occur, so the lower maps below exist
     for k in range(s.N):
         for j in range(k + 1):
-            sj = s.degen[k][j]
             for i in range(k + 2):
-                di = s.face[k + 1][i]
-                for idx in range(s.count(k)):
-                    got = di[sj[idx]]
-                    if i == j or i == j + 1:
-                        if got != idx:
-                            report("d_i s_j = id", k, i, j, idx)
-                    elif i < j:
-                        if k == 0:
-                            continue  # s_{j-1} d_i not in truncation range
-                        want = s.degen[k - 1][j - 1][s.face[k][i][idx]]
-                        if got != want:
-                            report("d_i s_j = s_{j-1} d_i", k, i, j, idx)
-                    else:
-                        if k == 0:
-                            continue
-                        want = s.degen[k - 1][j][s.face[k][i - 1][idx]]
-                        if got != want:
-                            report("d_i s_j = s_j d_{i-1}", k, i, j, idx)
+                got = face[k + 1][i][degen[k][j]]
+                if i == j or i == j + 1:
+                    report("d_i s_j = id", k, i, j,
+                           got != np.arange(s.count(k)))
+                elif i < j:
+                    report("d_i s_j = s_{j-1} d_i", k, i, j,
+                           got != degen[k - 1][j - 1][face[k][i]])
+                else:
+                    report("d_i s_j = s_j d_{i-1}", k, i, j,
+                           got != degen[k - 1][j][face[k][i - 1]])
     return bad
 
 
 def prism(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
     """The product s x Delta^1.
 
-    A level-k simplex is (idx, t) where t in 0..k+1 counts the vertices sent
-    to the 0 end of the interval (vertices 0..t-1 at time 0, the rest at
-    time 1).  ``t = k+1`` is the time-0 end, ``t = 0`` the time-1 end.  The
-    cell (idx, t) has index idx * (k+2) + t.
+    A level-k simplex is the row (idx, t) where t in 0..k+1 counts the
+    vertices sent to the 0 end of the interval (vertices 0..t-1 at time 0,
+    the rest at time 1).  ``t = k+1`` is the time-0 end, ``t = 0`` the
+    time-1 end.  The cell (idx, t) has index idx * (k+2) + t.
     """
     def cells(k):
         return np.divmod(np.arange(s.count(k) * (k + 2)), k + 2)
@@ -173,15 +136,14 @@ def prism(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
         idx, t = cells(k)
         degen[k] = [np.asarray(s.degen[k][i])[idx] * (k + 3)
                     + np.where(i < t, t + 1, t) for i in range(k + 1)]
-    rows = [np.stack(cells(k), axis=1) for k in range(s.N + 1)]
     return build_truncated(
-        s.N, rows, lambda k: list(map(tuple, rows[k].tolist())), face, degen,
+        s.N, [np.stack(cells(k), axis=1) for k in range(s.N + 1)], face, degen,
         label=f"{s.label} x I" if s.label else "prism")
 
 
-def prism_end(p: TruncatedSimplicialSet, k: int, idx: int,
-              zero_end: bool) -> int:
-    """Index in the prism of base simplex ``idx`` at one end of the interval."""
+def prism_end(p: TruncatedSimplicialSet, k: int, idx, zero_end: bool):
+    """Index in the prism of base simplex ``idx`` at one end of the interval;
+    ``idx`` may be an index array."""
     return idx * (k + 2) + (k + 1 if zero_end else 0)
 
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmodcoh import bundles, cli, crossed, intlinalg, modsnf, obstruction
+from xmodcoh import (bundles, cli, cohomology, crossed, intlinalg, modsnf,
+                     obstruction)
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -235,6 +236,51 @@ def test_unexpected_exceptions_are_internal_errors(monkeypatch, tmp_path):
                                 "message": "'missing table'"}
     path = write_bundle(tmp_path, "broken.json", h2_bundle())
     assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+def test_exhausted_recursion_is_an_internal_error(monkeypatch, tmp_path):
+    """RecursionError is a RuntimeError, but it is the program's fault,
+    not a mathematical violation."""
+    def deep(bundle, seed, budget):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli.TASKS, "h-n", deep)
+    report = cli.run(h2_bundle())
+    assert report["status"] == "internal-error"
+    assert report["result"] == {
+        "type": "RecursionError",
+        "message": "maximum recursion depth exceeded"}
+    path = write_bundle(tmp_path, "deep.json", h2_bundle())
+    assert cli.main(["--bundle", path, "--quiet"]) == 4
+
+
+def test_h1_with_more_positions_than_the_recursion_limit():
+    """Over C40 with trivial coefficients the u table has 39^2 positions,
+    each with one candidate value, and H^1 is a single class."""
+    for group, xmod in (("C40", "1->1"), ("C35", "C1->1")):
+        report = cli.run({"schema": 1, "task": "h1", "group": group,
+                          "xmod": xmod})
+        assert report["status"] == "ok"
+        assert report["result"]["classes"] == 1
+    report = cli.run({"schema": 1, "task": "h1-ff", "group": "C40",
+                      "xmod": "1->1"})
+    assert report["status"] == "ok"
+    assert report["result"]["classes"] == 0
+
+
+def test_h0_with_trivial_circle_coefficients_is_refused_before_any_work(
+        monkeypatch):
+    """H^0(G; Q/Z) with the trivial action is Q/Z itself, which no finite
+    list of invariant factors describes."""
+    def no_work(*args):
+        raise AssertionError("cohomology work started")
+
+    monkeypatch.setattr(cohomology, "CohomologyGroup", no_work)
+    for group in ("C2", "S3"):
+        report = cli.run({"schema": 1, "task": "h-n", "group": group,
+                          "module": "QZ-trivial", "n": 0})
+        assert report["status"] == "input-error"
+        assert "infinite" in report["result"]["message"]
 
 
 def test_failed_internal_checks_are_internal_errors(monkeypatch, tmp_path):

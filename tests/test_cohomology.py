@@ -183,6 +183,18 @@ def test_circle_inversion_action():
     assert cohomology(c2, tw, 2).invariant_factors == (2,)
 
 
+def test_circle_h0_is_finite_only_under_a_nontrivial_action():
+    """Under the sign action H^0(G; Q/Z) = {x : -x = x} = Z/2; under the
+    trivial action it is Q/Z itself and is refused."""
+    for n in (2, 4):
+        group = make_cyclic(n)
+        signs = tuple((-1) ** i for i in range(n))
+        h = cohomology(group, rational_circle(group, signs), 0)
+        assert h.invariant_factors == (2,)
+        with pytest.raises(ValueError, match="infinite"):
+            cohomology(group, rational_circle(group), 0)
+
+
 # ---------------------------------------------------------------------------
 # the differential against an entry-by-entry oracle
 # ---------------------------------------------------------------------------

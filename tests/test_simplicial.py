@@ -5,10 +5,12 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import columns_matrix, dict_boundary
+from oracles import (columns_matrix, dict_boundary,
+                     loop_simplicial_violations, simplex_index,
+                     simplex_objects)
 
 from xmodcoh.bundles import xmod_from_spec
-from xmodcoh.crossed import CrossedModule
+from xmodcoh.crossed import CrossedModule, xmod_identity
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
 from xmodcoh.nerves import duskin_nerve, monoidal_diag_nerve, ordinary_nerve
@@ -32,6 +34,22 @@ def test_tampered_face_table_is_reported():
     assert simplicial_violations(broken) != []
 
 
+def test_two_tampered_entries_report_what_the_loop_reports():
+    """Whole-table checks keep the per-simplex loop's messages and order:
+    a face entry and a degeneracy entry, each moved to another simplex,
+    break the face, degeneracy and mixed identities."""
+    s = duskin_nerve(xmod_identity(make_cyclic(2)), 3)
+    assert simplicial_violations(s) == loop_simplicial_violations(s) == []
+    broken = copy.deepcopy(s)
+    broken.face[2][1][3] = (broken.face[2][1][3] + 1) % s.count(1)
+    broken.degen[1][0][1] = (broken.degen[1][0][1] + 1) % s.count(2)
+    bad = simplicial_violations(broken)
+    assert bad == loop_simplicial_violations(broken)
+    assert {p.split(" identity")[0] for p in bad} == {
+        "d_i d_j", "s_i s_j", "d_i s_j = s_j d_{i-1}",
+        "d_i s_j = s_{j-1} d_i"}
+
+
 def test_degenerate_indices():
     s = ordinary_nerve(make_cyclic(2), 2)
 
@@ -40,11 +58,12 @@ def test_degenerate_indices():
             s.nondegenerate_indices(k).tolist())
 
     assert degenerate(0) == set()
+    index = simplex_index(simplex_objects(s, "ordinary"))
     e = make_cyclic(2).identity
-    assert degenerate(1) == {s.index_of(1, (e,))}
+    assert degenerate(1) == {index[1][(e,)]}
     # level 2 degenerates: (e, g), (g, e), (e, e) -- all chains with a unit
     assert degenerate(2) == {
-        s.index_of(2, c) for c in [(0, 0), (0, 1), (1, 0)]}
+        index[2][c] for c in [(0, 0), (0, 1), (1, 0)]}
 
 
 def test_prism_is_simplicial_and_has_product_counts():
