@@ -278,6 +278,10 @@ def enumerate_Z1(group: FiniteGroup, x: CrossedModule,
     est = (gg.order ** len(nz)) * (max_fiber ** (len(nz) ** 2))
     if est > budget:
         raise ResourceLimit("1-cocycle enumeration candidates", est, budget)
+    # every (g, h, k) triple is scheduled as a tuple before the search
+    if len(nz) ** 3 > budget:
+        raise ResourceLimit("1-cocycle enumeration relations", len(nz) ** 3,
+                            budget)
 
     positions = [(g, h) for g in nz for h in nz]
     pos_index = {p: i for i, p in enumerate(positions)}

@@ -97,6 +97,8 @@ class FiniteGroup:
 
     mul: tuple[tuple[int, ...], ...]
     label: str = ""
+    # False only for a table that is a group by construction
+    validate: bool = field(default=True, compare=False, repr=False)
     identity: int = field(init=False, compare=False, repr=False)
     inv: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # set eagerly: a cached_property would materialize the instance dict,
@@ -105,7 +107,7 @@ class FiniteGroup:
                                         repr=False)
 
     def __post_init__(self):
-        problems = group_violations(self.mul)
+        problems = group_violations(self.mul) if self.validate else []
         if problems:
             raise ValueError("not a group table: " + "; ".join(problems))
         n = len(self.mul)
@@ -169,8 +171,10 @@ class FiniteGroup:
 def make_cyclic(n: int, label: str | None = None) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
-    mul = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(mul, label if label is not None else f"C{n}")
+    row = tuple(range(n))
+    mul = tuple(row[a:] + row[:a] for a in range(n))
+    return FiniteGroup(mul, label if label is not None else f"C{n}",
+                       validate=False)
 
 
 def trivial_group() -> FiniteGroup:

@@ -29,8 +29,8 @@ arithmetic:
 
 A level is its label rows alone: a Duskin row is alpha over the pairs, then
 u over the triples; an ordinary row is the chain; a diagonal row is its
-columns, each the object then its arrow labels.  ``PseudofunctorSimplex``
-describes one simplex, for the appendix retraction.  The comparison maps
+columns, each the object then its arrow labels.  The appendix retraction
+checks batches of Duskin rows the same way.  The comparison maps
 to the ordinary nerve are radix values of edge chains or object columns,
 and the map checks compare whole tables at once.  Every builder runs its
 ``nerve_guard`` before any work, and a task that needs several nerves runs
@@ -47,13 +47,14 @@ from math import comb
 import numpy as np
 
 from .crossed import CrossedModule
-from .errors import InvariantError, ResourceLimit
+from .errors import ResourceLimit
 from .groups import FiniteGroup
 from .simplicial import TruncatedSimplicialSet, _ints, build_truncated
 
 _DIM_CAP = 10 ** 7
 # candidate rows decoded at once by the Duskin enumerator, which bounds its
-# scratch memory whatever the level's key range
+# scratch memory whatever the level's key range; the appendix retraction
+# checks its heads and chains in blocks of the same size
 _BLOCK = 65_536
 # keys are int64
 _KEY_MAX = 2 ** 63 - 1
@@ -69,116 +70,6 @@ def pair_positions(n: int) -> dict[tuple[int, int], int]:
 def triple_positions(n: int) -> dict[tuple[int, int, int], int]:
     """Lexicographic positions of triples i<j<k inside 0..n."""
     return {t: i for i, t in enumerate(combinations(range(n + 1), 3))}
-
-
-@dataclass(frozen=True)
-class PseudofunctorSimplex:
-    """An n-simplex of the Duskin nerve: alpha over pairs, u over triples.
-
-    Tables are in lexicographic order of the index sets.  Lookups with
-    repeated indices follow the strictly unital convention (identity labels).
-    """
-
-    n: int
-    alpha: tuple[int, ...]
-    u: tuple[int, ...]
-
-    def alpha_at(self, x: CrossedModule, i: int, j: int) -> int:
-        if i == j:
-            return x.ggroup.identity
-        return self.alpha[pair_positions(self.n)[(i, j)]]
-
-    def u_at(self, x: CrossedModule, i: int, j: int, k: int) -> int:
-        if i == j or j == k:
-            return x.hgroup.identity
-        return self.u[triple_positions(self.n)[(i, j, k)]]
-
-
-def pseudofunctor_violations(x: CrossedModule,
-                             s: PseudofunctorSimplex) -> list[str]:
-    """Failures of the triangle and tetrahedron relations (empty = valid)."""
-    g, h = x.ggroup, x.hgroup
-    bad = []
-    for i, j, k in combinations(range(s.n + 1), 3):
-        lhs = g.op(s.alpha_at(x, i, j), s.alpha_at(x, j, k))
-        rhs = g.op(x.boundary[s.u_at(x, i, j, k)], s.alpha_at(x, i, k))
-        if lhs != rhs:
-            bad.append(f"triangle relation fails at ({i},{j},{k})")
-    for i, j, k, l in combinations(range(s.n + 1), 4):
-        lhs = h.op(x.act(s.alpha_at(x, i, j), s.u_at(x, j, k, l)),
-                   s.u_at(x, i, j, l))
-        rhs = h.op(s.u_at(x, i, j, k), s.u_at(x, i, k, l))
-        if lhs != rhs:
-            bad.append(f"tetrahedron relation fails at ({i},{j},{k},{l})")
-    return bad
-
-
-@dataclass(frozen=True)
-class NatTransform:
-    """A natural transformation between pseudofunctor simplices of equal n.
-
-    ``w`` is a table over pairs i<j in lexicographic order; lookups with
-    equal indices return the identity.
-    """
-
-    source: PseudofunctorSimplex
-    target: PseudofunctorSimplex
-    w: tuple[int, ...]
-
-    def w_at(self, x: CrossedModule, i: int, j: int) -> int:
-        if i == j:
-            return x.hgroup.identity
-        return self.w[pair_positions(self.source.n)[(i, j)]]
-
-
-def nat_violations(x: CrossedModule, nt: NatTransform) -> list[str]:
-    """Failures of the naturality square on edges and triples (empty = ok)."""
-    if nt.source.n != nt.target.n:
-        return ["source and target dimensions differ"]
-    n = nt.source.n
-    if len(nt.w) != len(pair_positions(n)):
-        return ["w table has the wrong size"]
-    g, h = x.ggroup, x.hgroup
-    bad = []
-    for i, j in combinations(range(n + 1), 2):
-        lhs = nt.target.alpha_at(x, i, j)
-        rhs = g.op(x.boundary[nt.w_at(x, i, j)], nt.source.alpha_at(x, i, j))
-        if lhs != rhs:
-            bad.append(f"edge identity fails at ({i},{j})")
-    for i, j, k in combinations(range(n + 1), 3):
-        lhs = h.op(nt.w_at(x, i, j),
-                   h.op(x.act(nt.source.alpha_at(x, i, j), nt.w_at(x, j, k)),
-                        nt.source.u_at(x, i, j, k)))
-        rhs = h.op(nt.target.u_at(x, i, j, k), nt.w_at(x, i, k))
-        if lhs != rhs:
-            bad.append(f"naturality fails at ({i},{j},{k})")
-    return bad
-
-
-def transport_simplex(x: CrossedModule, s: PseudofunctorSimplex,
-                      w: tuple[int, ...]) -> NatTransform:
-    """The morphism out of ``s`` with component table ``w``.
-
-    The target pseudofunctor is determined: its edges are twisted by the
-    boundary of w and its triangle labels conjugated through the naturality
-    square.  The result is checked to be a valid simplex.
-    """
-    g, h = x.ggroup, x.hgroup
-    n = s.n
-    pp = pair_positions(n)
-    alpha = tuple(g.op(x.boundary[w[pp[(i, j)]]], s.alpha_at(x, i, j))
-                  for i, j in combinations(range(n + 1), 2))
-    u = []
-    for i, j, k in combinations(range(n + 1), 3):
-        val = h.op(w[pp[(i, j)]],
-                   h.op(x.act(s.alpha_at(x, i, j), w[pp[(j, k)]]),
-                        h.op(s.u_at(x, i, j, k), h.inv[w[pp[(i, k)]]])))
-        u.append(val)
-    target = PseudofunctorSimplex(n, alpha, tuple(u))
-    bad = pseudofunctor_violations(x, target)
-    if bad:
-        raise InvariantError("transport left the simplex space: " + bad[0])
-    return NatTransform(s, target, w)
 
 
 @lru_cache(maxsize=None)
@@ -197,22 +88,6 @@ def pullback_positions(n: int, theta: tuple[int, ...],
         -1 if any(a == b for a, b in zip(image, image[1:]))
         else positions[image]
         for image in combinations(theta, arity))
-
-
-def pull_back(table: tuple[int, ...], positions: tuple[int, ...],
-              identity: int) -> tuple[int, ...]:
-    """Read a table at ``pullback_positions``, with identity at -1."""
-    return tuple(table[p] if p >= 0 else identity for p in positions)
-
-
-def reindex(x: CrossedModule, s: PseudofunctorSimplex,
-            theta: tuple[int, ...]) -> PseudofunctorSimplex:
-    """Pull back along a monotone map [m] -> [n] given by its value tuple."""
-    return PseudofunctorSimplex(
-        len(theta) - 1,
-        pull_back(s.alpha, pullback_positions(s.n, theta, 2),
-                  x.ggroup.identity),
-        pull_back(s.u, pullback_positions(s.n, theta, 3), x.hgroup.identity))
 
 
 def delta_map(k: int, i: int) -> tuple[int, ...]:
@@ -340,18 +215,6 @@ def _duskin_level_rows(x: CrossedModule, k: int):
         keys.append(key[ok])
         rows.append(row[ok])
     return np.concatenate(keys), np.concatenate(rows)
-
-
-def _duskin_simplices(k: int, rows: np.ndarray) -> list:
-    pairs = comb(k + 1, 2)
-    return [PseudofunctorSimplex(k, alpha, u) for alpha, u in zip(
-        map(tuple, rows[:, :pairs].tolist()),
-        map(tuple, rows[:, pairs:].tolist()))]
-
-
-def _enumerate_duskin_level(x: CrossedModule, k: int) -> list:
-    """All valid k-simplices, lexicographic in (edge chain, u table)."""
-    return _duskin_simplices(k, _duskin_level_rows(x, k)[1])
 
 
 def nerve_guard(kind: str, source, n_trunc: int,

@@ -16,279 +16,333 @@ and replays full chains literally on a deterministic sample as a
 cross-check.  A head is checked by its own validity data (the transport, and
 the filler and connector at each degree) and by replaying the one-step chain
 it spans through :func:`check_chain`, so every prism identity is written
-once.  Failures name the identity, the first slot where its two sides
-differ, and the simplex.
+once.
 
-Replays share their slot-level work.  Within one verification, each
-pullback of a simplex or table along an index map, each transport target,
-each filler (which depends on the first object, the first morphism and the
-degree) and each connector is computed once, and every distinct simplex or
-table gets a small int id.  A chain is a tuple of ids, so building one is a
-row of dictionary lookups and comparing two sides of an identity compares
-ints, slot by slot.  The memo (:class:`_Slots`) is made once per
-verification, shared by the head suite and the sampled replay, and dropped
-when the verification returns: nothing outlives it, so a replaced
-``mu_simplex``, ``h_table`` or pullback helper reaches every slot it
-computes, and restoring it leaves nothing stale.
+Everything is checked in batches of label rows.  An object over [n] is a
+Duskin label row (alpha over the pairs, then u over the triples, as
+``nerves._duskin_level_rows`` builds it), a morphism is a row of H labels
+over the pairs, and a chain of m steps is the tuple of its 2m+1 slot
+arrays, one row per chain.  Transport targets, fillers, connectors and
+pullbacks along index maps are column gathers into the group tables, and
+each identity compares its two sides over the whole batch.  For every
+failing row the report names the identity, the first slot where its two
+sides differ, and the row's simplex, in the order a replay of one chain at
+a time would.  The strict section's checks and the heads (every object
+with every first morphism) run ``nerves._BLOCK`` rows at a time, and
+chains ``nerves._BLOCK`` slot rows at a time, so memory stays bounded
+whatever count the guards let through.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb, log10
+from functools import lru_cache
+from itertools import combinations
+from math import comb, isqrt, log10
 
+import numpy as np
+
+from . import nerves
 from .crossed import CrossedModule
-from .errors import MAX_DIGITS, ResourceLimit
-from .nerves import (NatTransform, PseudofunctorSimplex, delta_map,
-                     nat_violations, pair_positions, pseudofunctor_violations,
-                     pull_back, pullback_positions, reindex, sigma_map,
-                     transport_simplex, _enumerate_duskin_level)
+from .errors import MAX_DIGITS, InvariantError, ResourceLimit
+from .nerves import (_arrays, _digits, _duskin_level_rows, delta_map,
+                     pair_positions, pullback_positions, sigma_map,
+                     triple_positions)
 
 
-def _compose(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
-    """theta after phi, as value tuples."""
-    return tuple(theta[v] for v in phi)
+class _Tables:
+    """The crossed module's group tables as int64 gather arrays."""
+
+    def __init__(self, x: CrossedModule):
+        self.gmul, self.ginv, self.hmul, self.bnd, self.act = _arrays(x)
+        self.hinv = np.array(x.hgroup.inv, dtype=np.int64)
+        self.g_id, self.h_id = x.ggroup.identity, x.hgroup.identity
 
 
-def pull_table(x: CrossedModule, n: int, w: tuple[int, ...],
-               theta: tuple[int, ...]) -> tuple[int, ...]:
-    """Pull a pair-indexed H table over [n] back along theta (unital)."""
-    return pull_back(w, pullback_positions(n, theta, 2), x.hgroup.identity)
+@lru_cache(maxsize=None)
+def _dim(width: int) -> int:
+    """The n of an object row over [n] with ``width`` labels."""
+    n = 0
+    while comb(n + 1, 2) + comb(n + 1, 3) < width:
+        n += 1
+    return n
 
 
-def _table_at(x: CrossedModule, n: int, w, i: int, j: int) -> int:
-    if i == j:
-        return x.hgroup.identity
-    return w[pair_positions(n)[(i, j)]]
+@lru_cache(maxsize=None)
+def _edges(n: int):
+    """Label columns over [n]: the edge chain (i, i+1); per triple (i, j, k)
+    its pairs (i, j), (j, k), (i, k); per quadruple (i, j, k, l) its triples
+    (j, k, l), (i, j, l), (i, j, k), (i, k, l) and its pair (i, j)."""
+    pp, tp = pair_positions(n), triple_positions(n)
+    chain = [pp[(i, i + 1)] for i in range(n)]
+    triples = list(combinations(range(n + 1), 3))
+    quads = list(combinations(range(n + 1), 4))
+    tri = [[pp[(i, j)] for i, j, _ in triples],
+           [pp[(j, k)] for _, j, k in triples],
+           [pp[(i, k)] for i, _, k in triples]]
+    quad = [[tp[(j, k, l)] for _, j, k, l in quads],
+            [tp[(i, j, l)] for i, j, _, l in quads],
+            [tp[(i, j, k)] for i, j, k, _ in quads],
+            [tp[(i, k, l)] for i, _, k, l in quads],
+            [pp[(i, j)] for i, j, _, _ in quads]]
+    return (np.array(chain, dtype=np.int64),
+            np.array(tri, dtype=np.int64).reshape(3, -1),
+            np.array(quad, dtype=np.int64).reshape(5, -1), triples, quads)
+
+
+def _split(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, u) of object rows over [n]."""
+    pairs = comb(n + 1, 2)
+    return rows[:, :pairs], rows[:, pairs:]
 
 
 # ---------------------------------------------------------------------------
-# strict inclusion, lax projection, and the connecting transformation
+# relations, transport, and the strict section
 # ---------------------------------------------------------------------------
 
-def strict_include(x: CrossedModule, chain: tuple[int, ...]
-                   ) -> PseudofunctorSimplex:
-    """The pseudofunctor with exact edge products and trivial labels."""
-    g = x.ggroup
-    n = len(chain)
-    alpha = tuple(g.prod(chain[i:j])
-                  for i, j in combinations(range(n + 1), 2))
-    u = (x.hgroup.identity,) * comb(n + 1, 3)
-    return PseudofunctorSimplex(n, alpha, u)
+def pseudofunctor_checks(t: _Tables, rows: np.ndarray
+                         ) -> tuple[np.ndarray, list[str]]:
+    """Failures of the triangle and tetrahedron relations, one column per
+    relation, with the relations' names."""
+    n = _dim(rows.shape[1])
+    _, tri, quad, triples, quads = _edges(n)
+    a, u = _split(rows, n)
+    bad = np.hstack([
+        t.gmul[a[:, tri[0]], a[:, tri[1]]]
+        != t.gmul[t.bnd[u], a[:, tri[2]]],
+        t.hmul[t.act[a[:, quad[4]], u[:, quad[0]]], u[:, quad[1]]]
+        != t.hmul[u[:, quad[2]], u[:, quad[3]]]])
+    return bad, ([f"triangle relation fails at ({i},{j},{k})"
+                  for i, j, k in triples]
+                 + [f"tetrahedron relation fails at ({i},{j},{k},{l})"
+                    for i, j, k, l in quads])
 
 
-def composite_table(x: CrossedModule, alphas: tuple[int, ...],
-                    hs: tuple[int, ...]) -> tuple[int, ...]:
-    """Horizontal composites of consecutive components along an edge chain."""
-    g, h = x.ggroup, x.hgroup
-    n = len(alphas)
-    out = []
-    for i, j in combinations(range(n + 1), 2):
-        val = hs[i]
-        run = alphas[i]
-        for t in range(i + 1, j):
-            val = h.op(val, x.act(run, hs[t]))
-            run = g.op(run, alphas[t])
-        out.append(val)
-    return tuple(out)
+def nat_checks(t: _Tables, source: np.ndarray, target: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Failures of the naturality square of ``w`` from ``source`` to
+    ``target`` on edges and on triples, one column per square."""
+    n = _dim(source.shape[1])
+    _, tri, _, triples, _ = _edges(n)
+    sa, su = _split(source, n)
+    ta, tu = _split(target, n)
+    bad = np.hstack([
+        ta != t.gmul[t.bnd[w], sa],
+        t.hmul[w[:, tri[0]], t.hmul[t.act[sa[:, tri[0]], w[:, tri[1]]], su]]
+        != t.hmul[tu, w[:, tri[2]]]])
+    return bad, ([f"edge identity fails at ({i},{j})"
+                  for i, j in combinations(range(n + 1), 2)]
+                 + [f"naturality fails at ({i},{j},{k})"
+                    for i, j, k in triples])
 
 
-def strict_project(x: CrossedModule, s: PseudofunctorSimplex
-                   ) -> tuple[int, ...]:
-    """The edge chain of a pseudofunctor (its strict shadow)."""
-    return tuple(s.alpha_at(x, i, i + 1) for i in range(s.n))
+def transport(t: _Tables, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The targets of the morphisms out of ``rows`` with components ``w``.
+
+    Edges are twisted by the boundary of w and triangle labels conjugated
+    through the naturality square.  The head suite checks the targets of
+    every object along every morphism to be valid simplices.
+    """
+    n = _dim(rows.shape[1])
+    _, tri, _, _, _ = _edges(n)
+    a, u = _split(rows, n)
+    out = np.hstack([
+        t.gmul[t.bnd[w], a],
+        t.hmul[w[:, tri[0]],
+               t.hmul[t.act[a[:, tri[0]], w[:, tri[1]]],
+                      t.hmul[u, t.hinv[w[:, tri[2]]]]]]])
+    return out
 
 
-def strict_project_morphism(x: CrossedModule, nt: NatTransform
-                            ) -> tuple[int, ...]:
-    """Horizontal composites of a transformation's consecutive components."""
-    n = nt.source.n
-    alphas = strict_project(x, nt.source)
-    hs = tuple(nt.w_at(x, i, i + 1) for i in range(n))
-    return composite_table(x, alphas, hs)
+def strict_include(t: _Tables, chains: np.ndarray) -> np.ndarray:
+    """The pseudofunctors with exact edge products of ``chains`` and
+    trivial labels."""
+    n = chains.shape[1]
+    cols = {}
+    for i in range(n):
+        run = chains[:, i]
+        cols[(i, i + 1)] = run
+        for j in range(i + 2, n + 1):
+            run = t.gmul[run, chains[:, j - 1]]
+            cols[(i, j)] = run
+    out = np.full((len(chains), comb(n + 1, 2) + comb(n + 1, 3)), t.h_id,
+                  dtype=np.int64)
+    for p, i in pair_positions(n).items():
+        out[:, i] = cols[p]
+    return out
 
 
-def eta_table(x: CrossedModule, s: PseudofunctorSimplex) -> tuple[int, ...]:
+def strict_project(rows: np.ndarray) -> np.ndarray:
+    """The edge chains of pseudofunctors (their strict shadows)."""
+    return rows[:, _edges(_dim(rows.shape[1]))[0]]
+
+
+def composite_table(t: _Tables, alphas: np.ndarray, hs: np.ndarray
+                    ) -> np.ndarray:
+    """Horizontal composites of consecutive components along edge chains."""
+    n = alphas.shape[1]
+    out = np.empty((len(alphas), comb(n + 1, 2)), dtype=np.int64)
+    for i in range(n):
+        val, run = hs[:, i], alphas[:, i]
+        out[:, pair_positions(n)[(i, i + 1)]] = val
+        for j in range(i + 2, n + 1):
+            val = t.hmul[val, t.act[run, hs[:, j - 1]]]
+            run = t.gmul[run, alphas[:, j - 1]]
+            out[:, pair_positions(n)[(i, j)]] = val
+    return out
+
+
+def eta_table(t: _Tables, rows: np.ndarray) -> np.ndarray:
     """Components of the retraction transformation s => include(project(s)).
 
     The interval value is built by splitting off the last vertex:
     v over [i..j] is v over [i..j-1] times the label at (i, j-1, j).
     """
-    h = x.hgroup
-    vals: dict[tuple[int, int], int] = {}
-    for span in range(1, s.n + 1):
-        for i in range(s.n + 1 - span):
+    n = _dim(rows.shape[1])
+    pp, tp = pair_positions(n), triple_positions(n)
+    a, u = _split(rows, n)
+    out = np.full(a.shape, t.h_id, dtype=np.int64)
+    for span in range(2, n + 1):
+        for i in range(n + 1 - span):
             j = i + span
-            if span == 1:
-                vals[(i, j)] = h.identity
-            else:
-                vals[(i, j)] = h.op(vals[(i, j - 1)], s.u_at(x, i, j - 1, j))
-    return tuple(vals[p] for p in combinations(range(s.n + 1), 2))
+            out[:, pp[(i, j)]] = t.hmul[out[:, pp[(i, j - 1)]],
+                                        u[:, tp[(i, j - 1, j)]]]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # chains of transformations and the prism data
 # ---------------------------------------------------------------------------
 
-class _Slots:
-    """Slot-level results of one verification, each computed once.
-
-    A chain x0 -w0-> x1 -w1-> ... -> xm over [n] is the tuple of ids
-    (x0, w0, x1, w1, ..., xm), so slot 2i holds object i and slot 2i+1
-    morphism i.  Pullbacks are memoized on (id, index map), transport
-    targets on (object, table), fillers on (x0, w0, k) (x1 is the transport
-    target of x0 along w0) and connectors on (w0, k).  Results are computed
-    through this module's ``reindex``, ``pull_table``,
-    ``transport_simplex``, ``mu_simplex`` and ``h_table``.
-    """
-
-    def __init__(self, x: CrossedModule):
-        self.x = x
-        self.values: list = []
-        self.dims: list[int] = []
-        self._ids: dict = {}
-        self._pulls: dict[tuple[int, ...], dict[int, int]] = {}
-        self._targets: dict[tuple[int, int], int] = {}
-        self._fillers: dict[tuple[int, int, int], int] = {}
-        self._connectors: dict[tuple[int, int], int] = {}
-        self._maps: dict[int, tuple[list, list]] = {}
-
-    def intern(self, value, n: int) -> int:
-        """The id of a simplex or table over [n]."""
-        i = self._ids.get(value)
-        if i is None:
-            i = self._ids[value] = len(self.values)
-            self.values.append(value)
-            self.dims.append(n)
-        return i
-
-    def maps(self, n: int) -> tuple[list, list]:
-        """The face maps [n-1] -> [n] and degeneracy maps [n+1] -> [n]."""
-        out = self._maps.get(n)
-        if out is None:
-            out = self._maps[n] = ([delta_map(n, i) for i in range(n + 1)],
-                                   [sigma_map(n, i) for i in range(n + 1)])
-        return out
-
-    def along(self, theta: tuple[int, ...]) -> dict[int, int]:
-        """The pullbacks along theta computed so far, by slot id."""
-        return self._pulls.setdefault(theta, {})
-
-    def pull(self, i: int, theta: tuple[int, ...]) -> int:
-        """The id of slot ``i`` pulled back along theta."""
-        memo = self.along(theta)
-        j = memo.get(i)
-        if j is None:
-            v = self.values[i]
-            if isinstance(v, PseudofunctorSimplex):
-                v = reindex(self.x, v, theta)
-            else:
-                v = pull_table(self.x, self.dims[i], v, theta)
-            j = memo[i] = self.intern(v, len(theta) - 1)
-        return j
-
-    def target(self, o: int, w: int) -> int:
-        """The id of the target of the morphism out of ``o`` along ``w``."""
-        key = (o, w)
-        j = self._targets.get(key)
-        if j is None:
-            v = self.values
-            t = transport_simplex(self.x, v[o], v[w]).target
-            j = self._targets[key] = self.intern(t, t.n)
-        return j
-
-    def filler(self, c: tuple[int, ...], k: int) -> int:
-        """The id of the degree-k filler of the chain ``c``."""
-        key = (c[0], c[1], k)
-        j = self._fillers.get(key)
-        if j is None:
-            v = self.values
-            mu = mu_simplex(self.x, v[c[0]], v[c[1]], v[c[2]], k)
-            j = self._fillers[key] = self.intern(mu, mu.n)
-        return j
-
-    def connector(self, w0: int, k: int) -> int:
-        """The id of the degree-k connector of the first morphism ``w0``."""
-        key = (w0, k)
-        j = self._connectors.get(key)
-        if j is None:
-            n = self.dims[w0]
-            j = self._connectors[key] = self.intern(
-                h_table(self.x, self.values[w0], n, k), n + 1)
-        return j
+@lru_cache(maxsize=None)
+def _pull_plan(n: int, theta: tuple[int, ...]):
+    """Columns of an object row and of a morphism row over [n], each
+    followed by its identity columns, that give the rows pulled back along
+    theta."""
+    width = comb(n + 1, 2) + comb(n + 1, 3)
+    p2 = pullback_positions(n, theta, 2)
+    p3 = pullback_positions(n, theta, 3)
+    obj = ([p if p >= 0 else width for p in p2]
+           + [comb(n + 1, 2) + p if p >= 0 else width + 1 for p in p3])
+    mor = [p if p >= 0 else comb(n + 1, 2) for p in p2]
+    return np.array(obj, dtype=np.int64), np.array(mor, dtype=np.int64)
 
 
-def chain_reindex(slots: _Slots, c: tuple[int, ...],
-                  theta: tuple[int, ...]) -> tuple[int, ...]:
+def _stack(slots) -> np.ndarray:
+    """Slot arrays of one shape as one array, slot first (``np.stack``,
+    without its per-array Python work)."""
+    return np.concatenate(slots).reshape((len(slots),) + slots[0].shape)
+
+
+def _gather(slots, cols: np.ndarray, fill) -> list:
+    """The slot arrays read at ``cols`` after the ``fill`` columns are
+    appended to each."""
+    if not slots:
+        return []
+    s = _stack(slots)
+    pad = np.broadcast_to(np.array(fill, dtype=np.int64),
+                          s.shape[:2] + (len(fill),))
+    return list(np.concatenate([s, pad], axis=2)[:, :, cols])
+
+
+def pull_objects(t: _Tables, rows: np.ndarray, theta: tuple[int, ...]
+                 ) -> np.ndarray:
+    """Object rows pulled back along theta."""
+    obj, _ = _pull_plan(_dim(rows.shape[1]), theta)
+    return _gather([rows], obj, (t.g_id, t.h_id))[0]
+
+
+def chain_reindex(t: _Tables, c: tuple, theta: tuple[int, ...]) -> tuple:
     """Pull every slot of a chain back along theta."""
-    memo = slots.along(theta)
-    try:
-        return tuple([memo[i] for i in c])
-    except KeyError:
-        return tuple([slots.pull(i, theta) for i in c])
+    obj, mor = _pull_plan(_dim(c[0].shape[1]), theta)
+    out = [None] * len(c)
+    out[0::2] = _gather(c[0::2], obj, (t.g_id, t.h_id))
+    out[1::2] = _gather(c[1::2], mor, (t.h_id,))
+    return tuple(out)
 
 
-def chain_face_v(slots: _Slots, c: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return chain_reindex(slots, c, slots.maps(slots.dims[c[0]])[0][i])
+def chain_face_v(t: _Tables, c: tuple, i: int) -> tuple:
+    return chain_reindex(t, c, delta_map(_dim(c[0].shape[1]), i))
 
 
-def chain_degen_v(slots: _Slots, c: tuple[int, ...],
-                  i: int) -> tuple[int, ...]:
-    return chain_reindex(slots, c, slots.maps(slots.dims[c[0]])[1][i])
+def chain_degen_v(t: _Tables, c: tuple, i: int) -> tuple:
+    return chain_reindex(t, c, sigma_map(_dim(c[0].shape[1]), i))
 
 
-def chain_collapse_h(slots: _Slots, c: tuple[int, ...]) -> tuple[int, ...]:
+def chain_collapse_h(t: _Tables, c: tuple) -> tuple:
     """s0_h d0_h: drop the first transformation, restart with the identity."""
-    w0 = c[1]
-    e = (slots.x.hgroup.identity,) * len(slots.values[w0])
-    return (c[2], slots.intern(e, slots.dims[w0])) + c[2:]
+    return (c[2], np.full_like(c[1], t.h_id)) + c[2:]
 
 
-def mu_simplex(x: CrossedModule, x0: PseudofunctorSimplex,
-               w0: tuple[int, ...], x1: PseudofunctorSimplex,
-               k: int) -> PseudofunctorSimplex:
-    """The filler pseudofunctor over [n+1] interpolating x0 and x1 at k.
+@lru_cache(maxsize=None)
+def _filler_plan(n: int, k: int):
+    """Columns of [x0, x1, g_id, h_id] giving the degree-k filler over
+    [n+1], and its straddling u columns with the w0 columns they pick up."""
+    pairs = comb(n + 1, 2)
+    width = pairs + comb(n + 1, 3)
+    pp, tp = pair_positions(n), triple_positions(n)
+    sig = sigma_map(n, k)
+
+    def alpha0(i, j):
+        return 2 * width if i == j else pp[(i, j)]
+
+    def u0(i, j, l):
+        return 2 * width + 1 if i == j or j == l else pairs + tp[(i, j, l)]
+
+    cols, straddle, wcols = [], [], []
+    for i, j in combinations(range(n + 2), 2):
+        cols.append(width + pp[(i, j)] if j <= k
+                    else alpha0(sig[i], j - 1))
+    for i, j, l in combinations(range(n + 2), 3):
+        if l <= k:
+            cols.append(width + pairs + tp[(i, j, l)])
+        elif j <= k:
+            straddle.append(len(cols))
+            wcols.append(pp[(i, j)])
+            cols.append(u0(i, j, l - 1))
+        else:
+            cols.append(u0(sig[i], j - 1, l - 1))
+    return tuple(np.array(v, dtype=np.int64) for v in (cols, straddle, wcols))
+
+
+def filler(t: _Tables, x0: np.ndarray, w0: np.ndarray, x1: np.ndarray,
+           k: int) -> np.ndarray:
+    """The filler pseudofunctors over [n+1] interpolating x0 and x1 at k.
 
     Edges up to k come from x1, edges past k from x0 with indices collapsed
     through the k-th degeneracy; triangle labels straddling k pick up the
     component of the first transformation.
     """
-    n = x0.n
+    cols, straddle, wcols = _filler_plan(_dim(x0.shape[1]), k)
+    ids = np.full((len(x0), 2), (t.g_id, t.h_id), dtype=np.int64)
+    out = np.hstack([x0, x1, ids])[:, cols]
+    out[:, straddle] = t.hmul[w0[:, wcols], out[:, straddle]]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _connector_plan(n: int, k: int) -> np.ndarray:
+    """Columns of [w0, h_id] giving the degree-k connector over [n+1]."""
+    pairs = comb(n + 1, 2)
     sig = sigma_map(n, k)
-    h = x.hgroup
-    alpha = []
-    for i, j in combinations(range(n + 2), 2):
-        alpha.append(x1.alpha_at(x, i, j) if j <= k
-                     else x0.alpha_at(x, sig[i], j - 1))
-    u = []
-    for i, j, l in combinations(range(n + 2), 3):
-        if l <= k:
-            u.append(x1.u_at(x, i, j, l))
-        elif j <= k:
-            u.append(h.op(_table_at(x, n, w0, i, j), x0.u_at(x, i, j, l - 1)))
-        else:
-            u.append(x0.u_at(x, sig[i], j - 1, l - 1))
-    return PseudofunctorSimplex(n + 1, tuple(alpha), tuple(u))
+    return np.array([pairs if j <= k or sig[i] == j - 1
+                     else pair_positions(n)[(sig[i], j - 1)]
+                     for i, j in combinations(range(n + 2), 2)],
+                    dtype=np.int64)
 
 
-def h_table(x: CrossedModule, w0: tuple[int, ...], n: int,
-            k: int) -> tuple[int, ...]:
-    """Components of the connecting transformation at degree k."""
-    sig = sigma_map(n, k)
-    e = x.hgroup.identity
-    out = []
-    for i, j in combinations(range(n + 2), 2):
-        out.append(e if j <= k else _table_at(x, n, w0, sig[i], j - 1))
-    return tuple(out)
+def connector(t: _Tables, w0: np.ndarray, k: int) -> np.ndarray:
+    """Components of the connecting transformations at degree k."""
+    ids = np.full((len(w0), 1), t.h_id, dtype=np.int64)
+    n = (isqrt(8 * w0.shape[1] + 1) - 1) // 2
+    return np.hstack([w0, ids])[:, _connector_plan(n, k)]
 
 
-def homotopy_chain(slots: _Slots, c: tuple[int, ...],
-                   k: int) -> tuple[int, ...]:
-    """Degree-k prism image of a chain (filler, connector, degenerate tail)."""
-    return ((slots.filler(c, k), slots.connector(c[1], k))
-            + chain_reindex(slots, c[2:], slots.maps(slots.dims[c[0]])[1][k]))
+def homotopy_chain(t: _Tables, c: tuple, k: int) -> tuple:
+    """Degree-k prism image of chains (filler, connector, degenerate tail)."""
+    return ((filler(t, c[0], c[1], c[2], k), connector(t, c[1], k))
+            + chain_reindex(t, c[2:], sigma_map(_dim(c[0].shape[1]), k)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +368,96 @@ class RetractionReport:
         return not self.failures
 
 
+class _Failures:
+    """The checks of one batch, reported row by row in the order they were
+    made.  A check is a column of codes, -1 where the row passes, and a
+    function from a code to the message template."""
+
+    def __init__(self):
+        self.codes: list[np.ndarray] = []
+        self.texts: list = []
+
+    def check(self, bad: np.ndarray, texts: list[str]) -> None:
+        """One check per column of ``bad``, each with its one template."""
+        self.codes.append(np.where(bad, 0, -1))
+        self.texts += [lambda _, text=text: text for text in texts]
+
+    def slot(self, first: np.ndarray, what: str) -> None:
+        """One chain identity, failing at the slot ``first`` names."""
+        self.codes.append(first[:, None])
+        self.texts.append(
+            lambda p: f"{what}: {_slot_name(p)} differs ({{tag}})")
+
+    def report(self, fields) -> list[str]:
+        """The failure messages, with ``fields(row)`` filled in."""
+        if not self.codes:
+            return []
+        codes = np.hstack(self.codes)
+        out = []
+        for r in np.flatnonzero((codes >= 0).any(axis=1)).tolist():
+            f = fields(r)
+            out += [self.texts[e](codes[r, e]).format(**f)
+                    for e in np.flatnonzero(codes[r] >= 0).tolist()]
+        return out
+
+
+def _slot_name(p: int) -> str:
+    i, is_morphism = divmod(p, 2)
+    if is_morphism:
+        return "connector" if i == 0 else f"morphism {i}"
+    return "filler" if i == 0 else f"object {i}"
+
+
+def _first_difference(a: tuple, b: tuple) -> np.ndarray:
+    """Per row, the first slot where two chains of equal length differ, or
+    -1."""
+    diff = np.empty((len(a), len(a[0])), dtype=bool)
+    for parity in (0, 1):
+        if a[parity::2]:
+            diff[parity::2] = (_stack(a[parity::2])
+                               != _stack(b[parity::2])).any(axis=2)
+    return np.where(diff.any(axis=0), diff.argmax(axis=0), -1)
+
+
+def check_chain(t: _Tables, c: tuple, fails: _Failures) -> None:
+    """Replay every prism identity literally on a batch of full chains.
+
+    A failure names the identity and the first slot where its two sides
+    differ: the filler or connector in slot 0, a later object or morphism
+    after that.
+    """
+    n = _dim(c[0].shape[1])
+
+    def expect(what: str, lhs: tuple, rhs: tuple) -> None:
+        fails.slot(_first_difference(lhs, rhs), what)
+
+    hs = [homotopy_chain(t, c, k) for k in range(n + 1)]
+    expect("d_0 H_0 is not the identity side", chain_face_v(t, hs[0], 0), c)
+    expect(f"d_{n + 1} H_{n} is not the collapsed side",
+           chain_face_v(t, hs[n], n + 1), chain_collapse_h(t, c))
+    for k in range(n + 1):
+        for i in range(n + 2):
+            if i < k:
+                rhs = homotopy_chain(t, chain_face_v(t, c, i), k - 1)
+            elif i > k + 1:
+                rhs = homotopy_chain(t, chain_face_v(t, c, i - 1), k)
+            else:
+                continue
+            expect(f"face {i} square at degree {k}",
+                   chain_face_v(t, hs[k], i), rhs)
+    for k in range(n):
+        expect(f"adjacent prism faces at {k + 1}",
+               chain_face_v(t, hs[k + 1], k + 1),
+               chain_face_v(t, hs[k], k + 1))
+    for k in range(n + 1):
+        for i in range(n + 2):
+            rhs = (homotopy_chain(t, chain_degen_v(t, c, i), k + 1)
+                   if i <= k else
+                   homotopy_chain(t, chain_degen_v(t, c, i - 1), k))
+            expect(f"degeneracy {i} square at degree {k}",
+                   chain_degen_v(t, hs[k], i), rhs)
+
+
 def _identity_count(n: int) -> int:
     """len(_identity_pairs(n)), without building them."""
     return 2 + n + n * (n + 1) + (n + 1) * (n + 2)
@@ -324,166 +468,153 @@ def _identity_pairs(n: int):
 
     There is one pair per prism identity that :func:`check_chain` replays.
     """
+    def after(theta, phi):
+        return tuple(theta[v] for v in phi)
+
     out = []
     out.append(("d0 H0 = id",
-                _compose(sigma_map(n, 0), delta_map(n + 1, 0)),
+                after(sigma_map(n, 0), delta_map(n + 1, 0)),
                 tuple(range(n + 1))))
     out.append(("d_{n+1} Hn = collapse",
-                _compose(sigma_map(n, n), delta_map(n + 1, n + 1)),
+                after(sigma_map(n, n), delta_map(n + 1, n + 1)),
                 tuple(range(n + 1))))
     for k in range(n + 1):
         for i in range(k):
             out.append((f"d_{i} H_{k} = H_{k - 1} d_{i}",
-                        _compose(sigma_map(n, k), delta_map(n + 1, i)),
-                        _compose(delta_map(n, i), sigma_map(n - 1, k - 1))))
+                        after(sigma_map(n, k), delta_map(n + 1, i)),
+                        after(delta_map(n, i), sigma_map(n - 1, k - 1))))
     for k in range(n):
         out.append((f"d_{k + 1} H_{k + 1} = d_{k + 1} H_{k}",
-                    _compose(sigma_map(n, k + 1), delta_map(n + 1, k + 1)),
-                    _compose(sigma_map(n, k), delta_map(n + 1, k + 1))))
+                    after(sigma_map(n, k + 1), delta_map(n + 1, k + 1)),
+                    after(sigma_map(n, k), delta_map(n + 1, k + 1))))
     for k in range(n):
         for i in range(k + 2, n + 2):
             out.append((f"d_{i} H_{k} = H_{k} d_{i - 1}",
-                        _compose(sigma_map(n, k), delta_map(n + 1, i)),
-                        _compose(delta_map(n, i - 1), sigma_map(n - 1, k))))
+                        after(sigma_map(n, k), delta_map(n + 1, i)),
+                        after(delta_map(n, i - 1), sigma_map(n - 1, k))))
     for k in range(n + 1):
         for i in range(k + 1):
             out.append((f"s_{i} H_{k} = H_{k + 1} s_{i}",
-                        _compose(sigma_map(n, k), sigma_map(n + 1, i)),
-                        _compose(sigma_map(n, i), sigma_map(n + 1, k + 1))))
+                        after(sigma_map(n, k), sigma_map(n + 1, i)),
+                        after(sigma_map(n, i), sigma_map(n + 1, k + 1))))
     for k in range(n + 1):
         for i in range(k + 1, n + 2):
             out.append((f"s_{i} H_{k} = H_{k} s_{i - 1}",
-                        _compose(sigma_map(n, k), sigma_map(n + 1, i)),
-                        _compose(sigma_map(n, i - 1), sigma_map(n + 1, k))))
+                        after(sigma_map(n, k), sigma_map(n + 1, i)),
+                        after(sigma_map(n, i - 1), sigma_map(n + 1, k))))
     return out
 
 
-def _check_head(slots: _Slots, x0: int, w0: int, tag: str) -> list[str]:
-    """All head-dependent identities for one (object, first morphism)."""
-    x = slots.x
-    n = slots.dims[x0]
-    v = slots.values
+def _blocks(total: int, size: int):
+    """Consecutive index ranges of at most ``size`` rows covering
+    ``total``."""
+    for lo in range(0, total, size):
+        yield np.arange(lo, min(lo + size, total), dtype=np.int64)
+
+
+def _tuple(row: np.ndarray) -> str:
+    return str(tuple(row.tolist()))
+
+
+def _strict_suite(t: _Tables, n: int, g_order: int, h_order: int
+                  ) -> list[str]:
+    """(a) the projection retracts the inclusion, on objects and on the
+    morphisms between strict objects, one row per (chain, hs) pair."""
+    per_chain = h_order ** n
     bad: list[str] = []
-    c = (x0, w0, slots.target(x0, w0))
-    if slots.filler(c, 0) != slots.pull(x0, sigma_map(n, 0)):
-        bad.append(f"filler at 0 is not the degenerate start ({tag})")
-    for k in range(n + 1):
-        mu = v[slots.filler(c, k)]
-        target = v[slots.pull(c[2], sigma_map(n, k))]
-        probs = pseudofunctor_violations(x, mu)
-        probs += nat_violations(
-            x, NatTransform(mu, target, v[slots.connector(w0, k)]))
-        bad += [f"degree {k}: {p} ({tag})" for p in probs]
-    return bad + check_chain(slots, c, tag)
-
-
-def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> str | None:
-    """The first slot where two chains of equal length differ, if any."""
-    for p, (ia, ib) in enumerate(zip(a, b)):
-        if ia != ib:
-            i, is_morphism = divmod(p, 2)
-            if is_morphism:
-                return "connector" if i == 0 else f"morphism {i}"
-            return "filler" if i == 0 else f"object {i}"
-    return None
-
-
-def check_chain(slots: _Slots, c: tuple[int, ...], tag: str) -> list[str]:
-    """Replay every prism identity literally on one full chain.
-
-    A failure names the identity and the first slot where its two sides
-    differ: the filler or connector in slot 0, a later object or morphism
-    after that.
-    """
-    n = slots.dims[c[0]]
-    bad: list[str] = []
-
-    def expect(what: str, lhs: tuple, rhs: tuple) -> None:
-        if lhs != rhs:
-            bad.append(f"{what}: {_first_difference(lhs, rhs)} differs "
-                       f"({tag})")
-
-    hs = [homotopy_chain(slots, c, k) for k in range(n + 1)]
-    expect("d_0 H_0 is not the identity side",
-           chain_face_v(slots, hs[0], 0), c)
-    expect(f"d_{n + 1} H_{n} is not the collapsed side",
-           chain_face_v(slots, hs[n], n + 1), chain_collapse_h(slots, c))
-    for k in range(n + 1):
-        for i in range(n + 2):
-            if i < k:
-                rhs = homotopy_chain(slots, chain_face_v(slots, c, i), k - 1)
-            elif i > k + 1:
-                rhs = homotopy_chain(slots, chain_face_v(slots, c, i - 1), k)
-            else:
-                continue
-            expect(f"face {i} square at degree {k}",
-                   chain_face_v(slots, hs[k], i), rhs)
-    for k in range(n):
-        expect(f"adjacent prism faces at {k + 1}",
-               chain_face_v(slots, hs[k + 1], k + 1),
-               chain_face_v(slots, hs[k], k + 1))
-    for k in range(n + 1):
-        for i in range(n + 2):
-            rhs = (homotopy_chain(slots, chain_degen_v(slots, c, i), k + 1)
-                   if i <= k else
-                   homotopy_chain(slots, chain_degen_v(slots, c, i - 1), k))
-            expect(f"degeneracy {i} square at degree {k}",
-                   chain_degen_v(slots, hs[k], i), rhs)
+    for idx in _blocks(g_order ** n * per_chain, nerves._BLOCK):
+        ci, hi = np.divmod(idx, per_chain)
+        chains = _digits(ci, [g_order] * n)
+        hs = _digits(hi, [h_order] * n)
+        s = strict_include(t, chains)
+        w = composite_table(t, chains, hs)
+        fails = _Failures()
+        fails.check(((strict_project(s) != chains).any(axis=1)
+                     & (hi == 0))[:, None],
+                    ["projection misses the chain {chain}"])
+        nat, names = nat_checks(t, s, transport(t, s, w), w)
+        fails.check(nat, [f"strict morphism {{chain}}/{{hs}}: {p}"
+                          for p in names])
+        push = composite_table(t, chains, w[:, _edges(n)[0]])
+        fails.check((push != w).any(axis=1)[:, None],
+                    ["projection misses the morphism {chain}/{hs}"])
+        bad += fails.report(lambda r: {"chain": _tuple(chains[r]),
+                                       "hs": _tuple(hs[r])})
     return bad
 
 
-def _head_suite(slots: _Slots, n: int, obj_ids: list[int],
-                w_ids: list[int]) -> list[str]:
+def _head_suite(t: _Tables, n: int, objects: np.ndarray,
+                morphisms: np.ndarray) -> list[str]:
     """Exhaustive n-dependent checks: section/retraction, eta, heads, over
-    the objects and morphisms interned in ``slots``."""
-    x = slots.x
-    g, h = x.ggroup, x.hgroup
-    v = slots.values
-    objects = [v[o] for o in obj_ids]
-    bad: list[str] = []
+    all ``objects`` and all first ``morphisms``."""
+    bad = _strict_suite(t, n, len(t.gmul), len(t.hmul))
+    # (b) the connecting transformation, objectwise (on each object's first
+    # head) and naturally, and (c)+(d) the heads
+    objectwise: list[str] = []
+    natural: list[str] = []
+    heads: list[str] = []
+    for idx in _blocks(len(objects) * len(morphisms), nerves._BLOCK):
+        oi, wi = np.divmod(idx, len(morphisms))
+        x0, w0 = objects[oi], morphisms[wi]
+        x1 = transport(t, x0, w0)
+        invalid, names = pseudofunctor_checks(t, x1)
+        if invalid.any():
+            raise InvariantError("transport left the simplex space: "
+                                 + names[np.argwhere(invalid)[0][1]])
+        eta0 = eta_table(t, x0)
 
-    # (a) the projection retracts the inclusion, on objects and morphisms
-    for chain in product(g.elements(), repeat=n):
-        s = strict_include(x, chain)
-        if strict_project(x, s) != chain:
-            bad.append(f"projection misses the chain {chain}")
-        for hs in product(h.elements(), repeat=n):
-            w = composite_table(x, tuple(chain), tuple(hs))
-            nt = transport_simplex(x, s, w)
-            probs = nat_violations(x, nt)
-            bad += [f"strict morphism {chain}/{hs}: {p}" for p in probs]
-            if strict_project_morphism(x, nt) != w:
-                bad.append(f"projection misses the morphism {chain}/{hs}")
+        def fields(r):
+            return {"oi": oi[r], "w": _tuple(w0[r]),
+                    "tag": f"object {oi[r]}, morphism {_tuple(w0[r])}"}
 
-    # (b) the connecting transformation, objectwise and naturally
-    for oi, s in enumerate(objects):
-        eta = eta_table(x, s)
-        probs = nat_violations(
-            x, NatTransform(s, strict_include(x, strict_project(x, s)), eta))
-        bad += [f"eta at object {oi}: {p}" for p in probs]
-    for oi, s in enumerate(objects):
-        eta_s = eta_table(x, s)
-        for wi in w_ids:
-            w = v[wi]
-            nt = NatTransform(s, v[slots.target(obj_ids[oi], wi)], w)
-            eta_t = eta_table(x, nt.target)
-            push = strict_project_morphism(x, nt)
-            lhs = tuple(h.op(a, b) for a, b in zip(eta_t, w))
-            rhs = tuple(h.op(a, b) for a, b in zip(push, eta_s))
-            if lhs != rhs:
-                bad.append(f"eta is not natural at object {oi}, "
-                           f"morphism {w}")
+        fails = _Failures()
+        nat, names = nat_checks(t, x0, strict_include(t, strict_project(x0)),
+                                eta0)
+        fails.check(nat & (wi == 0)[:, None],
+                    [f"eta at object {{oi}}: {p}" for p in names])
+        objectwise += fails.report(fields)
 
+        fails = _Failures()
+        push = composite_table(t, strict_project(x0), w0[:, _edges(n)[0]])
+        fails.check((t.hmul[eta_table(t, x1), w0]
+                     != t.hmul[push, eta0]).any(axis=1)[:, None],
+                    ["eta is not natural at object {oi}, morphism {w}"])
+        natural += fails.report(fields)
+
+        fails = _Failures()
+        start = pull_objects(t, x0, sigma_map(n, 0))
+        fails.check((filler(t, x0, w0, x1, 0) != start).any(axis=1)[:, None],
+                    ["filler at 0 is not the degenerate start ({tag})"])
+        for k in range(n + 1):
+            mu = filler(t, x0, w0, x1, k)
+            target = pull_objects(t, x1, sigma_map(n, k))
+            pf, pf_names = pseudofunctor_checks(t, mu)
+            nat, nat_names = nat_checks(t, mu, target, connector(t, w0, k))
+            fails.check(np.hstack([pf, nat]),
+                        [f"degree {k}: {p} ({{tag}})"
+                         for p in pf_names + nat_names])
+        check_chain(t, (x0, w0, x1), fails)
+        heads += fails.report(fields)
+
+    bad += objectwise + natural
     # prism identity index maps (settle every slot beyond the head)
     for name, lhs, rhs in _identity_pairs(n):
         if lhs != rhs:
             bad.append(f"index maps differ for {name}")
+    return bad + heads
 
-    # (c)+(d) heads
-    for oi, o in enumerate(obj_ids):
-        for wi in w_ids:
-            bad += _check_head(slots, o, wi, f"object {oi}, morphism {v[wi]}")
-    return bad
+
+def _replay(t: _Tables, objects: np.ndarray, morphisms: np.ndarray,
+            obj_idx: np.ndarray, w_idx: np.ndarray) -> list[str]:
+    """Every prism identity on the chains from ``objects[obj_idx]`` along
+    ``morphisms[w_idx]``, one row per chain."""
+    c = [objects[obj_idx]]
+    for step in w_idx.T:
+        c += (morphisms[step], transport(t, c[-1], morphisms[step]))
+    fails = _Failures()
+    check_chain(t, tuple(c), fails)
+    return fails.report(lambda r: {
+        "tag": f"object {obj_idx[r]}, morphisms {_tuple(w_idx[r])}"})
 
 
 def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
@@ -530,33 +661,28 @@ def verify_appendix_retraction(x: CrossedModule, n: int, m: int,
     if est_replay > budget:
         raise ResourceLimit("retraction chain replay", est_replay, budget)
 
-    slots = _Slots(x)
-    obj_ids = [slots.intern(s, n) for s in _enumerate_duskin_level(x, n)]
-    w_ids = [slots.intern(w, n)
-             for w in product(h.elements(), repeat=pairs)]
-    failures = _head_suite(slots, n, obj_ids, w_ids)
-    chains_total = len(obj_ids) * len(w_ids) ** m
-    rng = random.Random(seed)
-
-    def replay(obj_idx: int, w_idxs: tuple[int, ...]) -> list[str]:
-        c = [obj_ids[obj_idx]]
-        for i in w_idxs:
-            c += (w_ids[i], slots.target(c[-1], w_ids[i]))
-        return check_chain(slots, tuple(c),
-                           f"object {obj_idx}, morphisms {w_idxs}")
-
+    t = _Tables(x)
+    objects = _duskin_level_rows(x, n)[1]
+    morphisms = _digits(np.arange(h.order ** pairs, dtype=np.int64),
+                        [h.order] * pairs)
+    failures = _head_suite(t, n, objects, morphisms)
+    n_obj, n_mor = len(objects), len(morphisms)
+    chains_total = n_obj * n_mor ** m
     if chains_total <= sample:
-        picks = product(range(len(obj_ids)),
-                        product(range(len(w_ids)), repeat=m))
+        obj_idx, rest = np.divmod(np.arange(chains_total, dtype=np.int64),
+                                  n_mor ** m)
+        w_idx = _digits(rest, [n_mor] * m)
     else:
-        picks = ((rng.randrange(len(obj_ids)),
-                  tuple(rng.randrange(len(w_ids)) for _ in range(m)))
-                 for _ in range(sample))
-    for obj_idx, w_idxs in picks:
-        failures += replay(obj_idx, w_idxs)
+        rng = random.Random(seed)
+        draws = np.array([[rng.randrange(n_obj)]
+                          + [rng.randrange(n_mor) for _ in range(m)]
+                          for _ in range(sample)], dtype=np.int64)
+        obj_idx, w_idx = draws[:, 0], draws[:, 1:]
+    for idx in _blocks(len(obj_idx), max(1, nerves._BLOCK // (2 * m + 1))):
+        failures += _replay(t, objects, morphisms, obj_idx[idx], w_idx[idx])
 
     return RetractionReport(
-        label=x.label, n=n, m=m, objects=len(obj_ids),
-        morphisms_per_object=len(w_ids), chains_total=chains_total,
-        heads_checked=len(obj_ids) * len(w_ids),
+        label=x.label, n=n, m=m, objects=n_obj,
+        morphisms_per_object=n_mor, chains_total=chains_total,
+        heads_checked=n_obj * n_mor,
         sampled_chains=min(chains_total, sample), failures=failures)

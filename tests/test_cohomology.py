@@ -3,9 +3,11 @@ enumeration cross-checks, circle coefficients against integral cohomology,
 witnesses."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from xmodcoh.coefficients import finite_abelian, rational_circle
 from xmodcoh.errors import InvariantError, ResourceLimit
 from xmodcoh.groups import make_cyclic, make_product, make_symmetric, \
     relabel_group
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +472,35 @@ def full_row_factors(group, module, n):
             kernel_order(dw[wx.generator_rows(n)], s)
         l_cols = np.hstack([l_cols, dw @ b % wx.m // s])
     return orders, _Quotient(m, gens, kernel, free, l_cols).factors()
+
+
+# the free columns of every mod_kernel call three goldens make, with the
+# shape and modulus of the generator-row matrix: class coordinates are
+# read on these columns, so a changed pivot order shows here first
+KERNEL_FREE_COLUMNS = {
+    "h3-c4-qz": [((27, 27), 4, [0, 1, 2, 5, 6, 7, 8]),
+                 ((9, 9), 4, [2, 4, 7])],
+    "bockstein-c2c2": [((54, 27), 2, [1, 2, 6, 7, 9, 10, 11, 15, 17]),
+                       ((18, 9), 2, [2, 3, 4, 6])],
+    "h2-c2-z2": [((1, 1), 2, [0])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FREE_COLUMNS))
+def test_the_kernel_basis_of_three_goldens_is_pinned(monkeypatch, name):
+    calls = []
+    real = modsnf.mod_kernel
+
+    def spy(a, m):
+        out = real(a, m)
+        calls.append((a.shape, m, out[2].tolist()))
+        return out
+
+    monkeypatch.setattr(modsnf, "mod_kernel", spy)
+    obstruction._h_cached.cache_clear()
+    bundle = json.loads((PRESETS / f"{name}.bundle.json").read_text())
+    assert cli.run(bundle)["status"] == "ok"
+    assert calls == KERNEL_FREE_COLUMNS[name]
 
 
 def test_generator_rows_cut_out_the_full_cocycle_kernel():

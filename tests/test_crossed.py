@@ -3,9 +3,11 @@ enumeration oracles, quotient structure, the abelian shift."""
 
 import itertools
 import random
+import time
 
 import pytest
 
+from xmodcoh import cli
 from xmodcoh.crossed import (Cocycle1, CrossedModule, XModMorphism,
                              abelian_shift, are_cohomologous,
                              cocycle_violations, compute_H1, compute_H1_ff,
@@ -143,6 +145,27 @@ def test_enumeration_budget_guard():
     x = xmod_identity(make_symmetric(3))
     with pytest.raises(ResourceLimit):
         enumerate_Z1(group, x, budget=10)
+
+
+def test_relation_scheduling_is_bounded_before_any_work():
+    # over 1 -> 1 there is one candidate, but (|G|-1)^3 relations would be
+    # scheduled as tuples: 719^3 for C720
+    start = time.perf_counter()
+    report = cli.run({"schema": 1, "task": "h1", "group": "C720",
+                      "xmod": "1->1"})
+    assert time.perf_counter() - start < 0.1
+    assert report["status"] == "resource-error"
+    assert report["result"] == {"bound": "1-cocycle enumeration relations",
+                                "needed": 719 ** 3, "allowed": 10 ** 8}
+    report = cli.run({"schema": 1, "task": "h1", "group": "C60",
+                      "xmod": "1->1"})
+    assert report["status"] == "ok"
+    assert report["result"]["classes"] == 1
+    with pytest.raises(ResourceLimit, match="enumeration relations"):
+        enumerate_Z1(make_cyclic(5), xmod_abelian(trivial_group()),
+                     budget=63)
+    assert len(enumerate_Z1(make_cyclic(5), xmod_abelian(trivial_group()),
+                            budget=64)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,27 @@ The nerves build their tables with array gathers; the per-simplex
 construction they replaced (a face or degeneracy function per simplex and a
 dictionary lookup) is kept here as the oracle they must match."""
 
+import importlib
+import pkgutil
 from itertools import combinations, product
 
+import oracles
 import pytest
-from oracles import simplex_index, simplex_objects
+from oracles import (NatTransform, PseudofunctorSimplex,
+                     _enumerate_duskin_level, nat_violations,
+                     pseudofunctor_violations, pull_table, reindex,
+                     simplex_index, simplex_objects, transport_simplex)
 
+import xmodcoh
 from xmodcoh import cli, nerves
 from xmodcoh.crossed import CrossedModule, xmod_abelian, xmod_identity
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
-from xmodcoh.nerves import (NatTransform, PseudofunctorSimplex, SimplicialMap,
-                            _enumerate_duskin_level, delta_map,
-                            diag_to_ordinary, duskin_nerve,
-                            duskin_to_ordinary, isomorphism_violations,
-                            monoidal_diag_nerve, nat_violations,
-                            ordinary_nerve, pair_positions,
-                            pseudofunctor_violations, reindex, sigma_map,
-                            simplicial_map_violations, transport_simplex)
-from xmodcoh.retraction import pull_table
+from xmodcoh.nerves import (SimplicialMap, delta_map, diag_to_ordinary,
+                            duskin_nerve, duskin_to_ordinary,
+                            isomorphism_violations, monoidal_diag_nerve,
+                            ordinary_nerve, pair_positions, sigma_map,
+                            simplicial_map_violations)
 from xmodcoh.simplicial import homology, prism, simplicial_violations
 
 
@@ -482,17 +485,21 @@ def test_a_key_range_past_int64_is_refused_before_any_work(monkeypatch):
     # the enumerator keeps the guard for callers with their own budgets
     monkeypatch.undo()
     with pytest.raises(ResourceLimit, match="duskin level 5 keys"):
-        nerves._enumerate_duskin_level(xmod_identity(make_symmetric(3)), 5)
+        nerves._duskin_level_rows(xmod_identity(make_symmetric(3)), 5)
 
 
 def test_nerve_and_homology_bundles_build_no_simplex_objects(monkeypatch):
     """The nerve and homology tasks, and the nerve itself, read and build
     only the label rows and the tables; the rows hold what the simplex
-    objects did."""
+    objects did.  No program module has a simplex object class left, and
+    the oracle's may not be called."""
     def no_objects(*args):
         raise AssertionError("a simplex object was built")
 
-    monkeypatch.setattr(nerves, "PseudofunctorSimplex", no_objects)
+    for info in pkgutil.iter_modules(xmodcoh.__path__):
+        module = importlib.import_module(f"xmodcoh.{info.name}")
+        assert not hasattr(module, "PseudofunctorSimplex"), info.name
+    monkeypatch.setattr(oracles, "PseudofunctorSimplex", no_objects)
     report = cli.run({"schema": 1, "task": "nerve", "kind": "duskin",
                       "xmod": "1->S4", "trunc": 3,
                       "check_ordinary_iso": True})
