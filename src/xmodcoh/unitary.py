@@ -8,6 +8,10 @@ matrix trace.  Matrix logarithms are spectral: the unitary is diagonalized
 through a Schur decomposition and the branch cut sits either at -1
 (principal) or across the widest gap in the spectrum, with the rotation
 recorded and corrected exactly.
+
+Batches of small matrices (inequality trials, path samples and midpoints) are
+held as (k, n, n) stacks, one stack per dimension, so that numpy runs the same
+LAPACK routine on each matrix of a stack in one call; results are unchanged.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import pi
+from operator import index
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
+from scipy.linalg.lapack import zgees
 from scipy.stats import unitary_group
 
 DEFAULT_UNITARITY_TOL = 1e-10
@@ -30,14 +36,19 @@ DEFAULT_EQ_TOL = 1e-9
 # basic matrix helpers
 # ---------------------------------------------------------------------------
 
-def operator_norm(a) -> float:
-    """The largest singular value, as ``np.linalg.norm(a, 2)`` computes it
-    for a matrix (integer input is cast to float first), without its
-    axis handling."""
+def operator_norms(a) -> np.ndarray:
+    """The largest singular value of each matrix of a stack (a 0-d array
+    for one matrix), as ``np.linalg.norm(a, 2)`` computes it for a matrix
+    (integer input is cast to float first), without its axis handling."""
     a = np.asarray(a)
     if a.dtype.kind not in "fc":
         a = a.astype(float)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def operator_norm(a) -> float:
+    """The largest singular value of one matrix."""
+    return float(operator_norms(a))
 
 
 def tau(a) -> complex:
@@ -50,11 +61,19 @@ def as_unitary(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
     u = np.asarray(entries, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    defect = operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary within {tol:g} "
-                         f"(defect {defect:.3e})")
+    _check_unitary(u, tol)
     return u
+
+
+def _check_unitary(u: np.ndarray, tol: float) -> None:
+    """Refuse the first matrix of a stack (or the one matrix) whose defect
+    ||u^* u - 1|| exceeds tol."""
+    defects = operator_norms(u.conj().swapaxes(-1, -2) @ u
+                             - np.eye(u.shape[-1]))
+    bad = defects > tol
+    if bad.any():
+        raise ValueError(f"matrix is not unitary within {tol:g} "
+                         f"(defect {defects[bad].flat[0]:.3e})")
 
 
 def as_selfadjoint(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
@@ -73,15 +92,33 @@ def as_selfadjoint(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
 
 
 def exp_selfadjoint(h) -> np.ndarray:
-    """e^{ih} for self-adjoint h, exactly unitary up to rounding."""
+    """e^{ih} for self-adjoint h (or each matrix of a stack), exactly
+    unitary up to rounding."""
     w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _no_sort(x):
+    return None
+
+
+@lru_cache(maxsize=64)
+def _gees_lwork(n: int) -> int:
+    """zgees's optimal workspace for n x n input (a function of n only)."""
+    work = zgees(_no_sort, np.zeros((n, n), dtype=complex), lwork=-1)[-2]
+    return int(work[0].real)
 
 
 def _eig_unitary(u: np.ndarray):
-    """Eigenvalues and a unitary diagonalizer (Schur of a normal matrix)."""
-    t, z = scipy.linalg.schur(u, output="complex")
-    return np.diag(t).copy(), z
+    """Eigenvalues and a unitary diagonalizer (Schur of a normal matrix):
+    LAPACK zgees called as ``scipy.linalg.schur(u, output="complex")``
+    calls it for complex128 input, without the wrapper's overhead."""
+    a = np.asarray_chkfinite(u, dtype=complex)
+    t, _, _, z, _, info = zgees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Schur form not found (zgees info {info})")
+    return t.diagonal().copy(), z
 
 
 def principal_log(u: np.ndarray, margin: float = 0.0) -> np.ndarray:
@@ -161,7 +198,16 @@ def _segment_log(a: np.ndarray, b: np.ndarray,
 def unitary_path(ts, mats, tol: float = DEFAULT_UNITARITY_TOL) -> UnitaryPath:
     """Validate and build a based sampled path on [0, 1]."""
     ts = tuple(float(t) for t in ts)
-    mats = tuple(as_unitary(m, tol) for m in mats)
+    mats = tuple(np.asarray(m, dtype=complex) for m in mats)
+    shape = mats[0].shape if mats else ()
+    if (len(shape) == 2 and shape[0] == shape[1]
+            and all(m.shape == shape for m in mats)):
+        _check_unitary(np.stack(mats), tol)
+    else:
+        # samples of mixed or non-square shapes are refused below, or here
+        # when an earlier sample is not square or not unitary
+        for m in mats:
+            as_unitary(m, tol)
     if len(ts) != len(mats) or len(ts) < 2:
         raise ValueError("need matching ts/mats with at least two samples")
     if ts[0] != 0.0 or ts[-1] != 1.0 or any(
@@ -181,13 +227,17 @@ def refine_path(path: UnitaryPath, factor: int = 2) -> UnitaryPath:
     """Insert factor-1 geodesic midpoints into every segment."""
     if factor < 2:
         return path
+    segments = len(path.ts) - 1
+    s = np.arange(1, factor) / factor
+    logs = np.stack([path.segment_log(k) for k in range(segments)])
+    mids = np.stack(path.mats[:-1])[:, None] @ exp_selfadjoint(
+        s[:, None, None] * logs[:, None])
     ts, mats = [path.ts[0]], [path.mats[0]]
-    for k in range(len(path.ts) - 1):
-        log = path.segment_log(k)
+    for k in range(segments):
         for j in range(1, factor):
-            s = j / factor
-            ts.append(path.ts[k] * (1 - s) + path.ts[k + 1] * s)
-            mats.append(path.mats[k] @ exp_selfadjoint(s * log))
+            sj = j / factor
+            ts.append(path.ts[k] * (1 - sj) + path.ts[k + 1] * sj)
+            mats.append(mids[k, j - 1])
         ts.append(path.ts[k + 1])
         mats.append(path.mats[k + 1])
     return UnitaryPath(tuple(ts), tuple(mats))
@@ -295,14 +345,15 @@ def dlhs_delta(u, tol: float = DEFAULT_UNITARITY_TOL,
     ang = np.angle(lam * np.exp(-1j * delta))
     value = delta / (2 * pi) + float(np.sum(ang)) / (2 * pi * n)
 
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        mid = unitary_group.rvs(n, random_state=rng) if n > 1 else \
-            np.array([[np.exp(2j * pi * rng.uniform())]])
+    seed = index(seed)
+    for draw in range(8):
+        first_leg = _midpoint(n, seed, angle_tol, draw)
+        if first_leg is None:
+            continue
+        mid, first = first_leg
         try:
-            two_leg = (np.trace(principal_log(mid, margin=angle_tol))
-                       + np.trace(principal_log(mid.conj().T @ u,
-                                                margin=angle_tol)))
+            two_leg = first + np.trace(principal_log(mid.conj().T @ u,
+                                                     margin=angle_tol))
         except ValueError:
             continue
         alt = float(two_leg.real) / (2 * pi * n)
@@ -316,16 +367,36 @@ def dlhs_delta(u, tol: float = DEFAULT_UNITARITY_TOL,
                      "clear of the branch cut")
 
 
+@lru_cache(maxsize=256)
+def _midpoint(n: int, seed: int, angle_tol: float, draw: int):
+    """The cross-check midpoint that dlhs_delta draws ``draw``-th from a
+    fresh default_rng(seed), read-only, with the trace of its principal
+    logarithm; None when its spectrum comes within angle_tol of -1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        mid = random_unitary(n, rng)
+    try:
+        first = np.trace(principal_log(mid, margin=angle_tol))
+    except ValueError:
+        return None
+    mid.flags.writeable = False
+    return mid, first
+
+
 # ---------------------------------------------------------------------------
 # the special-unitary kernel, exponential length, and its metric
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SUMembership:
+    """On membership, ``log_norm`` is the operator norm of the traceless
+    logarithm h that the certificate factors."""
+
     member: bool
     det_value: complex
     certificate: tuple | None
     residual: float | None
+    log_norm: float | None = None
 
 
 def su_tau_member(u, tol: float = DEFAULT_EQ_TOL,
@@ -356,7 +427,8 @@ def su_tau_member(u, tol: float = DEFAULT_EQ_TOL,
         ang[shift] -= 2 * pi * np.sign(k)
     h = as_selfadjoint((z * ang) @ z.conj().T, tol=np.inf)
     h = h - (tau(h).real * np.eye(n))
-    if operator_norm(h) < pi:
+    log_norm = operator_norm(h)
+    if log_norm < pi:
         certificate = (h,)
         recomposed = exp_selfadjoint(h)
     else:
@@ -369,7 +441,7 @@ def su_tau_member(u, tol: float = DEFAULT_EQ_TOL,
                            f"(residual {residual:.3e})")
     if any(abs(tau(hj)) > max(tol, 1e-12) for hj in certificate):
         raise RuntimeError("membership certificate has a traceful exponent")
-    return SUMembership(True, det, certificate, residual)
+    return SUMembership(True, det, certificate, residual, log_norm)
 
 
 @dataclass(frozen=True)
@@ -386,10 +458,7 @@ def el_tau(u, tol: float = DEFAULT_EQ_TOL) -> ExponentialLength:
         raise ValueError("exponential length is defined only on the "
                          "special-unitary kernel (det u must be 1)")
     if len(rep.certificate) == 1:
-        h = rep.certificate[0]
-        norm = operator_norm(h)
-        if norm < pi - tol:
-            return ExponentialLength(norm, True)
+        return ExponentialLength(rep.log_norm, rep.log_norm < pi - tol)
     return ExponentialLength(sum(operator_norm(hj)
                                  for hj in rep.certificate), False)
 
@@ -404,6 +473,10 @@ def d_tau(u, v, tol: float = DEFAULT_EQ_TOL) -> ExponentialLength:
 # ---------------------------------------------------------------------------
 # exponential-map inequalities
 # ---------------------------------------------------------------------------
+
+# Trials per block of check_exp_inequalities: bounds the draws held at once.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -433,18 +506,28 @@ def check_exp_inequalities(max_dim: int, trials: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     min_upper = min_lower = np.inf
     violations = 0
-    for _ in range(trials):
-        dim = int(rng.integers(1, max_dim + 1))
-        h1 = random_selfadjoint(dim, rng, bound=1.0)
-        h2 = random_selfadjoint(dim, rng, bound=1.0)
-        dist = operator_norm(exp_selfadjoint(h1) - exp_selfadjoint(h2))
-        hdist = operator_norm(h1 - h2)
-        upper = hdist - dist
-        lower = dist - hdist * (1 - (operator_norm(h1)
-                                     + operator_norm(h2)) / 2)
-        min_upper = min(min_upper, upper)
-        min_lower = min(min_lower, lower)
-        violations += (upper < -threshold) + (lower < -threshold)
+    for start in range(0, trials, _BLOCK):
+        dims, draws = [], []
+        for _ in range(min(_BLOCK, trials - start)):
+            dims.append(int(rng.integers(1, max_dim + 1)))
+            draws.append((_gaussian_draw(dims[-1], rng),
+                          _gaussian_draw(dims[-1], rng)))
+        dims = np.array(dims)
+        upper, lower = np.empty(len(dims)), np.empty(len(dims))
+        for dim in np.unique(dims):
+            idx = np.flatnonzero(dims == dim)
+            h1 = _selfadjoint_stack([draws[i][0] for i in idx], 1.0)
+            h2 = _selfadjoint_stack([draws[i][1] for i in idx], 1.0)
+            dist = operator_norms(exp_selfadjoint(h1) - exp_selfadjoint(h2))
+            hdist = operator_norms(h1 - h2)
+            upper[idx] = hdist - dist
+            lower[idx] = dist - hdist * (1 - (operator_norms(h1)
+                                              + operator_norms(h2)) / 2)
+        # min() over the trials in order keeps the first of equal minima
+        min_upper = min(min_upper, float(upper[np.argmin(upper)]))
+        min_lower = min(min_lower, float(lower[np.argmin(lower)]))
+        violations += int(np.count_nonzero(upper < -threshold)
+                          + np.count_nonzero(lower < -threshold))
     return InequalityReport(trials, max_dim, seed, float(min_upper),
                             float(min_lower), violations, threshold)
 
@@ -477,16 +560,17 @@ def decompose_path(path: UnitaryPath,
     for k in range(len(path.ts) - 1):
         lift += float(np.trace(path.segment_log(k)).real)
         hs.append(lift / (2 * pi * n))
-    gs = tuple(np.exp(-2j * pi * hk) * mk
-               for hk, mk in zip(hs, path.mats))
-    det_err = max(abs(complex(np.linalg.det(g)) - 1.0) for g in gs)
-    recon = max(operator_norm(np.exp(2j * pi * hk) * gk - mk)
-                for hk, gk, mk in zip(hs, gs, path.mats))
+    mats = np.stack(path.mats)
+    lifts = np.array(hs)[:, None, None]
+    gs = np.exp(-2j * pi * lifts) * mats
+    # Python's complex abs: numpy's differs from it in the last bit
+    det_err = max(abs(complex(d) - 1.0) for d in np.linalg.det(gs))
+    recon = max(operator_norms(np.exp(2j * pi * lifts) * gs - mats).tolist())
     if det_err > tol or recon > tol:
         raise RuntimeError(
             f"decomposition residuals exceed {tol:g} "
             f"(det {det_err:.3e}, reconstruction {recon:.3e})")
-    return PathDecomposition(path.ts, tuple(hs), gs, recon, det_err)
+    return PathDecomposition(path.ts, tuple(hs), tuple(gs), recon, det_err)
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +590,31 @@ def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_selfadjoint(n: int, rng: np.random.Generator,
                        bound: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = (a + a.conj().T) / 2
-    norm = operator_norm(h)
-    if norm == 0.0:
-        return h
-    return h * (bound * rng.uniform() / norm)
+    """The self-adjoint part of a complex Gaussian matrix, scaled to a
+    uniformly drawn fraction of ``bound`` in norm (zero stays zero)."""
+    return _selfadjoint_stack([_gaussian_draw(n, rng)], bound)[0]
+
+
+def _gaussian_draw(n: int, rng: np.random.Generator) -> tuple:
+    """What random_selfadjoint(n, rng) draws, in its order: the real and
+    imaginary parts of a Gaussian matrix a, then a uniform unless
+    (a + a^*)/2 is zero, which needs re[0, 0] == 0."""
+    re, im = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    if re[0, 0] == 0:
+        a = re + 1j * im
+        if not ((a + a.conj().T) / 2).any():
+            return re, im, 0.0
+    return re, im, rng.uniform()
+
+
+def _selfadjoint_stack(draws: list, bound: float) -> np.ndarray:
+    """random_selfadjoint of each of a list of same-size draws of
+    _gaussian_draw, as one (k, n, n) stack."""
+    re, im, u = (np.array(part) for part in zip(*draws))
+    a = re + 1j * im
+    h = (a + a.conj().swapaxes(-1, -2)) / 2
+    norms = operator_norms(h)
+    return h * (bound * u / np.where(norms == 0.0, 1.0, norms))[:, None, None]
 
 
 def ball_element(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
@@ -527,9 +630,10 @@ def ball_element(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
 def random_based_path(n: int, segments: int, rng: np.random.Generator,
                       max_step: float = 0.9) -> UnitaryPath:
     """A random piecewise-geodesic based path with trackable steps."""
+    steps = exp_selfadjoint(_selfadjoint_stack(
+        [_gaussian_draw(n, rng) for _ in range(segments)], max_step))
     mats = [np.eye(n, dtype=complex)]
-    for _ in range(segments):
-        mats.append(mats[-1] @ exp_selfadjoint(
-            random_selfadjoint(n, rng, bound=max_step)))
+    for step in steps:
+        mats.append(mats[-1] @ step)
     ts = np.linspace(0.0, 1.0, segments + 1)
     return unitary_path(ts, mats)

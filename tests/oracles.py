@@ -7,15 +7,19 @@ replayed one chain at a time over interned slots, with the pseudofunctor
 simplex objects it was built on.  Also the one converter from
 ``{row: entry}`` columns to the sparse matrices the program takes, and the
 one view of a nerve level as simplex objects, rebuilt from its label
-rows."""
+rows.  For the unitary layer, the per-trial and per-matrix loops: the
+inequality trials, path building, refinement and decomposition, the
+descent with fresh cross-check draws through scipy's Schur wrapper, and
+exponential length with its own norm."""
 
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, pi
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 from xmodcoh.crossed import CrossedModule
@@ -26,6 +30,11 @@ from xmodcoh.nerves import (_duskin_level_rows, delta_map, pair_positions,
                             simplicial_map_violations, triple_positions)
 from xmodcoh.retraction import RetractionReport, _identity_pairs
 from xmodcoh.simplicial import prism_end
+from xmodcoh.unitary import (ExponentialLength, InequalityReport,
+                             PathDecomposition, UnitaryPath,
+                             _widest_gap_rotation, as_selfadjoint,
+                             as_unitary, circle_value, exp_selfadjoint,
+                             operator_norm, random_unitary, su_tau_member)
 
 
 def columns_matrix(columns, rows=None):
@@ -851,3 +860,148 @@ def slot_verify_appendix_retraction(x, n, m, sample=200, seed=0):
         morphisms_per_object=len(w_ids), chains_total=chains_total,
         heads_checked=len(obj_ids) * len(w_ids),
         sampled_chains=min(chains_total, sample), failures=failures)
+
+
+# ---------------------------------------------------------------------------
+# the unitary layer, one trial and one matrix at a time
+# ---------------------------------------------------------------------------
+
+def schur_eig_unitary(u):
+    """Eigenvalues and Schur vectors through ``scipy.linalg.schur``."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    return np.diag(t).copy(), z
+
+
+def _schur_principal_log(u, margin=0.0):
+    lam, z = schur_eig_unitary(u)
+    ang = np.angle(lam)
+    if margin > 0 and float(np.min(pi - np.abs(ang))) < margin:
+        raise ValueError("an eigenvalue lies near the branch cut at -1")
+    return as_selfadjoint((z * ang) @ z.conj().T, tol=np.inf)
+
+
+def fresh_dlhs_delta(u, tol=1e-10, angle_tol=1e-8, seed=0, check_tol=1e-8):
+    """dlhs_delta drawing its cross-check midpoints afresh on every call."""
+    u = as_unitary(u, tol)
+    n = u.shape[0]
+    lam, _ = schur_eig_unitary(u)
+    delta, half_gap = _widest_gap_rotation(np.angle(lam))
+    if half_gap < angle_tol:
+        raise ValueError("no branch gap")
+    ang = np.angle(lam * np.exp(-1j * delta))
+    value = delta / (2 * pi) + float(np.sum(ang)) / (2 * pi * n)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        mid = random_unitary(n, rng)
+        try:
+            two_leg = (np.trace(_schur_principal_log(mid, angle_tol))
+                       + np.trace(_schur_principal_log(mid.conj().T @ u,
+                                                       angle_tol)))
+        except ValueError:
+            continue
+        alt = float(two_leg.real) / (2 * pi * n)
+        diff = (value - alt) % (1.0 / n)
+        if min(diff, 1.0 / n - diff) > check_tol:
+            raise RuntimeError("path-choice independence failed")
+        return circle_value(value, n)
+    raise ValueError("no cross-check midpoint")
+
+
+def loop_el_tau(u, tol=1e-9):
+    """Exponential length taking the norm of each certificate factor."""
+    rep = su_tau_member(u, tol)
+    if not rep.member:
+        raise ValueError("not in the special-unitary kernel")
+    if len(rep.certificate) == 1:
+        norm = operator_norm(rep.certificate[0])
+        if norm < pi - tol:
+            return ExponentialLength(norm, True)
+    return ExponentialLength(sum(operator_norm(hj)
+                                 for hj in rep.certificate), False)
+
+
+def loop_random_selfadjoint(n, rng, bound=1.0):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (a + a.conj().T) / 2
+    norm = operator_norm(h)
+    if norm == 0.0:
+        return h
+    return h * (bound * rng.uniform() / norm)
+
+
+def loop_check_exp_inequalities(max_dim, trials, seed=0, threshold=1e-9):
+    rng = np.random.default_rng(seed)
+    min_upper = min_lower = np.inf
+    violations = 0
+    for _ in range(trials):
+        dim = int(rng.integers(1, max_dim + 1))
+        h1 = loop_random_selfadjoint(dim, rng, bound=1.0)
+        h2 = loop_random_selfadjoint(dim, rng, bound=1.0)
+        dist = operator_norm(exp_selfadjoint(h1) - exp_selfadjoint(h2))
+        hdist = operator_norm(h1 - h2)
+        upper = hdist - dist
+        lower = dist - hdist * (1 - (operator_norm(h1)
+                                     + operator_norm(h2)) / 2)
+        min_upper = min(min_upper, upper)
+        min_lower = min(min_lower, lower)
+        violations += (upper < -threshold) + (lower < -threshold)
+    return InequalityReport(trials, max_dim, seed, float(min_upper),
+                            float(min_lower), violations, threshold)
+
+
+def loop_unitary_path(ts, mats, tol=1e-10):
+    ts = tuple(float(t) for t in ts)
+    mats = tuple(as_unitary(m, tol) for m in mats)
+    if len(ts) != len(mats) or len(ts) < 2:
+        raise ValueError("need matching ts/mats with at least two samples")
+    if ts[0] != 0.0 or ts[-1] != 1.0 or any(
+            a >= b for a, b in zip(ts, ts[1:])):
+        raise ValueError("times must ascend strictly from 0 to 1")
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ValueError("all samples must share one dimension")
+    if operator_norm(mats[0] - np.eye(mats[0].shape[0])) > max(tol, 1e-9):
+        raise ValueError("the path must start at the identity")
+    path = UnitaryPath(ts, mats)
+    for k in range(len(ts) - 1):
+        path.segment_log(k)
+    return path
+
+
+def loop_random_based_path(n, segments, rng, max_step=0.9):
+    mats = [np.eye(n, dtype=complex)]
+    for _ in range(segments):
+        mats.append(mats[-1] @ exp_selfadjoint(
+            loop_random_selfadjoint(n, rng, bound=max_step)))
+    return loop_unitary_path(np.linspace(0.0, 1.0, segments + 1), mats)
+
+
+def loop_refine_path(path, factor=2):
+    if factor < 2:
+        return path
+    ts, mats = [path.ts[0]], [path.mats[0]]
+    for k in range(len(path.ts) - 1):
+        log = path.segment_log(k)
+        for j in range(1, factor):
+            s = j / factor
+            ts.append(path.ts[k] * (1 - s) + path.ts[k + 1] * s)
+            mats.append(path.mats[k] @ exp_selfadjoint(s * log))
+        ts.append(path.ts[k + 1])
+        mats.append(path.mats[k + 1])
+    return UnitaryPath(tuple(ts), tuple(mats))
+
+
+def loop_decompose_path(path, tol=1e-9):
+    n = path.n
+    lift = 0.0
+    hs = [0.0]
+    for k in range(len(path.ts) - 1):
+        lift += float(np.trace(path.segment_log(k)).real)
+        hs.append(lift / (2 * pi * n))
+    gs = tuple(np.exp(-2j * pi * hk) * mk
+               for hk, mk in zip(hs, path.mats))
+    det_err = max(abs(complex(np.linalg.det(g)) - 1.0) for g in gs)
+    recon = max(operator_norm(np.exp(2j * pi * hk) * gk - mk)
+                for hk, gk, mk in zip(hs, gs, path.mats))
+    if det_err > tol or recon > tol:
+        raise RuntimeError("decomposition residuals exceed tol")
+    return PathDecomposition(path.ts, tuple(hs), gs, recon, det_err)

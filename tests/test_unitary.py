@@ -9,7 +9,8 @@ from math import pi
 import numpy as np
 import pytest
 
-from xmodcoh import unitary
+import oracles
+from xmodcoh import cli, unitary
 from xmodcoh.unitary import (as_selfadjoint, as_unitary, ball_element,
                              check_exp_inequalities, circle_value, d_tau,
                              decompose_path, dlhs_delta, dlhs_path, el_tau,
@@ -89,6 +90,14 @@ def test_path_validation_guards():
         unitary_path([0.0, 1.0], [np.diag([1, -1]), eye])
     with pytest.raises(ValueError, match="share one dimension"):
         unitary_path([0.0, 0.5, 1.0], [eye, np.eye(3), eye])
+    # the first faulty sample is refused, also among samples of two sizes
+    off = np.diag([1.0, 1.5])
+    with pytest.raises(ValueError, match=r"not unitary .*defect 1\.250e\+00"):
+        unitary_path([0.0, 0.5, 1.0], [eye, off, 2 * eye])
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_path([0.0, 1.0], [off, np.ones((3, 2))])
+    with pytest.raises(ValueError, match="square matrix"):
+        unitary_path([0.0, 1.0], [np.ones((3, 2)), off])
     with pytest.raises(ValueError, match="refine the sampling"):
         unitary_path([0.0, 1.0], [eye, -eye])
     path = diag_loop([1])
@@ -324,3 +333,120 @@ def test_decomposition_reconstructs_and_respects_refinement():
         fine = decompose_path(refine_path(path, 2))
         assert np.allclose(fine.h[::2], dec.h, atol=1e-8)
         assert operator_norm(fine.g[-1] - dec.g[-1]) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# stacked numerics against the per-matrix oracles
+# ---------------------------------------------------------------------------
+
+def _battery(seed, max_dim):
+    return {"schema": 1, "task": "unitary-check", "seed": seed,
+            "max_dim": max_dim, "ineq_trials": 40, "pair_trials": 12,
+            "member_trials": 12, "sandwich_trials": 12, "conj_trials": 8}
+
+
+def _random_paths(seed, max_dim):
+    return {"schema": 1, "task": "decompose", "seed": seed,
+            "random": {"paths": 12, "max_dim": max_dim}}
+
+
+def _with_oracles(monkeypatch):
+    """Route the unitary-check and decompose tasks through the per-trial
+    and per-matrix loops."""
+    monkeypatch.setattr(unitary, "_eig_unitary", oracles.schur_eig_unitary)
+    monkeypatch.setattr(unitary, "random_selfadjoint",
+                        oracles.loop_random_selfadjoint)
+    monkeypatch.setattr(unitary, "el_tau", oracles.loop_el_tau)
+    for name in ("check_exp_inequalities", "random_based_path",
+                 "refine_path", "decompose_path"):
+        monkeypatch.setattr(cli, name, getattr(oracles, f"loop_{name}"))
+    monkeypatch.setattr(cli, "el_tau", oracles.loop_el_tau)
+    monkeypatch.setattr(cli, "dlhs_delta", oracles.fresh_dlhs_delta)
+
+
+@pytest.mark.parametrize("block", [7, unitary._BLOCK])
+def test_inequality_reports_equal_the_per_trial_loop(monkeypatch, block):
+    monkeypatch.setattr(unitary, "_BLOCK", block)
+    for max_dim in range(1, 7):
+        for seed in (0, 1, 5):
+            got = check_exp_inequalities(max_dim, 30, seed=seed)
+            assert got == oracles.loop_check_exp_inequalities(
+                max_dim, 30, seed=seed)
+
+
+def test_task_results_equal_the_per_matrix_oracles(monkeypatch):
+    monkeypatch.setattr(unitary, "_BLOCK", 7)
+    bundles = [make(seed, max_dim) for seed in (1, 2, 6)
+               for max_dim in range(1, 7)
+               for make in (_battery, _random_paths)]
+    stacked = [cli.run(b)["result"] for b in bundles]
+    with monkeypatch.context() as patch:
+        _with_oracles(patch)
+        looped = [cli.run(b)["result"] for b in bundles]
+    assert stacked == looped
+
+
+def test_paths_equal_the_per_matrix_oracles():
+    for n in range(1, 7):
+        for seed in range(4):
+            path = random_based_path(n, 3 + seed, np.random.default_rng(seed))
+            loop = oracles.loop_random_based_path(
+                n, 3 + seed, np.random.default_rng(seed))
+            assert path.ts == loop.ts
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(path.mats, loop.mats))
+            for factor in (2, 3):
+                fine = refine_path(path, factor)
+                loop = oracles.loop_refine_path(path, factor)
+                assert fine.ts == loop.ts
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(fine.mats, loop.mats))
+            dec, ref = decompose_path(path), oracles.loop_decompose_path(path)
+            assert (dec.h, dec.max_reconstruction_error, dec.max_det_error) \
+                == (ref.h, ref.max_reconstruction_error, ref.max_det_error)
+            assert all(np.array_equal(a, b) for a, b in zip(dec.g, ref.g))
+            u = random_special_unitary(n, np.random.default_rng(seed))
+            assert el_tau(u) == oracles.loop_el_tau(u)
+
+
+def test_midpoints_are_fresh_seeded_draws():
+    for n in range(1, 7):
+        for seed in (0, 3):
+            rng = np.random.default_rng(seed)
+            for draw in range(3):
+                fresh = random_unitary(n, rng)
+                mid, first = unitary._midpoint(n, seed, 1e-8, draw)
+                assert np.array_equal(mid, fresh) and not mid.flags.writeable
+                assert first == np.trace(principal_log(fresh, margin=1e-8))
+    with pytest.raises(TypeError):
+        dlhs_delta(np.eye(2), seed=None)
+
+
+def test_a_wrong_first_leg_still_fails_the_cross_check(monkeypatch):
+    real = unitary._midpoint
+
+    def shifted(*key):
+        mid, first = real(*key)
+        return mid, first + 0.5
+
+    monkeypatch.setattr(unitary, "_midpoint", shifted)
+    rng = np.random.default_rng(13)
+    for n in (1, 3):
+        with pytest.raises(RuntimeError,
+                           match="path-choice independence failed"):
+            dlhs_delta(random_unitary(n, rng))
+
+
+def test_direct_schur_equals_scipys_wrapper():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for _ in range(40):
+            u = random_unitary(n, rng)
+            lam, z = unitary._eig_unitary(u)
+            want_lam, want_z = oracles.schur_eig_unitary(u)
+            assert np.array_equal(lam, want_lam) and np.array_equal(z, want_z)
+    for bad in (np.nan, np.inf):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            unitary._eig_unitary(u)
