@@ -512,10 +512,9 @@ def check_exp_inequalities(max_dim: int, trials: int, seed: int = 0,
             dims.append(int(rng.integers(1, max_dim + 1)))
             draws.append((_gaussian_draw(dims[-1], rng),
                           _gaussian_draw(dims[-1], rng)))
-        dims = np.array(dims)
         upper, lower = np.empty(len(dims)), np.empty(len(dims))
-        for dim in np.unique(dims):
-            idx = np.flatnonzero(dims == dim)
+        for dim in set(dims):
+            idx = np.flatnonzero(np.equal(dims, dim))
             h1 = _selfadjoint_stack([draws[i][0] for i in idx], 1.0)
             h2 = _selfadjoint_stack([draws[i][1] for i in idx], 1.0)
             dist = operator_norms(exp_selfadjoint(h1) - exp_selfadjoint(h2))
@@ -523,9 +522,8 @@ def check_exp_inequalities(max_dim: int, trials: int, seed: int = 0,
             upper[idx] = hdist - dist
             lower[idx] = dist - hdist * (1 - (operator_norms(h1)
                                               + operator_norms(h2)) / 2)
-        # min() over the trials in order keeps the first of equal minima
-        min_upper = min(min_upper, float(upper[np.argmin(upper)]))
-        min_lower = min(min_lower, float(lower[np.argmin(lower)]))
+        min_upper = min(min_upper, *upper.tolist())
+        min_lower = min(min_lower, *lower.tolist())
         violations += int(np.count_nonzero(upper < -threshold)
                           + np.count_nonzero(lower < -threshold))
     return InequalityReport(trials, max_dim, seed, float(min_upper),
