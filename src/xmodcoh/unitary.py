@@ -9,9 +9,8 @@ through a Schur decomposition and the branch cut sits either at -1
 (principal) or across the widest gap in the spectrum, with the rotation
 recorded and corrected exactly.
 
-Batches of small matrices (inequality trials, path samples and midpoints) are
-held as (k, n, n) stacks, one stack per dimension, so that numpy runs the same
-LAPACK routine on each matrix of a stack in one call; results are unchanged.
+Trials and path samples are held as (k, n, n) stacks, one per dimension, so
+that one numpy call runs the same LAPACK routine on every matrix of a stack.
 """
 
 from __future__ import annotations

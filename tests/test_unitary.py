@@ -397,10 +397,10 @@ def test_paths_equal_the_per_matrix_oracles():
                        for a, b in zip(path.mats, loop.mats))
             for factor in (2, 3):
                 fine = refine_path(path, factor)
-                loop = oracles.loop_refine_path(path, factor)
-                assert fine.ts == loop.ts
+                fine_loop = oracles.loop_refine_path(path, factor)
+                assert fine.ts == fine_loop.ts
                 assert all(np.array_equal(a, b)
-                           for a, b in zip(fine.mats, loop.mats))
+                           for a, b in zip(fine.mats, fine_loop.mats))
             dec, ref = decompose_path(path), oracles.loop_decompose_path(path)
             assert (dec.h, dec.max_reconstruction_error, dec.max_det_error) \
                 == (ref.h, ref.max_reconstruction_error, ref.max_det_error)
