@@ -11,6 +11,7 @@ recorded and corrected exactly.
 
 Trials and path samples are held as (k, n, n) stacks, one per dimension, so
 that one numpy call runs the same LAPACK routine on every matrix of a stack.
+Haar unitaries are drawn by Mezzadri's QR construction (Notices AMS 54, 2007).
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import pi
+from functools import cached_property, lru_cache
+from math import pi, sqrt
 from operator import index
 
 import numpy as np
-import scipy.integrate
 from scipy.linalg.lapack import zgees
-from scipy.stats import unitary_group
 
 DEFAULT_UNITARITY_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
@@ -287,11 +286,25 @@ def dlhs_path(path: UnitaryPath, quad_panels: int | None = None
     def simpson(panels: int) -> float:
         xs = np.linspace(0.0, 1.0, 2 * panels + 1)
         ys = np.array([integrand(t) for t in xs])
-        return float(scipy.integrate.simpson(ys, x=xs))
+        return _simpson(ys, xs)
 
     coarse, fine = simpson(quad_panels), simpson(2 * quad_panels)
     return TraceValue(fine + (fine - coarse) / 15, "simpson",
                       abs(fine - coarse) / 15)
+
+
+def _simpson(ys: np.ndarray, xs: np.ndarray) -> float:
+    """Composite Simpson on an odd number of increasing samples, as
+    ``scipy.integrate.simpson(ys, x=xs)`` computes it, operation for
+    operation (its irregular-spacing formula)."""
+    h = np.diff(xs)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (ys[:-1:2] * (2.0 - 1.0 / h0divh1)
+                        + ys[1::2] * (hsum * (hsum / hprod))
+                        + ys[2::2] * (2.0 - h0divh1))
+    return float(np.sum(tmp))
 
 
 @dataclass(frozen=True)
@@ -300,7 +313,17 @@ class CircleValue:
 
     value: float
     lattice_n: int
-    snap: Fraction | None
+    snap_tol: float = field(default=DEFAULT_EQ_TOL, compare=False)
+
+    @cached_property
+    def snap(self) -> Fraction | None:
+        """The nearest fraction with denominator at most 1000 * lattice_n,
+        or None when it lies farther than snap_tol; 1/lattice_n reads 0.
+        Computed on first read, since the reports never read it."""
+        snap = Fraction(self.value).limit_denominator(1000 * self.lattice_n)
+        if abs(float(snap) - self.value) > self.snap_tol:
+            return None
+        return Fraction(0) if snap == Fraction(1, self.lattice_n) else snap
 
     def distance_to(self, other: float) -> float:
         period = 1.0 / self.lattice_n
@@ -313,13 +336,7 @@ class CircleValue:
 
 def circle_value(raw: float, lattice_n: int,
                  snap_tol: float = DEFAULT_EQ_TOL) -> CircleValue:
-    reduced = raw % (1.0 / lattice_n)
-    snap = Fraction(reduced).limit_denominator(1000 * lattice_n)
-    if abs(float(snap) - reduced) > snap_tol:
-        snap = None
-    elif snap == Fraction(1, lattice_n):
-        snap = Fraction(0)
-    return CircleValue(reduced, lattice_n, snap)
+    return CircleValue(raw % (1.0 / lattice_n), lattice_n, snap_tol)
 
 
 def dlhs_delta(u, tol: float = DEFAULT_UNITARITY_TOL,
@@ -577,7 +594,11 @@ def decompose_path(path: UnitaryPath,
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     if n == 1:
         return np.array([[np.exp(2j * pi * rng.uniform())]])
-    return unitary_group.rvs(n, random_state=rng)
+    # scipy.stats.unitary_group.rvs(n, random_state=rng), draw for draw
+    z = 1 / sqrt(2) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    return q * (d / abs(d))
 
 
 def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,12 +9,14 @@ simplex objects it was built on.  Also the one converter from
 one view of a nerve level as simplex objects, rebuilt from its label
 rows.  For the unitary layer, the per-trial and per-matrix loops: the
 inequality trials, path building, refinement and decomposition, the
-descent with fresh cross-check draws through scipy's Schur wrapper, and
-exponential length with its own norm."""
+descent with fresh cross-check draws through scipy's Schur wrapper, the
+circle snap taken when the value is made, and exponential length with its
+own norm."""
 
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, pi
 
@@ -905,6 +907,18 @@ def fresh_dlhs_delta(u, tol=1e-10, angle_tol=1e-8, seed=0, check_tol=1e-8):
             raise RuntimeError("path-choice independence failed")
         return circle_value(value, n)
     raise ValueError("no cross-check midpoint")
+
+
+def eager_snap(raw, lattice_n, snap_tol=1e-9):
+    """The snap of ``circle_value(raw, lattice_n, snap_tol)``, computed as
+    circle_value did when it made the value."""
+    reduced = raw % (1.0 / lattice_n)
+    snap = Fraction(reduced).limit_denominator(1000 * lattice_n)
+    if abs(float(snap) - reduced) > snap_tol:
+        snap = None
+    elif snap == Fraction(1, lattice_n):
+        snap = Fraction(0)
+    return snap
 
 
 def loop_el_tau(u, tol=1e-9):

@@ -5,6 +5,8 @@ the golden preset workflow (regeneration, drift detection, diffs)."""
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from xmodcoh import (bundles, cli, cohomology, crossed, intlinalg, modsnf,
                      obstruction)
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def masked(report: dict) -> str:
@@ -534,6 +537,41 @@ def test_float_fields_are_printed_to_twelve_significant_digits():
     text = cli.serialize_report(cli.run(bundle))
     value = json.loads(text)["result"]["worst_reconstruction_error"]
     assert value == float(f"{value:.12g}")
+
+
+# ---------------------------------------------------------------------------
+# start-up imports
+# ---------------------------------------------------------------------------
+
+STARTUP_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from xmodcoh import cli, unitary
+for bundle in (
+        {"schema": 1, "task": "unitary-check", "max_dim": 3,
+         "ineq_trials": 20, "pair_trials": 4, "member_trials": 4,
+         "sandwich_trials": 4, "conj_trials": 2, "seed": 1},
+        {"schema": 1, "task": "decompose",
+         "random": {"paths": 2, "max_dim": 3}, "seed": 1}):
+    assert cli.run(bundle)["status"] == "ok"
+loop = unitary.unitary_path([0.0, 1.0],
+                            [np.eye(2), np.diag([np.exp(0.5j), 1])])
+unitary.dlhs_path(loop, quad_panels=2)
+heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+         "scipy.special", "scipy.interpolate")
+print(json.dumps([name for name in heavy if name in sys.modules]))
+"""
+
+
+def test_unitary_tasks_import_no_heavy_scipy_subpackage():
+    # every run forks its cases from a process that imported the CLI, so an
+    # import on the unitary path, at the top or inside a function, is paid
+    # by every case process
+    probe = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(SRC)],
+                           capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == []
 
 
 # ---------------------------------------------------------------------------

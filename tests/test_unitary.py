@@ -8,6 +8,8 @@ from math import pi
 
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.stats import unitary_group
 
 import oracles
 from xmodcoh import cli, unitary
@@ -144,6 +146,18 @@ def test_quadrature_option_agrees_on_a_uniform_loop():
         dlhs_path(diag_loop([1]), quad_panels=0)
 
 
+def test_simpson_equals_scipys_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for panels in range(1, 65):
+        uniform = np.linspace(0.0, 1.0, 2 * panels + 1)
+        ragged = np.cumsum(rng.uniform(0.01, 1.0, 2 * panels + 1))
+        for xs in (uniform, ragged):
+            scale = 10.0 ** rng.integers(-8, 9, size=xs.size)
+            ys = rng.normal(size=xs.size) * scale
+            want = float(scipy.integrate.simpson(ys, x=xs))
+            assert unitary._simpson(ys, xs).hex() == want.hex(), panels
+
+
 # ---------------------------------------------------------------------------
 # descent to the circle
 # ---------------------------------------------------------------------------
@@ -154,6 +168,26 @@ def test_circle_values_reduce_and_snap():
     assert cv.distance_to(0.125) == 0.0
     assert circle_value(0.25 - 1e-13, 4).is_zero()
     assert circle_value(1.0 / 3.0, 3).is_zero()
+
+
+def test_lazy_snaps_equal_the_eager_snap():
+    grid = [k / 2000 for k in range(-40, 2041, 7)]
+    grid += [1 / n - 1e-13 for n in range(1, 9)]            # folds to 0
+    grid += [k / 24 + 3e-9 for k in range(25)]              # outside tol
+    grid += [2 ** 0.5 * k for k in range(1, 20)]
+    kinds = set()
+    for n in range(1, 9):
+        for raw in grid:
+            for tol in (1e-9, 1e-6):
+                cv = circle_value(raw, n, tol)
+                assert "snap" not in vars(cv)
+                want = oracles.eager_snap(raw, n, tol)
+                assert cv.snap == want, (raw, n, tol)
+                assert cv.snap is cv.snap
+                kinds.add("none" if want is None else
+                          "zero" if want == 0 and raw % (1 / n) else
+                          "fraction")
+    assert kinds == {"none", "zero", "fraction"}
 
 
 def test_delta_descends_the_determinant():
@@ -435,6 +469,16 @@ def test_a_wrong_first_leg_still_fails_the_cross_check(monkeypatch):
         with pytest.raises(RuntimeError,
                            match="path-choice independence failed"):
             dlhs_delta(random_unitary(n, rng))
+
+
+def test_random_unitary_draws_as_scipys_unitary_group():
+    for seed in range(100):
+        for n in range(2, 9):
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            want = unitary_group.rvs(n, random_state=theirs)
+            assert np.array_equal(random_unitary(n, ours), want), (seed, n)
+            assert ours.uniform() == theirs.uniform()
 
 
 def test_direct_schur_equals_scipys_wrapper():
