@@ -40,10 +40,11 @@ from .obstruction import (matrix_kernel_obstruction, theta, theta_lift_sweep,
                           verify_exactness)
 from .retraction import verify_appendix_retraction
 from .simplicial import homology
-from .unitary import (ball_element, check_exp_inequalities, d_tau,
-                      decompose_path, dlhs_delta, el_tau, operator_norm,
-                      principal_log, random_based_path, random_unitary,
-                      refine_path, su_tau_member)
+from .unitary import (ball_draw, ball_elements, check_exp_inequalities,
+                      d_tau, decompose_path, dlhs_delta, el_tau, haar_draw,
+                      haar_unitaries, operator_norms, principal_log,
+                      random_based_path, refine_path, run_trials,
+                      su_tau_member)
 
 STATUS_EXIT = {"ok": 0, "violation": 1, "resource-error": 2,
                "input-error": 3, "internal-error": 4}
@@ -350,59 +351,80 @@ def _task_unitary_check(bundle, seed, budget):
         violations.append(f"exponential inequalities: "
                           f"{ineq.violations} slack failures")
 
-    pair_trials = expect_int(bundle.get("pair_trials", 1000),
-                             "/pair_trials", 1)
+    def count(key, default):
+        return expect_int(bundle.get(key, default), f"/{key}", 1)
+
+    def haar_pair(n, rng):
+        return haar_draw(n, rng), haar_draw(n, rng)
+
+    def additivity(n, ks, draws):
+        u = haar_unitaries(n, [d[0] for d in draws])
+        v = haar_unitaries(n, [d[1] for d in draws])
+        return [uv.distance_to(a.value + b.value) for uv, a, b in
+                zip(dlhs_delta(u @ v), dlhs_delta(u), dlhs_delta(v))]
+
+    pair_trials = count("pair_trials", 1000)
     worst_hom = 0.0
-    for _ in range(pair_trials):
-        n = int(rng.integers(1, max_dim + 1))
-        u, v = random_unitary(n, rng), random_unitary(n, rng)
-        gap = dlhs_delta(u @ v).distance_to(
-            dlhs_delta(u).value + dlhs_delta(v).value)
-        worst_hom = max(worst_hom, gap)
+    for gaps in run_trials(pair_trials, max_dim, rng, haar_pair, additivity):
+        worst_hom = max(worst_hom, *gaps)
     if worst_hom > 1e-8:
         violations.append(f"winding additivity gap {worst_hom:.3e}")
 
-    member_trials = expect_int(bundle.get("member_trials", 1000),
-                               "/member_trials", 1)
+    def membership(n, ks, draws):
+        u = haar_unitaries(n, draws)
+        dets = np.linalg.det(u)
+        for j, k in enumerate(ks):
+            if k % 2 == 0:
+                u[j] = u[j] * (dets[j] ** (-1.0 / n))
+        return [rep.member == zero.is_zero(1e-8) for rep, zero in
+                zip(su_tau_member(u, tol=1e-8), dlhs_delta(u))]
+
+    member_trials = count("member_trials", 1000)
     member_agree = 0
-    for k in range(member_trials):
-        n = int(rng.integers(1, max_dim + 1))
-        u = random_unitary(n, rng)
-        if k % 2 == 0:
-            u = u * (np.linalg.det(u) ** (-1.0 / n))
-        member = su_tau_member(u, tol=1e-8).member
-        zero = dlhs_delta(u).is_zero(1e-8)
-        member_agree += int(member == zero)
+    for agree in run_trials(member_trials, max_dim, rng, haar_draw,
+                            membership):
+        member_agree += sum(agree)
     if member_agree != member_trials:
         violations.append(f"membership/winding disagreement on "
                           f"{member_trials - member_agree} samples")
 
-    sandwich_trials = expect_int(bundle.get("sandwich_trials", 1000),
-                                 "/sandwich_trials", 1)
     eps = 0.9
+
+    def sandwich(n, ks, draws):
+        u = ball_elements(n, eps, [d[0] for d in draws])
+        v = ball_elements(n, eps, [d[1] for d in draws])
+        logs = operator_norms(principal_log(u) - principal_log(v)).tolist()
+        diffs = operator_norms(u - v).tolist()
+        dists = [d.value for d in d_tau(u, v)]
+        return [-min(diff - (1 - eps) * log, dist - diff,
+                     np.pi / 2 * diff - dist,
+                     np.pi / 2 * log - np.pi / 2 * diff)
+                for log, diff, dist in zip(logs, diffs, dists)]
+
+    def ball_pair(n, rng):
+        return ball_draw(n, rng), ball_draw(n, rng)
+
+    sandwich_trials = count("sandwich_trials", 1000)
     worst_sandwich = 0.0
-    for _ in range(sandwich_trials):
-        n = int(rng.integers(1, max_dim + 1))
-        u, v = ball_element(n, eps, rng), ball_element(n, eps, rng)
-        logs = operator_norm(principal_log(u) - principal_log(v))
-        diff = operator_norm(u - v)
-        dist = d_tau(u, v).value
-        slacks = (diff - (1 - eps) * logs, dist - diff,
-                  np.pi / 2 * diff - dist,
-                  np.pi / 2 * logs - np.pi / 2 * diff)
-        worst_sandwich = max(worst_sandwich, -min(slacks))
+    for deficits in run_trials(sandwich_trials, max_dim, rng, ball_pair,
+                               sandwich):
+        worst_sandwich = max(worst_sandwich, *deficits)
     if worst_sandwich > 1e-9:
         violations.append(f"metric sandwich slack -{worst_sandwich:.3e}")
 
-    conj_trials = expect_int(bundle.get("conj_trials", 200),
-                             "/conj_trials", 1)
+    def conjugation(n, ks, draws):
+        u = haar_unitaries(n, [d[0] for d in draws])
+        w = haar_unitaries(n, [d[1] for d in draws])
+        u = u * np.array([complex(d) ** (-1.0 / n)
+                          for d in np.linalg.det(u)])[:, None, None]
+        return [abs(a.value - b.value) for a, b in
+                zip(el_tau(w @ u @ w.conj().swapaxes(-1, -2)), el_tau(u))]
+
+    conj_trials = count("conj_trials", 200)
     worst_conj = 0.0
-    for _ in range(conj_trials):
-        n = int(rng.integers(1, max_dim + 1))
-        u, w = random_unitary(n, rng), random_unitary(n, rng)
-        u = u * complex(np.linalg.det(u)) ** (-1.0 / n)
-        worst_conj = max(worst_conj, abs(
-            el_tau(w @ u @ w.conj().T).value - el_tau(u).value))
+    for drifts in run_trials(conj_trials, max_dim, rng, haar_pair,
+                             conjugation):
+        worst_conj = max(worst_conj, *drifts)
     if worst_conj > 1e-9:
         violations.append(f"length conjugation drift {worst_conj:.3e}")
 

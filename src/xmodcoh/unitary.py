@@ -11,6 +11,8 @@ recorded and corrected exactly.
 
 Trials and path samples are held as (k, n, n) stacks, one per dimension, so
 that one numpy call runs the same LAPACK routine on every matrix of a stack.
+Segment logarithms and the trial families of a battery are stacked too; the
+Schur form (LAPACK zgees) is the one call made matrix by matrix.
 Haar unitaries are drawn by Mezzadri's QR construction (Notices AMS 54, 2007).
 """
 
@@ -28,6 +30,12 @@ from scipy.linalg.lapack import zgees
 
 DEFAULT_UNITARITY_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
+
+# A stack of trials or of path samples ends at _BLOCK matrices, or once its
+# matrices reach _CELLS entries in all, so that the draws and stacks held at
+# once stay bounded in any dimension.  Block sizes do not change results.
+_BLOCK = 256
+_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +63,37 @@ def tau(a) -> complex:
     return complex(np.trace(a)) / a.shape[0]
 
 
+def _taus(a: np.ndarray) -> list:
+    """tau of each matrix of a stack."""
+    n = a.shape[-1]
+    return [t / n for t in np.trace(a, axis1=-2, axis2=-1).tolist()]
+
+
+def _traceless(h: np.ndarray) -> np.ndarray:
+    """h - Re tau(h) for each self-adjoint matrix of a stack."""
+    re_taus = np.array([t.real for t in _taus(h)])
+    return h - re_taus[:, None, None] * np.eye(h.shape[-1])
+
+
 def as_unitary(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
     u = np.asarray(entries, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
     _check_unitary(u, tol)
     return u
+
+
+def _unitary_stack(entries, tol: float) -> tuple[np.ndarray, bool]:
+    """A matrix or a (k, n, n) stack as a stack, refused by one stacked
+    unitarity gate, and whether it was one matrix."""
+    u = np.asarray(entries, dtype=complex)
+    single = u.ndim == 2
+    if single:
+        u = u[None]
+    if u.ndim != 3 or u.shape[1] != u.shape[2]:
+        raise ValueError("expected a square matrix")
+    _check_unitary(u, tol)
+    return u, single
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> None:
@@ -119,31 +152,62 @@ def _eig_unitary(u: np.ndarray):
     return t.diagonal().copy(), z
 
 
-def principal_log(u: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Self-adjoint h with u = e^{ih} and spectrum of h in (-pi, pi].
+def _eig_unitaries(us: np.ndarray):
+    """_eig_unitary of each matrix of a (k, n, n) stack, one zgees call
+    each: the eigenvalues as a (k, n) stack and the Schur vectors as a
+    stack whose matrices keep zgees's column-major layout, so that products
+    with them run as they do on one matrix."""
+    lam = np.empty(us.shape[:2], dtype=complex)
+    zt = np.empty(us.shape, dtype=complex)
+    for i, u in enumerate(us):
+        lam[i], z = _eig_unitary(u)
+        zt[i] = z.T
+    return lam, zt.swapaxes(-1, -2)
+
+
+def _spectral_logs(z: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """The self-adjoint part of z diag(ang) z^* for each matrix of a
+    stack."""
+    h = (z * ang[..., None, :]) @ z.conj().swapaxes(-1, -2)
+    return (h + h.conj().swapaxes(-1, -2)) / 2
+
+
+def principal_log(u, margin: float = 0.0) -> np.ndarray:
+    """Self-adjoint h with u = e^{ih} and spectrum of h in (-pi, pi], for a
+    matrix or for each matrix of a stack.
 
     With margin > 0, refuses inputs whose spectrum comes within that angle
     of the branch cut at -1.
     """
-    lam, z = _eig_unitary(u)
+    u = np.asarray(u)
+    lam, z = _eig_unitaries(u.reshape(-1, *u.shape[-2:]))
     ang = np.angle(lam)
     if margin > 0 and float(np.min(pi - np.abs(ang))) < margin:
         raise ValueError(f"an eigenvalue lies within {margin:g} of the "
                          "branch cut at -1")
-    return as_selfadjoint((z * ang) @ z.conj().T, tol=np.inf)
+    return _spectral_logs(z, ang).reshape(u.shape)
 
 
-def _widest_gap_rotation(angles: np.ndarray) -> tuple[float, float]:
-    """Rotation delta placing the widest spectral gap across the cut.
+def _widest_gap_rotation(angles: np.ndarray):
+    """Rotations delta placing the widest spectral gap across the cut, for
+    each row of a (k, n) stack of angles.
 
-    Returns (delta, half_gap): the spectrum of e^{-i delta} u stays at
-    angular distance >= half_gap from -1.
+    Returns (delta, half_gap) arrays: the spectrum of e^{-i delta} u stays
+    at angular distance >= half_gap from -1.
     """
-    th = np.sort(np.mod(angles, 2 * pi))
-    gaps = np.diff(np.append(th, th[0] + 2 * pi))
-    j = int(np.argmax(gaps))
-    mid = th[j] + gaps[j] / 2
-    return float(mid - pi), float(gaps[j] / 2)
+    th = np.sort(np.mod(angles, 2 * pi), axis=-1)
+    gaps = np.diff(np.concatenate([th, th[:, :1] + 2 * pi], axis=-1))
+    rows = np.arange(len(th))
+    j = np.argmax(gaps, axis=-1)
+    mid = th[rows, j] + gaps[rows, j] / 2
+    return mid - pi, gaps[rows, j] / 2
+
+
+def _chunks(count: int, cells: int) -> list[slice]:
+    """Slices of range(count) for stacks of items of ``cells`` entries
+    each: a slice ends at _BLOCK items or once it reaches _CELLS entries."""
+    step = min(_BLOCK, -(-_CELLS // cells))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +218,24 @@ def _widest_gap_rotation(angles: np.ndarray) -> tuple[float, float]:
 class UnitaryPath:
     """Based path in U(n), sampled at ascending times, geodesic in between.
 
-    Each segment's logarithm is computed once per path, on first use, and
-    kept read-only.
+    The segment logarithms are computed together, once per path, on first
+    use, and kept read-only.
     """
 
     ts: tuple
     mats: tuple
-    _logs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.mats[0].shape[0]
 
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """The (segments, n, n) stack of segment logarithms."""
+        return _segment_logs(self.ts, self.mats)
+
     def segment_log(self, k: int) -> np.ndarray:
-        log = self._logs.get(k)
-        if log is None:
-            log = self._logs[k] = _segment_log(self.mats[k], self.mats[k + 1],
-                                               self.ts[k], self.ts[k + 1])
-            log.flags.writeable = False
-        return log
+        return self.logs[k]
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate the geodesic interpolation at time t."""
@@ -183,14 +246,25 @@ class UnitaryPath:
         return self.mats[k] @ exp_selfadjoint(s * self.segment_log(k))
 
 
-def _segment_log(a: np.ndarray, b: np.ndarray,
-                 t0: float, t1: float) -> np.ndarray:
-    step = operator_norm(b - a)
-    if step >= 1:
-        raise ValueError(
-            f"samples at t={t0:g} and t={t1:g} are {step:.3f} apart "
-            "(>= 1); the winding is untrackable, refine the sampling")
-    return principal_log(a.conj().T @ b)
+def _segment_logs(ts: tuple, mats: tuple) -> np.ndarray:
+    """The principal logarithm of a^* b for each segment (a, b), refused at
+    the first step ||b - a|| >= 1, as one read-only stack."""
+    n = mats[0].shape[0]
+    logs = np.empty((len(mats) - 1, n, n), dtype=complex)
+    for part in _chunks(len(logs), n * n):
+        samples = np.stack(mats[part.start:part.stop + 1])
+        a, b = samples[:-1], samples[1:]
+        for k, step in enumerate(operator_norms(b - a).tolist(),
+                                 part.start):
+            if step >= 1:
+                raise ValueError(
+                    f"samples at t={ts[k]:g} and t={ts[k + 1]:g} are "
+                    f"{step:.3f} apart (>= 1); the winding is untrackable, "
+                    "refine the sampling")
+        lam, z = _eig_unitaries(a.conj().swapaxes(-1, -2) @ b)
+        logs[part] = _spectral_logs(z, np.angle(lam))
+    logs.flags.writeable = False
+    return logs
 
 
 def unitary_path(ts, mats, tol: float = DEFAULT_UNITARITY_TOL) -> UnitaryPath:
@@ -216,8 +290,7 @@ def unitary_path(ts, mats, tol: float = DEFAULT_UNITARITY_TOL) -> UnitaryPath:
     if operator_norm(mats[0] - np.eye(mats[0].shape[0])) > max(tol, 1e-9):
         raise ValueError("the path must start at the identity")
     path = UnitaryPath(ts, mats)
-    for k in range(len(ts) - 1):
-        path.segment_log(k)
+    path.logs       # computed here, so that untrackable steps are refused
     return path
 
 
@@ -227,9 +300,11 @@ def refine_path(path: UnitaryPath, factor: int = 2) -> UnitaryPath:
         return path
     segments = len(path.ts) - 1
     s = np.arange(1, factor) / factor
-    logs = np.stack([path.segment_log(k) for k in range(segments)])
-    mids = np.stack(path.mats[:-1])[:, None] @ exp_selfadjoint(
-        s[:, None, None] * logs[:, None])
+    mids = np.empty((segments, factor - 1, path.n, path.n), dtype=complex)
+    for part in _chunks(segments, (factor - 1) * path.n ** 2):
+        starts = np.stack(path.mats[:-1][part])[:, None]
+        mids[part] = starts @ exp_selfadjoint(
+            s[:, None, None] * path.logs[part, None])
     ts, mats = [path.ts[0]], [path.mats[0]]
     for k in range(segments):
         for j in range(1, factor):
@@ -238,16 +313,9 @@ def refine_path(path: UnitaryPath, factor: int = 2) -> UnitaryPath:
             mats.append(mids[k, j - 1])
         ts.append(path.ts[k + 1])
         mats.append(path.mats[k + 1])
-    return UnitaryPath(tuple(ts), tuple(mats))
-
-
-def pointwise_product_path(p1: UnitaryPath, p2: UnitaryPath) -> UnitaryPath:
-    """Sample the pointwise product at the union of the two time grids."""
-    if p1.n != p2.n:
-        raise ValueError("paths must share one dimension")
-    ts = sorted(set(p1.ts) | set(p2.ts))
-    mats = tuple(p1.at(t) @ p2.at(t) for t in ts)
-    return unitary_path(ts, mats)
+    fine = UnitaryPath(tuple(ts), tuple(mats))
+    fine.logs       # computed here, as for every path built from samples
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +409,7 @@ def circle_value(raw: float, lattice_n: int,
 
 def dlhs_delta(u, tol: float = DEFAULT_UNITARITY_TOL,
                angle_tol: float = 1e-8, seed: int = 0,
-               check_tol: float = 1e-8) -> CircleValue:
+               check_tol: float = 1e-8):
     """Descent of the trace-determinant to a unitary, modulo (1/n)Z.
 
     The default path is the spectral geodesic t -> e^{i delta t} e^{t log v}
@@ -349,38 +417,53 @@ def dlhs_delta(u, tol: float = DEFAULT_UNITARITY_TOL,
     spectrum's widest gap across the branch cut; delta's contribution is
     added back exactly.  The value is cross-checked along a randomized
     two-segment path.
+
+    A (k, n, n) stack gives the list of its k values; when some of its
+    matrices fail, the error is one that such a matrix raises alone.
     """
-    u = as_unitary(u, tol)
-    n = u.shape[0]
-    lam, _ = _eig_unitary(u)
+    us, single = _unitary_stack(u, tol)
+    n = us.shape[1]
+    lam, _ = _eig_unitaries(us)
     delta, half_gap = _widest_gap_rotation(np.angle(lam))
-    if half_gap < angle_tol:
+    narrow = half_gap < angle_tol
+    if narrow.any():
         raise ValueError(
             f"the spectrum leaves no branch gap wider than {angle_tol:g} "
-            f"(half-width {half_gap:.3e}); the cut cannot be resolved")
-    ang = np.angle(lam * np.exp(-1j * delta))
-    value = delta / (2 * pi) + float(np.sum(ang)) / (2 * pi * n)
+            f"(half-width {half_gap[narrow][0]:.3e}); the cut cannot be "
+            "resolved")
+    ang = np.angle(lam * np.exp(-1j * delta)[:, None])
+    values = (delta / (2 * pi) + np.sum(ang, axis=-1) / (2 * pi * n)).tolist()
 
     seed = index(seed)
+    alts = [None] * len(us)
+    todo = np.arange(len(us))
     for draw in range(8):
         first_leg = _midpoint(n, seed, angle_tol, draw)
         if first_leg is None:
             continue
         mid, first = first_leg
-        try:
-            two_leg = first + np.trace(principal_log(mid.conj().T @ u,
-                                                     margin=angle_tol))
-        except ValueError:
-            continue
-        alt = float(two_leg.real) / (2 * pi * n)
+        lam, z = _eig_unitaries(mid.conj().T @ us[todo])
+        ang = np.angle(lam)
+        clear = ~(np.min(pi - np.abs(ang), axis=-1) < angle_tol)
+        legs = first + np.trace(_spectral_logs(z[clear], ang[clear]),
+                                axis1=-2, axis2=-1)
+        for i, leg in zip(todo[clear].tolist(), legs.real.tolist()):
+            alts[i] = leg / (2 * pi * n)
+        todo = todo[~clear]
+        if not todo.size:
+            break
+    if todo.size:
+        raise ValueError("could not draw a cross-check midpoint with "
+                         "spectrum clear of the branch cut")
+    out = []
+    for value, alt in zip(values, alts):
         diff = (value - alt) % (1.0 / n)
         if min(diff, 1.0 / n - diff) > check_tol:
             raise RuntimeError(
                 "path-choice independence failed: default and randomized "
                 f"paths disagree by {min(diff, 1.0 / n - diff):.3e}")
-        return circle_value(value, n)
-    raise ValueError("could not draw a cross-check midpoint with spectrum "
-                     "clear of the branch cut")
+        out.append(circle_value(value, n))
+    return out[0] if single else out
 
 
 @lru_cache(maxsize=256)
@@ -416,48 +499,53 @@ class SUMembership:
 
 
 def su_tau_member(u, tol: float = DEFAULT_EQ_TOL,
-                  unitarity_tol: float = DEFAULT_UNITARITY_TOL
-                  ) -> SUMembership:
+                  unitarity_tol: float = DEFAULT_UNITARITY_TOL):
     """Membership in ker(trace-determinant) within U(n)_0, i.e. det u = 1.
 
     On membership, returns a factorization certificate u = prod e^{ih_j}
     with tau(h_j) = 0: the spectral logarithm rebalanced to total angle
-    zero, used directly below norm pi and split in half above.
+    zero, used directly below norm pi and split in half above.  A stack
+    gives a list, as dlhs_delta does.
     """
-    u = as_unitary(u, unitarity_tol)
-    n = u.shape[0]
-    det = complex(np.linalg.det(u))
-    if abs(abs(det) - 1.0) > max(tol, n * unitarity_tol * 10):
-        raise ValueError(f"determinant modulus {abs(det):.12f} strays "
-                         "from 1; input is not unitary")
-    if abs(det - 1.0) > tol:
-        return SUMembership(False, det, None, None)
-
-    lam, z = _eig_unitary(u)
-    ang = np.angle(lam)
-    k = int(round(float(np.sum(ang)) / (2 * pi)))
-    if k:
-        order = np.argsort(ang)
-        shift = order[-k:] if k > 0 else order[:-k]
-        ang = ang.copy()
-        ang[shift] -= 2 * pi * np.sign(k)
-    h = as_selfadjoint((z * ang) @ z.conj().T, tol=np.inf)
-    h = h - (tau(h).real * np.eye(n))
-    log_norm = operator_norm(h)
-    if log_norm < pi:
-        certificate = (h,)
-        recomposed = exp_selfadjoint(h)
-    else:
-        certificate = (h / 2, h / 2)
-        half = exp_selfadjoint(h / 2)
-        recomposed = half @ half
-    residual = operator_norm(recomposed - u)
-    if residual > max(tol, 1e-9):
-        raise RuntimeError("membership certificate failed re-multiplication "
-                           f"(residual {residual:.3e})")
-    if any(abs(tau(hj)) > max(tol, 1e-12) for hj in certificate):
-        raise RuntimeError("membership certificate has a traceful exponent")
-    return SUMembership(True, det, certificate, residual, log_norm)
+    us, single = _unitary_stack(u, unitarity_tol)
+    n = us.shape[1]
+    dets = np.linalg.det(us).tolist()
+    for det in dets:
+        if abs(abs(det) - 1.0) > max(tol, n * unitarity_tol * 10):
+            raise ValueError(f"determinant modulus {abs(det):.12f} strays "
+                             "from 1; input is not unitary")
+    out = [SUMembership(False, det, None, None) for det in dets]
+    members = [i for i, det in enumerate(dets) if not abs(det - 1.0) > tol]
+    if members:
+        us = us[members]
+        lam, z = _eig_unitaries(us)
+        ang = np.angle(lam)
+        for row, total in zip(ang, np.sum(ang, axis=-1).tolist()):
+            k = int(round(total / (2 * pi)))
+            if k:
+                order = np.argsort(row)
+                row[order[-k:] if k > 0 else order[:-k]] -= (
+                    2 * pi * np.sign(k))
+        h = _traceless(_spectral_logs(z, ang))
+        log_norms = operator_norms(h).tolist()
+        whole = np.array(log_norms) < pi
+        factor = np.where(whole[:, None, None], h, h / 2)
+        expo = exp_selfadjoint(factor)
+        recomposed = np.where(whole[:, None, None], expo, expo @ expo)
+        residuals = operator_norms(recomposed - us).tolist()
+        factor_taus = _taus(factor)
+        for j, (i, residual) in enumerate(zip(members, residuals)):
+            if residual > max(tol, 1e-9):
+                raise RuntimeError("membership certificate failed "
+                                   f"re-multiplication (residual "
+                                   f"{residual:.3e})")
+            if abs(factor_taus[j]) > max(tol, 1e-12):
+                raise RuntimeError("membership certificate has a traceful "
+                                   "exponent")
+            certificate = (h[j],) if whole[j] else (factor[j], factor[j])
+            out[i] = SUMembership(True, dets[i], certificate, residual,
+                                  log_norms[j])
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -466,33 +554,40 @@ class ExponentialLength:
     exact: bool
 
 
-def el_tau(u, tol: float = DEFAULT_EQ_TOL) -> ExponentialLength:
+def el_tau(u, tol: float = DEFAULT_EQ_TOL):
     """Exponential length: exact (= ||log u||) below pi, else a certified
-    upper bound from the membership certificate, flagged as bound-only."""
-    rep = su_tau_member(u, tol)
-    if not rep.member:
+    upper bound from the membership certificate, flagged as bound-only.
+    A stack gives a list, as dlhs_delta does."""
+    single = np.ndim(u) == 2
+    reps = su_tau_member(u, tol)
+    reps = [reps] if single else reps
+    if not all(rep.member for rep in reps):
         raise ValueError("exponential length is defined only on the "
                          "special-unitary kernel (det u must be 1)")
-    if len(rep.certificate) == 1:
-        return ExponentialLength(rep.log_norm, rep.log_norm < pi - tol)
-    return ExponentialLength(sum(operator_norm(hj)
-                                 for hj in rep.certificate), False)
+    halves = [hj for rep in reps if len(rep.certificate) > 1
+              for hj in rep.certificate]
+    norms = iter(operator_norms(np.stack(halves)).tolist() if halves else ())
+    out = [ExponentialLength(rep.log_norm, rep.log_norm < pi - tol)
+           if len(rep.certificate) == 1 else
+           ExponentialLength(sum(next(norms) for _ in rep.certificate), False)
+           for rep in reps]
+    return out[0] if single else out
 
 
-def d_tau(u, v, tol: float = DEFAULT_EQ_TOL) -> ExponentialLength:
-    """The bi-invariant metric d(u, v) = exponential length of u* v."""
-    u = as_unitary(u)
-    v = as_unitary(v)
-    return el_tau(u.conj().T @ v, tol)
+def d_tau(u, v, tol: float = DEFAULT_EQ_TOL):
+    """The bi-invariant metric d(u, v) = exponential length of u* v, or the
+    list of the metrics of two stacks of equal shape."""
+    us, single = _unitary_stack(u, DEFAULT_UNITARITY_TOL)
+    vs, _ = _unitary_stack(v, DEFAULT_UNITARITY_TOL)
+    if us.shape != vs.shape:
+        raise ValueError("u and v must share one shape")
+    w = us.conj().swapaxes(-1, -2) @ vs
+    return el_tau(w[0] if single else w, tol)
 
 
 # ---------------------------------------------------------------------------
 # exponential-map inequalities
 # ---------------------------------------------------------------------------
-
-# Trials per block of check_exp_inequalities: bounds the draws held at once.
-_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -519,29 +614,27 @@ def check_exp_inequalities(max_dim: int, trials: int, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+
+    def draw(n, rng):
+        return _gaussian_draw(n, rng), _gaussian_draw(n, rng)
+
+    def slacks(n, ks, draws):
+        h1 = _selfadjoint_stack([d[0] for d in draws], 1.0)
+        h2 = _selfadjoint_stack([d[1] for d in draws], 1.0)
+        dist = operator_norms(exp_selfadjoint(h1) - exp_selfadjoint(h2))
+        hdist = operator_norms(h1 - h2)
+        lower = dist - hdist * (1 - (operator_norms(h1)
+                                     + operator_norms(h2)) / 2)
+        return zip((hdist - dist).tolist(), lower.tolist())
+
     min_upper = min_lower = np.inf
     violations = 0
-    for start in range(0, trials, _BLOCK):
-        dims, draws = [], []
-        for _ in range(min(_BLOCK, trials - start)):
-            dims.append(int(rng.integers(1, max_dim + 1)))
-            draws.append((_gaussian_draw(dims[-1], rng),
-                          _gaussian_draw(dims[-1], rng)))
-        upper, lower = np.empty(len(dims)), np.empty(len(dims))
-        for dim in set(dims):
-            idx = np.flatnonzero(np.equal(dims, dim))
-            h1 = _selfadjoint_stack([draws[i][0] for i in idx], 1.0)
-            h2 = _selfadjoint_stack([draws[i][1] for i in idx], 1.0)
-            dist = operator_norms(exp_selfadjoint(h1) - exp_selfadjoint(h2))
-            hdist = operator_norms(h1 - h2)
-            upper[idx] = hdist - dist
-            lower[idx] = dist - hdist * (1 - (operator_norms(h1)
-                                              + operator_norms(h2)) / 2)
-        min_upper = min(min_upper, *upper.tolist())
-        min_lower = min(min_lower, *lower.tolist())
-        violations += int(np.count_nonzero(upper < -threshold)
-                          + np.count_nonzero(lower < -threshold))
+    for block in run_trials(trials, max_dim, np.random.default_rng(seed),
+                            draw, slacks):
+        upper, lower = zip(*block)
+        min_upper = min(min_upper, *upper)
+        min_lower = min(min_lower, *lower)
+        violations += sum(x < -threshold for x in upper + lower)
     return InequalityReport(trials, max_dim, seed, float(min_upper),
                             float(min_lower), violations, threshold)
 
@@ -571,15 +664,19 @@ def decompose_path(path: UnitaryPath,
     n = path.n
     lift = 0.0
     hs = [0.0]
-    for k in range(len(path.ts) - 1):
-        lift += float(np.trace(path.segment_log(k)).real)
+    for trace in np.trace(path.logs, axis1=-2, axis2=-1).real.tolist():
+        lift += trace
         hs.append(lift / (2 * pi * n))
-    mats = np.stack(path.mats)
-    lifts = np.array(hs)[:, None, None]
-    gs = np.exp(-2j * pi * lifts) * mats
-    # Python's complex abs: numpy's differs from it in the last bit
-    det_err = max(abs(complex(d) - 1.0) for d in np.linalg.det(gs))
-    recon = max(operator_norms(np.exp(2j * pi * lifts) * gs - mats).tolist())
+    gs, det_errs, recons = [], [], []
+    for part in _chunks(len(hs), n * n):
+        mats = np.stack(path.mats[part])
+        lifts = np.array(hs[part])[:, None, None]
+        g = np.exp(-2j * pi * lifts) * mats
+        gs += list(g)
+        # Python's complex abs: numpy's differs from it in the last bit
+        det_errs += [abs(d - 1.0) for d in np.linalg.det(g).tolist()]
+        recons += operator_norms(np.exp(2j * pi * lifts) * g - mats).tolist()
+    det_err, recon = max(det_errs), max(recons)
     if det_err > tol or recon > tol:
         raise RuntimeError(
             f"decomposition residuals exceed {tol:g} "
@@ -591,19 +688,63 @@ def decompose_path(path: UnitaryPath,
 # seeded generators for property runs
 # ---------------------------------------------------------------------------
 
+def run_trials(trials: int, max_dim: int, rng: np.random.Generator,
+               draw, run):
+    """Draw ``trials`` trials in order, each a dimension n from
+    rng.integers(1, max_dim + 1) and then draw(n, rng), and yield the
+    values of each block of trials in trial order.  run(n, ks, draws) takes
+    the trial numbers and draws of the trials of one dimension in a block,
+    and gives one value for each.  A block ends at _BLOCK trials or once its
+    trials reach _CELLS cells of n x n.  When a block fails, its trials run
+    again one at a time, so that the first failing trial raises its own
+    error."""
+    block, cells = [], 0
+    for k in range(trials):
+        n = int(rng.integers(1, max_dim + 1))
+        block.append((k, n, draw(n, rng)))
+        cells += n * n
+        if len(block) == _BLOCK or cells >= _CELLS or k == trials - 1:
+            yield _run_block(block, run)
+            block, cells = [], 0
+
+
+def _run_block(block: list, run) -> list:
+    out = [None] * len(block)
+    try:
+        for n in {n for _, n, _ in block}:
+            pos = [i for i, (_, m, _) in enumerate(block) if m == n]
+            got = run(n, [block[i][0] for i in pos],
+                      [block[i][2] for i in pos])
+            for i, value in zip(pos, got):
+                out[i] = value
+    except (ValueError, RuntimeError):
+        for k, n, d in block:
+            run(n, [k], [d])
+        raise
+    return out
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    return haar_unitaries(n, [haar_draw(n, rng)])[0]
+
+
+def haar_draw(n: int, rng: np.random.Generator):
+    """What random_unitary(n, rng) draws, in its order."""
     if n == 1:
-        return np.array([[np.exp(2j * pi * rng.uniform())]])
-    # scipy.stats.unitary_group.rvs(n, random_state=rng), draw for draw
-    z = 1 / sqrt(2) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    q, r = np.linalg.qr(z)
-    d = r.diagonal()
-    return q * (d / abs(d))
+        return rng.uniform()
+    return rng.normal(size=(n, n)), rng.normal(size=(n, n))
 
 
-def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    u = random_unitary(n, rng)
-    return u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)
+def haar_unitaries(n: int, draws: list) -> np.ndarray:
+    """random_unitary of each of a list of same-size draws of haar_draw, as
+    one (k, n, n) stack: for n >= 2, scipy.stats.unitary_group.rvs draw for
+    draw."""
+    if n == 1:
+        return np.exp(2j * pi * np.array(draws))[:, None, None]
+    re, im = (np.array(part) for part in zip(*draws))
+    q, r = np.linalg.qr(1 / sqrt(2) * (re + 1j * im))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / abs(d))[:, None, :]
 
 
 def random_selfadjoint(n: int, rng: np.random.Generator,
@@ -637,12 +778,44 @@ def _selfadjoint_stack(draws: list, bound: float) -> np.ndarray:
 
 def ball_element(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
     """A point of the trace-zero exponential ball of radius eps."""
-    h = random_selfadjoint(n, rng, bound=1.0)
-    h = h - tau(h).real * np.eye(n)
-    norm = operator_norm(h)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
-    return exp_selfadjoint(h * (eps * 0.999 * rng.uniform() / norm))
+    return ball_elements(n, eps, [ball_draw(n, rng)])[0]
+
+
+def ball_draw(n: int, rng: np.random.Generator) -> tuple:
+    """What ball_element(n, eps, rng) draws, in its order: a _gaussian_draw,
+    then a uniform, or None in its place when the traceless part of the
+    self-adjoint matrix made from the draw is zero, as it is for n = 1."""
+    draw = _gaussian_draw(n, rng)
+    return draw, None if _traceless_is_zero(n, draw) else rng.uniform()
+
+
+def _traceless_is_zero(n: int, draw: tuple) -> bool:
+    """Whether the traceless part of h = u (a + a^*) / ||a + a^*||, made by
+    _selfadjoint_stack from the draw (re, im, u) of a = re + i im, is zero.
+    For n >= 2 an entry (0, 1) of (a + a^*)/2 that the scale cannot take
+    below 2^-900 shows that it is not, since ||(a + a^*)/2|| is at most
+    n (max |re| + max |im|); failing that, h is made and its part tested."""
+    if n == 1:
+        return True
+    re, im, u = draw
+    entry = max(abs(re[0, 1] + re[1, 0]), abs(im[0, 1] - im[1, 0])) / 2
+    if entry * u > 2.0 ** -900 * n * (abs(re).max() + abs(im).max()):
+        return False
+    return operator_norm(_traceless(_selfadjoint_stack([draw], 1.0))[0]) == 0
+
+
+def ball_elements(n: int, eps: float, draws: list) -> np.ndarray:
+    """ball_element of each of a list of same-size draws of ball_draw, as
+    one (k, n, n) stack."""
+    out = np.empty((len(draws), n, n), dtype=complex)
+    out[:] = np.eye(n)
+    live = [i for i, (_, u) in enumerate(draws) if u is not None]
+    if live:
+        h = _traceless(_selfadjoint_stack([draws[i][0] for i in live], 1.0))
+        scales = [eps * 0.999 * draws[i][1] / norm
+                  for i, norm in zip(live, operator_norms(h).tolist())]
+        out[live] = exp_selfadjoint(h * np.array(scales)[:, None, None])
+    return out
 
 
 def random_based_path(n: int, segments: int, rng: np.random.Generator,

@@ -8,17 +8,21 @@ simplex objects it was built on.  Also the one converter from
 ``{row: entry}`` columns to the sparse matrices the program takes, and the
 one view of a nerve level as simplex objects, rebuilt from its label
 rows.  For the unitary layer, the per-trial and per-matrix loops: the
-inequality trials, path building, refinement and decomposition, the
-descent with fresh cross-check draws through scipy's Schur wrapper, the
-circle snap taken when the value is made, and exponential length with its
-own norm."""
+unitary-check battery and the random decompose task trial by trial, the
+inequality trials, path building with one logarithm per segment,
+refinement and decomposition, the descent with fresh cross-check draws
+through scipy's Schur wrapper, membership and exponential length one
+matrix at a time, the circle snap taken when the value is made, and the
+helpers only tests use (special-unitary draws, pointwise products of
+paths)."""
 
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from math import comb, pi
+from math import comb, pi, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -33,10 +37,10 @@ from xmodcoh.nerves import (_duskin_level_rows, delta_map, pair_positions,
 from xmodcoh.retraction import RetractionReport, _identity_pairs
 from xmodcoh.simplicial import prism_end
 from xmodcoh.unitary import (ExponentialLength, InequalityReport,
-                             PathDecomposition, UnitaryPath,
-                             _widest_gap_rotation, as_selfadjoint,
-                             as_unitary, circle_value, exp_selfadjoint,
-                             operator_norm, random_unitary, su_tau_member)
+                             PathDecomposition, SUMembership, UnitaryPath,
+                             as_selfadjoint, as_unitary, circle_value,
+                             exp_selfadjoint, operator_norm, random_unitary,
+                             tau, unitary_path)
 
 
 def columns_matrix(columns, rows=None):
@@ -868,6 +872,16 @@ def slot_verify_appendix_retraction(x, n, m, sample=200, seed=0):
 # the unitary layer, one trial and one matrix at a time
 # ---------------------------------------------------------------------------
 
+def _per_matrix(fn):
+    """fn of one matrix, mapped over each matrix of a (k, n, n) stack in
+    order, as the stacked functions take stacks."""
+    def mapped(u, *args, **kwargs):
+        if np.ndim(u) == 3:
+            return [fn(m, *args, **kwargs) for m in u]
+        return fn(u, *args, **kwargs)
+    return mapped
+
+
 def schur_eig_unitary(u):
     """Eigenvalues and Schur vectors through ``scipy.linalg.schur``."""
     t, z = scipy.linalg.schur(u, output="complex")
@@ -882,6 +896,15 @@ def _schur_principal_log(u, margin=0.0):
     return as_selfadjoint((z * ang) @ z.conj().T, tol=np.inf)
 
 
+def _widest_gap_rotation(angles):
+    th = np.sort(np.mod(angles, 2 * pi))
+    gaps = np.diff(np.append(th, th[0] + 2 * pi))
+    j = int(np.argmax(gaps))
+    mid = th[j] + gaps[j] / 2
+    return float(mid - pi), float(gaps[j] / 2)
+
+
+@_per_matrix
 def fresh_dlhs_delta(u, tol=1e-10, angle_tol=1e-8, seed=0, check_tol=1e-8):
     """dlhs_delta drawing its cross-check midpoints afresh on every call."""
     u = as_unitary(u, tol)
@@ -894,7 +917,7 @@ def fresh_dlhs_delta(u, tol=1e-10, angle_tol=1e-8, seed=0, check_tol=1e-8):
     value = delta / (2 * pi) + float(np.sum(ang)) / (2 * pi * n)
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        mid = random_unitary(n, rng)
+        mid = loop_random_unitary(n, rng)
         try:
             two_leg = (np.trace(_schur_principal_log(mid, angle_tol))
                        + np.trace(_schur_principal_log(mid.conj().T @ u,
@@ -921,9 +944,47 @@ def eager_snap(raw, lattice_n, snap_tol=1e-9):
     return snap
 
 
+def loop_su_tau_member(u, tol=1e-9, unitarity_tol=1e-10):
+    """Membership in the special-unitary kernel, one matrix at a time."""
+    u = as_unitary(u, unitarity_tol)
+    n = u.shape[0]
+    det = complex(np.linalg.det(u))
+    if abs(abs(det) - 1.0) > max(tol, n * unitarity_tol * 10):
+        raise ValueError(f"determinant modulus {abs(det):.12f} strays "
+                         "from 1; input is not unitary")
+    if abs(det - 1.0) > tol:
+        return SUMembership(False, det, None, None)
+    lam, z = schur_eig_unitary(u)
+    ang = np.angle(lam)
+    k = int(round(float(np.sum(ang)) / (2 * pi)))
+    if k:
+        order = np.argsort(ang)
+        shift = order[-k:] if k > 0 else order[:-k]
+        ang = ang.copy()
+        ang[shift] -= 2 * pi * np.sign(k)
+    h = as_selfadjoint((z * ang) @ z.conj().T, tol=np.inf)
+    h = h - (tau(h).real * np.eye(n))
+    log_norm = operator_norm(h)
+    if log_norm < pi:
+        certificate = (h,)
+        recomposed = exp_selfadjoint(h)
+    else:
+        certificate = (h / 2, h / 2)
+        half = exp_selfadjoint(h / 2)
+        recomposed = half @ half
+    residual = operator_norm(recomposed - u)
+    if residual > max(tol, 1e-9):
+        raise RuntimeError("membership certificate failed re-multiplication "
+                           f"(residual {residual:.3e})")
+    if any(abs(tau(hj)) > max(tol, 1e-12) for hj in certificate):
+        raise RuntimeError("membership certificate has a traceful exponent")
+    return SUMembership(True, det, certificate, residual, log_norm)
+
+
+@_per_matrix
 def loop_el_tau(u, tol=1e-9):
     """Exponential length taking the norm of each certificate factor."""
-    rep = su_tau_member(u, tol)
+    rep = loop_su_tau_member(u, tol)
     if not rep.member:
         raise ValueError("not in the special-unitary kernel")
     if len(rep.certificate) == 1:
@@ -934,6 +995,26 @@ def loop_el_tau(u, tol=1e-9):
                                  for hj in rep.certificate), False)
 
 
+def loop_d_tau(u, v, tol=1e-9):
+    return loop_el_tau(as_unitary(u).conj().T @ as_unitary(v), tol)
+
+
+def loop_random_unitary(n, rng):
+    """A Haar unitary as scipy.stats.unitary_group.rvs draws it."""
+    if n == 1:
+        return np.array([[np.exp(2j * pi * rng.uniform())]])
+    z = 1 / sqrt(2) * (rng.normal(size=(n, n))
+                          + 1j * rng.normal(size=(n, n)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    return q * (d / abs(d))
+
+
+def random_special_unitary(n, rng):
+    u = random_unitary(n, rng)
+    return u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)
+
+
 def loop_random_selfadjoint(n, rng, bound=1.0):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = (a + a.conj().T) / 2
@@ -941,6 +1022,15 @@ def loop_random_selfadjoint(n, rng, bound=1.0):
     if norm == 0.0:
         return h
     return h * (bound * rng.uniform() / norm)
+
+
+def loop_ball_element(n, eps, rng):
+    h = loop_random_selfadjoint(n, rng, bound=1.0)
+    h = h - tau(h).real * np.eye(n)
+    norm = operator_norm(h)
+    if norm == 0.0:
+        return np.eye(n, dtype=complex)
+    return exp_selfadjoint(h * (eps * 0.999 * rng.uniform() / norm))
 
 
 def loop_check_exp_inequalities(max_dim, trials, seed=0, threshold=1e-9):
@@ -963,6 +1053,99 @@ def loop_check_exp_inequalities(max_dim, trials, seed=0, threshold=1e-9):
                             float(min_lower), violations, threshold)
 
 
+def loop_unitary_check(seed, max_dim=6, ineq_trials=10_000, pair_trials=1000,
+                       member_trials=1000, sandwich_trials=1000,
+                       conj_trials=200):
+    """The unitary-check result, trial by trial, each trial's matrices one
+    at a time."""
+    rng = np.random.default_rng(seed)
+    violations = []
+    ineq = loop_check_exp_inequalities(max_dim, ineq_trials, seed=seed)
+    if not ineq.passed:
+        violations.append(f"exponential inequalities: "
+                          f"{ineq.violations} slack failures")
+    worst_hom = 0.0
+    for _ in range(pair_trials):
+        n = int(rng.integers(1, max_dim + 1))
+        u, v = loop_random_unitary(n, rng), loop_random_unitary(n, rng)
+        gap = fresh_dlhs_delta(u @ v).distance_to(
+            fresh_dlhs_delta(u).value + fresh_dlhs_delta(v).value)
+        worst_hom = max(worst_hom, gap)
+    if worst_hom > 1e-8:
+        violations.append(f"winding additivity gap {worst_hom:.3e}")
+    member_agree = 0
+    for k in range(member_trials):
+        n = int(rng.integers(1, max_dim + 1))
+        u = loop_random_unitary(n, rng)
+        if k % 2 == 0:
+            u = u * (np.linalg.det(u) ** (-1.0 / n))
+        member = loop_su_tau_member(u, tol=1e-8).member
+        zero = fresh_dlhs_delta(u).is_zero(1e-8)
+        member_agree += int(member == zero)
+    if member_agree != member_trials:
+        violations.append(f"membership/winding disagreement on "
+                          f"{member_trials - member_agree} samples")
+    eps = 0.9
+    worst_sandwich = 0.0
+    for _ in range(sandwich_trials):
+        n = int(rng.integers(1, max_dim + 1))
+        u, v = loop_ball_element(n, eps, rng), loop_ball_element(n, eps, rng)
+        logs = operator_norm(_schur_principal_log(u)
+                             - _schur_principal_log(v))
+        diff = operator_norm(u - v)
+        dist = loop_d_tau(u, v).value
+        slacks = (diff - (1 - eps) * logs, dist - diff,
+                  np.pi / 2 * diff - dist,
+                  np.pi / 2 * logs - np.pi / 2 * diff)
+        worst_sandwich = max(worst_sandwich, -min(slacks))
+    if worst_sandwich > 1e-9:
+        violations.append(f"metric sandwich slack -{worst_sandwich:.3e}")
+    worst_conj = 0.0
+    for _ in range(conj_trials):
+        n = int(rng.integers(1, max_dim + 1))
+        u, w = loop_random_unitary(n, rng), loop_random_unitary(n, rng)
+        u = u * complex(np.linalg.det(u)) ** (-1.0 / n)
+        worst_conj = max(worst_conj, abs(
+            loop_el_tau(w @ u @ w.conj().T).value - loop_el_tau(u).value))
+    if worst_conj > 1e-9:
+        violations.append(f"length conjugation drift {worst_conj:.3e}")
+    return {
+        "max_dim": max_dim,
+        "inequalities": {"trials": ineq.trials,
+                         "min_upper_slack": ineq.min_upper_slack,
+                         "min_lower_slack": ineq.min_lower_slack,
+                         "violations": ineq.violations},
+        "winding_additivity": {"trials": pair_trials,
+                               "worst_gap": worst_hom},
+        "membership": {"trials": member_trials, "agreements": member_agree},
+        "metric_sandwich": {"trials": sandwich_trials, "ball_radius": eps,
+                            "worst_slack_deficit": worst_sandwich},
+        "conjugation_invariance": {"trials": conj_trials,
+                                   "worst_drift": worst_conj},
+        "violations": violations,
+    }
+
+
+class LoopPath(UnitaryPath):
+    """A sampled path that takes each segment's logarithm on its own."""
+
+    @cached_property
+    def logs(self):
+        logs = []
+        for k in range(len(self.ts) - 1):
+            a, b = self.mats[k], self.mats[k + 1]
+            step = operator_norm(b - a)
+            if step >= 1:
+                raise ValueError(
+                    f"samples at t={self.ts[k]:g} and t={self.ts[k + 1]:g} "
+                    f"are {step:.3f} apart (>= 1); the winding is "
+                    "untrackable, refine the sampling")
+            logs.append(_schur_principal_log(a.conj().T @ b))
+        logs = np.array(logs)
+        logs.flags.writeable = False
+        return logs
+
+
 def loop_unitary_path(ts, mats, tol=1e-10):
     ts = tuple(float(t) for t in ts)
     mats = tuple(as_unitary(m, tol) for m in mats)
@@ -975,10 +1158,17 @@ def loop_unitary_path(ts, mats, tol=1e-10):
         raise ValueError("all samples must share one dimension")
     if operator_norm(mats[0] - np.eye(mats[0].shape[0])) > max(tol, 1e-9):
         raise ValueError("the path must start at the identity")
-    path = UnitaryPath(ts, mats)
-    for k in range(len(ts) - 1):
-        path.segment_log(k)
+    path = LoopPath(ts, mats)
+    path.logs
     return path
+
+
+def pointwise_product_path(p1, p2):
+    """Sample the pointwise product at the union of the two time grids."""
+    if p1.n != p2.n:
+        raise ValueError("paths must share one dimension")
+    ts = sorted(set(p1.ts) | set(p2.ts))
+    return unitary_path(ts, tuple(p1.at(t) @ p2.at(t) for t in ts))
 
 
 def loop_random_based_path(n, segments, rng, max_step=0.9):
@@ -1001,7 +1191,7 @@ def loop_refine_path(path, factor=2):
             mats.append(path.mats[k] @ exp_selfadjoint(s * log))
         ts.append(path.ts[k + 1])
         mats.append(path.mats[k + 1])
-    return UnitaryPath(tuple(ts), tuple(mats))
+    return LoopPath(tuple(ts), tuple(mats))
 
 
 def loop_decompose_path(path, tol=1e-9):
@@ -1019,3 +1209,25 @@ def loop_decompose_path(path, tol=1e-9):
     if det_err > tol or recon > tol:
         raise RuntimeError("decomposition residuals exceed tol")
     return PathDecomposition(path.ts, tuple(hs), gs, recon, det_err)
+
+
+def loop_decompose_random(seed, paths, max_dim=4, min_segments=3,
+                          max_segments=8, factor=3, tol=1e-9):
+    """The random decompose result, one path and one segment at a time."""
+    rng = np.random.default_rng(seed)
+    worst_recon = worst_det = worst_stab = 0.0
+    for _ in range(paths):
+        n = int(rng.integers(1, max_dim + 1))
+        path = loop_random_based_path(
+            n, int(rng.integers(min_segments, max_segments + 1)), rng)
+        dec = loop_decompose_path(path, tol=tol)
+        refined = loop_decompose_path(loop_refine_path(path, factor), tol=tol)
+        worst_recon = max(worst_recon, dec.max_reconstruction_error)
+        worst_det = max(worst_det, dec.max_det_error)
+        worst_stab = max(worst_stab, max(
+            abs(refined.h[k * factor] - dec.h[k])
+            for k in range(len(dec.h))))
+    return {"paths": paths, "max_dim": max_dim,
+            "worst_reconstruction_error": worst_recon,
+            "worst_det_error": worst_det,
+            "worst_refinement_stability": worst_stab}

@@ -13,14 +13,14 @@ from scipy.stats import unitary_group
 
 import oracles
 from xmodcoh import cli, unitary
+from oracles import pointwise_product_path, random_special_unitary
 from xmodcoh.unitary import (as_selfadjoint, as_unitary, ball_element,
                              check_exp_inequalities, circle_value, d_tau,
                              decompose_path, dlhs_delta, dlhs_path, el_tau,
-                             exp_selfadjoint, operator_norm,
-                             pointwise_product_path, principal_log,
+                             exp_selfadjoint, operator_norm, principal_log,
                              random_based_path, random_selfadjoint,
-                             random_special_unitary, random_unitary,
-                             refine_path, su_tau_member, tau, unitary_path)
+                             random_unitary, refine_path, su_tau_member, tau,
+                             unitary_path)
 
 
 def diag_loop(windings, segments=16):
@@ -325,18 +325,21 @@ def test_decomposition_anchors():
 def test_each_segment_log_is_computed_once_per_path(monkeypatch):
     """As the decompose task runs them: building, decomposing and refining
     a path, and decomposing the refinement, take each segment's logarithm
-    once for the path and once for each refined segment."""
-    real = unitary._segment_log
-    calls = []
+    once for the path and once for each refined segment, in one stacked
+    call per path."""
+    real = unitary._segment_logs
+    calls, stacked = [], []
 
-    def counted(a, b, t0, t1):
-        calls.append((t0, t1))
-        return real(a, b, t0, t1)
+    def counted(ts, mats):
+        stacked.append(len(ts) - 1)
+        calls.extend(zip(ts, ts[1:]))
+        return real(ts, mats)
 
-    monkeypatch.setattr(unitary, "_segment_log", counted)
+    monkeypatch.setattr(unitary, "_segment_logs", counted)
     rng = np.random.default_rng(12)
     for segments, factor in ((3, 2), (5, 3)):
         calls.clear()
+        stacked.clear()
         path = random_based_path(3, segments, rng)
         dec = decompose_path(path)
         fine = refine_path(path, factor)
@@ -346,6 +349,7 @@ def test_each_segment_log_is_computed_once_per_path(monkeypatch):
         assert sorted(calls) == sorted(
             list(zip(path.ts, path.ts[1:])) + list(zip(fine.ts, fine.ts[1:])))
         assert len(calls) == segments * (1 + factor)
+        assert stacked == [segments, segments * factor]
         assert dec.h == decompose_path(path).h
     with pytest.raises(ValueError, match="read-only"):
         path.segment_log(0)[0, 0] = 1.0
@@ -494,3 +498,163 @@ def test_direct_schur_equals_scipys_wrapper():
         u[1, 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             unitary._eig_unitary(u)
+
+
+# ---------------------------------------------------------------------------
+# stacked trial families against the per-trial battery
+# ---------------------------------------------------------------------------
+
+def test_task_results_equal_the_per_trial_loops(monkeypatch):
+    for seed in range(1, 9):
+        for max_dim in range(1, 7):
+            battery = _battery(seed, max_dim)
+            paths = _random_paths(seed, max_dim)
+            want = (oracles.loop_unitary_check(
+                        seed, max_dim, **{key: battery[key] for key in battery
+                                          if key.endswith("_trials")}),
+                    oracles.loop_decompose_random(seed, 12, max_dim))
+            for block in (7, 256):
+                monkeypatch.setattr(unitary, "_BLOCK", block)
+                got = (cli.run(battery)["result"], cli.run(paths)["result"])
+                assert got == want, (seed, max_dim, block)
+
+
+def test_a_tiny_cell_budget_changes_no_report(monkeypatch):
+    bundles = [make(seed, 6) for seed in (1, 4) for make in (_battery,
+                                                              _random_paths)]
+    bundles.append(dict(_battery(2, 40), ineq_trials=6, pair_trials=3,
+                        member_trials=3, sandwich_trials=3, conj_trials=3))
+    want = [cli.run(b)["result"] for b in bundles]
+    real = unitary._run_block
+    sizes = []
+
+    def sized(block, run):
+        sizes.append(sum(n * n for _, n, _ in block))
+        return real(block, run)
+
+    monkeypatch.setattr(unitary, "_run_block", sized)
+    for cells in (1, 40):
+        monkeypatch.setattr(unitary, "_CELLS", cells)
+        sizes.clear()
+        assert [cli.run(b)["result"] for b in bundles] == want
+        assert sizes and max(sizes) < cells + 40 ** 2
+        step = -(-cells // 9)
+        assert unitary._chunks(10, 9) == [slice(i, i + step)
+                                          for i in range(0, 10, step)]
+
+
+def test_stacked_invariants_equal_one_matrix_at_a_time():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        us = np.stack([random_unitary(n, rng) for _ in range(9)])
+        special = us / np.linalg.det(us)[:, None, None] ** (1 / n)
+        assert dlhs_delta(us) == [dlhs_delta(u) for u in us]
+        assert dlhs_delta(us) == [oracles.fresh_dlhs_delta(u) for u in us]
+        for got, u in zip(su_tau_member(special), special):
+            want = oracles.loop_su_tau_member(u)
+            assert (got.member, got.det_value, got.residual) == \
+                (want.member, want.det_value, want.residual)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.certificate, want.certificate))
+        assert el_tau(special) == [oracles.loop_el_tau(u) for u in special]
+        assert d_tau(special, special[::-1]) == [
+            oracles.loop_d_tau(u, v) for u, v in zip(special,
+                                                     special[::-1])]
+        assert np.array_equal(principal_log(us), np.stack(
+            [oracles._schur_principal_log(u) for u in us]))
+
+
+def test_battery_draws_follow_the_per_trial_order():
+    for n in range(1, 7):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            draws = [unitary.ball_draw(n, rng) for _ in range(5)]
+            ref = np.random.default_rng(seed)
+            balls = unitary.ball_elements(n, 0.9, draws)
+            for got in balls:
+                assert np.array_equal(got, oracles.loop_ball_element(
+                    n, 0.9, ref))
+            assert rng.uniform() == ref.uniform()
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            haar = unitary.haar_unitaries(
+                n, [unitary.haar_draw(n, rng) for _ in range(5)])
+            assert all(np.array_equal(u, oracles.loop_random_unitary(n, ref))
+                       for u in haar)
+            assert rng.uniform() == ref.uniform()
+    # a scalar self-adjoint part has no traceless part, so no second uniform
+    zero = np.zeros((3, 3))
+    scalar = (np.eye(3), zero, 0.5)
+    assert unitary._traceless_is_zero(3, scalar)
+    balls = unitary.ball_elements(3, 0.9, [(scalar, None)])
+    assert np.array_equal(balls[0], np.eye(3))
+    assert not unitary._traceless_is_zero(3, (np.eye(3) + 1e-300, zero, 0.5))
+
+
+def test_trial_values_come_back_in_trial_order(monkeypatch):
+    monkeypatch.setattr(unitary, "_BLOCK", 7)
+
+    def values(n, ks, draws):
+        u = unitary.haar_unitaries(n, draws)
+        return [(k, d.value) for k, d in zip(ks, dlhs_delta(u))]
+
+    got = [value for block in unitary.run_trials(
+        40, 5, np.random.default_rng(3), unitary.haar_draw, values)
+        for value in block]
+    rng = np.random.default_rng(3)
+    want = []
+    for k in range(40):
+        n = int(rng.integers(1, 6))
+        u = oracles.loop_random_unitary(n, rng)
+        want.append((k, oracles.fresh_dlhs_delta(u).value))
+    assert got == want
+
+
+def test_stacked_gates_refuse_the_first_faulty_matrix():
+    rng = np.random.default_rng(22)
+    good = np.stack([random_special_unitary(3, rng) for _ in range(5)])
+    us = good.copy()
+    us[2] *= 1.5
+    us[4] *= 2.0
+    for check in (dlhs_delta, su_tau_member, el_tau,
+                  lambda u: d_tau(u, good), lambda u: d_tau(good, u)):
+        with pytest.raises(ValueError, match=r"not unitary .*defect 1\.250"):
+            check(us)
+    with pytest.raises(ValueError, match="square matrix"):
+        dlhs_delta(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match="share one shape"):
+        d_tau(good, good[:2])
+
+
+def test_the_first_failing_trial_raises_as_it_did_alone(monkeypatch):
+    """Cross-check midpoints off by a dimension-dependent amount for n = 2
+    and n = 3: stacked by dimension, the group of 2 x 2 trials runs first,
+    but the first failing trial in trial order is a 3 x 3 one."""
+    real = unitary._midpoint
+
+    def shifted(n, *key):
+        mid, first = real(n, *key)
+        return mid, first + {2: 0.5, 3: 0.25}.get(n, 0.0)
+
+    monkeypatch.setattr(unitary, "_midpoint", shifted)
+    bundle = dict(_battery(5, 3), pair_trials=30)
+    rng = np.random.default_rng(5)
+    assert int(rng.integers(1, 4)) == 3
+    reports = []
+    for block in (1, 256):
+        monkeypatch.setattr(unitary, "_BLOCK", block)
+        reports.append(cli.run(bundle))
+    assert reports[0]["status"] == reports[1]["status"] == "violation"
+    assert reports[0]["result"] == reports[1]["result"]
+    assert reports[1]["result"]["message"] == (
+        "path-choice independence failed: default and randomized paths "
+        f"disagree by {0.25 / (2 * pi * 3):.3e}")
+
+
+def test_path_faults_keep_their_first_fault():
+    eye = np.eye(2)
+    mats = [eye, eye, -eye, -eye, 2 * eye]
+    with pytest.raises(ValueError, match=r"not unitary .*defect 3\.000e\+00"):
+        unitary_path([0.0, 0.25, 0.5, 0.75, 1.0], mats)
+    mats = [eye, eye, -eye, -eye, eye]
+    with pytest.raises(ValueError, match=r"t=0\.25 and t=0\.5 are 2\.000"):
+        unitary_path([0.0, 0.25, 0.5, 0.75, 1.0], mats)
