@@ -7,7 +7,7 @@ rounding used by printed reports (12 significant digits, rationals "p/q").
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -61,6 +61,16 @@ def _check_type(value, pointer: str, spec):
         names = getattr(spec, "__name__", None) or \
             "/".join(t.__name__ for t in spec)
         raise BundleError(pointer, f"expected {names}")
+    if spec == (int, float) and not _finite(value):
+        raise BundleError(pointer, "expected a finite number")
+
+
+def _finite(x) -> bool:
+    """Whether x has a finite float value; JSON admits NaN and Infinity."""
+    try:
+        return isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def expect_int(value, pointer: str, low: int | None = None,
@@ -268,6 +278,9 @@ def matrix_from_json(rows, pointer: str) -> np.ndarray:
                             and not isinstance(p, bool) for p in entry)):
                 raise BundleError(f"{pointer}/{i}/{j}",
                                   "expected an [re, im] pair")
+            if not all(map(_finite, entry)):
+                raise BundleError(f"{pointer}/{i}/{j}",
+                                  "expected a finite number")
             line.append(complex(entry[0], entry[1]))
         out.append(line)
     return np.array(out, dtype=complex)

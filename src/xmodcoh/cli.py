@@ -70,6 +70,14 @@ def _budget(bundle: dict, override: int | None, default: int) -> int:
     return expect_int(bundle.get("budget", default), "/budget", 1)
 
 
+def _tol(bundle: dict, default: float) -> float:
+    """The bundle's ``tol``, which its schema already checked finite."""
+    tol = float(bundle.get("tol", default))
+    if not tol > 0:
+        raise BundleError("/tol", "must be > 0")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # task handlers: each returns (status, result)
 # ---------------------------------------------------------------------------
@@ -295,7 +303,7 @@ def _task_kernel_ob(bundle, seed, budget):
             raise BundleError("/mats", f"expected {group.order} matrices")
         mats = [matrix_from_json(mj, f"/mats/{i}")
                 for i, mj in enumerate(mats_spec)]
-    tol = float(bundle.get("tol", 1e-8))
+    tol = _tol(bundle, 1e-8)
     snap = bundle.get("snap_denominator")
     if snap is not None:
         snap = expect_int(snap, "/snap_denominator", 1, MAX_MODULUS)
@@ -450,7 +458,7 @@ def _task_decompose(bundle, seed, budget):
     _payload(bundle, {},
              {"path": dict, "random": dict, "refine_factor": int,
               "tol": float, "emit_g": bool})
-    tol = float(bundle.get("tol", 1e-9))
+    tol = _tol(bundle, 1e-9)
     factor = expect_int(bundle.get("refine_factor", 3), "/refine_factor", 2)
     if ("path" in bundle) == ("random" in bundle):
         raise BundleError("", "provide exactly one of path or random")

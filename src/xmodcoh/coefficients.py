@@ -110,20 +110,6 @@ class AbelianCoefficients:
         if problems:
             raise ValueError("bad coefficient module: " + "; ".join(problems))
 
-    def lattice_data(self, denominator: int | None = None):
-        """(factors, action matrices) of the finite model used internally.
-
-        For finite-abelian coefficients this is the module itself; for
-        rational-circle it is (1/m)Z/Z = Z/m at the given denominator, where
-        the fraction p/q embeds as p * (m/q).
-        """
-        if self.kind == FINITE:
-            return self.factors, self.action
-        if denominator is None or denominator < 1:
-            raise ValueError("rational-circle needs a positive denominator")
-        mats = tuple(((t % denominator,),) for t in self.action)
-        return (denominator,), mats
-
 
 def trivial_matrices(group: FiniteGroup, k: int):
     ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))

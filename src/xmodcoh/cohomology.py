@@ -4,31 +4,29 @@ A cochain is its coordinate vector (``Cochain.coords``) in the full-table
 layout: the argument tuples in base |G| with the first argument most
 significant, k integer coordinates per tuple reduced mod the module's
 factors, and for Q/Z one numerator per tuple over the cochain's least
-denominator.  Only this module knows that layout; other modules build and
-read cochains through ``cochain_from_coords``, ``cochain_from_function``
-and ``evaluate``.  ``_BarComplex`` alone knows the bar differential and
-which coordinates of the table each of its positions takes.  Over all
-elements it is the full complex (cached per module), which applies d and
-tests cocycles.  Over the non-identity elements it is the normalized
-subcomplex (cochains vanishing when any argument is the identity, which
-computes the same groups), on which one elimination over Z/m (``modsnf``)
-computes cohomology and classifies.  Whether a cochain is normalized is
-read off its coordinates; ``normalize_cocycle`` moves any other cocycle
-into it by degeneracy shifts, a gather and a product with d per slot.
+denominator.  Only this module knows that layout; other modules use
+``cochain_from_coords``, ``cochain_from_function`` and ``evaluate``.
+``_BarComplex`` alone knows the bar differential and which table
+coordinates its positions take.  Over all elements it is the full complex
+(cached per module), which applies d and tests cocycles.  Over the
+non-identity elements it is the normalized subcomplex (cochains vanishing
+when any argument is the identity, which computes the same groups), on
+which one elimination over Z/m (``modsnf``) computes cohomology and
+classifies.  ``normalize_cocycle`` moves any other cocycle into it by
+degeneracy shifts, a gather and a product with d per slot.
 
 A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with m = dk: the
 cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
 join the coboundaries.  The cocycles are the kernel of the row-scaled sparse
-outgoing differential, taken by ``modsnf.mod_kernel`` one prime power of m
-at a time: sparse unit pivots, then a dense Smith form of the small residual
-only.  A cocycle is fixed by its coordinates on the columns that no unit
-pivot took, so it is rewritten in the kernel generators by a solve on
-those coordinates alone.  The quotient by the incoming image comes from a
-Smith form of the relations among the kernel generators, which also yields
-generator representatives and classification of arbitrary cocycles.  A
-coboundary witness is read off the same relations: a solve against them
-writes the cocycle as a sum of incoming columns, whose differential part
-is the witness.
+outgoing differential, taken by ``modsnf.mod_kernel`` one prime power q of
+m at a time: sparse unit pivots, then a dense Smith form of the small
+residual only.  Over Z/q a cocycle is fixed by its entries on the columns
+no unit pivot took, so its coefficients in the kernel generators are read
+there: a gather, or a product with the residual's column transform.  The
+incoming columns, read this way, and the generator orders are the
+relations, whose Smith form gives the invariant factors, classifies, and
+writes a coboundary as a sum of incoming columns (the witness).
+Representatives are lifted back through the pivots.
 
 The kernel needs only the rows whose first argument lies in a generating
 set S (``FiniteGroup.generators``): a normalized n-cochain c is a cocycle
@@ -46,16 +44,14 @@ Rational-circle (Q/Z) coefficients reduce to the finite model (1/m)Z/Z =
 Z/m.  Every class in H^n(G; Q/Z) is |G|-torsion, so at a working
 denominator m0 that |G| divides the Q/Z answer is the image of
 H^n(G; Z/m0) in H^n(G; Z/m1), m1 = m0*s with s = |G|.  The long exact
-sequence of 0 -> Z/m0 -> Z/m1 -> Z/s -> 0 (the first map is x -> s*x, the
-inclusion of (1/m0)Z/Z in (1/m1)Z/Z) makes the kernel of that map the image
-of the Bockstein H^{n-1}(G; Z/s) -> H^n(G; Z/m0), which sends a cocycle b
-mod s to (d b mod m1) / s.  So Q/Z cohomology is the finite computation at
-m0 with the Bockstein columns joining the incoming image: one kernel of the
-outgoing differential, as for a finite module.  The complex at m1 serves
-only its small incoming differential, for the Bockstein columns; a witness
-of a Q/Z coboundary takes values in (1/m1)Z/Z, since each Bockstein column
-is d(b/m1) for a cocycle b mod s.  A Q/Z cochain is read at a multiple of
-its denominator.
+sequence of 0 -> Z/m0 -> Z/m1 -> Z/s -> 0 (x -> s*x includes (1/m0)Z/Z in
+(1/m1)Z/Z) makes the kernel of that map the image of the Bockstein
+H^{n-1}(G; Z/s) -> H^n(G; Z/m0), b mod s -> (d b mod m1) / s.  So Q/Z
+cohomology is the finite computation at m0 with the Bockstein columns
+joining the incoming image.  One complex serves both moduli: its integer
+differential reduced mod m0 for the kernel, mod m1 for the Bockstein
+columns, each d(b/m1), so a Q/Z witness takes values in (1/m1)Z/Z.  A Q/Z
+cochain is read at a multiple of its denominator.
 """
 
 from __future__ import annotations
@@ -287,9 +283,10 @@ class _BarComplex:
 
     With the non-identity elements this is the normalized complex, with all
     elements the full one; a merged term whose product is not among the
-    elements drops out.  Coefficients are the finite model of ``module`` at
-    ``denominator`` (see ``AbelianCoefficients.lattice_data``).  The
-    degree-n differential is
+    elements drops out.  A finite module is its own model; Q/Z is
+    (1/m)Z/Z = Z/m at m = ``denominator``, p/q taken to p * (m/q), and its
+    multipliers stay integers, so the complex serves every multiple of m.
+    The degree-n differential is
 
       (dc)(g1,...,g_{n+1}) = g1.c(g2,...,g_{n+1})
         + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{n+1})
@@ -304,12 +301,15 @@ class _BarComplex:
                  denominator: int | None, elements):
         self.group, self.module = group, module
         self.denominator = denominator
-        factors, self.mats = module.lattice_data(denominator)
+        factors, self.mats = module.factors, module.action
+        if module.kind == CIRCLE:
+            factors = (denominator,)
+            self.mats = tuple(((t,),) for t in module.action)
         self.factors = list(factors)
         self.k = len(factors)
         self.m = max(self.factors, default=1)
         self.elements = list(elements)
-        self._diff_cache: dict[int, sparse.csr_matrix] = {}
+        self._diff_cache: dict[tuple[int, int], sparse.csr_matrix] = {}
         self._table_cache: dict[int, np.ndarray] = {}
 
     def positions(self, n: int) -> int:
@@ -395,17 +395,19 @@ class _BarComplex:
             return [], [], []
         return [np.concatenate(x) for x in zip(*out)]
 
-    def differential(self, n: int) -> sparse.csr_matrix:
-        """The degree-n differential, entries reduced mod m (cached)."""
-        if n not in self._diff_cache:
+    def differential(self, n: int, modulus: int = 0) -> sparse.csr_matrix:
+        """The degree-n differential, its integer entries reduced mod
+        ``modulus`` (by default m), cached."""
+        key = n, modulus or self.m
+        if key not in self._diff_cache:
             rows, cols, vals = self._diff_triples(n)
             d = sparse.csr_matrix(
                 (np.asarray(vals, dtype=np.int64), (rows, cols)),
                 shape=(self.dim(n + 1), self.dim(n)))
-            d.data %= self.m
+            d.data %= key[1]
             d.eliminate_zeros()
-            self._diff_cache[n] = d
-        return self._diff_cache[n]
+            self._diff_cache[key] = d
+        return self._diff_cache[key]
 
     def apply(self, n: int, vec) -> np.ndarray:
         """d of a degree-n coordinate vector, mod m."""
@@ -439,98 +441,61 @@ class _BarComplex:
                 f"is {self.denominator})")
         return vec * (self.denominator // denominator)
 
-    def cochain(self, degree: int, vec) -> Cochain:
+    def cochain(self, degree: int, vec,
+                denominator: int | None = None) -> Cochain:
         """The cochain holding vec at these positions and zero elsewhere,
-        a scatter into its table rows."""
+        a scatter into its table rows; Q/Z numerators are over this
+        complex's denominator unless another is given."""
         coords = np.zeros(self.group.order ** degree * self.k, dtype=np.int64)
         coords[self.table_rows(degree)] = vec
         return cochain_from_coords(self.group, self.module, degree, coords,
-                                   self.denominator)
+                                   denominator or self.denominator)
 
 
 class _Quotient:
     """ker/im over Z/m: invariant factors, representatives, membership and
-    the incoming columns that sum to a coboundary.
+    the incoming columns that sum to a coboundary.  ``rel`` holds the
+    incoming columns read in the kernel generators, then the generator
+    orders; its Smith form puts the factors in a chain, and a solve against
+    it writes a coboundary as a sum of incoming columns."""
 
-    Generators of the kernel (with their orders, which need not form a
-    chain) and its free coordinates come from ``modsnf.mod_kernel`` of the
-    outgoing differential.  A kernel vector is fixed by its free
-    coordinates, so a vector is rewritten in the generators by a solve on
-    those rows alone, then checked on all rows.  The relation matrix
-    ``rel`` holds the incoming columns rewritten this way, then the
-    generator orders: its Smith form puts the factors in a chain, and a
-    solve against it writes a coboundary as a sum of incoming columns.
-    """
-
-    def __init__(self, m: int, gens, orders, free, l_cols):
-        self.m = m
-        self.gens = gens
-        self.free = free
-        r = gens.shape[1]
-        self._solver = modsnf.ModSolver(gens[free], m)
-        self.n_l = n_l = l_cols.shape[1]
-        rel = np.zeros((r, n_l + r), dtype=np.int64)
-        y = self._solve(l_cols)
-        if y is None:
+    def __init__(self, kernel: modsnf.ModKernel, incoming: list):
+        self.kernel, self.m = kernel, kernel.m
+        ys = [kernel.coordinates(block) for block in incoming]
+        if any(y is None for y in ys):
             raise InvariantError("boundary escapes the cocycle kernel")
-        rel[:, :n_l] = y
-        rel[range(r), range(n_l, n_l + r)] = orders
-        self.rel = rel
-        self._form = modsnf.mod_smith(rel, m, want_u=True, want_uinv=True) \
-            if r else None
+        r = len(kernel.orders)
+        self.rel = np.hstack(ys + [np.diag(kernel.orders)]).astype(np.int64)
+        self.n_l = self.rel.shape[1] - r
+        form = modsnf.mod_smith(self.rel, self.m, want_u=True,
+                                want_uinv=True) if r else None
+        diag = form.diag if form else []
+        keep = [i for i, d in enumerate(diag) if d > 1]
+        self.factors, self.order = tuple(diag[i] for i in keep), prod(diag)
+        self._u = form.u[keep] if form else np.zeros((0, 0), np.int64)
+        # one kernel vector per nontrivial factor, as columns
+        self.generators = kernel.lift(form.u_inv[:, keep] if form
+                                      else self._u)
         self._rel_solver = None
-        self.factors_all = list(self._form.diag) if r else []
 
-    def _solve(self, b) -> np.ndarray | None:
-        """y with gens @ y = b mod m, or None if b is not in their span."""
-        b = np.asarray(b, dtype=np.int64) % self.m
-        y = self._solver.solve(b[self.free])
-        if y is None or ((self.gens @ y - b) % self.m).any():
-            return None
-        return y
-
-    @property
-    def nontrivial(self) -> list[int]:
-        return [i for i, s in enumerate(self.factors_all) if s > 1]
-
-    def factors(self) -> tuple[int, ...]:
-        return tuple(self.factors_all[i] for i in self.nontrivial)
-
-    def order(self) -> int:
-        return prod(self.factors_all)
-
-    def generators(self) -> np.ndarray:
-        """One kernel vector per nontrivial factor, as columns."""
-        if not self.factors_all:
-            return np.zeros((self.gens.shape[0], 0), dtype=np.int64)
-        u_inv = self._form.u_inv.astype(np.int64)[:, self.nontrivial]
-        return self.gens @ u_inv % self.m
-
-    def _kernel_coords(self, vec) -> np.ndarray:
-        y = self._solve(vec)
+    def _kernel_coords(self, vecs) -> np.ndarray:
+        y = self.kernel.coordinates(vecs)
         if y is None:
             raise ValueError("vector is not in the cocycle lattice")
         return y
 
     def coordinates(self, vecs) -> list[tuple[int, ...]]:
-        """The class coordinates of each column of ``vecs`` (a vector is
-        one column), from one solve over all of them."""
-        vecs = np.asarray(vecs)
-        if vecs.ndim == 1:
-            vecs = vecs[:, None]
-        y = self._kernel_coords(vecs)
-        if not self.factors_all:
-            return [()] * vecs.shape[1]
-        keep = self.nontrivial
-        w = (self._form.u.astype(np.int64)[keep] @ y) % self.m
-        w %= np.array(self.factors_all, dtype=np.int64)[keep, None]
+        """The class coordinates of each column of ``vecs``, from one read
+        over all of them."""
+        w = self._u @ self._kernel_coords(vecs) % self.m
+        w %= np.array(self.factors, dtype=np.int64)[:, None]
         return list(map(tuple, w.T.tolist()))
 
     def combination(self, vec) -> np.ndarray | None:
-        """z with l_cols @ z = vec mod m, or None if vec's class is nonzero:
-        rel @ z = y for vec's kernel coordinates y gives vec = gens @ y =
-        l_cols @ z[:n_l].  The solver of rel is built on the first call."""
-        y = self._kernel_coords(vec)
+        """z with incoming @ z = vec mod m, or None if vec's class is
+        nonzero: rel @ z = y for vec's kernel coordinates y.  The solver of
+        rel is built on the first call."""
+        y = self._kernel_coords(vec[:, None])[:, 0]
         if not len(y):  # no kernel generators: vec is zero
             return np.zeros(self.n_l, dtype=np.int64)
         if self._rel_solver is None:
@@ -548,19 +513,15 @@ class CohomologyGroup:
     classification and coboundary witnesses.
 
     ``invariant_factors`` lists the cyclic factors > 1 (ascending chain);
-    ``representatives`` holds one normalized cocycle per factor.  For
-    rational-circle coefficients the factors are the exact Q/Z answer,
-    ``denominator`` records the working denominator m0 (a multiple of
-    |group|) and ``stable`` whether H^degree(group; Z/m0) already is that
-    answer: whether the image of the Bockstein from
-    H^{degree-1}(group; Z/|group|) is zero, so that H at m0 injects into H
-    at m0*|group|.  The group is one ``_Quotient`` of the normalized
-    complex (see the module docstring), whose relations also give the
-    witnesses.
-
-    ``classify_tables`` classifies a matrix of cochain tables, one cocycle
-    per row, with one closed check over all columns and one solve against
-    the kernel generators; ``classify`` is its one-row case.
+    ``representatives`` holds one normalized cocycle per factor.  For Q/Z
+    the factors are the exact Q/Z answer, ``denominator`` is the working
+    denominator m0 (a multiple of |group|) and ``stable`` says whether
+    H^degree(group; Z/m0) already is that answer: whether the Bockstein
+    from H^{degree-1}(group; Z/|group|) has zero image.  The group is one
+    ``_Quotient`` of the normalized complex (see the module docstring).
+    ``classify_tables`` classifies a matrix of cochain tables, a cocycle
+    per row, with one closed check and one read; ``classify`` is its
+    one-row case.
     """
 
     def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
@@ -573,46 +534,31 @@ class CohomologyGroup:
             self.denominator = lcm(denominator or 1, group.order)
             self.stable = True
         self._cx = cx = _BarComplex(group, module, self.denominator, elements)
-        self._wx = cx if self._s == 1 else _BarComplex(
-            group, module, self.denominator * self._s, elements)
         m, n = cx.m, degree
-        if cx.dim(n) == 0 or m == 1:
-            gens, orders, free = np.zeros((cx.dim(n), 0), dtype=np.int64), \
-                [], np.zeros(0, dtype=np.int64)
-        else:
-            rows = cx.generator_rows(n + 1)
-            scale = sparse.diags(cx.row_scale(n + 1)[rows], dtype=np.int64)
-            gens, orders, free = modsnf.mod_kernel(
-                scale @ cx.differential(n)[rows], m)
-        l_cols = cx.relations(n)
-        if n >= 1:
-            l_cols = np.hstack([cx.differential(n - 1).toarray(), l_cols])
-        bock = l_cols[:, :0]
+        rows = cx.generator_rows(n + 1)
+        scale = sparse.diags(cx.row_scale(n + 1)[rows], dtype=np.int64)
+        kernel = modsnf.mod_kernel(scale @ cx.differential(n)[rows], m)
+        bock = np.zeros((cx.dim(n), 0), dtype=np.int64)
         if self._s > 1 and n >= 1:
-            bock, self._bock_gens = self._bockstein()
-        self._quot = quot = _Quotient(m, gens, orders, free,
-                                      np.hstack([l_cols, bock]))
+            # the Bockstein columns (d b mod m1) / s: b runs over generators
+            # of the cocycles mod s, the kernel of d's generator rows
+            m1 = m * self._s
+            d = cx.differential(n - 1, m1)
+            b = modsnf.mod_kernel(d[cx.generator_rows(n)], self._s).basis()
+            bock, self._bock_gens = d @ b % m1 // self._s, b
+        l_cols = [cx.differential(n - 1)] if n else []
+        self._quot = quot = _Quotient(kernel,
+                                      l_cols + [cx.relations(n), bock])
         if bock.shape[1]:
-            n_l = l_cols.shape[1]
-            base = np.delete(quot.rel, np.s_[n_l:n_l + bock.shape[1]], axis=1)
-            self.stable = prod(modsnf.mod_smith(base, m).diag) == quot.order()
-        self.invariant_factors = quot.factors()
-        self.order = quot.order()
-        self._generators = quot.generators()
-        if not all(cx.closed(n, col) for col in self._generators.T):
+            base = np.delete(quot.rel, np.s_[quot.n_l - bock.shape[1]:
+                                             quot.n_l], axis=1)
+            self.stable = prod(modsnf.mod_smith(base, m).diag) == quot.order
+        self.invariant_factors, self.order = quot.factors, quot.order
+        if not all(cx.closed(n, col) for col in quot.generators.T):
             raise InvariantError("a representative is not a cocycle on "
                                  "every row")
         self.representatives = tuple(cx.cochain(n, col)
-                                     for col in self._generators.T)
-
-    def _bockstein(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Bockstein columns (d b mod m1) / s, and the generators b of
-        the degree-(n-1) cocycles mod s, d the incoming differential at
-        m1; the cocycles are the kernel of d's generator rows."""
-        wx, s = self._wx, self._s
-        d = wx.differential(self.degree - 1)
-        b = modsnf.mod_kernel(d[wx.generator_rows(self.degree)], s)[0]
-        return (d @ b % wx.m) // s, b
+                                     for col in quot.generators.T)
 
     def _vecs(self, tables, denominator: int | None
               ) -> tuple[np.ndarray, list[Cochain | None]]:
@@ -643,43 +589,41 @@ class CohomologyGroup:
 
     def classify_tables(self, tables, denominator: int | None = None
                         ) -> list[tuple[int, ...]]:
-        """The class coordinates of each row of ``tables``, a matrix of
-        cocycle tables in the layout of ``Cochain.coords`` (for Q/Z,
-        numerators over ``denominator``).  Every row is checked closed and
-        in the cocycle lattice, and all rows are classified by one solve;
-        a row that is not normalized is normalized first, as in
-        ``normalize_cocycle``."""
+        """The class coordinates of each row of ``tables``, cocycle tables
+        in the layout of ``Cochain.coords`` (for Q/Z, numerators over
+        ``denominator``), normalized first where needed.  Every row is
+        checked closed and in the cocycle lattice, and all are read at
+        once."""
         return self._quot.coordinates(self._vecs(tables, denominator)[0])
 
     def coboundary_witness(self, c: Cochain) -> Cochain | None:
         """A cochain w with d(w) = c, or None if c is no coboundary.
 
-        The normalized representative of c is a sum of the incoming
-        columns, l_cols @ z: its first part z_d holds coordinates of the
-        incoming differential, so w = z_d, plus the normalizing shift.  For
-        Q/Z the sum is c = d(z_d) + sum_b z_b d(b)/s at m0, so w takes
-        values at m1 = m0*s: w = s*z_d + sum_b z_b*b."""
+        c's normalized representative is a sum of incoming columns whose
+        differential part z_d gives w = z_d, plus the normalizing shift.
+        For Q/Z it is d(z_d) + sum_b z_b d(b)/s at m0, so w = s*z_d +
+        sum_b z_b*b takes values at m1 = m0*s."""
         _check(self.group, self.module, c, self.degree)
         vecs, (shift,) = self._vecs([c.coords], c.denominator)
-        vec, n, wx = vecs[:, 0], self.degree, self._wx
+        vec, n, cx = vecs[:, 0], self.degree, self._cx
         if n == 0:
             return None
         z = self._quot.combination(vec)
         if z is None:
             return None
-        n_d = wx.dim(n - 1)
+        n_d, m1 = cx.dim(n - 1), cx.m * self._s
         w = z[:n_d]
         if self._s > 1:  # Q/Z has no relation columns; Bockstein part next
             w = self._s * w + self._bock_gens @ z[n_d:]
-        w = wx.cochain(n - 1, w % wx.m)
+        w = cx.cochain(n - 1, w % m1, self.denominator and m1)
         return w if shift is None else \
             add_cochains(self.group, self.module, w, shift)
 
     def representative_of(self, coords) -> Cochain:
         if len(coords) != len(self.invariant_factors):
             raise ValueError("coordinate length mismatch")
-        m = self._cx.m
-        vec = self._generators @ (np.asarray(coords, dtype=np.int64) % m)
+        m, coords = self._cx.m, np.asarray(coords, dtype=np.int64)
+        vec = self._quot.generators @ (coords % m)
         return self._cx.cochain(self.degree, vec % m)
 
     def all_classes(self):
@@ -688,7 +632,6 @@ class CohomologyGroup:
                                         for f in self.invariant_factors]))
 
 
-# the dense kernel basis of c coordinates may take c x c int64 entries
 MAX_BASIS_BYTES = 2 ** 30
 
 
@@ -700,8 +643,9 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
 
     Two guards refuse before any work: ``max_positions`` bounds the
     outgoing differential's (|G|-1)^(degree+1) positions, and
-    MAX_BASIS_BYTES the dense kernel basis that the elimination may
-    allocate, c^2 int64 entries for the c = (|G|-1)^degree * k coordinates.
+    MAX_BASIS_BYTES c^2 int64 entries, c = (|G|-1)^degree * k coordinates:
+    the dense arrays over at most c kernel generators, the relations with
+    their transforms and the free rows read from the incoming columns.
     """
     if module.group != group:
         raise ValueError("module is not over this group")
@@ -724,14 +668,9 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
 def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
                   c: Cochain, denominator: int | None = None
                   ) -> Cochain | None:
-    """A cochain w with d(w) = c, or None if the class is nonzero.
-
-    For rational-circle coefficients the answer is exact for Q/Z.  With c
-    read at m0 = lcm(|G|, denominators), c is a coboundary in Q/Z exactly
-    when its class at m0 lies in the image of the Bockstein from
-    H^{n-1}(G; Z/|G|); w, read off the relations of H^n, takes values in
-    (1/(m0*|G|))Z/Z.
-    """
+    """A cochain w with d(w) = c, or None if the class is nonzero; for Q/Z
+    exactly so, with w in (1/(m0*|G|))Z/Z for m0 = lcm(|G|, denominators)
+    (see ``CohomologyGroup.coboundary_witness``)."""
     if c.degree < 1:
         raise ValueError("degree must be at least 1 for coboundary checks")
     h = cohomology(group, module, c.degree, denominator or c.denominator)

@@ -9,19 +9,18 @@ that p does not divide is a unit, and an entry of least p-valuation divides
 every other entry, so pivoting on one needs no gcd repair and the diagonal
 comes out as a chain with no further pass.
 
-:func:`mod_smith` computes the dense local forms, with invertible
-transforms, for the small matrices that need them (elimination residuals,
-quotient relations and solver matrices) and joins them by CRT.  Kernels,
-the one large elimination behind group cohomology, never take a dense form
-of the whole matrix: sparse unit pivots (:func:`unit_pivots`, one pivot at
-a time on dict rows) solve most columns exactly; only the residual rows,
-which have no unit left, go to :func:`mod_smith`, and the residual kernel
-is lifted back through the pivot rows.  The test suite cross-checks both
-against the exact integer Smith form.
+:func:`mod_smith` takes dense local forms, with invertible transforms, of
+the small matrices that need them (elimination residuals, quotient
+relations, solver matrices) and joins them by CRT.  A kernel, the one
+large elimination behind group cohomology, takes sparse unit pivots
+(:func:`unit_pivots`) and a dense form of the unit-free residual only; it
+is kept as those records (:class:`ModKernel`), never as a dense generator
+matrix.  The test suite cross-checks both against the integer Smith form.
 
 Conventions: matrix entries are stored canonically in [0, m).  Reported
 diagonal values are canonical divisors of m, with m itself standing for a
 zero entry (annihilator Z/m).  Transform matrices are invertible mod m.
+Arithmetic that could leave int64 is refused with a ``ResourceLimit``.
 """
 
 from __future__ import annotations
@@ -34,15 +33,18 @@ from math import gcd, prod
 import numpy as np
 from scipy import sparse
 
+from .errors import ResourceLimit
 
 
 def dtype_for(m: int, max_dim: int):
-    """Smallest safe integer dtype for eliminations and matmuls mod m."""
-    if max_dim * (m - 1) ** 2 < 2 ** 31:
+    """Smallest safe integer dtype for sums of max_dim products mod m; past
+    int64 the work is refused as a ``ResourceLimit``."""
+    need = max_dim * (m - 1) ** 2
+    if need < 2 ** 31:
         return np.int32
-    if max_dim * (m - 1) ** 2 < 2 ** 62:
+    if need < 2 ** 62:
         return np.int64
-    raise ValueError(f"modulus {m} too large for dimension {max_dim}")
+    raise ResourceLimit("int64 sums of products mod m", need, 2 ** 62)
 
 
 def _local_rings(m: int) -> list[tuple[int, int, int]]:
@@ -64,17 +66,15 @@ def _local_rings(m: int) -> list[tuple[int, int, int]]:
 
 @dataclass
 class ModSmithForm:
-    m: int
-    rows: int
-    cols: int
     diag: list[int]            # canonical divisors of m; m stands for zero
     u: np.ndarray | None       # u @ a @ v = diag(...) mod m
     u_inv: np.ndarray | None
     v: np.ndarray | None
+    v_inv: np.ndarray | None
 
 
 def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
-              want_v: bool = False) -> ModSmithForm:
+              want_v: bool = False, want_vinv: bool = False) -> ModSmithForm:
     """The Smith form of ``a`` over Z/m, with the requested transforms.
 
     Each prime power q of m gets its own :func:`_local_smith`, with
@@ -88,14 +88,15 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
     a = np.array(a, dtype=np.int64) % m
     r, c = a.shape
     dtype_for(m, max(r, c, 1))  # the join multiplies entries by e < m
-    parts = [(q, e, _local_smith(a % q, p, q, want_u, want_uinv, want_v))
+    parts = [(q, e, _local_smith(a % q, p, q, want_u, want_uinv, want_v,
+                                 want_vinv))
              for p, q, e in _local_rings(m)]
     diag = [prod(d) for d in zip(*(local[0] for _, _, local in parts))]
     k = len(diag)
-    mats: list[np.ndarray | None] = [None, None, None]
+    mats: list[np.ndarray | None] = [None] * 4
     for q, e, (d, *local) in parts:
         unit = np.array([x // y % q for x, y in zip(diag, d)], dtype=np.int64)
-        u, u_inv, _ = local
+        u, u_inv = local[:2]
         if u is not None:
             u[:k] = u[:k] * unit[:, None] % q
         if u_inv is not None:
@@ -105,12 +106,13 @@ def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
             if x is not None:
                 x = x.astype(np.int64) * e % m
                 mats[slot] = x if mats[slot] is None else (mats[slot] + x) % m
-    return ModSmithForm(m, r, c, diag, *mats)
+    return ModSmithForm(diag, *mats)
 
 
 def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
-                 want_uinv: bool, want_v: bool):
-    """(diag, U, U^-1, V) of ``a`` (entries in [0, q)) over Z/q, q = p^k.
+                 want_uinv: bool, want_v: bool, want_vinv: bool):
+    """(diag, U, U^-1, V, V^-1) of ``a`` (entries in [0, q)) over Z/q,
+    q = p^k.
 
     Each step pivots on the first entry, row-major, of least p-valuation: a
     unit if there is one, else the least gcd with q.  It divides every
@@ -124,6 +126,7 @@ def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
     U = np.eye(r, dtype=dt) if want_u else None
     Ui = np.eye(r, dtype=dt) if want_uinv else None
     V = np.eye(c, dtype=dt) if want_v else None
+    Vi = np.eye(c, dtype=dt) if want_vinv else None
     diag = []
     for t in range(min(r, c)):
         sub = a[t:, t:]
@@ -142,6 +145,8 @@ def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
             Ui[:, [t, i]] = Ui[:, [i, t]]
         if V is not None:
             V[:, [t, j]] = V[:, [j, t]]
+        if Vi is not None:
+            Vi[[t, j]] = Vi[[j, t]]
         g = gcd(int(a[t, t]), q)
         unit = int(a[t, t]) // g
         inv = pow(unit, -1, q)
@@ -162,37 +167,129 @@ def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
             a[t, t + 1:] = 0
             if V is not None:
                 V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], f)) % q
+            if Vi is not None:
+                Vi[t] = (Vi[t] + f @ Vi[t + 1:]) % q
         diag.append(g)
-    return diag + [q] * (min(r, c) - len(diag)), U, Ui, V
+    return diag + [q] * (min(r, c) - len(diag)), U, Ui, V, Vi
 
 
-def mod_kernel(a, m: int) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Generators (as columns) and orders of {x in (Z/m)^c : a x = 0}, and
-    the free columns.
-
-    ``a`` is a dense array or a scipy.sparse matrix.  The kernel is the
-    direct sum of its parts over the prime powers q of m: each part comes
-    from :func:`_local_kernel` and is carried into Z/m by the CRT
-    idempotent that is 1 mod q and 0 mod m/q, keeping its own orders (so
-    they need not form a divisibility chain).  A kernel vector is fixed
-    mod q by its entries on the columns that no unit pivot took, so
-    ``free``, the sorted union of those columns over q, fixes it mod m.
-    """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
+def mod_kernel(a, m: int) -> ModKernel:
+    """{x in (Z/m)^c : a x = 0} for a dense or scipy.sparse ``a``, one
+    :class:`_LocalKernel` per prime power of m."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
     a = sparse.csr_matrix(a, dtype=np.int64)
     a.sum_duplicates()
-    c = a.shape[1]
-    if c == 0:
-        return (np.zeros((0, 0), dtype=np.int64), [],
-                np.zeros(0, dtype=np.int64))
-    gens, orders, free = [], [], set()
-    for p, q, e in _local_rings(m):
-        x, o, f = _local_kernel(a, p, q)
-        gens.append(x * e % m)
-        orders += o
-        free.update(f)
-    return np.hstack(gens), orders, np.array(sorted(free), dtype=np.int64)
+    return ModKernel(m, a.shape[1], [_LocalKernel(a, p, q, e)
+                                     for p, q, e in _local_rings(m)])
+
+
+class _LocalKernel:
+    """The kernel of ``a`` over Z/q, q = p^k, whose CRT idempotent e is 1
+    mod q and 0 mod m/q.  Unit pivots (:func:`unit_pivots`) fix a kernel
+    vector x by f = x[free]: each pivot (key, v), in reverse order, sets
+    x[key] = -v . x.  With no residual, the generators are the unit
+    vectors on ``free``, of order q, and f is its own coefficient vector.
+    Otherwise the residual rows' Smith form R V = U^-1 D gives generator i,
+    for each d_i > 1, the order d_i and the free entries V e_i * q/d_i
+    (``basis``), and f the coefficients (V^-1 f)_i / (q/d_i)."""
+
+    def __init__(self, a: sparse.csr_matrix, p: int, q: int, e: int):
+        c = a.shape[1]
+        dtype_for(q, c)  # back-substitution sums at most c products below q^2
+        ptr, col, val = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+        self.pivots, residual = unit_pivots(
+            (dict(zip(col[s:t], val[s:t])) for s, t in zip(ptr, ptr[1:])),
+            q, p)
+        self.q, self.e, self.a = q, e, a.copy()
+        self.a.data %= q
+        self.free = np.setdiff1d(np.arange(c), [k for k, _ in self.pivots])
+        self.orders, self.basis, self.v_inv = [q] * len(self.free), None, None
+        if residual:
+            form = mod_smith([[row.get(j, 0) for j in self.free.tolist()]
+                              for row in residual], q, want_v=True,
+                             want_vinv=True)
+            d = np.array(form.diag + [q] * (len(self.free) - len(form.diag)))
+            keep, self.steps = d > 1, q // d
+            self.orders = d[keep].tolist()
+            self.basis = form.v[:, keep] * self.steps[keep] % q
+            self.v_inv = form.v_inv
+
+    def read(self, f) -> np.ndarray:
+        """The coefficients of the free entries f, a column each."""
+        if self.v_inv is None:
+            return f
+        t = self.v_inv @ f % self.q
+        return (t // self.steps[:, None])[self.steps < self.q]
+
+    def free_part(self, y) -> np.ndarray:
+        """The free entries of the kernel vectors with coefficients y."""
+        y = y % self.q
+        return y if self.basis is None else self.basis @ y % self.q
+
+
+@dataclass
+class ModKernel:
+    """The kernel of a matrix with ``cols`` columns over Z/m: the local
+    parts' generators in ring order, carried into Z/m by their idempotents
+    with their own orders, which need not form a chain.  No dense generator
+    matrix is kept: ``coordinates`` reads vectors and ``lift`` builds
+    them."""
+
+    m: int
+    cols: int
+    parts: list[_LocalKernel]
+
+    @property
+    def orders(self) -> list[int]:
+        return [o for part in self.parts for o in part.orders]
+
+    def coordinates(self, b) -> np.ndarray | None:
+        """y with ``lift(y) = b`` for the columns of b (c x B, dense or
+        sparse), or None if a column is not the lift of what was read.
+        Each ring reads b's free entries mod q.  The lift of what it read
+        has the free entries ``free_part``, and b is that lift when those
+        are b's own and a b = 0 mod q."""
+        ys = [np.zeros((0, b.shape[1]), np.int64)]
+        for part in self.parts:
+            q = part.q
+            if sparse.issparse(b):
+                bq = sparse.csr_matrix(b, dtype=np.int64, copy=True)
+                bq.data %= q
+                f = bq[part.free].toarray()
+            else:
+                bq = np.asarray(b, dtype=np.int64) % q
+                f = bq[part.free]
+            y = part.read(f)
+            ab = part.a @ bq
+            if ((part.free_part(y) - f) % q).any() or \
+                    ((ab.data if sparse.issparse(ab) else ab) % q).any():
+                return None
+            ys.append(y * part.e % self.m)
+        return np.vstack(ys)
+
+    def lift(self, y) -> np.ndarray:
+        """The kernel vectors mod m with coefficients y, a row per
+        generator: each ring's free entries, back-substituted through its
+        pivots in reverse order."""
+        y = np.asarray(y, dtype=np.int64)
+        out = np.zeros((self.cols, y.shape[1]), dtype=np.int64)
+        start = 0
+        for part in self.parts:
+            x = np.zeros_like(out)
+            x[part.free] = part.free_part(y[start:start + len(part.orders)])
+            for key, v in reversed(part.pivots):
+                if v:
+                    keys = np.fromiter(v.keys(), np.int64, len(v))
+                    vals = np.fromiter(v.values(), np.int64, len(v))
+                    x[key] = -(vals @ x[keys]) % part.q
+            out = (out + x * part.e) % self.m
+            start += len(part.orders)
+        return out
+
+    def basis(self) -> np.ndarray:
+        """Every generator, as the columns of a dense matrix."""
+        return self.lift(np.eye(len(self.orders), dtype=np.int64))
 
 
 def unit_pivots(vectors: Iterable[dict[int, int]], q: int, p: int
@@ -200,17 +297,16 @@ def unit_pivots(vectors: Iterable[dict[int, int]], q: int, p: int
                            list[dict[int, int]]]:
     """Sparse elimination on unit entries over the local ring Z/q, q = p^k.
 
-    Each vector is ``{key: entry}``, with entries reduced mod q.  A unit is
-    any entry that p does not divide.  Zero and repeated vectors are
-    dropped first.  Each step takes the shortest vector with a unit, pivots
-    at the unit whose key occurs in the fewest other vectors, which keeps
-    fill-in low, scales the vector to 1 there and clears that key from
-    every other vector.
+    Each vector is ``{key: entry}``, entries reduced mod q; a unit is an
+    entry that p does not divide.  Zero and repeated vectors are dropped.
+    Each step takes the shortest vector with a unit, pivots at the unit
+    whose key occurs in the fewest other vectors, which keeps fill-in low,
+    scales the vector to 1 there and clears that key from every other one.
 
     Returns ``(pivots, residual)``.  ``pivots`` lists ``(key, v)`` in pivot
-    order, where ``e_key + v`` is the scaled pivot vector; v holds no key
-    pivoted before it.  ``residual`` holds the vectors left without a unit,
-    none with a pivot key, each taken once up to sign.
+    order, ``e_key + v`` the scaled pivot vector, v holding no key pivoted
+    before it.  ``residual`` holds the vectors left without a unit, none
+    with a pivot key, each taken once up to sign.
     """
     vecs: dict[int, dict[int, int]] = {}
     seen: set[tuple[tuple[int, int], ...]] = set()
@@ -264,54 +360,11 @@ def unit_pivots(vectors: Iterable[dict[int, int]], q: int, p: int
     return pivots, [dict(key) for key in residual]
 
 
-def _local_kernel(a: sparse.csr_matrix, p: int,
-                  q: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """The kernel of ``a`` over the local ring Z/q, q = p^k, and its free
-    columns.
-
-    Unit pivots on the rows (:func:`unit_pivots`) solve each pivot
-    column in terms of later columns.  The residual rows have no unit, so
-    their kernel over the free (non-pivot) columns comes from the dense
-    :func:`mod_smith`.  The generators are lifted through the pivot rows
-    in reverse pivot order, which keeps the orders.
-    """
-    c = a.shape[1]
-    dtype_for(q, c)  # back-substitution sums at most c products below q^2
-    ptr, cols, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    pivots, residual = unit_pivots(
-        (dict(zip(cols[s:t], data[s:t])) for s, t in zip(ptr, ptr[1:])),
-        q, p)
-    pivoted = {key for key, _ in pivots}
-    free = [j for j in range(c) if j not in pivoted]
-    diag, basis = [], np.eye(len(free), dtype=np.int64)
-    if residual:
-        form = mod_smith(np.array([[row.get(j, 0) for j in free]
-                                   for row in residual], dtype=np.int64),
-                         q, want_v=True)
-        diag, basis = form.diag, form.v.astype(np.int64)
-    x = np.zeros((c, len(free)), dtype=np.int64)
-    orders = []
-    for i in range(len(free)):
-        d = diag[i] if i < len(diag) else q
-        if d > 1:
-            x[free, len(orders)] = basis[:, i] * (q // d) % q
-            orders.append(d)
-    x = x[:, :len(orders)]
-    for key, v in reversed(pivots):
-        if v:
-            keys = np.fromiter(v.keys(), dtype=np.int64, count=len(v))
-            vals = np.fromiter(v.values(), dtype=np.int64, count=len(v))
-            x[key] = -(vals @ x[keys]) % q
-    return x, orders, free
-
-
 class ModSolver:
     """Repeated solves of a x = b mod m for a fixed matrix a."""
 
     def __init__(self, a, m: int):
-        self.m = m
-        a = np.asarray(a)
-        self.rows, self.cols = a.shape
+        self.m, (self.rows, self.cols) = m, np.shape(a)
         self.form = mod_smith(a, m, want_u=True, want_v=True) \
             if self.cols else None
 
@@ -327,7 +380,7 @@ class ModSolver:
         if self.cols == 0:
             return None if b.any() else np.zeros(shape, dtype=np.int64)
         f = self.form
-        w = (f.u.astype(np.int64) @ b) % m
+        w = (f.u @ b) % m
         k = min(self.rows, self.cols)
         # a zero diagonal entry, reported as m, admits only w = 0
         d = np.array(f.diag, dtype=np.int64).reshape(
@@ -336,4 +389,4 @@ class ModSolver:
             return None
         z = np.zeros(shape, dtype=np.int64)
         z[:k] = w[:k] // d
-        return (f.v.astype(np.int64) @ z) % m
+        return (f.v @ z) % m

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,15 +288,14 @@ def test_h0_with_trivial_circle_coefficients_is_refused_before_any_work(
 
 
 def test_failed_internal_checks_are_internal_errors(monkeypatch, tmp_path):
-    """A solver that returns a wrong solution trips the cohomology quotient's
-    own check; that is the program's fault, not a violation."""
-    real = modsnf.ModSolver.solve
+    """A kernel read that returns wrong coefficients trips the cohomology
+    quotient's own check; that is the program's fault, not a violation."""
+    real = modsnf._LocalKernel.read
 
-    def wrong(self, b):
-        y = real(self, b)
-        return None if y is None else (y + 1) % self.m
+    def wrong(self, f):
+        return (real(self, f) + 1) % self.q
 
-    monkeypatch.setattr(modsnf.ModSolver, "solve", wrong)
+    monkeypatch.setattr(modsnf._LocalKernel, "read", wrong)
     report = cli.run(h2_bundle())
     assert report["status"] == "internal-error"
     assert report["result"] == {
@@ -426,6 +426,86 @@ def test_shorthand_numbers_past_the_digit_limit_have_their_own_error():
             "message": "shorthand number has more than 4300 digits"}
     at_limit = cli.run({**h2_bundle(), "group": "C" + "0" * 4299 + "2"})
     assert at_limit["status"] == "ok"
+
+
+def test_int64_headroom_of_a_modular_kernel_is_a_resource_error(tmp_path):
+    """H^2(C3; Z/(2^31 - 1)) needs sums of four products of entries below
+    the modulus, past the int64 headroom: the module is admitted, and the
+    work is refused as a resource, not as bad input."""
+    bundle = {**h2_bundle(), "group": "C3",
+              "module": f"Z{2 ** 31 - 1}-trivial"}
+    report = cli.run(bundle)
+    assert report["status"] == "resource-error"
+    assert report["result"] == {"bound": "int64 sums of products mod m",
+                                "needed": 4 * (2 ** 31 - 2) ** 2,
+                                "allowed": 2 ** 62}
+    path = write_bundle(tmp_path, "headroom.json", bundle)
+    assert cli.main(["--bundle", path, "--quiet"]) == 2
+
+
+def random_unitaries(seed: int, count: int) -> list:
+    """The identity and count - 1 random 2x2 unitaries, as JSON matrices:
+    no projective family."""
+    rng = np.random.default_rng(seed)
+    mats = [np.eye(2)]
+    for _ in range(count - 1):
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(z)
+        mats.append(q * (np.diag(r) / abs(np.diag(r))))
+    return [bundles.matrix_to_json(u) for u in mats]
+
+
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_kernel_tolerance_is_refused_at_its_pointer(tol):
+    """JSON admits NaN and Infinity.  A NaN tolerance passes every
+    comparison it meets, so random unitaries would classify as a
+    projective family; each non-finite tol is refused at /tol."""
+    text = json.dumps({"schema": 1, "task": "kernel-ob", "group": "C2xC2",
+                       "mats": random_unitaries(5, 4)})
+    report = cli.run(json.loads(text[:-1] + f', "tol": {tol}}}'))
+    assert report["status"] == "input-error"
+    assert report["result"] == {"pointer": "/tol",
+                                "message": "expected a finite number"}
+
+
+def test_tolerances_must_be_positive():
+    for task, extra in (("kernel-ob", {"group": "C2xC2",
+                                       "mats": "clock-shift-2"}),
+                        ("decompose", {"random": {"paths": 1}})):
+        for tol in (0, -1e-9, 10 ** 400):
+            report = cli.run({"schema": 1, "task": task, **extra,
+                              "tol": tol})
+            assert report["status"] == "input-error", (task, tol)
+            assert report["result"]["pointer"] == "/tol"
+        assert cli.run({"schema": 1, "task": task, **extra,
+                        "tol": 1e-8})["status"] == "ok"
+
+
+def test_a_non_finite_path_time_is_refused_at_its_pointer():
+    """ts [0, NaN, 1] would print NaN in an ok report."""
+    one = [[[1, 0]]]
+    text = ('{"schema": 1, "task": "decompose", "path": {"ts": '
+            '[0, NaN, 1], "mats": %s}}' % json.dumps([one] * 3))
+    report = cli.run(json.loads(text))
+    assert report["status"] == "input-error"
+    assert report["result"] == {"pointer": "/path/ts/1",
+                                "message": "expected a finite number"}
+    matrix = json.loads(text.replace("NaN", "0.5").replace(
+        "[[[1, 0]]], [[[1, 0]]]]", "[[[1, 0]]], [[[1, Infinity]]]]"))
+    report = cli.run(matrix)
+    assert report["result"] == {"pointer": "/path/mats/2/0/0",
+                                "message": "expected a finite number"}
+
+
+def test_a_nan_decompose_tolerance_is_refused_not_a_violation(tmp_path):
+    """tol NaN made every residual check fail: a violation, exit 1."""
+    text = '{"schema": 1, "task": "decompose", "random": {"paths": 2}, ' \
+        '"tol": NaN}'
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert cli.run(json.loads(text))["result"] == {
+        "pointer": "/tol", "message": "expected a finite number"}
+    assert cli.main(["--bundle", str(path), "--quiet"]) == 3
 
 
 def test_snap_denominator_is_a_bounded_positive_integer():

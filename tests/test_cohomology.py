@@ -445,7 +445,7 @@ def test_circle_cohomology_takes_one_kernel_of_the_outgoing_differential(
 
 
 def kernel_order(a, m):
-    return prod(modsnf.mod_kernel(a, m)[1])
+    return prod(modsnf.mod_kernel(a, m).orders)
 
 
 def full_row_factors(group, module, n):
@@ -462,16 +462,14 @@ def full_row_factors(group, module, n):
     d = sparse.diags(cx.row_scale(n + 1), dtype=np.int64) @ \
         cx.differential(n)
     orders = kernel_order(d, m), kernel_order(d[rows], m)
-    gens, kernel, free = modsnf.mod_kernel(d, m)
-    l_cols = np.hstack([cx.differential(n - 1).toarray(), cx.relations(n)])
+    l_cols = [cx.differential(n - 1), cx.relations(n)]
     if circle:
-        wx = _BarComplex(group, module, s * s, elements)
-        dw = wx.differential(n - 1)
-        b = modsnf.mod_kernel(dw, s)[0]
+        dw = cx.differential(n - 1, s * s)
+        b = modsnf.mod_kernel(dw, s).basis()
         assert kernel_order(dw, s) == \
-            kernel_order(dw[wx.generator_rows(n)], s)
-        l_cols = np.hstack([l_cols, dw @ b % wx.m // s])
-    return orders, _Quotient(m, gens, kernel, free, l_cols).factors()
+            kernel_order(dw[cx.generator_rows(n)], s)
+        l_cols.append(dw @ b % (s * s) // s)
+    return orders, _Quotient(modsnf.mod_kernel(d, m), l_cols).factors
 
 
 # the free columns of every mod_kernel call three goldens make, with the
@@ -493,7 +491,8 @@ def test_the_kernel_basis_of_three_goldens_is_pinned(monkeypatch, name):
 
     def spy(a, m):
         out = real(a, m)
-        calls.append((a.shape, m, out[2].tolist()))
+        calls.append((a.shape, m, sorted({j for part in out.parts
+                                          for j in part.free.tolist()})))
         return out
 
     monkeypatch.setattr(modsnf, "mod_kernel", spy)
@@ -776,14 +775,114 @@ def test_quotient_solves_on_free_coordinates_and_checks_every_row():
                                   (s3, (2, 4), 1)):
         quot = cohomology(group, finite_abelian(group, moduli),
                           degree)._quot
-        free = set(quot.free.tolist())
-        pivot = next(j for j in range(quot.gens.shape[0]) if j not in free)
-        for i in range(quot.gens.shape[1]):
-            vec = quot.gens[:, i].copy()
+        free = {j for part in quot.kernel.parts for j in part.free.tolist()}
+        gens = quot.kernel.basis()
+        pivot = next(j for j in range(gens.shape[0]) if j not in free)
+        for i in range(gens.shape[1]):
+            vec = gens[:, i:i + 1].copy()
             quot.coordinates(vec)
             vec[pivot] = (vec[pivot] + 1) % quot.m
             with pytest.raises(ValueError, match="cocycle lattice"):
                 quot.coordinates(vec)
+
+
+def read_cases():
+    """(group, module, degree, invariant factors, whether every local ring
+    reads kernel coordinates by a gather).  Where a ring of a prime power
+    leaves a residual, the generators are not the unit vectors on its
+    free columns, and the read takes the residual's column transform.
+    S3 with Q/Z works at 6 = 2 * 3: each ring reads by a gather, and the
+    two reads are joined by CRT."""
+    c2, c4, c7 = make_cyclic(2), make_cyclic(4), make_cyclic(7)
+    v4, s3, c2c4 = make_product(c2, c2), make_symmetric(3), \
+        make_product(c2, c4)
+    return [(c4, finite_abelian(c4, (2,)), 4, (2,), True),
+            (c7, rational_circle(c7), 3, (7,), True),
+            (s3, finite_abelian(s3, (9,)), 4, (3,), True),
+            (v4, rational_circle(v4), 3, (2, 2, 2), False),
+            (c4, finite_abelian(c4, (8,)), 3, (4,), False),
+            (c2c4, finite_abelian(c2c4, (2, 4)), 2, (2, 2, 2, 2, 2, 4),
+             False),
+            (s3, rational_circle(s3), 3, (6,), True)]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_classes_read_through_a_residual_add_up(case):
+    """Sums of representatives plus random coboundaries classify to the
+    sums of their coordinates, a zero sum has a witness and a nonzero one
+    none, on kernels read by a gather and on kernels read through a
+    residual's column transform."""
+    group, module, n, factors, gather = read_cases()[case]
+    h = cohomology(group, module, n)
+    assert h.invariant_factors == factors
+    assert all(p.v_inv is None for p in h._quot.kernel.parts) == gather
+    rng = random.Random(83 + case)
+
+    def value(*args):
+        if module.factors:
+            return tuple(rng.randrange(d) for d in module.factors)
+        return Fraction(rng.randrange(h.denominator), h.denominator)
+
+    for _ in range(4):
+        a, b = [tuple(rng.randrange(f) for f in factors) for _ in "ab"]
+        total = tuple((x + y) % f for x, y, f in zip(a, b, factors))
+        if rng.random() < 0.3:
+            b = tuple(-x % f for x, f in zip(a, factors))
+            total = (0,) * len(factors)
+        c = add_cochains(group, module, h.representative_of(a),
+                         h.representative_of(b))
+        c = add_cochains(group, module, c, bar_differential(
+            group, module, cochain_from_function(group, module, n - 1,
+                                                 value)))
+        assert h.classify(c) == total
+        w = h.coboundary_witness(c)
+        assert (w is None) == any(total)
+        assert w is None or bar_differential(group, module, w) == c
+
+
+def test_construction_builds_no_solver_on_a_prime_modulus(monkeypatch):
+    """At a prime modulus each cocycle's kernel coordinates are a gather
+    of its free entries: building H^n builds no solver, and the first
+    witness builds the one solver of the relations."""
+    built = []
+    real = modsnf.ModSolver
+
+    def spy(a, m):
+        built.append(np.shape(a))
+        return real(a, m)
+
+    monkeypatch.setattr(modsnf, "ModSolver", spy)
+    c3, c5, c7 = make_cyclic(3), make_cyclic(5), make_cyclic(7)
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    s3 = make_symmetric(3)
+    for group, module, n in ((c3, finite_abelian(c3, (3,)), 3),
+                             (v4, finite_abelian(v4, (2,)), 3),
+                             (s3, finite_abelian(s3, (3,)), 2),
+                             (c5, rational_circle(c5), 2),
+                             (c7, rational_circle(c7), 3)):
+        built.clear()
+        h = cohomology(group, module, n)
+        for coords in h.all_classes()[:5]:
+            assert h.classify(h.representative_of(coords)) == coords
+        assert built == []
+        assert all(p.v_inv is None for p in h._quot.kernel.parts)
+        zero = h.representative_of((0,) * len(h.invariant_factors))
+        assert h.coboundary_witness(zero) is not None
+        assert built == ([h._quot.rel.shape] if h._quot.rel.size else [])
+
+
+def test_class_coordinates_over_two_local_rings_keep_their_basis():
+    """Over Z/12 each local ring's coefficients enter Z/12 through its CRT
+    idempotent.  Then H^2(C2 x C2; Z/12) keeps the basis it had when its
+    kernel coordinates came from a dense solve: these three cocycles,
+    once its representatives, classify to the unit vectors."""
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    module = finite_abelian(v4, (12,))
+    h = cohomology(v4, module, 2)
+    tables = [(0, 0, 0, 0, 0, 5, 11, 6, 0, 5, 6, 1, 0, 0, 7, 7),
+              (0, 0, 0, 0, 0, 5, 0, 5, 0, 0, 1, 1, 0, 5, 1, 6),
+              (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1)]
+    assert h.classify_tables(tables) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_circle_witness_exactness():

@@ -140,7 +140,8 @@ def test_mod_kernel_matches_bruteforce_solution_count():
         for _ in range(12):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             a = random_mod_matrix(rng, rows, cols, m)
-            gens, orders, _ = mod_kernel(a, m)
+            kernel = mod_kernel(a, m)
+            gens, orders = kernel.basis(), kernel.orders
             brute = sum(
                 1 for x in itertools.product(range(m), repeat=cols)
                 if not (a @ np.array(x) % m).any())
@@ -202,7 +203,10 @@ def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
         for rows, cols, kind in cases:
             a = sparse_mod_matrix(rng, rows, cols, m, kind)
             arg = sparse.csr_matrix(a) if rng.random() < 0.5 else a
-            gens, orders, free = mod_kernel(arg, m)
+            kernel = mod_kernel(arg, m)
+            gens, orders = kernel.basis(), kernel.orders
+            free = np.unique(np.concatenate(
+                [part.free for part in kernel.parts] + [np.zeros(0, int)]))
             assert gens.shape == (cols, len(orders))
             assert not (a @ gens % m).any(), (m, a)
             assert all(1 < o and m % o == 0 for o in orders)
@@ -223,6 +227,37 @@ def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
                     [gens[free], m * np.eye(len(free), dtype=np.int64)])):
                 image //= d
             assert image == kernel, (m, a, free)
+
+
+def test_kernel_coordinates_read_exactly_the_kernel_and_lift_back():
+    """Over every vector of (Z/m)^c, the kernel's read refuses exactly the
+    vectors off the kernel, and lifting what it reads gives the vector
+    back.  Unit-free entries leave residual rows, so a vector can satisfy
+    every pivot row and still be refused by the residual alone."""
+    rng = random.Random(23)
+    residual_only = 0
+    for m in (2, 4, 6, 8, 9):
+        for kind in ("unit", "unit-free", "mixed"):
+            for _ in range(6):
+                rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+                a = sparse_mod_matrix(rng, rows, cols, m, kind)
+                kernel = mod_kernel(a, m)
+                x = np.array(list(itertools.product(range(m), repeat=cols)),
+                             dtype=np.int64).T.reshape(cols, -1)
+                inside = ~(a @ x % m).any(axis=0)
+                for j in range(x.shape[1]):
+                    y = kernel.coordinates(x[:, j:j + 1])
+                    assert (y is not None) == inside[j], (m, a, x[:, j])
+                    if y is not None:
+                        assert np.array_equal(kernel.lift(y)[:, 0], x[:, j])
+                    elif all((x[key, j] + sum(t * x[k, j]
+                                              for k, t in v.items())) % p.q
+                             == 0 for p in kernel.parts
+                             for key, v in p.pivots):
+                        residual_only += 1
+                y = kernel.coordinates(x[:, inside])
+                assert np.array_equal(kernel.lift(y), x[:, inside])
+    assert residual_only > 0
 
 
 def test_mod_solver_agrees_with_bruteforce():
