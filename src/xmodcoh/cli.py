@@ -70,6 +70,20 @@ def _budget(bundle: dict, override: int | None, default: int) -> int:
     return expect_int(bundle.get("budget", default), "/budget", 1)
 
 
+# The default budget of the numeric tasks, in matrix cells: every matrix a
+# task asks for, counted at its largest dimension, before any is formed.
+NUMERIC_CELLS = 1_000_000
+
+
+def _charge(bundle: dict, override: int | None, bound: str,
+            cells: int) -> None:
+    """Refuse, before any work, a numeric task asking for more matrix
+    cells than its budget."""
+    allowed = _budget(bundle, override, NUMERIC_CELLS)
+    if cells > allowed:
+        raise ResourceLimit(bound, cells, allowed)
+
+
 def _tol(bundle: dict, default: float) -> float:
     """The bundle's ``tol``, which its schema already checked finite."""
     tol = float(bundle.get("tol", default))
@@ -286,6 +300,7 @@ def _task_kernel_ob(bundle, seed, budget):
     _payload(bundle, {"group": (str, dict), "mats": (str, list)},
              {"tol": float, "snap_denominator": int, "perturbations": int})
     group = group_from_spec(bundle["group"], "/group")
+    trials = expect_int(bundle.get("perturbations", 0), "/perturbations", 0)
     mats_spec = bundle["mats"]
     if isinstance(mats_spec, str):
         if mats_spec.startswith("clock-shift-") and \
@@ -294,7 +309,7 @@ def _task_kernel_ob(bundle, seed, budget):
             if group.order != m * m:
                 raise BundleError("/group", f"clock-shift-{m} needs a group "
                                             f"of order {m * m}")
-            mats = _clock_shift_mats(group, m)
+            mats, cells = None, m * m
         else:
             raise BundleError("/mats", f"unknown matrix family "
                                        f"{mats_spec!r}")
@@ -303,6 +318,12 @@ def _task_kernel_ob(bundle, seed, budget):
             raise BundleError("/mats", f"expected {group.order} matrices")
         mats = [matrix_from_json(mj, f"/mats/{i}")
                 for i, mj in enumerate(mats_spec)]
+        cells = max(mat.size for mat in mats)
+    # each table multiplies every ordered pair of its matrices
+    _charge(bundle, budget, "kernel-ob product cells",
+            (trials + 1) * group.order ** 2 * cells)
+    if mats is None:
+        mats = _clock_shift_mats(group, m)
     tol = _tol(bundle, 1e-8)
     snap = bundle.get("snap_denominator")
     if snap is not None:
@@ -320,7 +341,6 @@ def _task_kernel_ob(bundle, seed, budget):
         "max_scalar_residual": rep.max_scalar_residual,
         "max_snap_residual": rep.max_snap_residual,
     }
-    trials = expect_int(bundle.get("perturbations", 0), "/perturbations", 0)
     if trials:
         rng = np.random.default_rng(_seed(bundle, seed))
         invariant = True
@@ -348,19 +368,26 @@ def _task_unitary_check(bundle, seed, budget):
               "member_trials": int, "sandwich_trials": int,
               "conj_trials": int})
     max_dim = expect_int(bundle.get("max_dim", 6), "/max_dim", 1)
-    rng = np.random.default_rng(_seed(bundle, seed))
-    violations = []
-
-    ineq = check_exp_inequalities(
-        max_dim, expect_int(bundle.get("ineq_trials", 10_000),
-                            "/ineq_trials", 1),
-        seed=_seed(bundle, seed), threshold=1e-9)
-    if not ineq.passed:
-        violations.append(f"exponential inequalities: "
-                          f"{ineq.violations} slack failures")
 
     def count(key, default):
         return expect_int(bundle.get(key, default), f"/{key}", 1)
+
+    ineq_trials = count("ineq_trials", 10_000)
+    pair_trials = count("pair_trials", 1000)
+    member_trials = count("member_trials", 1000)
+    sandwich_trials = count("sandwich_trials", 1000)
+    conj_trials = count("conj_trials", 200)
+    _charge(bundle, budget, "unitary trial matrix cells",
+            (ineq_trials + pair_trials + member_trials + sandwich_trials
+             + conj_trials) * max_dim ** 2)
+    rng = np.random.default_rng(_seed(bundle, seed))
+    violations = []
+
+    ineq = check_exp_inequalities(max_dim, ineq_trials,
+                                  seed=_seed(bundle, seed), threshold=1e-9)
+    if not ineq.passed:
+        violations.append(f"exponential inequalities: "
+                          f"{ineq.violations} slack failures")
 
     def haar_pair(n, rng):
         return haar_draw(n, rng), haar_draw(n, rng)
@@ -371,7 +398,6 @@ def _task_unitary_check(bundle, seed, budget):
         return [uv.distance_to(a.value + b.value) for uv, a, b in
                 zip(dlhs_delta(u @ v), dlhs_delta(u), dlhs_delta(v))]
 
-    pair_trials = count("pair_trials", 1000)
     worst_hom = 0.0
     for gaps in run_trials(pair_trials, max_dim, rng, haar_pair, additivity):
         worst_hom = max(worst_hom, *gaps)
@@ -387,7 +413,6 @@ def _task_unitary_check(bundle, seed, budget):
         return [rep.member == zero.is_zero(1e-8) for rep, zero in
                 zip(su_tau_member(u, tol=1e-8), dlhs_delta(u))]
 
-    member_trials = count("member_trials", 1000)
     member_agree = 0
     for agree in run_trials(member_trials, max_dim, rng, haar_draw,
                             membership):
@@ -412,7 +437,6 @@ def _task_unitary_check(bundle, seed, budget):
     def ball_pair(n, rng):
         return ball_draw(n, rng), ball_draw(n, rng)
 
-    sandwich_trials = count("sandwich_trials", 1000)
     worst_sandwich = 0.0
     for deficits in run_trials(sandwich_trials, max_dim, rng, ball_pair,
                                sandwich):
@@ -428,7 +452,6 @@ def _task_unitary_check(bundle, seed, budget):
         return [abs(a.value - b.value) for a, b in
                 zip(el_tau(w @ u @ w.conj().swapaxes(-1, -2)), el_tau(u))]
 
-    conj_trials = count("conj_trials", 200)
     worst_conj = 0.0
     for drifts in run_trials(conj_trials, max_dim, rng, haar_pair,
                              conjugation):
@@ -464,6 +487,8 @@ def _task_decompose(bundle, seed, budget):
         raise BundleError("", "provide exactly one of path or random")
     if "path" in bundle:
         path = path_from_json(bundle["path"], "/path")
+        _charge(bundle, budget, "path matrix cells",
+                len(path.ts) * (1 + factor) * path.n ** 2)
         dec = decompose_path(path, tol=tol)
         refined = decompose_path(refine_path(path, factor), tol=tol)
         stability = max(abs(refined.h[k * factor] - dec.h[k])
@@ -484,6 +509,10 @@ def _task_decompose(bundle, seed, budget):
     max_dim = expect_int(spec.get("max_dim", 4), "/random/max_dim", 1)
     lo = expect_int(spec.get("min_segments", 3), "/random/min_segments", 1)
     hi = expect_int(spec.get("max_segments", 8), "/random/max_segments", lo)
+    # each path, unrefined and refined, has at most (hi + 1) * (1 + factor)
+    # matrices
+    _charge(bundle, budget, "path matrix cells",
+            paths * (hi + 1) * (1 + factor) * max_dim ** 2)
     rng = np.random.default_rng(_seed(bundle, seed))
     worst_recon = worst_det = worst_stab = 0.0
     for _ in range(paths):

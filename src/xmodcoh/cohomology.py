@@ -17,7 +17,8 @@ degeneracy shifts, a gather and a product with d per slot.
 
 A finite module Z/d1 + ... + Z/dk is carried in (Z/m)^k with m = dk: the
 cocycle condition on coordinate i is scaled by m/di, and the relations di*ei
-join the coboundaries.  The cocycles are the kernel of the row-scaled sparse
+join the coboundaries.  The differentials are int64 index arrays
+(``intlinalg.Triples``).  The cocycles are the kernel of the row-scaled
 outgoing differential, taken by ``modsnf.mod_kernel`` one prime power q of
 m at a time: sparse unit pivots, then a dense Smith form of the small
 residual only.  Over Z/q a cocycle is fixed by its entries on the columns
@@ -63,8 +64,8 @@ from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
-from scipy import sparse
 
+from . import intlinalg as il
 from . import modsnf
 from .coefficients import CIRCLE, AbelianCoefficients
 from .errors import InvariantError, ResourceLimit
@@ -279,7 +280,8 @@ def _on_full_complex(group: FiniteGroup, module: AbelianCoefficients,
 # ---------------------------------------------------------------------------
 
 class _BarComplex:
-    """The bar complex on tuples drawn from ``elements``, as sparse matrices.
+    """The bar complex on tuples drawn from ``elements``, its differentials
+    sparse ``intlinalg.Triples``.
 
     With the non-identity elements this is the normalized complex, with all
     elements the full one; a merged term whose product is not among the
@@ -309,7 +311,8 @@ class _BarComplex:
         self.k = len(factors)
         self.m = max(self.factors, default=1)
         self.elements = list(elements)
-        self._diff_cache: dict[tuple[int, int], sparse.csr_matrix] = {}
+        self._diff_cache: dict[tuple[int, int], il.Triples] = {}
+        self._terms_cache: dict[int, tuple] = {}
         self._table_cache: dict[int, np.ndarray] = {}
 
     def positions(self, n: int) -> int:
@@ -395,26 +398,24 @@ class _BarComplex:
             return [], [], []
         return [np.concatenate(x) for x in zip(*out)]
 
-    def differential(self, n: int, modulus: int = 0) -> sparse.csr_matrix:
+    def differential(self, n: int, modulus: int = 0) -> il.Triples:
         """The degree-n differential, its integer entries reduced mod
         ``modulus`` (by default m), cached."""
         key = n, modulus or self.m
         if key not in self._diff_cache:
-            rows, cols, vals = self._diff_triples(n)
-            d = sparse.csr_matrix(
-                (np.asarray(vals, dtype=np.int64), (rows, cols)),
-                shape=(self.dim(n + 1), self.dim(n)))
-            d.data %= key[1]
-            d.eliminate_zeros()
-            self._diff_cache[key] = d
+            self._diff_cache[key] = il.triples(
+                *self._diff_triples(n), (self.dim(n + 1), self.dim(n)),
+                key[1])
         return self._diff_cache[key]
 
     def apply(self, n: int, vec) -> np.ndarray:
         """d of a degree-n coordinate vector, mod m."""
         # a row has at most k + n + 1 entries, each below m
         modsnf.dtype_for(self.m, self.k + n + 1)
+        if n not in self._terms_cache:
+            self._terms_cache[n] = il.row_terms(self.differential(n))
         vec = np.asarray(vec, dtype=np.int64) % self.m
-        return self.differential(n) @ vec % self.m
+        return il.times_dense(self._terms_cache[n], vec) % self.m
 
     def closed(self, n: int, vec) -> bool:
         """Whether a degree-n coordinate vector, or every column of a
@@ -520,8 +521,8 @@ class CohomologyGroup:
     from H^{degree-1}(group; Z/|group|) has zero image.  The group is one
     ``_Quotient`` of the normalized complex (see the module docstring).
     ``classify_tables`` classifies a matrix of cochain tables, a cocycle
-    per row, with one closed check and one read; ``classify`` is its
-    one-row case.
+    per row, with one closed check and one read of its distinct rows;
+    ``classify`` is its one-row case.
     """
 
     def __init__(self, group: FiniteGroup, module: AbelianCoefficients,
@@ -536,16 +537,19 @@ class CohomologyGroup:
         self._cx = cx = _BarComplex(group, module, self.denominator, elements)
         m, n = cx.m, degree
         rows = cx.generator_rows(n + 1)
-        scale = sparse.diags(cx.row_scale(n + 1)[rows], dtype=np.int64)
-        kernel = modsnf.mod_kernel(scale @ cx.differential(n)[rows], m)
+        d = il.take_rows(cx.differential(n), rows)
+        kernel = modsnf.mod_kernel(
+            d._replace(vals=d.vals * cx.row_scale(n + 1)[rows][d.rows]), m)
         bock = np.zeros((cx.dim(n), 0), dtype=np.int64)
         if self._s > 1 and n >= 1:
             # the Bockstein columns (d b mod m1) / s: b runs over generators
             # of the cocycles mod s, the kernel of d's generator rows
             m1 = m * self._s
             d = cx.differential(n - 1, m1)
-            b = modsnf.mod_kernel(d[cx.generator_rows(n)], self._s).basis()
-            bock, self._bock_gens = d @ b % m1 // self._s, b
+            b = modsnf.mod_kernel(il.take_rows(d, cx.generator_rows(n)),
+                                  self._s).basis()
+            bock = il.times_dense(il.row_terms(d), b) % m1 // self._s
+            self._bock_gens = b
         l_cols = [cx.differential(n - 1)] if n else []
         self._quot = quot = _Quotient(kernel,
                                       l_cols + [cx.relations(n), bock])
@@ -591,10 +595,16 @@ class CohomologyGroup:
                         ) -> list[tuple[int, ...]]:
         """The class coordinates of each row of ``tables``, cocycle tables
         in the layout of ``Cochain.coords`` (for Q/Z, numerators over
-        ``denominator``), normalized first where needed.  Every row is
-        checked closed and in the cocycle lattice, and all are read at
-        once."""
-        return self._quot.coordinates(self._vecs(tables, denominator)[0])
+        ``denominator``), normalized first where needed.  Each distinct
+        row is checked closed and in the cocycle lattice, and all of them
+        are read at once; equal rows share the coordinates."""
+        tables = np.ascontiguousarray(tables, dtype=np.int64)
+        keys = tables.view(np.dtype((np.void, tables[0].nbytes)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        coords = self._quot.coordinates(
+            self._vecs(tables[first], denominator)[0])
+        return [coords[i] for i in inverse.tolist()]
 
     def coboundary_witness(self, c: Cochain) -> Cochain | None:
         """A cochain w with d(w) = c, or None if c is no coboundary.

@@ -1,26 +1,36 @@
-"""Exact integer linear algebra: Smith normal form, solves, and the rank
-and torsion of large sparse integer matrices.
+"""Exact integer linear algebra: Smith normal form, solves, the rank and
+torsion of large sparse integer matrices, and the program's sparse
+matrices as int64 index arrays.
 
 The Smith form and the solves work over arbitrary-precision Python ints on
 matrices given as lists of rows.
 
-:func:`sparse_rank_torsion` takes a ``scipy.sparse`` matrix, such as a
-simplicial boundary, and eliminates whole blocks of +-1 pivots at once:
-each round takes the columns whose first entry is +-1, one per row, which
-form a unimodular triangular block, and replaces the matrix by the Schur
-complement of that block (Faugere-Lachartre pivot selection).  The work is
-numpy array operations on int64 triples, bounded by a headroom check that
-refuses with a typed ``ResourceLimit`` before an entry could wrap.  Only
-the small residual with no +-1 entry goes to the dense Smith form.  The
-one-pivot-at-a-time loop over Z/p^k lives in ``modsnf``.
+A sparse matrix is a triple (rows, cols, values) of int64 arrays with no
+repeated position and no zero entry.  :class:`Triples` adds the shape and
+keeps its entries sorted by row and then column, so a row is a run of
+entries: the cohomology differentials and kernels are these.  The
+helpers build them (:func:`triples`, :func:`dense_triples`), reduce them
+(:func:`reduced`), take rows (:func:`take_rows`) and multiply by a dense matrix, one term of entries on
+distinct rows at a time (:func:`row_terms`, :func:`times_dense`), or by
+another sparse one (:func:`times`), all in exact int64 arithmetic that
+refuses with a typed ``ResourceLimit`` before an entry could wrap.
+
+:func:`sparse_rank_torsion` takes the triples of a matrix sorted by column
+and then row (:func:`canonical`), such as a simplicial boundary, and
+eliminates whole blocks of +-1 pivots at once: each round takes the
+columns whose first entry is +-1, one per row, which form a unimodular
+triangular block, and replaces the matrix by the Schur complement of that
+block (Faugere-Lachartre pivot selection).  Only the small residual with
+no +-1 entry goes to the dense Smith form.  The one-pivot-at-a-time loop
+over Z/p^k lives in ``modsnf``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ResourceLimit
 
@@ -202,27 +212,109 @@ def smith_normal_form(a: list[list[int]], transforms: bool = False) -> SmithForm
 # a product that could reach it is refused before it is formed.
 HEADROOM = 2 ** 62
 
-# Inside the elimination a sparse matrix is a triple (rows, cols, values)
-# of int64 arrays, canonical when sorted by column and then row, with no
-# repeated position and no zero.
-
 
 def _refuse(what: str, bound: int) -> None:
     if bound >= HEADROOM:
         raise ResourceLimit(f"int64 elimination {what}", bound, HEADROOM)
 
 
-def _canonical(r, c, x, m: int):
-    """Canonical triples of an m-row matrix, entries at one position
-    summed; refused when an entry reaches the headroom."""
+def canonical(r, c, x, m: int):
+    """The triples of an m-row matrix sorted by column and then row,
+    entries at one position summed and zeros dropped; refused when an
+    entry reaches the headroom."""
     key = c * m + r
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")  # merges sorted runs fast
     key, x = key[order], x[order]
     start = np.flatnonzero(np.diff(key, prepend=-1))
     x = np.add.reduceat(x, start) if len(x) else x
     key, x = key[start][x != 0], x[x != 0]
     _refuse("entry", int(np.abs(x).max(initial=0)))
     return key % m, key // m, x
+
+
+class Triples(NamedTuple):
+    """A sparse integer matrix of ``shape``: vals[i] at (rows[i], cols[i]),
+    sorted by row and then column, no position twice, no zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+
+def triples(r, c, x, shape, modulus: int = 0) -> Triples:
+    """The entries x at (r, c) as :class:`Triples`, those at one position
+    summed, reduced mod ``modulus`` when it is set."""
+    r, c, x = (np.asarray(t, dtype=np.int64) for t in (r, c, x))
+    if modulus:
+        x = x % modulus
+    c, r, x = canonical(c, r, x, shape[1])
+    a = Triples(r, c, x, tuple(shape))
+    return reduced(a, modulus) if modulus else a
+
+
+def reduced(a: Triples, modulus: int) -> Triples:
+    """a mod ``modulus``, zeros dropped."""
+    x = a.vals % modulus
+    keep = x != 0
+    return Triples(a.rows[keep], a.cols[keep], x[keep], a.shape)
+
+
+def dense_triples(a) -> Triples:
+    """The nonzero entries of a dense matrix as :class:`Triples`."""
+    a = np.asarray(a, dtype=np.int64)
+    r, c = np.nonzero(a)
+    return Triples(r, c, a[r, c], a.shape)
+
+
+def _runs(start, cnt):
+    """The indices start[i], ..., start[i] + cnt[i] - 1, for each i."""
+    return np.repeat(start - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+
+
+def take_rows(a: Triples, rows) -> Triples:
+    """Rows ``rows`` of a, in that order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    ptr = np.searchsorted(a.rows, np.arange(a.shape[0] + 1))
+    cnt = ptr[rows + 1] - ptr[rows]
+    pick = _runs(ptr[rows], cnt)
+    return Triples(np.repeat(np.arange(len(rows)), cnt), a.cols[pick],
+                   a.vals[pick], (len(rows), a.shape[1]))
+
+
+def row_terms(a: Triples):
+    """a as the sum of w terms, w its longest row: (cols, vals), each
+    w x rows, term j holding the j-th entry of every row (a zero at column
+    0 past a row's end).  A term has one entry per row, so each adds one
+    gather to a product with a dense matrix (:func:`times_dense`)."""
+    count = np.bincount(a.rows, minlength=a.shape[0])
+    nth = np.arange(len(a.rows)) - np.repeat(np.cumsum(count) - count, count)
+    cols = np.zeros((int(count.max(initial=0)), a.shape[0]), dtype=np.int64)
+    vals = np.zeros_like(cols)
+    cols[nth, a.rows], vals[nth, a.rows] = a.cols, a.vals
+    return cols, vals
+
+
+def times_dense(terms, v) -> np.ndarray:
+    """a @ v for a dense v and a's :func:`row_terms`, exact, one term at a
+    time; refused first when an entry could reach the headroom."""
+    cols, vals = terms
+    v = np.asarray(v, dtype=np.int64)
+    out = np.zeros((cols.shape[1],) + v.shape[1:], dtype=np.int64)
+    if not v.size:
+        return out
+    _refuse("product", int(np.abs(vals).max(initial=0))
+            * int(np.abs(v).max()) * len(cols))
+    shape = (-1,) + (1,) * (v.ndim - 1)
+    for c, x in zip(cols, vals):
+        out += x.reshape(shape) * v[c]
+    return out
+
+
+def times(a: Triples, b: Triples, modulus: int = 0) -> Triples:
+    """a @ b by an index join, reduced mod ``modulus`` when it is set."""
+    return triples(*_times(a[:3], b[:3], b.shape[0]),
+                   (a.shape[0], b.shape[1]), modulus)
 
 
 def _times(u, v, k: int):
@@ -233,17 +325,16 @@ def _times(u, v, k: int):
     if len(ux) and len(vx):
         _refuse("product", int(np.abs(ux).max()) * int(np.abs(vx).max())
                 * int(np.bincount(ur).max()))
-    order = np.argsort(vr)
+    order = np.argsort(vr, kind="stable")
     ptr = np.searchsorted(vr[order], np.arange(k + 1))
     cnt = ptr[uc + 1] - ptr[uc]
-    pick = order[np.repeat(ptr[uc] - np.cumsum(cnt) + cnt, cnt)
-                 + np.arange(cnt.sum())]
+    pick = order[_runs(ptr[uc], cnt)]
     return np.repeat(ur, cnt), vc[pick], np.repeat(ux, cnt) * vx[pick]
 
 
 def _minus(a, p, m: int):
-    return _canonical(*(np.concatenate([s, t]) for s, t in
-                        zip(a, (p[0], p[1], -p[2]))), m)
+    return canonical(*(np.concatenate([s, t]) for s, t in
+                       zip(a, (p[0], p[1], -p[2]))), m)
 
 
 def _transpose(t):
@@ -304,7 +395,7 @@ def _units_first(r, c, x, m: int):
     them then heads a column at a +-1 entry."""
     unit = np.isin(np.arange(m), r[np.abs(x) == 1])
     pos = np.argsort(np.argsort(~unit, kind="stable"))
-    return _canonical(pos[r], c, x, m)
+    return canonical(pos[r], c, x, m)
 
 
 def _pivots_first(piv, size: int):
@@ -331,10 +422,10 @@ def _eliminate(r, c, x, m: int, n: int, rows, cols):
     # The transposed product is formed grouped by the columns of S, which
     # halves the sort that sums it.
     if m <= n:  # Z = A21 A11^-1 and S = A22 - Z A12
-        z = _solve(_canonical(*a21, m - k), e, k, m - k)
+        z = _solve(canonical(*a21, m - k), e, k, m - k)
         pt = _times(_transpose(a12), _transpose(z), k)
     else:  # Z = (A11^-1 A12)^T and S = A22 - A21 Z^T
-        z = _solve(_canonical(*_transpose(a12), n - k), _transpose(e), k,
+        z = _solve(canonical(*_transpose(a12), n - k), _transpose(e), k,
                    n - k)
         order = np.argsort(z[0], kind="stable")
         pt = _times(tuple(t[order] for t in z), _transpose(a21), k)
@@ -342,7 +433,8 @@ def _eliminate(r, c, x, m: int, n: int, rows, cols):
 
 
 def sparse_rank_torsion(a) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion of an integer matrix given in ``scipy.sparse`` form.
+    """Rank and torsion of an integer matrix given as its triples sorted by
+    column and then row (:func:`canonical`).
 
     ``torsion`` lists the invariant factors greater than 1, ascending, so
     Z^rows modulo the column span is Z^(rows - rank) plus those cyclic
@@ -352,14 +444,10 @@ def sparse_rank_torsion(a) -> tuple[int, tuple[int, ...]]:
     which a ``ResourceLimit`` is raised.  When no +-1 entry is left, the
     distinct columns of the residual go to :func:`smith_normal_form`.
     """
-    a = sparse.csc_matrix(a)
-    r, c, x = _canonical(
-        a.indices.astype(np.int64),
-        np.repeat(np.arange(a.shape[1]), np.diff(a.indptr)),
-        a.data.astype(np.int64), a.shape[0])
+    r, c, x = a
     rank = 0
     while len(x):
-        used = np.zeros(a.shape[0], dtype=bool)
+        used = np.zeros(int(r.max()) + 1, dtype=bool)
         used[r] = True
         r, m = (np.cumsum(used) - 1)[r], int(used.sum())
         r, c, x = _distinct_columns(r, c, x)

@@ -12,10 +12,11 @@ comes out as a chain with no further pass.
 :func:`mod_smith` takes dense local forms, with invertible transforms, of
 the small matrices that need them (elimination residuals, quotient
 relations, solver matrices) and joins them by CRT.  A kernel, the one
-large elimination behind group cohomology, takes sparse unit pivots
-(:func:`unit_pivots`) and a dense form of the unit-free residual only; it
-is kept as those records (:class:`ModKernel`), never as a dense generator
-matrix.  The test suite cross-checks both against the integer Smith form.
+large elimination behind group cohomology, takes the rows of a sparse
+``intlinalg.Triples`` matrix to unit pivots (:func:`unit_pivots`) and a
+dense form of the unit-free residual only; it is kept as those records
+(:class:`ModKernel`), never as a dense generator matrix.  The test suite
+cross-checks both against the integer Smith form.
 
 Conventions: matrix entries are stored canonically in [0, m).  Reported
 diagonal values are canonical divisors of m, with m itself standing for a
@@ -28,12 +29,14 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ResourceLimit
+from .intlinalg import (Triples, dense_triples, reduced, row_terms,
+                        take_rows, times, times_dense)
 
 
 def dtype_for(m: int, max_dim: int):
@@ -174,12 +177,12 @@ def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
 
 
 def mod_kernel(a, m: int) -> ModKernel:
-    """{x in (Z/m)^c : a x = 0} for a dense or scipy.sparse ``a``, one
+    """{x in (Z/m)^c : a x = 0} for a dense or :class:`Triples` ``a``, one
     :class:`_LocalKernel` per prime power of m."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    a = sparse.csr_matrix(a, dtype=np.int64)
-    a.sum_duplicates()
+    if not isinstance(a, Triples):
+        a = dense_triples(a)
     return ModKernel(m, a.shape[1], [_LocalKernel(a, p, q, e)
                                      for p, q, e in _local_rings(m)])
 
@@ -194,16 +197,18 @@ class _LocalKernel:
     for each d_i > 1, the order d_i and the free entries V e_i * q/d_i
     (``basis``), and f the coefficients (V^-1 f)_i / (q/d_i)."""
 
-    def __init__(self, a: sparse.csr_matrix, p: int, q: int, e: int):
+    def __init__(self, a: Triples, p: int, q: int, e: int):
         c = a.shape[1]
         dtype_for(q, c)  # back-substitution sums at most c products below q^2
-        ptr, col, val = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+        ptr = np.searchsorted(a.rows, np.arange(a.shape[0] + 1)).tolist()
+        col, val = a.cols.tolist(), a.vals.tolist()
         self.pivots, residual = unit_pivots(
             (dict(zip(col[s:t], val[s:t])) for s, t in zip(ptr, ptr[1:])),
             q, p)
-        self.q, self.e, self.a = q, e, a.copy()
-        self.a.data %= q
-        self.free = np.setdiff1d(np.arange(c), [k for k, _ in self.pivots])
+        self.q, self.e, self.a = q, e, reduced(a, q)
+        free = np.ones(c, dtype=bool)
+        free[[k for k, _ in self.pivots]] = False
+        self.free = np.flatnonzero(free)
         self.orders, self.basis, self.v_inv = [q] * len(self.free), None, None
         if residual:
             form = mod_smith([[row.get(j, 0) for j in self.free.tolist()]
@@ -214,6 +219,11 @@ class _LocalKernel:
             self.orders = d[keep].tolist()
             self.basis = form.v[:, keep] * self.steps[keep] % q
             self.v_inv = form.v_inv
+
+    @cached_property
+    def terms(self):
+        """The terms of ``a`` for products with dense vectors."""
+        return row_terms(self.a)
 
     def read(self, f) -> np.ndarray:
         """The coefficients of the free entries f, a column each."""
@@ -246,24 +256,28 @@ class ModKernel:
 
     def coordinates(self, b) -> np.ndarray | None:
         """y with ``lift(y) = b`` for the columns of b (c x B, dense or
-        sparse), or None if a column is not the lift of what was read.
-        Each ring reads b's free entries mod q.  The lift of what it read
-        has the free entries ``free_part``, and b is that lift when those
-        are b's own and a b = 0 mod q."""
+        :class:`Triples`), or None if a column is not the lift of what was
+        read.  Each ring reads b's free entries mod q.  The lift of what it
+        read has the free entries ``free_part``, and b is that lift when
+        those are b's own and a b = 0 mod q, an index join for sparse b."""
+        dense = not isinstance(b, Triples)
+        if dense:
+            b = np.asarray(b, dtype=np.int64)
         ys = [np.zeros((0, b.shape[1]), np.int64)]
         for part in self.parts:
             q = part.q
-            if sparse.issparse(b):
-                bq = sparse.csr_matrix(b, dtype=np.int64, copy=True)
-                bq.data %= q
-                f = bq[part.free].toarray()
-            else:
-                bq = np.asarray(b, dtype=np.int64) % q
+            if dense:
+                bq = b % q
                 f = bq[part.free]
+                off = (times_dense(part.terms, bq) % q).any()
+            else:
+                bq = reduced(b, q)
+                rows = take_rows(bq, part.free)
+                f = np.zeros(rows.shape, dtype=np.int64)
+                f[rows.rows, rows.cols] = rows.vals
+                off = len(times(part.a, bq, q).vals) > 0
             y = part.read(f)
-            ab = part.a @ bq
-            if ((part.free_part(y) - f) % q).any() or \
-                    ((ab.data if sparse.issparse(ab) else ab) % q).any():
+            if ((part.free_part(y) - f) % q).any() or off:
                 return None
             ys.append(y * part.e % self.m)
         return np.vstack(ys)

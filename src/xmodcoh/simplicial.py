@@ -12,9 +12,9 @@ them as lists of Python ints.  The identity checks compare whole tables.
 
 Homology is computed from the normalized chain complex (degenerate simplices
 quotiented away), which is the right desk-scale shadow of the geometric
-realization in low degrees.  Each boundary is a sparse int64 matrix
-gathered from the face tables, and its rank and torsion come from the
-batched elimination of ``intlinalg.sparse_rank_torsion``.
+realization in low degrees.  Each boundary is gathered from the face
+tables as int64 triples sorted by column, the form whose rank and torsion
+the batched elimination of ``intlinalg.sparse_rank_torsion`` takes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import intlinalg as il
 from .errors import InvariantError
@@ -169,9 +168,9 @@ class HomologyGroups:
         return self.factors[q]
 
 
-def boundary_matrix(s: TruncatedSimplicialSet, k: int, nd_low, nd_high
-                    ) -> sparse.csc_matrix:
-    """Normalized boundary from level k to level k-1, an int64 CSC matrix.
+def boundary_matrix(s: TruncatedSimplicialSet, k: int, nd_low, nd_high):
+    """Normalized boundary from level k to level k-1, as int64 triples
+    sorted by column and then row (``intlinalg.canonical``).
 
     Column c is simplex ``nd_high[c]`` and row p simplex ``nd_low[p]``.
     Face d_i adds (-1)^i at the position of its image, gathered through
@@ -183,15 +182,9 @@ def boundary_matrix(s: TruncatedSimplicialSet, k: int, nd_low, nd_high
     low_pos[np.asarray(nd_low, dtype=np.int64)] = np.arange(len(nd_low))
     rows = np.stack([low_pos[np.asarray(face)[high]] for face in s.face[k]],
                     axis=1)
-    keep = rows >= 0
-    signs = np.broadcast_to((-1) ** np.arange(k + 1), rows.shape)
-    out = sparse.csc_matrix(
-        (signs[keep], rows[keep],
-         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-        shape=(len(nd_low), len(high)), dtype=np.int64)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+    cols, faces = np.nonzero(rows >= 0)
+    return il.canonical(rows[cols, faces], cols, (-1) ** faces,
+                        len(nd_low))
 
 
 def homology(s: TruncatedSimplicialSet, maxdeg: int) -> HomologyGroups:

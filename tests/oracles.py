@@ -5,7 +5,7 @@ classifying-map, homotopy and conjugation builders that looked each simplex
 object up in a dictionary, and the appendix retraction verifier that
 replayed one chain at a time over interned slots, with the pseudofunctor
 simplex objects it was built on.  Also the one converter from
-``{row: entry}`` columns to the sparse matrices the program takes, and the
+``{row: entry}`` columns to the sparse triples the program takes, and the
 one view of a nerve level as simplex objects, rebuilt from its label
 rows.  For the unitary layer, the per-trial and per-matrix loops: the
 unitary-check battery and the random decompose task trial by trial, the
@@ -44,15 +44,21 @@ from xmodcoh.unitary import (ExponentialLength, InequalityReport,
 
 
 def columns_matrix(columns, rows=None):
-    """The int64 CSC matrix with ``{row: entry}`` columns; ``rows``
-    defaults to one past the largest row used."""
+    """The int64 triples (rows, cols, values), sorted by column and then
+    row, of the matrix with ``{row: entry}`` columns, read off scipy's
+    canonical CSC form; ``rows`` defaults to one past the largest row
+    used."""
     if rows is None:
         rows = 1 + max((r for col in columns for r in col), default=-1)
     pairs = [(r, c, x) for c, col in enumerate(columns)
              for r, x in col.items()]
     r, c, x = zip(*pairs) if pairs else ((), (), ())
-    return sparse.csc_matrix((np.array(x, dtype=np.int64), (r, c)),
-                             shape=(rows, len(columns)), dtype=np.int64)
+    m = sparse.csc_matrix((np.array(x, dtype=np.int64), (r, c)),
+                          shape=(rows, len(columns)), dtype=np.int64)
+    m.eliminate_zeros()
+    return (m.indices.astype(np.int64),
+            np.repeat(np.arange(m.shape[1], dtype=np.int64),
+                      np.diff(m.indptr)), m.data)
 
 
 def unit_pivots(vectors):

@@ -2,11 +2,13 @@
 status/exit-code mapping, deterministic reports, seed/budget overrides, and
 the golden preset workflow (regeneration, drift detection, diffs)."""
 
+import ast
 import importlib.util
 import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +185,76 @@ def test_budget_override_trips_the_resource_guard():
     assert report["provenance"]["budget"] == 100
     assert set(report["result"]) == {"bound", "needed", "allowed"}
     assert report["result"]["allowed"] == 100
+
+
+NUMERIC_FLOODS = [
+    ({"schema": 1, "task": "decompose", "random": {"paths": 10 ** 9}},
+     "path matrix cells"),
+    ({"schema": 1, "task": "kernel-ob", "group": "C2xC2",
+      "mats": "clock-shift-2", "perturbations": 10 ** 7},
+     "kernel-ob product cells"),
+    ({"schema": 1, "task": "unitary-check", "max_dim": 3,
+      "pair_trials": 10 ** 9}, "unitary trial matrix cells"),
+]
+
+
+def test_numeric_tasks_are_refused_past_their_budget_before_any_work():
+    """Numeric tasks charge the matrix cells they ask for against the
+    budget, and are refused at once past it; a path refined a billion
+    times is too."""
+    path = json.loads((PRESETS / "decompose-scalar.bundle.json")
+                      .read_text())["path"]
+    floods = NUMERIC_FLOODS + [
+        ({"schema": 1, "task": "decompose", "path": path,
+          "refine_factor": 10 ** 9}, "path matrix cells")]
+    for bundle, bound in floods:
+        start = time.perf_counter()
+        report = cli.run(bundle)
+        assert time.perf_counter() - start < 0.1, bundle
+        assert report["status"] == "resource-error", bundle
+        assert report["result"]["bound"] == bound
+        assert report["result"]["allowed"] == cli.NUMERIC_CELLS
+        assert report["result"]["needed"] > cli.NUMERIC_CELLS
+
+
+def test_numeric_budgets_charge_exactly_the_cells_asked_for():
+    """A budget of exactly the charged cells admits the task, one less
+    refuses it: (perturbations + 1) |G|^2 dim^2 for kernel-ob, trials
+    times max_dim^2 for unitary-check, and paths (max_segments + 1)
+    (1 + refine_factor) max_dim^2 for decompose."""
+    for bundle, cells in (
+            ({"schema": 1, "task": "kernel-ob", "group": "C2xC2",
+              "mats": "clock-shift-2", "perturbations": 2}, 3 * 16 * 4),
+            ({"schema": 1, "task": "unitary-check", "max_dim": 2,
+              "ineq_trials": 3, "pair_trials": 2, "member_trials": 2,
+              "sandwich_trials": 2, "conj_trials": 1}, 10 * 4),
+            ({"schema": 1, "task": "decompose",
+              "random": {"paths": 2, "max_dim": 2, "max_segments": 4},
+              "refine_factor": 2}, 2 * 5 * 3 * 4)):
+        assert cli.run(bundle, budget=cells)["status"] == "ok", bundle
+        report = cli.run(bundle, budget=cells - 1)
+        assert report["status"] == "resource-error"
+        assert (report["result"]["needed"], report["result"]["allowed"]) \
+            == (cells, cells - 1)
+
+
+def test_the_default_numeric_budget_admits_the_benchmark_cases():
+    """The numeric cases of the benchmark's obstruction workload run under
+    the default budget; the golden presets are checked elsewhere."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PRESETS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        cases = workloads.obstruction_cases(PRESETS.parent, 1)
+    finally:
+        del sys.modules[spec.name]
+    numeric = [case.bundle for case in cases if case.bundle["task"] in
+               ("kernel-ob", "unitary-check", "decompose")]
+    assert len(numeric) == 3
+    for bundle in numeric:
+        assert cli.run(bundle)["status"] == "ok", bundle
 
 
 def test_every_nerve_guard_runs_before_any_nerve_is_built(monkeypatch):
@@ -650,6 +722,40 @@ def test_unitary_tasks_import_no_heavy_scipy_subpackage():
     # by every case process
     probe = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(SRC)],
                            capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == []
+
+
+def scipy_sparse_imports(tree) -> list[int]:
+    """The lines of a syntax tree that import scipy.sparse or a part of
+    it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_program_does_not_import_scipy_sparse():
+    """Sparse matrices are the program's own int64 index arrays: no source
+    file imports scipy.sparse, and importing the CLI loads none of it."""
+    found = {path.name: scipy_sparse_imports(ast.parse(path.read_text()))
+             for path in sorted((SRC / "xmodcoh").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert scipy_sparse_imports(ast.parse("from scipy import sparse")) == [1]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; sys.path.insert(0, sys.argv[1]); "
+         "import xmodcoh.cli; print(json.dumps(sorted(name for name in "
+         "sys.modules if name.startswith('scipy.sparse'))))", str(SRC)],
+        capture_output=True, text=True, timeout=300)
     assert probe.returncode == 0, probe.stderr
     assert json.loads(probe.stdout) == []
 

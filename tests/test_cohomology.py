@@ -459,16 +459,17 @@ def full_row_factors(group, module, n):
     cx = _BarComplex(group, module, s if circle else None, elements)
     m = cx.m
     rows = cx.generator_rows(n + 1)
-    d = sparse.diags(cx.row_scale(n + 1), dtype=np.int64) @ \
-        cx.differential(n)
-    orders = kernel_order(d, m), kernel_order(d[rows], m)
+    d = cx.differential(n)
+    d = d._replace(vals=d.vals * cx.row_scale(n + 1)[d.rows])
+    orders = kernel_order(d, m), kernel_order(intlinalg.take_rows(d, rows), m)
     l_cols = [cx.differential(n - 1), cx.relations(n)]
     if circle:
         dw = cx.differential(n - 1, s * s)
         b = modsnf.mod_kernel(dw, s).basis()
         assert kernel_order(dw, s) == \
-            kernel_order(dw[cx.generator_rows(n)], s)
-        l_cols.append(dw @ b % (s * s) // s)
+            kernel_order(intlinalg.take_rows(dw, cx.generator_rows(n)), s)
+        l_cols.append(intlinalg.times_dense(intlinalg.row_terms(dw), b)
+                      % (s * s) // s)
     return orders, _Quotient(modsnf.mod_kernel(d, m), l_cols).factors
 
 
@@ -993,7 +994,9 @@ def identity_row_shift(group, module, c):
     pos = np.flatnonzero((digits == group.identity).any(axis=0))
     rows = (pos[:, None] * full.k + np.arange(full.k)).ravel()
     scale = full.row_scale(n)[rows]
-    a = full.differential(n - 1)[rows].toarray() * scale[:, None]
+    d = intlinalg.take_rows(full.differential(n - 1), rows)
+    a = sparse.csr_matrix((d.vals, (d.rows, d.cols)), shape=d.shape) \
+        .toarray() * scale[:, None]
     sol = modsnf.ModSolver(a, full.m).solve(vec[rows] * scale)
     return None if sol is None else full.cochain(n - 1, sol)
 
@@ -1164,3 +1167,50 @@ def test_fraction_values_reduce_on_circle():
     c = cochain_from_function(group, qz, 1,
                               lambda g: Fraction(3, 2) if g else Fraction(0))
     assert evaluate(group, c, (1,)) == Fraction(1, 2)
+
+
+def test_classify_tables_reads_each_distinct_table_once(monkeypatch):
+    """Rows drawn with repeats from sums of representatives and random
+    coboundaries, some unnormalized: ``classify_tables`` gives what
+    row-by-row ``classify`` gives, and the quotient reads one column per
+    distinct row."""
+    read = []
+    real = _Quotient.coordinates
+
+    def spy(self, vecs):
+        read.append(vecs.shape[1])
+        return real(self, vecs)
+
+    monkeypatch.setattr(_Quotient, "coordinates", spy)
+    rng = random.Random(37)
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    c4 = make_cyclic(4)
+    for group, module, n in ((v4, finite_abelian(v4, (2,)), 2),
+                             (v4, finite_abelian(v4, (2, 4)), 2),
+                             (c4, rational_circle(c4), 3)):
+        h = cohomology(group, module, n)
+        den = h.denominator
+
+        def value(*args):
+            if module.factors:
+                return tuple(rng.randrange(d) for d in module.factors)
+            return Fraction(rng.randrange(den), den)
+
+        pool = []
+        for coords in h.all_classes()[:6]:
+            c = add_cochains(group, module, h.representative_of(coords),
+                             bar_differential(group, module,
+                                              cochain_from_function(
+                                                  group, module, n - 1,
+                                                  value)))
+            pool.append(np.multiply(c.coords, den // c.denominator)
+                        if den else np.array(c.coords))
+        tables = np.array([rng.choice(pool) for _ in range(24)])
+        distinct = len({tuple(row) for row in tables.tolist()})
+        assert distinct < len(tables)
+        want = [h.classify(cochain_from_coords(group, module, n, row,
+                                               den or None))
+                for row in tables]
+        read.clear()
+        assert h.classify_tables(tables, den or None) == want
+        assert read == [distinct]

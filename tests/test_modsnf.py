@@ -11,6 +11,7 @@ import sympy
 from scipy import sparse
 from sympy.matrices.normalforms import smith_normal_form
 
+from xmodcoh.intlinalg import Triples
 from xmodcoh.modsnf import ModSolver, mod_kernel, mod_smith
 
 
@@ -176,6 +177,13 @@ def sparse_mod_matrix(rng, rows, cols, m, kind):
     return a
 
 
+def csr_triples(a):
+    """a as ``Triples``, read off scipy's canonical CSR form."""
+    s = sparse.csr_matrix(a)
+    return Triples(np.repeat(np.arange(s.shape[0]), np.diff(s.indptr)),
+                   s.indices.astype(np.int64), s.data, s.shape)
+
+
 def integer_invariant_factors(a):
     """Nonzero invariant factors of an integer matrix, from sympy."""
     rows, cols = a.shape
@@ -202,7 +210,7 @@ def test_mod_kernel_is_the_whole_kernel_with_independent_generators():
                   for kind in kinds for _ in range(4)]
         for rows, cols, kind in cases:
             a = sparse_mod_matrix(rng, rows, cols, m, kind)
-            arg = sparse.csr_matrix(a) if rng.random() < 0.5 else a
+            arg = csr_triples(a) if rng.random() < 0.5 else a
             kernel = mod_kernel(arg, m)
             gens, orders = kernel.basis(), kernel.orders
             free = np.unique(np.concatenate(

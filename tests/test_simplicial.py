@@ -5,6 +5,7 @@ import copy
 
 import numpy as np
 import pytest
+from scipy import sparse
 from oracles import (columns_matrix, dict_boundary,
                      loop_simplicial_violations, simplex_index,
                      simplex_objects)
@@ -85,11 +86,18 @@ def test_prism_ends_are_simplicial_inclusions():
                         p, k - 1, s.face[k][i][idx], zero_end)
 
 
+def as_csc(triples, shape):
+    """scipy's CSC matrix of boundary triples; building it checks every
+    index against the shape."""
+    r, c, x = triples
+    return sparse.csc_matrix((x, (r, c)), shape=shape)
+
+
 def test_normalized_boundaries_square_to_zero():
     s = ordinary_nerve(make_symmetric(3), 3)
     nd = [s.nondegenerate_indices(k) for k in range(4)]
-    d2 = boundary_matrix(s, 2, nd[1], nd[2])
-    d3 = boundary_matrix(s, 3, nd[2], nd[3])
+    d2 = as_csc(boundary_matrix(s, 2, nd[1], nd[2]), (len(nd[1]), len(nd[2])))
+    d3 = as_csc(boundary_matrix(s, 3, nd[2], nd[3]), (len(nd[2]), len(nd[3])))
     assert d2.shape == (len(nd[1]), len(nd[2]))
     assert d3.shape == (len(nd[2]), len(nd[3]))
     assert d2.dtype == d3.dtype == np.int64
@@ -158,13 +166,14 @@ def test_sparse_boundaries_match_the_dict_columns(case):
     s, top = boundary_nerves()[case]
     nd = [s.nondegenerate_indices(k) for k in range(top + 1)]
     d = [boundary_matrix(s, k, nd[k - 1], nd[k]) for k in range(1, top + 1)]
-    for k, m in enumerate(d, 1):
-        assert m.format == "csc" and m.dtype == np.int64
-        assert m.has_canonical_format and m.data.all()
+    for k, (r, c, x) in enumerate(d, 1):
+        assert r.dtype == c.dtype == x.dtype == np.int64
+        assert (np.diff(c * len(nd[k - 1]) + r) > 0).all() and x.all()
         want = columns_matrix(
             dict_boundary(s, k, nd[k - 1].tolist(), nd[k].tolist()),
             len(nd[k - 1]))
-        assert m.shape == want.shape and (m != want).nnz == 0
+        assert all(map(np.array_equal, (r, c, x), want))
+    d = [as_csc(m, (len(nd[k - 1]), len(nd[k]))) for k, m in enumerate(d, 1)]
     assert all(m.nnz for m in d[1:])
     for low, high in zip(d, d[1:]):
         assert (low @ high).nnz == 0
