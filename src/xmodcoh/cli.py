@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  np.random is lazy: load it at start-up
 
 from . import __version__
 from .bundles import (MAX_COUNT, MAX_MODULUS, BundleError, expect_int,

@@ -64,6 +64,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it: load it at start-up
 
 from . import intlinalg as il
 from . import modsnf

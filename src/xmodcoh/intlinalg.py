@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it: load it at start-up
 
 from .errors import ResourceLimit
 
@@ -226,7 +227,15 @@ def canonical(r, c, x, m: int):
     order = np.argsort(key, kind="stable")  # merges sorted runs fast
     key, x = key[order], x[order]
     start = np.flatnonzero(np.diff(key, prepend=-1))
-    x = np.add.reduceat(x, start) if len(x) else x
+    if len(x):
+        longest = int(np.diff(start, append=len(x)).max())
+        if longest * max(int(x.max()), -int(x.min())) < 2 ** 63:
+            x = np.add.reduceat(x, start)
+        else:
+            # a sum in int64 could wrap: add these runs as Python integers
+            x = [sum(run.tolist()) for run in np.split(x, start[1:])]
+            _refuse("entry", max(map(abs, x)))
+            x = np.array(x, dtype=np.int64)
     key, x = key[start][x != 0], x[x != 0]
     _refuse("entry", int(np.abs(x).max(initial=0)))
     return key % m, key // m, x

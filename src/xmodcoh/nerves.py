@@ -45,6 +45,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it: load it at start-up
 
 from .crossed import CrossedModule
 from .errors import ResourceLimit

@@ -34,6 +34,7 @@ from functools import lru_cache
 from math import lcm
 
 import numpy as np
+import numpy.random  # noqa: F401  np.random is lazy: load it at start-up
 
 from .coefficients import AbelianCoefficients, finite_abelian, rational_circle
 from .cohomology import (Cochain, CohomologyGroup, cochain_from_coords,

@@ -11,13 +11,16 @@ recorded and corrected exactly.
 
 Trials and path samples are held as (k, n, n) stacks, one per dimension, so
 that one numpy call runs the same LAPACK routine on every matrix of a stack.
-Segment logarithms and the trial families of a battery are stacked too; the
-Schur form (LAPACK zgees) is the one call made matrix by matrix.
+Segment logarithms and the trial families of a battery are stacked too.  The
+Schur form is LAPACK zgees, which numpy does not wrap: it is called through
+ctypes from the LAPACK numpy's own build loads, matrix by matrix in one loop
+over a stack.
 Haar unitaries are drawn by Mezzadri's QR construction (Notices AMS 54, 2007).
 """
 
 from __future__ import annotations
 
+import ctypes
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +29,8 @@ from math import pi, sqrt
 from operator import index
 
 import numpy as np
-from scipy.linalg.lapack import zgees
+import numpy.random  # noqa: F401  np.random is lazy: load it at start-up
+from numpy.linalg import _umath_linalg
 
 DEFAULT_UNITARITY_TOL = 1e-10
 DEFAULT_EQ_TOL = 1e-9
@@ -129,39 +133,97 @@ def exp_selfadjoint(h) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _no_sort(x):
-    return None
+def _bind_zgees():
+    """LAPACK zgees from the library that numpy's linear algebra is linked
+    against.
+
+    dlsym on the handle of ``numpy.linalg._umath_linalg`` searches that
+    object's dependencies too, so it finds the LAPACK numpy has loaded.
+    The hidden lengths of zgees's two character arguments close the
+    argument list, as gfortran passes them."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in _ZGEES_NAMES:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            break
+    else:
+        raise ImportError("numpy's LAPACK exports none of "
+                          + ", ".join(_ZGEES_NAMES))
+    fn.restype = None
+    fn.argtypes = ([ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 13
+                   + [ctypes.c_size_t] * 2)
+    return fn
+
+
+# numpy 2 wheels export an ILP64 OpenBLAS under a scipy_ prefix; other
+# builds link a LAPACK whose names end in 64_ for 64-bit integers, or not
+_ZGEES_NAMES = ("scipy_zgees_64_", "zgees_64_", "zgees_")
+_zgees = _bind_zgees()
+# the integers of its interface, LOGICAL included
+_LAPACK_INT = (ctypes.c_int64 if _zgees.__name__.endswith("64_")
+               else ctypes.c_int32)
+
+
+def _gees(a: np.ndarray, w: np.ndarray, vs: np.ndarray, work, lwork: int):
+    """zgees with Schur vectors and no sorting on each n x n matrix of the
+    C-contiguous (k, n, n) stack a, read column-major and overwritten by its
+    Schur form.  The eigenvalues go to the rows of the (k, n) stack w, the
+    Schur vectors, column-major, to the matrices of vs.  ``work`` is a
+    ctypes double array of 2 * lwork entries; lwork = -1 is a workspace
+    query.  Returns the first nonzero info, else 0."""
+    k, n = a.shape[:2]
+    if (a.shape != (k, n, n) or w.shape != (k, n) or vs.shape != a.shape
+            or len(work) < 2 * max(lwork, 1)
+            or not all(x.dtype == np.complex128 and x.flags.c_contiguous
+                       for x in (a, w, vs))):
+        raise ValueError("zgees takes C-contiguous complex128 stacks of "
+                         "matching shapes and a workspace of lwork entries")
+    # N (= LDA = LDVS), LWORK, SDIM, INFO; the scratch is ctypes arrays,
+    # whose addresses cost less to read than an ndarray's
+    ints = (_LAPACK_INT * 4)(n, lwork, 0, 0)
+    size = ctypes.sizeof(_LAPACK_INT)
+    pn, plwork, sdim, pinfo = (ctypes.byref(ints, i * size) for i in range(4))
+    rwork = (ctypes.c_double * n)()
+    bwork = (_LAPACK_INT * n)()
+    pa, pw, pvs = a.ctypes.data, w.ctypes.data, vs.ctypes.data
+    for i in range(k):
+        _zgees(b"V", b"N", None, pn, pa + i * a.strides[0], pn, sdim,
+               pw + i * w.strides[0], pvs + i * vs.strides[0], pn, work,
+               plwork, rwork, bwork, pinfo, 1, 1)
+        if ints[3]:
+            return ints[3]
+    return 0
 
 
 @lru_cache(maxsize=64)
 def _gees_lwork(n: int) -> int:
     """zgees's optimal workspace for n x n input (a function of n only)."""
-    work = zgees(_no_sort, np.zeros((n, n), dtype=complex), lwork=-1)[-2]
-    return int(work[0].real)
-
-
-def _eig_unitary(u: np.ndarray):
-    """Eigenvalues and a unitary diagonalizer (Schur of a normal matrix):
-    LAPACK zgees called as ``scipy.linalg.schur(u, output="complex")``
-    calls it for complex128 input, without the wrapper's overhead."""
-    a = np.asarray_chkfinite(u, dtype=complex)
-    t, _, _, z, _, info = zgees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"Schur form not found (zgees info {info})")
-    return t.diagonal().copy(), z
+    work = (ctypes.c_double * 2)()
+    _gees(np.zeros((1, n, n), dtype=complex), np.empty((1, n), dtype=complex),
+          np.empty((1, n, n), dtype=complex), work, -1)
+    return int(work[0])
 
 
 def _eig_unitaries(us: np.ndarray):
-    """_eig_unitary of each matrix of a (k, n, n) stack, one zgees call
-    each: the eigenvalues as a (k, n) stack and the Schur vectors as a
-    stack whose matrices keep zgees's column-major layout, so that products
-    with them run as they do on one matrix."""
-    lam = np.empty(us.shape[:2], dtype=complex)
-    zt = np.empty(us.shape, dtype=complex)
-    for i, u in enumerate(us):
-        lam[i], z = _eig_unitary(u)
-        zt[i] = z.T
+    """Eigenvalues and a unitary diagonalizer (Schur form of a normal
+    matrix) of each matrix of a (k, n, n) stack, by one zgees call each, as
+    ``scipy.linalg.schur(u, output="complex")`` computes them: the
+    eigenvalues as a (k, n) stack and the Schur vectors as a stack whose
+    matrices keep zgees's column-major layout, so that products with them
+    run as they do on one matrix."""
+    # each matrix of the C-order copy of the transposed stack is that
+    # matrix in column-major order, which zgees reads and overwrites
+    a = np.array(np.swapaxes(us, -1, -2), dtype=complex, order="C")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lam = np.empty(a.shape[:2], dtype=complex)
+    zt = np.empty(a.shape, dtype=complex)
+    if len(a):
+        lwork = _gees_lwork(a.shape[1])
+        info = _gees(a, lam, zt, (ctypes.c_double * (2 * lwork))(), lwork)
+        if info:
+            raise np.linalg.LinAlgError(
+                f"Schur form not found (zgees info {info})")
     return lam, zt.swapaxes(-1, -2)
 
 

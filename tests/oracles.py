@@ -894,6 +894,18 @@ def schur_eig_unitary(u):
     return np.diag(t).copy(), z
 
 
+def loop_eig_unitaries(us):
+    """schur_eig_unitary of each matrix of a (k, n, n) stack, laid out as
+    ``unitary._eig_unitaries`` lays out its stacks: the eigenvalues as a
+    C-ordered (k, n) stack, the Schur vectors with column-major matrices."""
+    lam = np.empty(us.shape[:2], dtype=complex)
+    zt = np.empty(us.shape, dtype=complex)
+    for i, u in enumerate(us):
+        lam[i], z = schur_eig_unitary(u)
+        zt[i] = z.T
+    return lam, zt.swapaxes(-1, -2)
+
+
 def _schur_principal_log(u, margin=0.0):
     lam, z = schur_eig_unitary(u)
     ang = np.angle(lam)

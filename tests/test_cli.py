@@ -726,35 +726,91 @@ def test_unitary_tasks_import_no_heavy_scipy_subpackage():
     assert json.loads(probe.stdout) == []
 
 
-def scipy_sparse_imports(tree) -> list[int]:
-    """The lines of a syntax tree that import scipy.sparse or a part of
-    it."""
+# one small bundle of each task that computes
+CASE_BUNDLES = [
+    {"schema": 1, "task": "h-n", "group": "C4", "module": "QZ-trivial",
+     "n": 3},
+    {"schema": 1, "task": "homology", "kind": "both", "xmod": "C2->id",
+     "trunc": 3, "maxdeg": 2},
+    {"schema": 1, "task": "nerve", "kind": "duskin", "xmod": "1->C2",
+     "trunc": 4, "check_ordinary_iso": True},
+    {"schema": 1, "task": "appendix-check", "xmod": "C2->id", "m": 2,
+     "n": 2, "sample": 20, "seed": 0},
+    {"schema": 1, "task": "theta", "extension": "C2-C4-C2", "gamma": "C2",
+     "sweep": True},
+    {"schema": 1, "task": "exact-check", "extension": "C2-C4-C2-inv",
+     "gamma": "C2"},
+    {"schema": 1, "task": "kernel-ob", "group": "C2xC2",
+     "mats": "clock-shift-2", "perturbations": 3, "seed": 1},
+    {"schema": 1, "task": "unitary-check", "max_dim": 3, "ineq_trials": 20,
+     "pair_trials": 4, "member_trials": 4, "sandwich_trials": 4,
+     "conj_trials": 2, "seed": 1},
+    {"schema": 1, "task": "decompose", "random": {"paths": 2, "max_dim": 3},
+     "seed": 1},
+]
+
+CASE_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from xmodcoh import cli
+before = set(sys.modules)
+added = {}
+for bundle in json.loads(sys.argv[2]):
+    assert cli.run(bundle)["status"] == "ok", bundle
+    added[bundle["task"]] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
+
+def test_no_case_imports_a_module():
+    # numpy loads numpy.random and numpy.ma (through np.unique) on first
+    # use; a module first imported inside cli.run is paid by every case
+    # process instead of once before the fork
+    probe = subprocess.run(
+        [sys.executable, "-c", CASE_IMPORT_PROBE, str(SRC),
+         json.dumps(CASE_BUNDLES)],
+        capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    added = json.loads(probe.stdout)
+    assert sorted(added) == sorted(bundle["task"]
+                                   for bundle in CASE_BUNDLES)
+    assert added == {task: [] for task in added}
+
+
+def scipy_imports(tree) -> list[int]:
+    """The lines of a syntax tree that import scipy or a part of it."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
         else:
             continue
-        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+        if any(name == "scipy" or name.startswith("scipy.")
                for name in names):
             lines.append(node.lineno)
     return lines
 
 
 def test_the_program_does_not_import_scipy_sparse():
-    """Sparse matrices are the program's own int64 index arrays: no source
-    file imports scipy.sparse, and importing the CLI loads none of it."""
-    found = {path.name: scipy_sparse_imports(ast.parse(path.read_text()))
+    """The program needs no scipy: sparse matrices are its own int64 index
+    arrays and the Schur form calls numpy's LAPACK.  No source file imports
+    any part of scipy, and importing the CLI loads none of it."""
+    found = {path.name: scipy_imports(ast.parse(path.read_text()))
              for path in sorted((SRC / "xmodcoh").glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
-    assert scipy_sparse_imports(ast.parse("from scipy import sparse")) == [1]
+    for source in ("from scipy import sparse", "import scipy.linalg",
+                   "import numpy, scipy", "from scipy.linalg.lapack "
+                   "import zgees", "def f():\n    import scipy"):
+        assert scipy_imports(ast.parse(source)) != [], source
+    assert scipy_imports(ast.parse("import scipyx\nfrom . import scipy\n"
+                                   "from .scipy import f")) == []
     probe = subprocess.run(
         [sys.executable, "-c",
          "import json, sys; sys.path.insert(0, sys.argv[1]); "
          "import xmodcoh.cli; print(json.dumps(sorted(name for name in "
-         "sys.modules if name.startswith('scipy.sparse'))))", str(SRC)],
+         "sys.modules if name.startswith('scipy'))))", str(SRC)],
         capture_output=True, text=True, timeout=300)
     assert probe.returncode == 0, probe.stderr
     assert json.loads(probe.stdout) == []

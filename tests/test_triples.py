@@ -168,9 +168,6 @@ def test_entries_near_the_headroom_are_exact_or_refused():
             for key in zip(r.tolist(), c.tolist(), x.tolist()):
                 want[key[:2]] = want.get(key[:2], 0) + key[2]
             if any(abs(v) >= HEADROOM for v in want.values()):
-                # the sum runs in int64 first, so keep it from wrapping
-                if any(abs(v) >= 2 ** 63 for v in want.values()):
-                    continue
                 with pytest.raises(ResourceLimit):
                     triples(r, c, x, shape)
                 refused += 1
@@ -181,6 +178,14 @@ def test_entries_near_the_headroom_are_exact_or_refused():
             assert got == {k: v for k, v in want.items() if v}
             exact += 1
     assert refused and exact
+    # four entries at one position whose int64 sum wraps to -4
+    with pytest.raises(ResourceLimit):
+        triples([0] * 4, [0] * 4, [HEADROOM - 1] * 4, (1, 1))
+    with pytest.raises(ResourceLimit):
+        triples([0] * 3, [1] * 3, [-HEADROOM] * 3, (1, 2))
+    edge = triples([0] * 4, [0] * 4, [HEADROOM - 1, HEADROOM - 1,
+                                      1 - HEADROOM, 1 - HEADROOM], (1, 1))
+    assert edge.vals.tolist() == []
     big = triples([0], [0], [HEADROOM // 4], (1, 1))
     with pytest.raises(ResourceLimit):
         times_dense(row_terms(big), np.array([8]))

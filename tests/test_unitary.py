@@ -3,6 +3,7 @@ trace-determinant to the circle, special-unitary membership certificates,
 exponential length with its bi-invariant metric, the two-sided exponential
 estimate, and the R x SU decomposition of sampled paths."""
 
+import ctypes
 from fractions import Fraction
 from math import pi
 
@@ -391,7 +392,7 @@ def _random_paths(seed, max_dim):
 def _with_oracles(monkeypatch):
     """Route the unitary-check and decompose tasks through the per-trial
     and per-matrix loops."""
-    monkeypatch.setattr(unitary, "_eig_unitary", oracles.schur_eig_unitary)
+    monkeypatch.setattr(unitary, "_eig_unitaries", oracles.loop_eig_unitaries)
     monkeypatch.setattr(unitary, "random_selfadjoint",
                         oracles.loop_random_selfadjoint)
     monkeypatch.setattr(unitary, "el_tau", oracles.loop_el_tau)
@@ -485,19 +486,86 @@ def test_random_unitary_draws_as_scipys_unitary_group():
             assert ours.uniform() == theirs.uniform()
 
 
+def schur_stacks(rng, k, n):
+    """Seeded (k, n, n) stacks: Haar unitaries, and complex Gaussian
+    matrices, which are not normal."""
+    unitaries = np.empty((k, n, n), dtype=complex)
+    for i in range(k):
+        unitaries[i] = random_unitary(n, rng)
+    general = (rng.standard_normal((k, n, n))
+               + 1j * rng.standard_normal((k, n, n)))
+    return unitaries, general
+
+
+def assert_schur_as_scipy(us):
+    """_eig_unitaries of a stack equals scipy's Schur form of each matrix
+    bit for bit, in the layout of the per-matrix oracle."""
+    lam, z = unitary._eig_unitaries(us)
+    want_lam, want_z = oracles.loop_eig_unitaries(np.asarray(us))
+    assert lam.shape == want_lam.shape and z.shape == want_z.shape
+    assert lam.strides == want_lam.strides and z.strides == want_z.strides
+    assert np.array_equal(lam, want_lam) and np.array_equal(z, want_z)
+    assert lam.dtype == z.dtype == np.complex128
+
+
 def test_direct_schur_equals_scipys_wrapper():
     rng = np.random.default_rng(17)
-    for n in range(1, 7):
-        for _ in range(40):
-            u = random_unitary(n, rng)
-            lam, z = unitary._eig_unitary(u)
-            want_lam, want_z = oracles.schur_eig_unitary(u)
-            assert np.array_equal(lam, want_lam) and np.array_equal(z, want_z)
-    for bad in (np.nan, np.inf):
-        u = np.eye(3, dtype=complex)
-        u[1, 2] = bad
+    for n in range(1, 9):
+        for k in (0, 1, 7, 40):
+            for us in schur_stacks(rng, k, n):
+                assert_schur_as_scipy(us)
+                # views that are not C-contiguous, and real input
+                assert_schur_as_scipy(us[::2])
+                assert_schur_as_scipy(us.swapaxes(-1, -2))
+                assert_schur_as_scipy(us.real)
+                assert_schur_as_scipy(us.real.swapaxes(-1, -2)[::3])
+    # the layout of the Schur vectors the stacked products rely on
+    lam, z = unitary._eig_unitaries(schur_stacks(rng, 3, 4)[0])
+    assert lam.strides == (64, 16) and z.strides == (256, 16, 64)
+
+
+def test_schur_refuses_infs_and_nans_before_any_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(unitary, "_zgees", lambda *args: calls.append(args))
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        us = np.stack([np.eye(3, dtype=complex)] * 4)
+        us[2, 1, 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            unitary._eig_unitary(u)
+            unitary._eig_unitaries(us)
+    # and the loop itself takes no pointer into a view or a wrong dtype
+    us = np.zeros((2, 3, 3), dtype=complex)
+    lam = np.empty((2, 3), dtype=complex)
+    work = (ctypes.c_double * 64)()
+    for a, w, vs in ((us.swapaxes(1, 2), lam, us), (us, lam.real, us),
+                     (us, lam, us[:, :2]), (us[:1], lam, us)):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            unitary._gees(a, w, vs, work, 32)
+    with pytest.raises(ValueError, match="workspace"):
+        unitary._gees(us, lam, us.copy(), work, 33)
+    assert calls == []
+
+
+def test_a_lapack_without_zgees_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(unitary, "_ZGEES_NAMES", ("no_zgees_", "nor_this_"))
+    with pytest.raises(ImportError, match="none of no_zgees_, nor_this_"):
+        unitary._bind_zgees()
+
+
+def test_a_failed_schur_form_is_a_linalg_error(monkeypatch):
+    real = unitary._zgees
+
+    def fails_on_third(*args):
+        real(*args)
+        if fails_on_third.calls == 2:
+            args[14]._obj[3] = 5  # INFO, in the array the pointer is into
+        fails_on_third.calls += 1
+
+    fails_on_third.calls = 0
+    unitary._gees_lwork(2)  # the workspace query is cached, not counted
+    monkeypatch.setattr(unitary, "_zgees", fails_on_third)
+    with pytest.raises(np.linalg.LinAlgError, match="zgees info 5"):
+        unitary._eig_unitaries(schur_stacks(np.random.default_rng(3), 4, 2)[0])
+    assert fails_on_third.calls == 3
 
 
 # ---------------------------------------------------------------------------
