@@ -2,8 +2,8 @@
 
 Subpackages/modules:
 
-* ``groups`` — finite groups as multiplication tables, homomorphisms,
-  abelian decompositions.
+* ``groups`` — finite groups as multiplication tables and abelian
+  decompositions.
 * ``coefficients`` / ``cohomology`` — abelian coefficient modules and
   H^n (n <= 4) over the normalized bar complex, with exact integer algebra.
 * ``crossed`` — crossed modules, nonabelian 1-cocycles and their pointed
@@ -14,8 +14,9 @@ Subpackages/modules:
   extractor for unitary matrix families.
 * ``simplicial`` / ``nerves`` — truncated simplicial sets, Duskin and
   monoidal-diagonal nerves, integral homology.
-* ``homotopies`` / ``retraction`` — cocycle-induced simplicial maps,
-  coboundary-induced homotopies, and the strictification retraction.
+* ``retraction`` — the strictification retraction of the appendix.
+* ``homotopies`` — cocycle-induced simplicial maps and coboundary-induced
+  homotopies; no task reaches it yet.
 * ``unitary`` — finite-dimensional unitary numerics: winding numbers,
   exponential length, membership certificates, path decomposition.
 * ``cli`` — the JSON problem-bundle command line.

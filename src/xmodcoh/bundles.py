@@ -165,16 +165,16 @@ def xmod_parts_from_spec(spec, pointer: str):
             g = trivial_group()
             return (h, g, (0,) * h.order,
                     (tuple(h.elements()),), spec)
+        if spec.endswith("->id"):  # before "1->", which "1->id" also fits
+            g = group_from_spec(spec[:-4], pointer)
+            action = tuple(tuple(g.conj(a, b) for b in g.elements())
+                           for a in g.elements())
+            return (g, g, tuple(g.elements()), action, spec)
         if spec.startswith("1->"):
             g = group_from_spec(spec[3:], pointer)
             h = trivial_group()
             return (h, g, (g.identity,),
                     tuple((0,) for _ in g.elements()), spec)
-        if spec.endswith("->id"):
-            g = group_from_spec(spec[:-4], pointer)
-            action = tuple(tuple(g.conj(a, b) for b in g.elements())
-                           for a in g.elements())
-            return (g, g, tuple(g.elements()), action, spec)
         raise BundleError(pointer, f"unknown crossed-module shorthand "
                                    f"{spec!r}")
     expect_object(spec, pointer, {"h": (str, dict), "g": (str, dict),

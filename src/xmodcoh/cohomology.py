@@ -64,7 +64,6 @@ from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique imports it: load it at start-up
 
 from . import intlinalg as il
 from . import modsnf
@@ -183,15 +182,6 @@ def evaluate(group: FiniteGroup, c: Cochain, args) -> object:
         return Fraction(c.coords[idx], c.denominator)
     k = len(c.coords) // group.order ** c.degree
     return c.coords[idx * k:(idx + 1) * k]
-
-
-def zero_cochain(group: FiniteGroup, module: AbelianCoefficients,
-                 degree: int) -> Cochain:
-    circle = module.kind == CIRCLE
-    width = 1 if circle else len(module.factors)
-    return cochain_from_coords(group, module, degree,
-                               [0] * (group.order ** degree * width),
-                               1 if circle else None)
 
 
 def add_cochains(group: FiniteGroup, module: AbelianCoefficients,
@@ -599,10 +589,8 @@ class CohomologyGroup:
         ``denominator``), normalized first where needed.  Each distinct
         row is checked closed and in the cocycle lattice, and all of them
         are read at once; equal rows share the coordinates."""
-        tables = np.ascontiguousarray(tables, dtype=np.int64)
-        keys = tables.view(np.dtype((np.void, tables[0].nbytes)))[:, 0]
-        _, first, inverse = np.unique(keys, return_index=True,
-                                      return_inverse=True)
+        tables = np.asarray(tables, dtype=np.int64)
+        first, inverse = il.distinct(tables)
         coords = self._quot.coordinates(
             self._vecs(tables[first], denominator)[0])
         return [coords[i] for i in inverse.tolist()]
@@ -674,15 +662,3 @@ def cohomology(group: FiniteGroup, module: AbelianCoefficients, degree: int,
     if basis > MAX_BASIS_BYTES:
         raise ResourceLimit("kernel basis bytes", basis, MAX_BASIS_BYTES)
     return CohomologyGroup(group, module, degree, denominator)
-
-
-def is_coboundary(group: FiniteGroup, module: AbelianCoefficients,
-                  c: Cochain, denominator: int | None = None
-                  ) -> Cochain | None:
-    """A cochain w with d(w) = c, or None if the class is nonzero; for Q/Z
-    exactly so, with w in (1/(m0*|G|))Z/Z for m0 = lcm(|G|, denominators)
-    (see ``CohomologyGroup.coboundary_witness``)."""
-    if c.degree < 1:
-        raise ValueError("degree must be at least 1 for coboundary checks")
-    h = cohomology(group, module, c.degree, denominator or c.denominator)
-    return h.coboundary_witness(c)

@@ -25,7 +25,7 @@ from .cohomology import (Cochain, CohomologyGroup, cochain_from_function,
 from .coefficients import finite_abelian
 from .errors import InvariantError, ResourceLimit
 from .groups import (AbelianBasis, FiniteGroup, abelian_basis,
-                     hom_violations, trivial_group)
+                     hom_violations)
 
 
 def xmod_violations(hgroup: FiniteGroup, ggroup: FiniteGroup,
@@ -117,22 +117,6 @@ class CrossedModule:
 def validate_xmod(x: CrossedModule) -> list[str]:
     """Violation report for an already-constructed crossed module (empty = ok)."""
     return xmod_violations(x.hgroup, x.ggroup, x.boundary, x.action)
-
-
-def xmod_abelian(hgroup: FiniteGroup, label: str = "") -> CrossedModule:
-    """(H -> 1) for abelian H: trivial boundary and target."""
-    one = trivial_group()
-    return CrossedModule(hgroup, one, (0,) * hgroup.order,
-                         (tuple(hgroup.elements()),),
-                         label or f"({hgroup.label}->1)")
-
-
-def xmod_identity(g: FiniteGroup, label: str = "") -> CrossedModule:
-    """(G -> G, identity boundary, conjugation action)."""
-    action = tuple(tuple(g.conj(a, x) for x in g.elements())
-                   for a in g.elements())
-    return CrossedModule(g, g, tuple(g.elements()), action,
-                         label or f"({g.label}->id)")
 
 
 @dataclass(frozen=True)
@@ -287,7 +271,9 @@ def enumerate_Z1(group: FiniteGroup, x: CrossedModule,
     pos_index = {p: i for i, p in enumerate(positions)}
     # schedule each (g,h,k) triple at the latest involved variable position,
     # as g and the u-table slots of the relation
-    # alpha(g).u(h,k) * u(g,hk) = u(g,h) * u(gh,k)
+    # alpha(g).u(h,k) * u(g,hk) = u(g,h) * u(gh,k); the tuples share the
+    # slot ints of one list instead of holding fresh ones
+    slot = list(range(n * n))
     constraints: list[list[tuple[int, ...]]] = [[] for _ in positions]
     for g in nz:
         for h in nz:
@@ -300,7 +286,8 @@ def enumerate_Z1(group: FiniteGroup, x: CrossedModule,
                     involved.append((gh, k))
                 last = max(pos_index[p] for p in involved)
                 constraints[last].append(
-                    (g, h * n + k, g * n + hk, g * n + h, gh * n + k))
+                    (g, slot[h * n + k], slot[g * n + hk], slot[g * n + h],
+                     slot[gh * n + k]))
 
     slots = [g * n + h for g, h in positions]
     out: list[Cocycle1] = []
@@ -365,24 +352,6 @@ def _witness_iter(group: FiniteGroup, x: CrossedModule, strict: bool):
             for g, v in zip(nz, w_nz):
                 w[g] = v
             yield gamma, tuple(w)
-
-
-def are_cohomologous(group: FiniteGroup, x: CrossedModule,
-                     a: Cocycle1, b: Cocycle1, strict: bool = False,
-                     budget: int = 100_000_000) -> Witness1 | None:
-    """A transforming witness from a to b, or None.
-
-    The search is ordered (gamma ascending, then w lexicographically), so the
-    returned witness is deterministic.
-    """
-    count = x.ggroup.order * x.hgroup.order ** (group.order - 1)
-    if count > budget:
-        raise ResourceLimit("witness search space", count, budget)
-    target = b.key()
-    for gamma, w in _witness_iter(group, x, strict):
-        if transform_cocycle(group, x, a, gamma, w).key() == target:
-            return Witness1(gamma, w)
-    return None
 
 
 @dataclass(frozen=True)

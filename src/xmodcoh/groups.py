@@ -212,18 +212,6 @@ def make_symmetric(n: int, label: str | None = None) -> FiniteGroup:
     return FiniteGroup(mul, label if label is not None else f"S{n}")
 
 
-def relabel_group(g: FiniteGroup, perm: list[int],
-                  label: str | None = None) -> FiniteGroup:
-    """The same group with element a renamed to perm[a]."""
-    n = g.order
-    mul = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            mul[perm[a]][perm[b]] = perm[g.mul[a][b]]
-    return FiniteGroup(tuple(tuple(r) for r in mul),
-                       label if label is not None else g.label)
-
-
 def hom_violations(source: FiniteGroup, target: FiniteGroup,
                    mapping) -> list[str]:
     problems = []
@@ -240,32 +228,6 @@ def hom_violations(source: FiniteGroup, target: FiniteGroup,
                     problems.append("... (further violations suppressed)")
                     return problems
     return problems
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    """A group homomorphism as an element-wise map."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        problems = hom_violations(self.source, self.target, self.mapping)
-        if problems:
-            raise ValueError("not a homomorphism: " + "; ".join(problems))
-
-
-def identity_hom(g: FiniteGroup) -> GroupHom:
-    return GroupHom(g, g, tuple(g.elements()))
-
-
-def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHom:
-    return GroupHom(source, target, (target.identity,) * source.order)
-
-
-def conjugation_automorphism(g: FiniteGroup, gamma: int) -> GroupHom:
-    return GroupHom(g, g, tuple(g.conj(gamma, x) for x in g.elements()))
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:

@@ -17,14 +17,13 @@ are gathered from the cocycle tables and found in the target by one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .crossed import (Cocycle1, CrossedModule, Witness1, cocycle_violations,
                       transform_cocycle)
-from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup
 from .nerves import (SimplicialMap, duskin_nerve, duskin_positions,
                      ordinary_nerve, simplicial_map_violations)
@@ -244,106 +243,3 @@ def outer_witness_homotopy(group: FiniteGroup, x: CrossedModule,
     if start.layers != route1.start.layers:
         raise RuntimeError("conjugated start map mismatch")
     return conj, route1
-
-
-# ---------------------------------------------------------------------------
-# exhaustive homotopy search
-# ---------------------------------------------------------------------------
-
-def find_simplicial_homotopy(f: SimplicialMap, g: SimplicialMap,
-                             budget: int = 10 ** 7
-                             ) -> SimplicialHomotopy | None:
-    """Search all prism fillings from f to g; None if none exists.
-
-    The levels are filled in ascending order.  Faces of a level-k cell live at
-    level k-1 and are already assigned, so each cell's candidate set is
-    computed independently; degeneracy images are forced outright.  The
-    search branches only over nondegenerate interior cells.
-    """
-    if f.source is not g.source and f.source.counts() != g.source.counts():
-        raise ValueError("maps must share their source")
-    if f.target is not g.target and f.target.counts() != g.target.counts():
-        raise ValueError("maps must share their target")
-    src, tgt = f.source, f.target
-    cyl = prism(src)
-    assign: list[list[int | None]] = [
-        [None] * cyl.count(k) for k in range(cyl.N + 1)]
-    for k in range(src.N + 1):
-        for idx in range(src.count(k)):
-            assign[k][prism_end(cyl, k, idx, True)] = f.layers[k][idx]
-            assign[k][prism_end(cyl, k, idx, False)] = g.layers[k][idx]
-
-    tries = 0
-
-    def fill(k: int) -> bool:
-        nonlocal tries
-        if k > cyl.N:
-            return True
-        forced: dict[int, int] = {}
-        if k >= 1:
-            for i in range(k):
-                for low, high in enumerate(cyl.degen[k - 1][i]):
-                    if assign[k - 1][low] is None:
-                        continue
-                    want = tgt.degen[k - 1][i][assign[k - 1][low]]
-                    if forced.setdefault(high, want) != want:
-                        return False
-        free: list[int] = []
-        options: list[list[int]] = []
-        saved = list(assign[k])
-        for pos in range(cyl.count(k)):
-            fixed = assign[k][pos]
-            want = forced.get(pos)
-            if fixed is None and want is not None:
-                assign[k][pos] = fixed = want
-            elif fixed is not None and want is not None and want != fixed:
-                assign[k] = saved
-                return False
-            if fixed is not None:
-                if not _faces_ok(cyl, tgt, assign, k, pos, fixed):
-                    assign[k] = saved
-                    return False
-                continue
-            cands = [v for v in range(tgt.count(k))
-                     if _faces_ok(cyl, tgt, assign, k, pos, v)]
-            if not cands:
-                assign[k] = saved
-                return False
-            free.append(pos)
-            options.append(cands)
-        total = 1
-        for c in options:
-            total *= len(c)
-            if total > budget:
-                raise ResourceLimit(f"homotopy search at level {k}",
-                                    total, budget)
-        for combo in product(*options):
-            tries += 1
-            if tries > budget:
-                raise ResourceLimit("homotopy search candidates",
-                                    tries, budget)
-            for pos, v in zip(free, combo):
-                assign[k][pos] = v
-            if fill(k + 1):
-                return True
-        assign[k] = saved
-        return False
-
-    if not fill(1 if cyl.N >= 1 else 0):
-        return None
-    layers = [[v for v in level] for level in assign]
-    hom = SimplicialHomotopy(f, g, cyl, layers)
-    bad = homotopy_violations(hom)
-    if bad:
-        raise InvariantError("search produced invalid data: " + bad[0])
-    return hom
-
-
-def _faces_ok(cyl, tgt, assign, k: int, pos: int, val: int) -> bool:
-    if k == 0:
-        return True
-    for i in range(k + 1):
-        low = assign[k - 1][cyl.face[k][i][pos]]
-        if low is not None and tgt.face[k][i][val] != low:
-            return False
-    return True

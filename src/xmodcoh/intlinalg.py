@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique imports it: load it at start-up
 
 from .errors import ResourceLimit
 
@@ -361,6 +360,27 @@ def _solve(b, e, k: int, m: int):
         z = nxt
 
 
+def distinct(keys) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(keys, return_index=True, return_inverse=True)[1:]``
+    gives for a 1-d array, or for the rows of a 2-d one, rows of width 0
+    included: the first position of each distinct key, in key order, and
+    each key's index among them.  One stable sort; ``np.unique`` imports
+    ``numpy.ma`` on its first call."""
+    keys = np.ascontiguousarray(keys)
+    if keys.ndim == 2:
+        width = keys.shape[1] * keys.itemsize
+        keys = keys.view(np.dtype((np.void, width)))[:, 0] if width \
+            else np.zeros(len(keys), dtype=np.int8)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _distinct_columns(r, c, x):
     """Canonical triples without empty columns, relabelled, each column
     negated to a positive head (first entry) and kept once; neither step
@@ -373,7 +393,7 @@ def _distinct_columns(r, c, x):
     mix = (r.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
     h = np.add.reduceat(x.astype(np.uint64) * (mix ^ mix >> np.uint64(29)),
                         start) + size.astype(np.uint64)
-    first, inverse = np.unique(h, return_index=True, return_inverse=True)[1:]
+    first, inverse = distinct(h)
     rep = first[inverse]
     if not np.array_equal(size[rep], size):
         return r, c, x
@@ -410,8 +430,11 @@ def _units_first(r, c, x, m: int):
 def _pivots_first(piv, size: int):
     """New positions of 0..size-1: the pivots first, in pivot order, then
     the rest, ascending."""
-    rest = np.setdiff1d(np.arange(size), piv)
-    return np.argsort(np.concatenate([piv, rest]))
+    rest = np.ones(size, dtype=bool)
+    rest[piv] = False
+    pos = np.empty(size, dtype=np.int64)
+    pos[np.concatenate([piv, np.flatnonzero(rest)])] = np.arange(size)
+    return pos
 
 
 def _eliminate(r, c, x, m: int, n: int, rows, cols):
@@ -471,7 +494,7 @@ def sparse_rank_torsion(a) -> tuple[int, tuple[int, ...]]:
     dense = np.zeros((r.max(initial=-1) + 1, c.max(initial=-1) + 1),
                      dtype=np.int64)
     dense[r, c] = x
-    form = smith_normal_form(np.unique(dense, axis=1).tolist())
+    form = smith_normal_form(dense[:, np.sort(distinct(dense.T)[0])].tolist())
     return (rank + form.rank,
             tuple(d for d in form.diag[:form.rank] if d > 1))
 

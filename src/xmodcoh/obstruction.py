@@ -38,11 +38,9 @@ import numpy.random  # noqa: F401  np.random is lazy: load it at start-up
 
 from .coefficients import AbelianCoefficients, finite_abelian, rational_circle
 from .cohomology import (Cochain, CohomologyGroup, cochain_from_coords,
-                         cochain_from_function, cohomology, evaluate,
-                         is_cocycle)
+                         cohomology, evaluate, is_cocycle)
 from .crossed import (Cocycle1, CrossedModule, H1PointedSet, XModMorphism,
-                      cocycle_violations, compute_H1, pushforward,
-                      transform_cocycle)
+                      cocycle_violations, compute_H1, pushforward)
 from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup, abelian_basis
 from .unitary import operator_norm
@@ -363,32 +361,6 @@ def theta_lift_sweep(ext: CentralXModExtension, group: FiniteGroup,
     return sorted(seen)
 
 
-def conj_action(ext: CentralXModExtension, group: FiniteGroup, gamma: int,
-                c: Cocycle1, o: ObstructionClass | None = None
-                ) -> tuple[Cocycle1, ObstructionClass]:
-    """Transport a cocycle and its obstruction class along gamma in G.
-
-    The transported cocycle is (gamma alpha gamma^-1, gamma.u); the
-    obstruction cocycle transports valuewise by the action of gamma on the
-    kernel, classified in the transported module.
-    """
-    x1 = ext.xmod1()
-    w_triv = (x1.hgroup.identity,) * group.order
-    c2 = transform_cocycle(group, x1, c, gamma, w_triv)
-    if o is None:
-        o = theta(ext, group, c)
-    ind2 = induced_module(ext, group, c2)
-    h3_2 = _h_cached(group, ind2.module, 3)
-
-    def moved_value(*args):
-        k_elem = o.induced.from_vector(evaluate(group, o.cocycle, args))
-        return ind2.to_vector(ext.action0[gamma][k_elem])
-
-    moved = cochain_from_function(group, ind2.module, 3, moved_value)
-    coords = h3_2.classify(moved)
-    return c2, ObstructionClass(ind2, h3_2, moved, coords)
-
-
 # ---------------------------------------------------------------------------
 # exactness of   H^2(G, K) -> H^1(cover) -> H^1(quotient) --theta--> H^3
 # ---------------------------------------------------------------------------
@@ -478,69 +450,6 @@ def verify_exactness(ext: CentralXModExtension, group: FiniteGroup,
         h2_order=h2.order, h2_image_classes=tuple(sorted(h2_image)),
         basepoint_preimage=base_pre, exact_at_cover=not cover_bad,
         cover_counterexamples=tuple(cover_bad))
-
-
-@dataclass
-class ConjugacySum:
-    """H^1 of the quotient, bucketed by induced kernel-module structure."""
-
-    labels: tuple            # distinct module labels (action-matrix tuples)
-    classes_by_label: tuple  # tuple of class-index tuples, parallel to labels
-    orbits: tuple            # tuples of label indices identified by G
-
-
-def sum_over_conjugacy(ext: CentralXModExtension, group: FiniteGroup,
-                       strict: bool = False,
-                       budget: int = 100_000_000) -> ConjugacySum:
-    """Bucket H^1 classes of the quotient by their induced module structure.
-
-    Module structures are treated as equal only when their action tables are
-    equal; the G-orbit identifications among the labels are reported
-    alongside.
-    """
-    h1 = compute_H1(group, ext.xmod1(), strict=strict, budget=budget)
-    labels: list = []
-    label_index: dict = {}
-    buckets: dict[int, list[int]] = {}
-    for i, cls in enumerate(h1.classes):
-        ind = induced_module(ext, group, cls.representative)
-        key = ind.module_label
-        if key not in label_index:
-            label_index[key] = len(labels)
-            labels.append(key)
-            buckets[label_index[key]] = []
-        buckets[label_index[key]].append(i)
-    # G-orbits on labels: gamma moves the cocycle, hence the module
-    parent = list(range(len(labels)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    x1 = ext.xmod1()
-    w_triv = (x1.hgroup.identity,) * group.order
-    for i, cls in enumerate(h1.classes):
-        key0 = label_index[induced_module(
-            ext, group, cls.representative).module_label]
-        for gamma in ext.ggroup.elements():
-            moved = transform_cocycle(group, x1, cls.representative,
-                                      gamma, w_triv)
-            key1 = label_index.get(
-                induced_module(ext, group, moved).module_label)
-            if key1 is None:
-                continue
-            a, b = find(key0), find(key1)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    orbit_map: dict[int, list[int]] = {}
-    for i in range(len(labels)):
-        orbit_map.setdefault(find(i), []).append(i)
-    orbits = tuple(tuple(v) for _, v in sorted(orbit_map.items()))
-    return ConjugacySum(tuple(labels),
-                        tuple(tuple(buckets[i]) for i in range(len(labels))),
-                        orbits)
 
 
 # ---------------------------------------------------------------------------

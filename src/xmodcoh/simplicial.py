@@ -8,7 +8,7 @@ build their tables a whole level at a time: a structure map is a numpy
 gather on the label rows, and the gathered rows turn back into simplex
 indices by mixed-radix arithmetic or by key search.  ``build_truncated``
 is the one constructor; it takes the tables as index arrays and stores
-them as lists of Python ints.  The identity checks compare whole tables.
+them as lists of Python ints.
 
 Homology is computed from the normalized chain complex (degenerate simplices
 quotiented away), which is the right desk-scale shadow of the geometric
@@ -73,45 +73,6 @@ def build_truncated(n_trunc: int, rows: list, face: dict, degen: dict,
                 for k in sorted(tables)}
     return TruncatedSimplicialSet(n_trunc, rows, lists(face), lists(degen),
                                   label)
-
-
-def simplicial_violations(s: TruncatedSimplicialSet) -> list[str]:
-    """All simplicial-identity failures checkable within the truncation,
-    each identity compared on whole tables and reported in (identity,
-    level, (i, j), simplex) order."""
-    face = {k: [_ints(t) for t in ts] for k, ts in s.face.items()}
-    degen = {k: [_ints(t) for t in ts] for k, ts in s.degen.items()}
-    bad: list[str] = []
-
-    def report(kind, k, i, j, fails):
-        bad.extend(f"{kind} identity fails at level {k}, (i,j)=({i},{j}), "
-                   f"simplex {idx}" for idx in np.flatnonzero(fails).tolist())
-
-    for k in range(2, s.N + 1):
-        for j in range(1, k + 1):
-            for i in range(j):
-                report("d_i d_j", k, i, j, face[k - 1][i][face[k][j]]
-                       != face[k - 1][j - 1][face[k][i]])
-    for k in range(s.N - 1):
-        for i in range(k + 1):
-            for j in range(i, k + 1):
-                report("s_i s_j", k, i, j, degen[k + 1][i][degen[k][j]]
-                       != degen[k + 1][j + 1][degen[k][i]])
-    # at k = 0 only i = j, j + 1 occur, so the lower maps below exist
-    for k in range(s.N):
-        for j in range(k + 1):
-            for i in range(k + 2):
-                got = face[k + 1][i][degen[k][j]]
-                if i == j or i == j + 1:
-                    report("d_i s_j = id", k, i, j,
-                           got != np.arange(s.count(k)))
-                elif i < j:
-                    report("d_i s_j = s_{j-1} d_i", k, i, j,
-                           got != degen[k - 1][j - 1][face[k][i]])
-                else:
-                    report("d_i s_j = s_j d_{i-1}", k, i, j,
-                           got != degen[k - 1][j][face[k][i - 1]])
-    return bad
 
 
 def prism(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:

@@ -111,21 +111,6 @@ def _check_unitary(u: np.ndarray, tol: float) -> None:
                          f"(defect {defects[bad].flat[0]:.3e})")
 
 
-def as_selfadjoint(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
-    """The self-adjoint part of a square matrix, refused when its defect
-    exceeds ``tol``; an infinite ``tol`` takes no norm."""
-    h = np.asarray(entries, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    if tol == np.inf:
-        return (h + h.conj().T) / 2
-    defect = operator_norm(h - h.conj().T)
-    if defect > tol:
-        raise ValueError(f"matrix is not self-adjoint within {tol:g} "
-                         f"(defect {defect:.3e})")
-    return (h + h.conj().T) / 2
-
-
 def exp_selfadjoint(h) -> np.ndarray:
     """e^{ih} for self-adjoint h (or each matrix of a stack), exactly
     unitary up to rounding."""
@@ -809,17 +794,10 @@ def haar_unitaries(n: int, draws: list) -> np.ndarray:
     return q * (d / abs(d))[:, None, :]
 
 
-def random_selfadjoint(n: int, rng: np.random.Generator,
-                       bound: float = 1.0) -> np.ndarray:
-    """The self-adjoint part of a complex Gaussian matrix, scaled to a
-    uniformly drawn fraction of ``bound`` in norm (zero stays zero)."""
-    return _selfadjoint_stack([_gaussian_draw(n, rng)], bound)[0]
-
-
 def _gaussian_draw(n: int, rng: np.random.Generator) -> tuple:
-    """What random_selfadjoint(n, rng) draws, in its order: the real and
-    imaginary parts of a Gaussian matrix a, then a uniform unless
-    (a + a^*)/2 is zero, which needs re[0, 0] == 0."""
+    """One random self-adjoint draw, in its order: the real and imaginary
+    parts of a Gaussian matrix a, then a uniform unless (a + a^*)/2 is
+    zero, which needs re[0, 0] == 0."""
     re, im = rng.normal(size=(n, n)), rng.normal(size=(n, n))
     if re[0, 0] == 0:
         a = re + 1j * im
@@ -829,8 +807,9 @@ def _gaussian_draw(n: int, rng: np.random.Generator) -> tuple:
 
 
 def _selfadjoint_stack(draws: list, bound: float) -> np.ndarray:
-    """random_selfadjoint of each of a list of same-size draws of
-    _gaussian_draw, as one (k, n, n) stack."""
+    """For each of a list of same-size draws (re, im, u) of _gaussian_draw,
+    the self-adjoint part of a = re + i im scaled to norm u * bound (zero
+    stays zero), as one (k, n, n) stack."""
     re, im, u = (np.array(part) for part in zip(*draws))
     a = re + 1j * im
     h = (a + a.conj().swapaxes(-1, -2)) / 2
@@ -838,15 +817,11 @@ def _selfadjoint_stack(draws: list, bound: float) -> np.ndarray:
     return h * (bound * u / np.where(norms == 0.0, 1.0, norms))[:, None, None]
 
 
-def ball_element(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """A point of the trace-zero exponential ball of radius eps."""
-    return ball_elements(n, eps, [ball_draw(n, rng)])[0]
-
-
 def ball_draw(n: int, rng: np.random.Generator) -> tuple:
-    """What ball_element(n, eps, rng) draws, in its order: a _gaussian_draw,
-    then a uniform, or None in its place when the traceless part of the
-    self-adjoint matrix made from the draw is zero, as it is for n = 1."""
+    """One draw of a point of the trace-zero exponential ball, in its
+    order: a _gaussian_draw, then a uniform, or None in its place when the
+    traceless part of the self-adjoint matrix made from the draw is zero,
+    as it is for n = 1."""
     draw = _gaussian_draw(n, rng)
     return draw, None if _traceless_is_zero(n, draw) else rng.uniform()
 
@@ -867,8 +842,8 @@ def _traceless_is_zero(n: int, draw: tuple) -> bool:
 
 
 def ball_elements(n: int, eps: float, draws: list) -> np.ndarray:
-    """ball_element of each of a list of same-size draws of ball_draw, as
-    one (k, n, n) stack."""
+    """The point of the trace-zero exponential ball of radius eps for each
+    of a list of same-size draws of ball_draw, as one (k, n, n) stack."""
     out = np.empty((len(draws), n, n), dtype=complex)
     out[:] = np.eye(n)
     live = [i for i, (_, u) in enumerate(draws) if u is not None]

@@ -14,7 +14,15 @@ refinement and decomposition, the descent with fresh cross-check draws
 through scipy's Schur wrapper, membership and exponential length one
 matrix at a time, the circle snap taken when the value is made, and the
 helpers only tests use (special-unitary draws, pointwise products of
-paths)."""
+paths).
+
+Also the fixtures and searches that no task reaches, kept here rather
+than in the package: relabelled groups, the crossed modules A -> 1 and
+G -> G, the brute-force witness search between two 1-cocycles, the
+simplicial-identity check, the exhaustive prism-homotopy search, the
+transport of an obstruction along G and the bucketing of H^1 by induced
+module, and the one-matrix self-adjoint gate, self-adjoint draw and
+exponential-ball draw."""
 
 import random
 from collections import defaultdict
@@ -28,19 +36,27 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from xmodcoh.crossed import CrossedModule
-from xmodcoh.errors import InvariantError
+from xmodcoh.cohomology import cochain_from_function, evaluate
+from xmodcoh.crossed import (Cocycle1, CrossedModule, Witness1, _witness_iter,
+                             compute_H1, transform_cocycle)
+from xmodcoh.errors import InvariantError, ResourceLimit
+from xmodcoh.groups import FiniteGroup, trivial_group
+from xmodcoh.homotopies import SimplicialHomotopy, homotopy_violations
 from xmodcoh.intlinalg import smith_normal_form
-from xmodcoh.nerves import (_duskin_level_rows, delta_map, pair_positions,
-                            pullback_positions, sigma_map,
+from xmodcoh.nerves import (SimplicialMap, _duskin_level_rows, delta_map,
+                            pair_positions, pullback_positions, sigma_map,
                             simplicial_map_violations, triple_positions)
+from xmodcoh.obstruction import (CentralXModExtension, ObstructionClass,
+                                 _h_cached, induced_module, theta)
 from xmodcoh.retraction import RetractionReport, _identity_pairs
-from xmodcoh.simplicial import prism_end
-from xmodcoh.unitary import (ExponentialLength, InequalityReport,
-                             PathDecomposition, SUMembership, UnitaryPath,
-                             as_selfadjoint, as_unitary, circle_value,
-                             exp_selfadjoint, operator_norm, random_unitary,
-                             tau, unitary_path)
+from xmodcoh.simplicial import (TruncatedSimplicialSet, _ints, prism,
+                                prism_end)
+from xmodcoh.unitary import (DEFAULT_UNITARITY_TOL, ExponentialLength,
+                             InequalityReport, PathDecomposition,
+                             SUMembership, UnitaryPath, _gaussian_draw,
+                             _selfadjoint_stack, as_unitary, ball_draw,
+                             ball_elements, circle_value, exp_selfadjoint,
+                             operator_norm, random_unitary, tau, unitary_path)
 
 
 def columns_matrix(columns, rows=None):
@@ -1249,3 +1265,319 @@ def loop_decompose_random(seed, paths, max_dim=4, min_segments=3,
             "worst_reconstruction_error": worst_recon,
             "worst_det_error": worst_det,
             "worst_refinement_stability": worst_stab}
+
+
+# ---------------------------------------------------------------------------
+# groups, crossed modules and 1-cocycles: fixtures and the witness search
+# ---------------------------------------------------------------------------
+
+def relabel_group(g: FiniteGroup, perm: list[int],
+                  label: str | None = None) -> FiniteGroup:
+    """The same group with element a renamed to perm[a]."""
+    n = g.order
+    mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mul[perm[a]][perm[b]] = perm[g.mul[a][b]]
+    return FiniteGroup(tuple(tuple(r) for r in mul),
+                       label if label is not None else g.label)
+
+
+def xmod_abelian(hgroup: FiniteGroup, label: str = "") -> CrossedModule:
+    """(H -> 1) for abelian H: trivial boundary and target."""
+    one = trivial_group()
+    return CrossedModule(hgroup, one, (0,) * hgroup.order,
+                         (tuple(hgroup.elements()),),
+                         label or f"({hgroup.label}->1)")
+
+
+def xmod_identity(g: FiniteGroup, label: str = "") -> CrossedModule:
+    """(G -> G, identity boundary, conjugation action)."""
+    action = tuple(tuple(g.conj(a, x) for x in g.elements())
+                   for a in g.elements())
+    return CrossedModule(g, g, tuple(g.elements()), action,
+                         label or f"({g.label}->id)")
+
+
+def are_cohomologous(group: FiniteGroup, x: CrossedModule,
+                     a: Cocycle1, b: Cocycle1, strict: bool = False,
+                     budget: int = 100_000_000) -> Witness1 | None:
+    """A transforming witness from a to b, or None.
+
+    The search is ordered (gamma ascending, then w lexicographically), so the
+    returned witness is deterministic.
+    """
+    count = x.ggroup.order * x.hgroup.order ** (group.order - 1)
+    if count > budget:
+        raise ResourceLimit("witness search space", count, budget)
+    target = b.key()
+    for gamma, w in _witness_iter(group, x, strict):
+        if transform_cocycle(group, x, a, gamma, w).key() == target:
+            return Witness1(gamma, w)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# simplicial identities and the exhaustive homotopy search
+# ---------------------------------------------------------------------------
+
+def simplicial_violations(s: TruncatedSimplicialSet) -> list[str]:
+    """All simplicial-identity failures checkable within the truncation,
+    each identity compared on whole tables and reported in (identity,
+    level, (i, j), simplex) order."""
+    face = {k: [_ints(t) for t in ts] for k, ts in s.face.items()}
+    degen = {k: [_ints(t) for t in ts] for k, ts in s.degen.items()}
+    bad: list[str] = []
+
+    def report(kind, k, i, j, fails):
+        bad.extend(f"{kind} identity fails at level {k}, (i,j)=({i},{j}), "
+                   f"simplex {idx}" for idx in np.flatnonzero(fails).tolist())
+
+    for k in range(2, s.N + 1):
+        for j in range(1, k + 1):
+            for i in range(j):
+                report("d_i d_j", k, i, j, face[k - 1][i][face[k][j]]
+                       != face[k - 1][j - 1][face[k][i]])
+    for k in range(s.N - 1):
+        for i in range(k + 1):
+            for j in range(i, k + 1):
+                report("s_i s_j", k, i, j, degen[k + 1][i][degen[k][j]]
+                       != degen[k + 1][j + 1][degen[k][i]])
+    # at k = 0 only i = j, j + 1 occur, so the lower maps below exist
+    for k in range(s.N):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                got = face[k + 1][i][degen[k][j]]
+                if i == j or i == j + 1:
+                    report("d_i s_j = id", k, i, j,
+                           got != np.arange(s.count(k)))
+                elif i < j:
+                    report("d_i s_j = s_{j-1} d_i", k, i, j,
+                           got != degen[k - 1][j - 1][face[k][i]])
+                else:
+                    report("d_i s_j = s_j d_{i-1}", k, i, j,
+                           got != degen[k - 1][j][face[k][i - 1]])
+    return bad
+
+
+def find_simplicial_homotopy(f: SimplicialMap, g: SimplicialMap,
+                             budget: int = 10 ** 7
+                             ) -> SimplicialHomotopy | None:
+    """Search all prism fillings from f to g; None if none exists.
+
+    The levels are filled in ascending order.  Faces of a level-k cell live at
+    level k-1 and are already assigned, so each cell's candidate set is
+    computed independently; degeneracy images are forced outright.  The
+    search branches only over nondegenerate interior cells.
+    """
+    if f.source is not g.source and f.source.counts() != g.source.counts():
+        raise ValueError("maps must share their source")
+    if f.target is not g.target and f.target.counts() != g.target.counts():
+        raise ValueError("maps must share their target")
+    src, tgt = f.source, f.target
+    cyl = prism(src)
+    assign: list[list[int | None]] = [
+        [None] * cyl.count(k) for k in range(cyl.N + 1)]
+    for k in range(src.N + 1):
+        for idx in range(src.count(k)):
+            assign[k][prism_end(cyl, k, idx, True)] = f.layers[k][idx]
+            assign[k][prism_end(cyl, k, idx, False)] = g.layers[k][idx]
+
+    tries = 0
+
+    def fill(k: int) -> bool:
+        nonlocal tries
+        if k > cyl.N:
+            return True
+        forced: dict[int, int] = {}
+        if k >= 1:
+            for i in range(k):
+                for low, high in enumerate(cyl.degen[k - 1][i]):
+                    if assign[k - 1][low] is None:
+                        continue
+                    want = tgt.degen[k - 1][i][assign[k - 1][low]]
+                    if forced.setdefault(high, want) != want:
+                        return False
+        free: list[int] = []
+        options: list[list[int]] = []
+        saved = list(assign[k])
+        for pos in range(cyl.count(k)):
+            fixed = assign[k][pos]
+            want = forced.get(pos)
+            if fixed is None and want is not None:
+                assign[k][pos] = fixed = want
+            elif fixed is not None and want is not None and want != fixed:
+                assign[k] = saved
+                return False
+            if fixed is not None:
+                if not _faces_ok(cyl, tgt, assign, k, pos, fixed):
+                    assign[k] = saved
+                    return False
+                continue
+            cands = [v for v in range(tgt.count(k))
+                     if _faces_ok(cyl, tgt, assign, k, pos, v)]
+            if not cands:
+                assign[k] = saved
+                return False
+            free.append(pos)
+            options.append(cands)
+        total = 1
+        for c in options:
+            total *= len(c)
+            if total > budget:
+                raise ResourceLimit(f"homotopy search at level {k}",
+                                    total, budget)
+        for combo in product(*options):
+            tries += 1
+            if tries > budget:
+                raise ResourceLimit("homotopy search candidates",
+                                    tries, budget)
+            for pos, v in zip(free, combo):
+                assign[k][pos] = v
+            if fill(k + 1):
+                return True
+        assign[k] = saved
+        return False
+
+    if not fill(1 if cyl.N >= 1 else 0):
+        return None
+    layers = [[v for v in level] for level in assign]
+    hom = SimplicialHomotopy(f, g, cyl, layers)
+    bad = homotopy_violations(hom)
+    if bad:
+        raise InvariantError("search produced invalid data: " + bad[0])
+    return hom
+
+
+def _faces_ok(cyl, tgt, assign, k: int, pos: int, val: int) -> bool:
+    if k == 0:
+        return True
+    for i in range(k + 1):
+        low = assign[k - 1][cyl.face[k][i][pos]]
+        if low is not None and tgt.face[k][i][val] != low:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# obstructions moved along G
+# ---------------------------------------------------------------------------
+
+def conj_action(ext: CentralXModExtension, group: FiniteGroup, gamma: int,
+                c: Cocycle1, o: ObstructionClass | None = None
+                ) -> tuple[Cocycle1, ObstructionClass]:
+    """Transport a cocycle and its obstruction class along gamma in G.
+
+    The transported cocycle is (gamma alpha gamma^-1, gamma.u); the
+    obstruction cocycle transports valuewise by the action of gamma on the
+    kernel, classified in the transported module.
+    """
+    x1 = ext.xmod1()
+    w_triv = (x1.hgroup.identity,) * group.order
+    c2 = transform_cocycle(group, x1, c, gamma, w_triv)
+    if o is None:
+        o = theta(ext, group, c)
+    ind2 = induced_module(ext, group, c2)
+    h3_2 = _h_cached(group, ind2.module, 3)
+
+    def moved_value(*args):
+        k_elem = o.induced.from_vector(evaluate(group, o.cocycle, args))
+        return ind2.to_vector(ext.action0[gamma][k_elem])
+
+    moved = cochain_from_function(group, ind2.module, 3, moved_value)
+    coords = h3_2.classify(moved)
+    return c2, ObstructionClass(ind2, h3_2, moved, coords)
+
+
+@dataclass
+class ConjugacySum:
+    """H^1 of the quotient, bucketed by induced kernel-module structure."""
+
+    labels: tuple            # distinct module labels (action-matrix tuples)
+    classes_by_label: tuple  # tuple of class-index tuples, parallel to labels
+    orbits: tuple            # tuples of label indices identified by G
+
+
+def sum_over_conjugacy(ext: CentralXModExtension, group: FiniteGroup,
+                       strict: bool = False,
+                       budget: int = 100_000_000) -> ConjugacySum:
+    """Bucket H^1 classes of the quotient by their induced module structure.
+
+    Module structures are treated as equal only when their action tables are
+    equal; the G-orbit identifications among the labels are reported
+    alongside.
+    """
+    h1 = compute_H1(group, ext.xmod1(), strict=strict, budget=budget)
+    labels: list = []
+    label_index: dict = {}
+    buckets: dict[int, list[int]] = {}
+    for i, cls in enumerate(h1.classes):
+        ind = induced_module(ext, group, cls.representative)
+        key = ind.module_label
+        if key not in label_index:
+            label_index[key] = len(labels)
+            labels.append(key)
+            buckets[label_index[key]] = []
+        buckets[label_index[key]].append(i)
+    # G-orbits on labels: gamma moves the cocycle, hence the module
+    parent = list(range(len(labels)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    x1 = ext.xmod1()
+    w_triv = (x1.hgroup.identity,) * group.order
+    for i, cls in enumerate(h1.classes):
+        key0 = label_index[induced_module(
+            ext, group, cls.representative).module_label]
+        for gamma in ext.ggroup.elements():
+            moved = transform_cocycle(group, x1, cls.representative,
+                                      gamma, w_triv)
+            key1 = label_index.get(
+                induced_module(ext, group, moved).module_label)
+            if key1 is None:
+                continue
+            a, b = find(key0), find(key1)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    orbit_map: dict[int, list[int]] = {}
+    for i in range(len(labels)):
+        orbit_map.setdefault(find(i), []).append(i)
+    orbits = tuple(tuple(v) for _, v in sorted(orbit_map.items()))
+    return ConjugacySum(tuple(labels),
+                        tuple(tuple(buckets[i]) for i in range(len(labels))),
+                        orbits)
+
+
+# ---------------------------------------------------------------------------
+# one-matrix unitary helpers
+# ---------------------------------------------------------------------------
+
+def as_selfadjoint(entries, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
+    """The self-adjoint part of a square matrix, refused when its defect
+    exceeds ``tol``; an infinite ``tol`` takes no norm."""
+    h = np.asarray(entries, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("expected a square matrix")
+    if tol == np.inf:
+        return (h + h.conj().T) / 2
+    defect = operator_norm(h - h.conj().T)
+    if defect > tol:
+        raise ValueError(f"matrix is not self-adjoint within {tol:g} "
+                         f"(defect {defect:.3e})")
+    return (h + h.conj().T) / 2
+
+
+def random_selfadjoint(n: int, rng: np.random.Generator,
+                       bound: float = 1.0) -> np.ndarray:
+    """The self-adjoint part of a complex Gaussian matrix, scaled to a
+    uniformly drawn fraction of ``bound`` in norm (zero stays zero)."""
+    return _selfadjoint_stack([_gaussian_draw(n, rng)], bound)[0]
+
+
+def ball_element(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """A point of the trace-zero exponential ball of radius eps."""
+    return ball_elements(n, eps, [ball_draw(n, rng)])[0]

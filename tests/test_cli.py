@@ -423,6 +423,36 @@ def test_theta_values_escaping_the_kernel_are_internal_errors(
     assert cli.main(["--bundle", path, "--quiet"]) == 4
 
 
+# phi0 an isomorphism C2 -> C2: the kernel, and every module over it, is 0
+ZERO_KERNEL = {"g": "C2", "h0": "C2", "h1": "C2", "phi0": [0, 1],
+               "boundary0": [0, 1], "boundary1": [0, 1],
+               "action0": [[0, 1], [0, 1]], "action1": [[0, 1], [0, 1]]}
+
+
+def test_theta_and_exactness_over_the_zero_module():
+    """Cocycle tables valued in the zero module have rows of width 0.
+    Classifying them reads one class per row, the zero class with no
+    coordinates, so both tasks answer."""
+    theta_report = cli.run({"schema": 1, "task": "theta",
+                            "extension": ZERO_KERNEL, "gamma": "C2",
+                            "sweep": True})
+    assert theta_report["status"] == "ok", theta_report["result"]
+    assert theta_report["result"] == {
+        "h1_classes": 1, "target_invariant_factors": [],
+        "theta": [{"class": 0, "size": 2, "coordinates": [], "zero": True,
+                   "sweep_classes": [[]], "lift_independent": True}]}
+    exact = cli.run({"schema": 1, "task": "exact-check",
+                     "extension": ZERO_KERNEL, "gamma": "C2"})
+    assert exact["status"] == "ok", exact["result"]
+    assert exact["result"] == {
+        "h1_cover_classes": 1, "h1_quotient_classes": 1, "push_map": [0],
+        "theta_zero_classes": [0], "image_classes": [0],
+        "exact_at_quotient": True, "middle_counterexamples": 0,
+        "h2_order": 1, "h2_image_classes": [0],
+        "basepoint_preimage_size": 1, "exact_at_cover": True,
+        "cover_counterexamples": 0, "exact": True}
+
+
 def test_inconsistent_boundary_ranks_are_internal_errors(monkeypatch,
                                                        tmp_path):
     """Boundary ranks that exceed the chain dimensions are the program's
@@ -756,27 +786,34 @@ CASE_IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from xmodcoh import cli
+def masked():
+    return sorted(name for name in sys.modules
+                  if name == "numpy.ma" or name.startswith("numpy.ma."))
 before = set(sys.modules)
-added = {}
+added, ma = {}, {"import": masked()}
 for bundle in json.loads(sys.argv[2]):
     assert cli.run(bundle)["status"] == "ok", bundle
     added[bundle["task"]] = sorted(set(sys.modules) - before)
-print(json.dumps(added))
+    ma[bundle["task"]] = masked()
+print(json.dumps([added, ma]))
 """
 
 
 def test_no_case_imports_a_module():
-    # numpy loads numpy.random and numpy.ma (through np.unique) on first
-    # use; a module first imported inside cli.run is paid by every case
-    # process instead of once before the fork
+    # numpy loads numpy.random on first use; a module first imported inside
+    # cli.run is paid by every case process instead of once before the
+    # fork.  np.unique and np.setdiff1d import numpy.ma, which the program
+    # needs nowhere: it is loaded neither by the import nor by any task.
     probe = subprocess.run(
         [sys.executable, "-c", CASE_IMPORT_PROBE, str(SRC),
          json.dumps(CASE_BUNDLES)],
         capture_output=True, text=True, timeout=300)
     assert probe.returncode == 0, probe.stderr
-    added = json.loads(probe.stdout)
+    added, ma = json.loads(probe.stdout)
     assert sorted(added) == sorted(cli.TASKS)
     assert added == {task: [] for task in added}
+    assert sorted(ma) == sorted(["import", *cli.TASKS])
+    assert ma == {step: [] for step in ma}
 
 
 def scipy_imports(tree) -> list[int]:

@@ -6,15 +6,15 @@ import random
 import time
 
 import pytest
+from oracles import are_cohomologous, xmod_abelian, xmod_identity
 
-from xmodcoh import cli
+from xmodcoh import bundles, cli
+from xmodcoh.bundles import BundleError, group_from_spec, xmod_from_spec
 from xmodcoh.crossed import (Cocycle1, CrossedModule, XModMorphism,
-                             abelian_shift, are_cohomologous,
-                             cocycle_violations, compute_H1, compute_H1_ff,
-                             enumerate_Z1, is_free_faithful, pushforward,
-                             transform_cocycle, trivial_cocycle,
-                             validate_xmod, xmod_abelian, xmod_identity,
-                             xmod_violations)
+                             abelian_shift, cocycle_violations, compute_H1,
+                             compute_H1_ff, enumerate_Z1, is_free_faithful,
+                             pushforward, transform_cocycle, trivial_cocycle,
+                             validate_xmod, xmod_violations)
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import (make_cyclic, make_product, make_symmetric,
                             trivial_group)
@@ -48,6 +48,45 @@ def test_peiffer_identity_is_checked():
     assert problems and all("Peiffer" in p for p in problems)
     with pytest.raises(ValueError, match="Peiffer"):
         CrossedModule(s3, one, (0,) * 6, (tuple(s3.elements()),))
+
+
+def _tables(x):
+    return x.hgroup.mul, x.ggroup.mul, x.boundary, x.action
+
+
+@pytest.mark.parametrize("name", ["1", "C2", "C4", "C2xC2", "S3"])
+def test_shorthands_build_the_fixture_tables(name):
+    """<G>->1, 1-><G> and <G>->id give the tables of A -> 1, of the
+    trivial group into G, and of the identity of G with conjugation.  S3
+    is not abelian, so S3->1 fails the Peiffer identity on both routes."""
+    g = group_from_spec(name, "/g")
+    assert _tables(xmod_from_spec(f"{name}->id", "/xmod")) \
+        == _tables(xmod_identity(g))
+    assert _tables(xmod_from_spec(f"1->{name}", "/xmod")) == _tables(
+        CrossedModule(trivial_group(), g, (g.identity,),
+                      ((0,),) * g.order))
+    if g.is_abelian():
+        assert _tables(xmod_from_spec(f"{name}->1", "/xmod")) \
+            == _tables(xmod_abelian(g))
+        return
+    with pytest.raises(BundleError, match="Peiffer"):
+        xmod_from_spec(f"{name}->1", "/xmod")
+    with pytest.raises(ValueError, match="Peiffer"):
+        xmod_abelian(g)
+
+
+def test_validate_reports_peiffer_without_building_the_module(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate constructed the crossed module")
+
+    monkeypatch.setattr(bundles, "CrossedModule", refuse)
+    report = cli.run({"schema": 1, "task": "validate", "xmod": "S3->1"})
+    assert report["status"] == "violation"
+    assert report["result"]["valid"] is False
+    problems = report["result"]["violations"]
+    assert problems and all("Peiffer" in p for p in problems)
+    with pytest.raises(AssertionError, match="constructed"):
+        xmod_from_spec("S3->1", "/xmod")
 
 
 def test_equivariance_is_checked():

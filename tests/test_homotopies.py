@@ -4,21 +4,21 @@ within the truncation, twisted witnesses factor through conjugation by two
 agreeing routes."""
 
 import pytest
-from oracles import (loop_conjugation_layers, loop_cocycle_layers,
+from oracles import (are_cohomologous, find_simplicial_homotopy,
+                     loop_conjugation_layers, loop_cocycle_layers,
                      loop_homotopy_layers, loop_homotopy_violations,
-                     simplex_index, simplex_objects)
+                     simplex_index, simplex_objects, xmod_abelian,
+                     xmod_identity)
 
-from xmodcoh.crossed import (Cocycle1, Witness1, are_cohomologous,
-                             compute_H1, enumerate_Z1, transform_cocycle,
-                             trivial_cocycle, xmod_abelian, xmod_identity)
+from xmodcoh.crossed import (Cocycle1, Witness1, compute_H1, enumerate_Z1,
+                             transform_cocycle, trivial_cocycle)
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_product, make_symmetric
 from xmodcoh.homotopies import (SimplicialHomotopy,
                                 cocycle_to_simplicial_map,
                                 coboundary_to_homotopy, compose_maps,
-                                conjugation_nerve_map,
-                                find_simplicial_homotopy,
-                                homotopy_violations, outer_witness_homotopy)
+                                conjugation_nerve_map, homotopy_violations,
+                                outer_witness_homotopy)
 from xmodcoh.nerves import (duskin_nerve, isomorphism_violations,
                             ordinary_nerve, simplicial_map_violations)
 from xmodcoh.simplicial import prism, prism_end

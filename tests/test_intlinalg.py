@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 from oracles import columns_matrix, loop_rank_torsion
@@ -159,6 +160,27 @@ def test_empty_and_degenerate_shapes():
     assert invariant_factors([[5]]) == [5]
     with pytest.raises(ValueError):
         snf([[1, 2], [3]])
+
+
+def test_distinct_keys_and_rows_are_np_uniques():
+    """distinct gives np.unique's first positions and inverse: on 1-d keys,
+    and on the rows of a 2-d array as the byte strings np.unique sorts.
+    Rows of width 0 are all one row."""
+    rng = np.random.default_rng(3)
+    for shape in [(0,), (1,), (60,), (0, 3), (1, 3), (60, 2), (60, 5)]:
+        a = rng.integers(-2, 3, size=shape).astype(np.int64)
+        keys = a if a.ndim == 1 else a.view(
+            np.dtype((np.void, 8 * shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        got = intlinalg.distinct(a)
+        assert [x.tolist() for x in got] == [first.tolist(),
+                                             inverse.tolist()], shape
+        assert np.array_equal(a[got[0]][got[1]], a)
+    for rows in (0, 1, 5):
+        first, inverse = intlinalg.distinct(np.zeros((rows, 0), np.int64))
+        assert first.tolist() == [0] * (rows > 0)
+        assert inverse.tolist() == [0] * rows
 
 
 def test_heads_without_units_still_pivot_on_the_units_below(monkeypatch):

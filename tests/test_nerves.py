@@ -15,11 +15,12 @@ import pytest
 from oracles import (NatTransform, PseudofunctorSimplex,
                      _enumerate_duskin_level, nat_violations,
                      pseudofunctor_violations, pull_table, reindex,
-                     simplex_index, simplex_objects, transport_simplex)
+                     simplex_index, simplex_objects, simplicial_violations,
+                     transport_simplex, xmod_abelian, xmod_identity)
 
 import xmodcoh
 from xmodcoh import cli, nerves
-from xmodcoh.crossed import CrossedModule, xmod_abelian, xmod_identity
+from xmodcoh.crossed import CrossedModule
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
 from xmodcoh.nerves import (SimplicialMap, delta_map, diag_to_ordinary,
@@ -27,7 +28,7 @@ from xmodcoh.nerves import (SimplicialMap, delta_map, diag_to_ordinary,
                             isomorphism_violations, monoidal_diag_nerve,
                             ordinary_nerve, pair_positions, sigma_map,
                             simplicial_map_violations)
-from xmodcoh.simplicial import homology, prism, simplicial_violations
+from xmodcoh.simplicial import homology, prism
 
 
 def one_to(g):
@@ -147,6 +148,24 @@ def test_map_violations_detect_tampering():
     assert simplicial_map_violations(
         SimplicialMap(dusk, short, good.layers)) \
         == ["source and target truncations differ"]
+
+
+def test_a_map_with_equal_images_apart_is_not_injective():
+    """x -> 2x on C4 induces a simplicial self-map of the nerve that sends
+    the chains (1) and (3) to one simplex, with the chain (2) between them
+    in index order: not injective on levels 1 and up."""
+    g = make_cyclic(4)
+    ordn = ordinary_nerve(g, 3)
+    levels = simplex_objects(ordn, "ordinary")
+    chains = simplex_index(levels)
+    double = SimplicialMap(ordn, ordn, [
+        [chains[k][tuple(2 * a % 4 for a in chain)] for chain in level]
+        for k, level in enumerate(levels)])
+    assert simplicial_map_violations(double) == []
+    assert double.layers[1] == [0, 2, 0, 2]
+    assert isomorphism_violations(double) == [
+        f"level {k} map is not injective" for k in (1, 2, 3)]
+    assert isomorphism_violations(double) == oracle_map_violations(double)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "xmodcoh"
 # module-level functions and classes that no entry point reaches, each
 # with the reason it stays
 ALLOWED = {
-    "cohomology.is_coboundary": "tests' entry to coboundary witnesses",
-    "cohomology.zero_cochain": "test fixture: the zero cochain",
     "crossed.Witness1": "a coboundary witness; only homotopies.py builds it",
-    "crossed.are_cohomologous": "test helper comparing two 1-cocycles",
-    "crossed.xmod_abelian": "test fixture: A -> 1 with an action",
-    "crossed.xmod_identity": "test fixture: G -> G by conjugation",
-    "groups.GroupHom": "homomorphism record of the unused hom helpers",
-    "groups.conjugation_automorphism": "tested, no task yet",
-    "groups.identity_hom": "tested, no task yet",
-    "groups.relabel_group": "test helper for relabelling invariance",
-    "groups.trivial_hom": "tested, no task yet",
     "homotopies.SimplicialHomotopy": "homotopies.py awaits a task (item 6)",
     "homotopies._check_witness": "homotopies.py awaits a task (item 6)",
-    "homotopies._faces_ok": "homotopies.py awaits a task (item 6)",
     "homotopies._layers": "homotopies.py awaits a task (item 6)",
     "homotopies._theta_simplex": "homotopies.py awaits a task (item 6)",
     "homotopies.coboundary_to_homotopy":
@@ -42,20 +31,11 @@ ALLOWED = {
     "homotopies.compose_maps": "homotopies.py awaits a task (item 6)",
     "homotopies.conjugation_nerve_map":
         "homotopies.py awaits a task (item 6)",
-    "homotopies.find_simplicial_homotopy":
-        "brute-force search, a test oracle once item 6 lands",
     "homotopies.homotopy_violations": "homotopies.py awaits a task (item 6)",
     "homotopies.outer_witness_homotopy":
         "homotopies.py awaits a task (item 6)",
-    "obstruction.ConjugacySum": "result of sum_over_conjugacy",
-    "obstruction.conj_action": "tested, no task yet",
-    "obstruction.sum_over_conjugacy": "tested, no task yet",
     "simplicial.prism": "used by homotopies.py only (item 6)",
     "simplicial.prism_end": "used by homotopies.py only (item 6)",
-    "simplicial.simplicial_violations": "test check of simplicial identities",
-    "unitary.as_selfadjoint": "the k = 1 case kept for tests and oracles",
-    "unitary.ball_element": "the k = 1 case of ball_elements, for tests",
-    "unitary.random_selfadjoint": "the per-trial draw, for tests",
 }
 # "item n" is an open item of ROADMAP.md
 

@@ -8,15 +8,14 @@ import pytest
 from scipy import sparse
 from oracles import (columns_matrix, dict_boundary,
                      loop_simplicial_violations, simplex_index,
-                     simplex_objects)
+                     simplex_objects, simplicial_violations, xmod_identity)
 
 from xmodcoh.bundles import xmod_from_spec
-from xmodcoh.crossed import CrossedModule, xmod_identity
+from xmodcoh.crossed import CrossedModule
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric, trivial_group
 from xmodcoh.nerves import duskin_nerve, monoidal_diag_nerve, ordinary_nerve
-from xmodcoh.simplicial import (boundary_matrix, homology, prism, prism_end,
-                                simplicial_violations)
+from xmodcoh.simplicial import boundary_matrix, homology, prism, prism_end
 
 
 def test_nerve_identities_and_counts():

@@ -14,12 +14,12 @@ from scipy.stats import unitary_group
 
 import oracles
 from xmodcoh import cli, unitary
-from oracles import pointwise_product_path, random_special_unitary
-from xmodcoh.unitary import (as_selfadjoint, as_unitary, ball_element,
-                             check_exp_inequalities, circle_value, d_tau,
-                             decompose_path, dlhs_delta, dlhs_path, el_tau,
-                             exp_selfadjoint, operator_norm, principal_log,
-                             random_based_path, random_selfadjoint,
+from oracles import (as_selfadjoint, ball_element, pointwise_product_path,
+                     random_selfadjoint, random_special_unitary)
+from xmodcoh.unitary import (as_unitary, check_exp_inequalities, circle_value,
+                             d_tau, decompose_path, dlhs_delta, dlhs_path,
+                             el_tau, exp_selfadjoint, operator_norm,
+                             principal_log, random_based_path,
                              random_unitary, refine_path, su_tau_member, tau,
                              unitary_path)
 
@@ -393,8 +393,6 @@ def _with_oracles(monkeypatch):
     """Route the unitary-check and decompose tasks through the per-trial
     and per-matrix loops."""
     monkeypatch.setattr(unitary, "_eig_unitaries", oracles.loop_eig_unitaries)
-    monkeypatch.setattr(unitary, "random_selfadjoint",
-                        oracles.loop_random_selfadjoint)
     monkeypatch.setattr(unitary, "el_tau", oracles.loop_el_tau)
     for name in ("check_exp_inequalities", "random_based_path",
                  "refine_path", "decompose_path"):
