@@ -478,6 +478,15 @@ def _task_unitary_check(bundle, seed, budget):
     return ("ok" if not violations else "violation"), result
 
 
+def _decompose_refined(path, factor, tol):
+    """decompose_path of a path, and the largest gap between its h and the
+    h of its factor-fold refinement at the shared times."""
+    dec = decompose_path(path, tol=tol)
+    refined = decompose_path(refine_path(path, factor), tol=tol)
+    return dec, max(abs(refined.h[k * factor] - dec.h[k])
+                    for k in range(len(dec.h)))
+
+
 def _task_decompose(bundle, seed, budget):
     _payload(bundle, {},
              {"path": dict, "random": dict, "refine_factor": int,
@@ -490,10 +499,7 @@ def _task_decompose(bundle, seed, budget):
         path = path_from_json(bundle["path"], "/path")
         _charge(bundle, budget, "path matrix cells",
                 len(path.ts) * (1 + factor) * path.n ** 2)
-        dec = decompose_path(path, tol=tol)
-        refined = decompose_path(refine_path(path, factor), tol=tol)
-        stability = max(abs(refined.h[k * factor] - dec.h[k])
-                        for k in range(len(dec.h)))
+        dec, stability = _decompose_refined(path, factor, tol)
         result = {"ts": list(dec.ts), "h": list(dec.h),
                   "max_reconstruction_error": dec.max_reconstruction_error,
                   "max_det_error": dec.max_det_error,
@@ -519,13 +525,10 @@ def _task_decompose(bundle, seed, budget):
     for _ in range(paths):
         n = int(rng.integers(1, max_dim + 1))
         path = random_based_path(n, int(rng.integers(lo, hi + 1)), rng)
-        dec = decompose_path(path, tol=tol)
-        refined = decompose_path(refine_path(path, factor), tol=tol)
+        dec, stability = _decompose_refined(path, factor, tol)
         worst_recon = max(worst_recon, dec.max_reconstruction_error)
         worst_det = max(worst_det, dec.max_det_error)
-        worst_stab = max(worst_stab, max(
-            abs(refined.h[k * factor] - dec.h[k])
-            for k in range(len(dec.h))))
+        worst_stab = max(worst_stab, stability)
     result = {"paths": paths, "max_dim": max_dim,
               "worst_reconstruction_error": worst_recon,
               "worst_det_error": worst_det,

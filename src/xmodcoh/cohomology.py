@@ -601,12 +601,14 @@ class CohomologyGroup:
         c's normalized representative is a sum of incoming columns whose
         differential part z_d gives w = z_d, plus the normalizing shift.
         For Q/Z it is d(z_d) + sum_b z_b d(b)/s at m0, so w = s*z_d +
-        sum_b z_b*b takes values at m1 = m0*s."""
+        sum_b z_b*b takes values at m1 = m0*s.  Degree 0 has no
+        coboundaries to witness and is refused."""
+        if self.degree < 1:
+            raise ValueError("degree must be at least 1 for coboundary "
+                             "checks")
         _check(self.group, self.module, c, self.degree)
         vecs, (shift,) = self._vecs([c.coords], c.denominator)
         vec, n, cx = vecs[:, 0], self.degree, self._cx
-        if n == 0:
-            return None
         z = self._quot.combination(vec)
         if z is None:
             return None

@@ -11,7 +11,7 @@ rows.  For the unitary layer, the per-trial and per-matrix loops: the
 unitary-check battery and the random decompose task trial by trial, the
 inequality trials, path building with one logarithm per segment,
 refinement and decomposition, the descent with fresh cross-check draws
-through scipy's Schur wrapper, membership and exponential length one
+through one-matrix Schur forms, membership and exponential length one
 matrix at a time, the circle snap taken when the value is made, and the
 helpers only tests use (special-unitary draws, pointwise products of
 paths).
@@ -33,7 +33,6 @@ from itertools import combinations, product
 from math import comb, pi, sqrt
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 
 from xmodcoh.cohomology import cochain_from_function, evaluate
@@ -905,21 +904,20 @@ def _per_matrix(fn):
 
 
 def schur_eig_unitary(u):
-    """Eigenvalues and Schur vectors through ``scipy.linalg.schur``."""
-    t, z = scipy.linalg.schur(u, output="complex")
-    return np.diag(t).copy(), z
+    """Eigenvalues and Schur vectors of one unitary: numpy's eig, then the
+    QR of its eigenvectors."""
+    lam, v = np.linalg.eig(np.asarray(u, dtype=complex))
+    return lam, np.linalg.qr(v)[0]
 
 
 def loop_eig_unitaries(us):
-    """schur_eig_unitary of each matrix of a (k, n, n) stack, laid out as
-    ``unitary._eig_unitaries`` lays out its stacks: the eigenvalues as a
-    C-ordered (k, n) stack, the Schur vectors with column-major matrices."""
+    """schur_eig_unitary of each matrix of a (k, n, n) stack, as two
+    stacks."""
     lam = np.empty(us.shape[:2], dtype=complex)
-    zt = np.empty(us.shape, dtype=complex)
+    z = np.empty(us.shape, dtype=complex)
     for i, u in enumerate(us):
-        lam[i], z = schur_eig_unitary(u)
-        zt[i] = z.T
-    return lam, zt.swapaxes(-1, -2)
+        lam[i], z[i] = schur_eig_unitary(u)
+    return lam, z
 
 
 def _schur_principal_log(u, margin=0.0):

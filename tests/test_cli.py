@@ -855,6 +855,45 @@ def test_the_program_does_not_import_scipy_sparse():
     assert json.loads(probe.stdout) == []
 
 
+def foreign_binding_imports(tree) -> list[int]:
+    """The lines of a syntax tree that import ctypes, or a numpy module or
+    name with a dotted segment that starts with an underscore."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            top, *rest = name.split(".")
+            if top == "ctypes" or (top == "numpy" and any(
+                    part.startswith("_") for part in rest)):
+                lines.append(node.lineno)
+                break
+    return lines
+
+
+def test_the_program_binds_no_library_by_hand():
+    """Linear algebra goes through numpy's public functions: no source file
+    imports ctypes or a private numpy module."""
+    found = {path.name: foreign_binding_imports(ast.parse(path.read_text()))
+             for path in sorted((SRC / "xmodcoh").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    for source in ("import ctypes", "import ctypes.util",
+                   "from ctypes import CDLL", "import os, ctypes",
+                   "from numpy.linalg import _umath_linalg",
+                   "import numpy.linalg._umath_linalg as m",
+                   "from numpy._core import umath",
+                   "def f():\n    from numpy import eye, _core"):
+        assert foreign_binding_imports(ast.parse(source)) != [], source
+    assert foreign_binding_imports(ast.parse(
+        "import ctypesx\nimport numpy.linalg\nfrom numpy import linalg\n"
+        "from . import ctypes\nfrom ._umath import f\nimport scipy._lib\n"
+        "from numpy.linalg import eig")) == []
+
+
 # ---------------------------------------------------------------------------
 # golden preset workflow
 # ---------------------------------------------------------------------------

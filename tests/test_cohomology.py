@@ -658,6 +658,22 @@ def test_witness_recovers_coboundaries():
         is None
 
 
+def test_degree_zero_witnesses_are_refused_before_any_work(monkeypatch):
+    """H^0 has no coboundaries to witness: the zero cochain, which
+    classifies to zero, and a nonzero one are refused alike, and so is a
+    cochain of the wrong degree, before it is read."""
+    group = make_cyclic(2)
+    module = finite_abelian(group, (2,))
+    h0 = cohomology(group, module, 0)
+    zero = cochain_from_coords(group, module, 0, [0])
+    assert h0.classify(zero) == (0,) * len(h0.invariant_factors)
+    monkeypatch.setattr(h0, "_vecs", None)
+    for c in (zero, cochain_from_coords(group, module, 0, [1]),
+              cochain_from_coords(group, module, 1, [0, 1])):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            h0.coboundary_witness(c)
+
+
 def test_classify_rejects_non_cocycles():
     group = make_cyclic(2)
     module = finite_abelian(group, (2,))

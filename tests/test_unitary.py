@@ -3,13 +3,13 @@ trace-determinant to the circle, special-unitary membership certificates,
 exponential length with its bi-invariant metric, the two-sided exponential
 estimate, and the R x SU decomposition of sampled paths."""
 
-import ctypes
 from fractions import Fraction
 from math import pi
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from scipy.stats import unitary_group
 
 import oracles
@@ -484,86 +484,79 @@ def test_random_unitary_draws_as_scipys_unitary_group():
             assert ours.uniform() == theirs.uniform()
 
 
-def schur_stacks(rng, k, n):
-    """Seeded (k, n, n) stacks: Haar unitaries, and complex Gaussian
-    matrices, which are not normal."""
-    unitaries = np.empty((k, n, n), dtype=complex)
-    for i in range(k):
-        unitaries[i] = random_unitary(n, rng)
-    general = (rng.standard_normal((k, n, n))
-               + 1j * rng.standard_normal((k, n, n)))
-    return unitaries, general
+def real_orthogonals(rng, n):
+    """Real unitaries of size n: +-1, the cyclic shift, kron(1_k, swap) and
+    an orthogonal draw."""
+    mats = [np.eye(n), -np.eye(n), np.roll(np.eye(n), 1, axis=0),
+            np.linalg.qr(rng.standard_normal((n, n)))[0]]
+    if n % 2 == 0:
+        mats.append(np.kron(np.eye(n // 2), [[0, 1], [1, 0]]))
+    return np.array(mats)
 
 
-def assert_schur_as_scipy(us):
-    """_eig_unitaries of a stack equals scipy's Schur form of each matrix
-    bit for bit, in the layout of the per-matrix oracle."""
-    lam, z = unitary._eig_unitaries(us)
-    want_lam, want_z = oracles.loop_eig_unitaries(np.asarray(us))
-    assert lam.shape == want_lam.shape and z.shape == want_z.shape
-    assert lam.strides == want_lam.strides and z.strides == want_z.strides
-    assert np.array_equal(lam, want_lam) and np.array_equal(z, want_z)
-    assert lam.dtype == z.dtype == np.complex128
+def adversarial_unitaries(rng, n):
+    """Seeded unitaries of size n whose Schur forms are hard to get
+    unitary or triangular: Haar draws, a reflection W diag(1, ..., 1, -1) W^*
+    with its n - 1 repeats, the real_orthogonals, clusters of eigenvalues
+    split by 1e-6 ... 1e-15, and, last, two with eigenvalues at
+    e^{+-i pi (1 - 1e-13)}, next to the branch cut."""
+    def conj(w, angles):
+        return (w * np.exp(1j * np.asarray(angles))) @ w.conj().T
+
+    w = random_unitary(n, rng)
+    mats = [random_unitary(n, rng) for _ in range(3)]
+    mats.append(conj(w, [0.0] * (n - 1) + [pi]))
+    mats.extend(real_orthogonals(rng, n))
+    base = rng.uniform(-pi, pi, n)
+    for split in (1e-6, 1e-9, 1e-12, 1e-15):
+        angles = np.full(n, base[0])
+        angles[1::2] += split
+        mats.append(conj(w, angles))
+        mats.append(conj(w, base + split * np.arange(n)))
+    mats.append(conj(w, np.full(n, pi * (1 - 1e-13))))
+    mats.append(conj(w, np.where(np.arange(n) % 2, pi, -pi) * (1 - 1e-13)))
+    return np.array(mats, dtype=complex)
 
 
-def test_direct_schur_equals_scipys_wrapper():
+def assert_schur_contract(us):
+    """_eig_unitaries of a stack gives scipy's Schur eigenvalues of each
+    matrix bit for bit, and unitary Schur vectors that triangularize it."""
+    lam, q = unitary._eig_unitaries(us)
+    us = np.asarray(us)
+    k, n = us.shape[:2]
+    assert lam.shape == (k, n) and q.shape == (k, n, n)
+    assert lam.dtype == q.dtype == np.complex128
+    for u, row, z in zip(us, lam, q):
+        t = scipy.linalg.schur(u.astype(complex), output="complex")[0]
+        assert np.array_equal(row, np.diag(t))
+        assert operator_norm(z.conj().T @ z - np.eye(n)) <= 1e-13
+        assert np.abs(np.tril(z.conj().T @ u @ z, -1)).max(
+            initial=0.0) <= 1e-13
+
+
+def test_schur_forms_meet_the_contract_on_unitary_stacks():
     rng = np.random.default_rng(17)
-    for n in range(1, 9):
-        for k in (0, 1, 7, 40):
-            for us in schur_stacks(rng, k, n):
-                assert_schur_as_scipy(us)
-                # views that are not C-contiguous, and real input
-                assert_schur_as_scipy(us[::2])
-                assert_schur_as_scipy(us.swapaxes(-1, -2))
-                assert_schur_as_scipy(us.real)
-                assert_schur_as_scipy(us.real.swapaxes(-1, -2)[::3])
-    # the layout of the Schur vectors the stacked products rely on
-    lam, z = unitary._eig_unitaries(schur_stacks(rng, 3, 4)[0])
-    assert lam.strides == (64, 16) and z.strides == (256, 16, 64)
+    for n in range(1, 13):
+        us = adversarial_unitaries(rng, n)
+        real = real_orthogonals(rng, n)
+        for view in (us, us[:0], us[:1], us[::2], us.swapaxes(-1, -2),
+                     real, real.swapaxes(-1, -2)[::2]):
+            assert_schur_contract(view)
+        back = exp_selfadjoint(principal_log(us))
+        assert unitary.operator_norms(back - us).max() <= 1e-13
+        with pytest.raises(ValueError, match="branch cut"):
+            principal_log(us[-2], margin=1e-8)
 
 
 def test_schur_refuses_infs_and_nans_before_any_call(monkeypatch):
     calls = []
-    monkeypatch.setattr(unitary, "_zgees", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.linalg, "eig", lambda *args: calls.append(args))
     for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
         us = np.stack([np.eye(3, dtype=complex)] * 4)
         us[2, 1, 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             unitary._eig_unitaries(us)
-    # and the loop itself takes no pointer into a view or a wrong dtype
-    us = np.zeros((2, 3, 3), dtype=complex)
-    lam = np.empty((2, 3), dtype=complex)
-    work = (ctypes.c_double * 64)()
-    for a, w, vs in ((us.swapaxes(1, 2), lam, us), (us, lam.real, us),
-                     (us, lam, us[:, :2]), (us[:1], lam, us)):
-        with pytest.raises(ValueError, match="C-contiguous complex128"):
-            unitary._gees(a, w, vs, work, 32)
-    with pytest.raises(ValueError, match="workspace"):
-        unitary._gees(us, lam, us.copy(), work, 33)
     assert calls == []
-
-
-def test_a_lapack_without_zgees_is_an_import_error(monkeypatch):
-    monkeypatch.setattr(unitary, "_ZGEES_NAMES", ("no_zgees_", "nor_this_"))
-    with pytest.raises(ImportError, match="none of no_zgees_, nor_this_"):
-        unitary._bind_zgees()
-
-
-def test_a_failed_schur_form_is_a_linalg_error(monkeypatch):
-    real = unitary._zgees
-
-    def fails_on_third(*args):
-        real(*args)
-        if fails_on_third.calls == 2:
-            args[14]._obj[3] = 5  # INFO, in the array the pointer is into
-        fails_on_third.calls += 1
-
-    fails_on_third.calls = 0
-    unitary._gees_lwork(2)  # the workspace query is cached, not counted
-    monkeypatch.setattr(unitary, "_zgees", fails_on_third)
-    with pytest.raises(np.linalg.LinAlgError, match="zgees info 5"):
-        unitary._eig_unitaries(schur_stacks(np.random.default_rng(3), 4, 2)[0])
-    assert fails_on_third.calls == 3
 
 
 # ---------------------------------------------------------------------------
