@@ -39,7 +39,7 @@ def coefficients_violations(group: FiniteGroup, kind: str, factors,
             if len(mat) != k or any(len(row) != k for row in mat):
                 return problems + [f"action matrix for element {g} is not {k}x{k}"]
         ident = action[group.identity]
-        if any(ident[i][j] % factors[i] != (1 if i == j else 0)
+        if any((ident[i][j] - (i == j)) % factors[i]
                for i in range(k) for j in range(k)):
             problems.append("identity element must act as the identity matrix")
         # well-defined on Z/d1 + ... : column j may only feed row i in

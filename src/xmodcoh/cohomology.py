@@ -25,9 +25,10 @@ residual only.  Over Z/q a cocycle is fixed by its entries on the columns
 no unit pivot took, so its coefficients in the kernel generators are read
 there: a gather, or a product with the residual's column transform.  The
 incoming columns, read this way, and the generator orders are the
-relations, whose Smith form gives the invariant factors, classifies, and
-writes a coboundary as a sum of incoming columns (the witness).
-Representatives are lifted back through the pivots.
+relations.  Their one Smith form gives the invariant factors and the
+representatives (U^-1), classifies (U) and writes a coboundary as a sum
+of incoming columns (the witness, through V).  Representatives are lifted
+back through the pivots.
 
 The kernel needs only the rows whose first argument lies in a generating
 set S (``FiniteGroup.generators``): a normalized n-cochain c is a cocycle
@@ -60,7 +61,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -448,8 +449,10 @@ class _Quotient:
     """ker/im over Z/m: invariant factors, representatives, membership and
     the incoming columns that sum to a coboundary.  ``rel`` holds the
     incoming columns read in the kernel generators, then the generator
-    orders; its Smith form puts the factors in a chain, and a solve against
-    it writes a coboundary as a sum of incoming columns."""
+    orders.  Its one Smith form, held by a solver, puts the factors in a
+    chain; U^-1 gives the representatives, U (on the first classify) the
+    class coordinates, and a solve (V on the first witness) writes a
+    coboundary as a sum of incoming columns."""
 
     def __init__(self, kernel: modsnf.ModKernel, incoming: list):
         self.kernel, self.m = kernel, kernel.m
@@ -459,16 +462,18 @@ class _Quotient:
         r = len(kernel.orders)
         self.rel = np.hstack(ys + [np.diag(kernel.orders)]).astype(np.int64)
         self.n_l = self.rel.shape[1] - r
-        form = modsnf.mod_smith(self.rel, self.m, want_u=True,
-                                want_uinv=True) if r else None
-        diag = form.diag if form else []
-        keep = [i for i, d in enumerate(diag) if d > 1]
-        self.factors, self.order = tuple(diag[i] for i in keep), prod(diag)
-        self._u = form.u[keep] if form else np.zeros((0, 0), np.int64)
+        self._solver = modsnf.ModSolver(self.rel, self.m) if r else None
+        diag = self._solver.form.diag if r else []
+        self._ones = diag.count(1)  # the diagonal is a chain
+        self.factors, self.order = tuple(diag[self._ones:]), prod(diag)
         # one kernel vector per nontrivial factor, as columns
-        self.generators = kernel.lift(form.u_inv[:, keep] if form
-                                      else self._u)
-        self._rel_solver = None
+        self.generators = kernel.lift(self._solver.form.u_inv[:, self._ones:]
+                                      if r else np.zeros((0, 0), np.int64))
+
+    @cached_property
+    def _u(self) -> np.ndarray:
+        return self._solver.form.u[self._ones:] if self._solver \
+            else np.zeros((0, 0), np.int64)
 
     def _kernel_coords(self, vecs) -> np.ndarray:
         y = self.kernel.coordinates(vecs)
@@ -485,14 +490,11 @@ class _Quotient:
 
     def combination(self, vec) -> np.ndarray | None:
         """z with incoming @ z = vec mod m, or None if vec's class is
-        nonzero: rel @ z = y for vec's kernel coordinates y.  The solver of
-        rel is built on the first call."""
+        nonzero: rel @ z = y for vec's kernel coordinates y."""
         y = self._kernel_coords(vec[:, None])[:, 0]
         if not len(y):  # no kernel generators: vec is zero
             return np.zeros(self.n_l, dtype=np.int64)
-        if self._rel_solver is None:
-            self._rel_solver = modsnf.ModSolver(self.rel, self.m)
-        z = self._rel_solver.solve(y)
+        z = self._solver.solve(y)
         return None if z is None else z[:self.n_l]
 
 
@@ -509,8 +511,10 @@ class CohomologyGroup:
     the factors are the exact Q/Z answer, ``denominator`` is the working
     denominator m0 (a multiple of |group|) and ``stable`` says whether
     H^degree(group; Z/m0) already is that answer: whether the Bockstein
-    from H^{degree-1}(group; Z/|group|) has zero image.  The group is one
-    ``_Quotient`` of the normalized complex (see the module docstring).
+    from H^{degree-1}(group; Z/|group|) has zero image.  It compares the
+    answer's order with |H^degree(group; Z/m0)|, counted from the cocycle
+    kernels of degrees n and n-1 at m0.  The group is one ``_Quotient`` of
+    the normalized complex (see the module docstring).
     ``classify_tables`` classifies a matrix of cochain tables, a cocycle
     per row, with one closed check and one read of its distinct rows;
     ``classify`` is its one-row case.
@@ -537,18 +541,19 @@ class CohomologyGroup:
             # of the cocycles mod s, the kernel of d's generator rows
             m1 = m * self._s
             d = cx.differential(n - 1, m1)
-            b = modsnf.mod_kernel(il.take_rows(d, cx.generator_rows(n)),
-                                  self._s).basis()
+            gens = il.take_rows(d, cx.generator_rows(n))
+            cycles = modsnf.mod_kernel(gens, self._s)
+            self._bock_gens = b = cycles.basis()
             bock = il.times_dense(il.row_terms(d), b) % m1 // self._s
-            self._bock_gens = b
+            if m != self._s:  # the cocycles mod m, for ``stable``
+                cycles = modsnf.mod_kernel(gens, m)
         l_cols = [cx.differential(n - 1)] if n else []
         self._quot = quot = _Quotient(kernel,
                                       l_cols + [cx.relations(n), bock])
-        if bock.shape[1]:
-            base = np.delete(quot.rel, np.s_[quot.n_l - bock.shape[1]:
-                                             quot.n_l], axis=1)
-            self.stable = prod(modsnf.mod_smith(base, m).diag) == quot.order
         self.invariant_factors, self.order = quot.factors, quot.order
+        if bock.shape[1]:  # |H^n(G; Z/m)| = |Z^n| |Z^{n-1}| / m^dim C^{n-1}
+            self.stable = prod(kernel.orders) * prod(cycles.orders) == \
+                self.order * m ** cx.dim(n - 1)
         if not all(cx.closed(n, col) for col in quot.generators.T):
             raise InvariantError("a representative is not a cocycle on "
                                  "every row")

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cohomology import (Cochain, CohomologyGroup, cochain_from_function,
-                         cohomology, evaluate)
+                         cohomology)
 from .coefficients import finite_abelian
 from .errors import InvariantError, ResourceLimit
 from .groups import (AbelianBasis, FiniteGroup, abelian_basis,
@@ -167,9 +167,6 @@ class Cocycle1:
 
     def key(self) -> tuple:
         return (self.alpha, self.u)
-
-    def u_at(self, order: int, g: int, h: int) -> int:
-        return self.u[g * order + h]
 
 
 def cocycle_violations(group: FiniteGroup, x: CrossedModule,
@@ -459,11 +456,6 @@ class AbelianShift:
         return cochain_from_function(
             group, self.h2.module, 2,
             lambda g, h: self.basis.vector_of(c.u[g * n + h]))
-
-    def cochain_to_cocycle(self, group: FiniteGroup, z: Cochain) -> Cocycle1:
-        u = tuple(self.basis.element_of(evaluate(group, z, (g, h)))
-                  for g in group.elements() for h in group.elements())
-        return Cocycle1((0,) * group.order, u)
 
 
 def abelian_shift(group: FiniteGroup, x: CrossedModule,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 from operator import itemgetter
 
 from .errors import InvariantError
@@ -125,9 +124,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def prod(self, elems) -> int:
         out = self.identity
         for x in elems:
@@ -155,17 +151,6 @@ class FiniteGroup:
             x = self.mul[x][a]
             k += 1
         return k
-
-    def exponent(self) -> int:
-        out = 1
-        for a in self.elements():
-            o = self.element_order(a)
-            out = out * o // gcd(out, o)
-        return out
-
-    def is_abelian(self) -> bool:
-        return all(self.mul[a][b] == self.mul[b][a]
-                   for a in self.elements() for b in self.elements())
 
 
 def make_cyclic(n: int, label: str | None = None) -> FiniteGroup:

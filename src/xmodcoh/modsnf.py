@@ -9,14 +9,16 @@ that p does not divide is a unit, and an entry of least p-valuation divides
 every other entry, so pivoting on one needs no gcd repair and the diagonal
 comes out as a chain with no further pass.
 
-:func:`mod_smith` takes dense local forms, with invertible transforms, of
-the small matrices that need them (elimination residuals, quotient
-relations, solver matrices) and joins them by CRT.  A kernel, the one
-large elimination behind group cohomology, takes the rows of a sparse
-``intlinalg.Triples`` matrix to unit pivots (:func:`unit_pivots`) and a
-dense form of the unit-free residual only; it is kept as those records
-(:class:`ModKernel`), never as a dense generator matrix.  The test suite
-cross-checks both against the integer Smith form.
+:func:`mod_smith` takes dense local forms of the small matrices that need
+them (elimination residuals, quotient relations, solver matrices) and
+joins their diagonals by CRT.  Each local form records its pivot steps,
+and a transform is replayed from them and joined only when first read
+(:class:`ModSmithForm`), so one elimination serves every caller.  A
+kernel, the one large elimination behind group cohomology, takes the rows
+of a sparse ``intlinalg.Triples`` matrix to unit pivots
+(:func:`unit_pivots`) and a dense form of the unit-free residual only; it
+is kept as those records (:class:`ModKernel`), never as a dense generator
+matrix.  The test suite cross-checks both against the integer Smith form.
 
 Conventions: matrix entries are stored canonically in [0, m).  Reported
 diagonal values are canonical divisors of m, with m itself standing for a
@@ -67,70 +69,62 @@ def _local_rings(m: int) -> list[tuple[int, int, int]]:
     return [(p, q, m // q * pow(m // q, -1, q) % m) for p, q in out]
 
 
-@dataclass
 class ModSmithForm:
-    diag: list[int]            # canonical divisors of m; m stands for zero
-    u: np.ndarray | None       # u @ a @ v = diag(...) mod m
-    u_inv: np.ndarray | None
-    v: np.ndarray | None
-    v_inv: np.ndarray | None
+    """u @ a @ v = diag(...) mod m, ``diag`` canonical divisors of m (m
+    for zero).  Each transform is replayed from the local rings' pivot
+    steps when first read and summed over their CRT idempotents, row i of
+    a local U scaled by the unit d_i / d_{i,q} mod q (column i of U^-1 by
+    its inverse), so that u @ a @ v has exactly d_i on its diagonal."""
+
+    def __init__(self, m: int, shape: tuple[int, int], diag: list[int],
+                 parts: list):
+        self.m, self.shape, self.diag, self._parts = m, shape, diag, parts
+
+    u = cached_property(lambda self: self._joined(False, False))
+    u_inv = cached_property(lambda self: self._joined(False, True))
+    v = cached_property(lambda self: self._joined(True, False))
+    v_inv = cached_property(lambda self: self._joined(True, True))
+
+    def _joined(self, cols: bool, inverse: bool) -> np.ndarray:
+        m, n, k = self.m, self.shape[cols], len(self.diag)
+        out = np.zeros((n, n), dtype=np.int64)
+        for q, e, d, steps in self._parts:
+            eye = np.eye(n, dtype=dtype_for(q, max(*self.shape, 1)))
+            x = _replay(steps, q, eye, cols, inverse)
+            if not cols:
+                unit = [di // dq % q for di, dq in zip(self.diag, d)]
+                if inverse:
+                    unit = [pow(w, -1, q) for w in unit]
+                x[:k] = x[:k] * np.array(unit, dtype=np.int64)[:, None] % q
+            out = (out + x.astype(np.int64) * e % m) % m
+        return out.T if cols != inverse else out
 
 
-def mod_smith(a, m: int, want_u: bool = False, want_uinv: bool = False,
-              want_v: bool = False, want_vinv: bool = False) -> ModSmithForm:
-    """The Smith form of ``a`` over Z/m, with the requested transforms.
-
-    Each prime power q of m gets its own :func:`_local_smith`, with
-    diagonal d_{i,q}; the joined diagonal is d_i = prod_q d_{i,q}.  Row i
-    of each local U is scaled by the unit d_i / d_{i,q} mod q (column i of
-    U^-1 by its inverse), so that u @ a @ v has exactly d_i on its
-    diagonal, and the local transforms are summed over the CRT idempotents.
-    """
+def mod_smith(a, m: int) -> ModSmithForm:
+    """The Smith form of ``a`` over Z/m: a :func:`_local_smith` per prime
+    power q of m, with diagonal d_{i,q}, joined as d_i = prod_q d_{i,q}."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
     a = np.array(a, dtype=np.int64) % m
-    r, c = a.shape
-    dtype_for(m, max(r, c, 1))  # the join multiplies entries by e < m
-    parts = [(q, e, _local_smith(a % q, p, q, want_u, want_uinv, want_v,
-                                 want_vinv))
-             for p, q, e in _local_rings(m)]
-    diag = [prod(d) for d in zip(*(local[0] for _, _, local in parts))]
-    k = len(diag)
-    mats: list[np.ndarray | None] = [None] * 4
-    for q, e, (d, *local) in parts:
-        unit = np.array([x // y % q for x, y in zip(diag, d)], dtype=np.int64)
-        u, u_inv = local[:2]
-        if u is not None:
-            u[:k] = u[:k] * unit[:, None] % q
-        if u_inv is not None:
-            u_inv[:, :k] = u_inv[:, :k] * np.array(
-                [pow(int(x), -1, q) for x in unit], dtype=np.int64) % q
-        for slot, x in enumerate(local):
-            if x is not None:
-                x = x.astype(np.int64) * e % m
-                mats[slot] = x if mats[slot] is None else (mats[slot] + x) % m
-    return ModSmithForm(diag, *mats)
+    dtype_for(m, max(*a.shape, 1))  # the join multiplies entries by e < m
+    parts = [(q, e, *_local_smith(a % q, p, q)) for p, q, e in _local_rings(m)]
+    diag = [prod(d) for d in zip(*(d for _, _, d, _ in parts))]
+    return ModSmithForm(m, a.shape, diag, parts)
 
 
-def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
-                 want_uinv: bool, want_v: bool, want_vinv: bool):
-    """(diag, U, U^-1, V, V^-1) of ``a`` (entries in [0, q)) over Z/q,
-    q = p^k.
+def _local_smith(a: np.ndarray, p: int, q: int):
+    """(diag, steps) of ``a`` (entries in [0, q)) over Z/q, q = p^k.
 
     Each step pivots on the first entry, row-major, of least p-valuation: a
     unit if there is one, else the least gcd with q.  It divides every
     entry left, so scaling its row makes the pivot p^v exactly and its row
     and column clear without remainder; later pivots have valuation at
-    least v, so the diagonal is a chain.
+    least v, so the diagonal is a chain.  Each step is recorded for
+    :func:`_replay`.
     """
     r, c = a.shape
-    dt = dtype_for(q, max(r, c, 1))
-    a = a.astype(dt)
-    U = np.eye(r, dtype=dt) if want_u else None
-    Ui = np.eye(r, dtype=dt) if want_uinv else None
-    V = np.eye(c, dtype=dt) if want_v else None
-    Vi = np.eye(c, dtype=dt) if want_vinv else None
-    diag = []
+    a = a.astype(dtype_for(q, max(r, c, 1)))
+    diag, steps = [], []
     for t in range(min(r, c)):
         sub = a[t:, t:]
         i, j = divmod(int(np.argmax(sub % p != 0)), c - t)
@@ -142,38 +136,39 @@ def _local_smith(a: np.ndarray, p: int, q: int, want_u: bool,
         i, j = i + t, j + t
         a[[t, i]] = a[[i, t]]
         a[:, [t, j]] = a[:, [j, t]]
-        if U is not None:
-            U[[t, i]] = U[[i, t]]
-        if Ui is not None:
-            Ui[:, [t, i]] = Ui[:, [i, t]]
-        if V is not None:
-            V[:, [t, j]] = V[:, [j, t]]
-        if Vi is not None:
-            Vi[[t, j]] = Vi[[j, t]]
         g = gcd(int(a[t, t]), q)
         unit = int(a[t, t]) // g
         inv = pow(unit, -1, q)
         a[t] = a[t] * inv % q
-        if U is not None:
-            U[t] = U[t] * inv % q
-        if Ui is not None:
-            Ui[:, t] = Ui[:, t] * unit % q
-        f = a[t + 1:, t] // g
-        if f.any():
-            a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
-            if U is not None:
-                U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
-            if Ui is not None:
-                Ui[:, t] = (Ui[:, t] + Ui[:, t + 1:] @ f) % q
-        f = a[t, t + 1:] // g
-        if f.any():
-            a[t, t + 1:] = 0
-            if V is not None:
-                V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], f)) % q
-            if Vi is not None:
-                Vi[t] = (Vi[t] + f @ Vi[t + 1:]) % q
+        f_row, f_col = a[t + 1:, t] // g, a[t, t + 1:] // g
+        if f_row.any():
+            a[t + 1:] = (a[t + 1:] - np.outer(f_row, a[t])) % q
+        a[t, t + 1:] = 0
+        steps.append((t, i, j, unit, inv, f_row if f_row.any() else None,
+                      f_col if f_col.any() else None))
         diag.append(g)
-    return diag + [q] * (min(r, c) - len(diag)), U, Ui, V, Vi
+    return diag + [q] * (min(r, c) - len(diag)), steps
+
+
+def _replay(steps, q: int, x: np.ndarray, cols: bool, inverse: bool
+            ) -> np.ndarray:
+    """The identity x over Z/q taken through the recorded steps (t, i, j,
+    unit, inv, f_row, f_col): rows t and i swapped, row t scaled by inv, the
+    inverse of the pivot's unit part, and f_row[k] times row t taken from
+    row t+1+k, which gives U.  With ``inverse`` each step's inverse acts
+    from the other side, which gives U^-1 transposed.  With ``cols`` the
+    steps are on columns (t and j, f_col, no scaling): V transposed, or
+    V^-1.  A multiplier vector is None when it is zero."""
+    for t, i, j, unit, inv, f_row, f_col in steps:
+        s, f = (j, f_col) if cols else (i, f_row)
+        x[[t, s]] = x[[s, t]]
+        if not cols:
+            x[t] = x[t] * (unit if inverse else inv) % q
+        if f is not None and inverse:
+            x[t] = (x[t] + f @ x[t + 1:]) % q
+        elif f is not None:
+            x[t + 1:] = (x[t + 1:] - np.outer(f, x[t])) % q
+    return x
 
 
 def mod_kernel(a, m: int) -> ModKernel:
@@ -212,8 +207,7 @@ class _LocalKernel:
         self.orders, self.basis, self.v_inv = [q] * len(self.free), None, None
         if residual:
             form = mod_smith([[row.get(j, 0) for j in self.free.tolist()]
-                              for row in residual], q, want_v=True,
-                             want_vinv=True)
+                              for row in residual], q)
             d = np.array(form.diag + [q] * (len(self.free) - len(form.diag)))
             keep, self.steps = d > 1, q // d
             self.orders = d[keep].tolist()
@@ -379,8 +373,7 @@ class ModSolver:
 
     def __init__(self, a, m: int):
         self.m, (self.rows, self.cols) = m, np.shape(a)
-        self.form = mod_smith(a, m, want_u=True, want_v=True) \
-            if self.cols else None
+        self.form = mod_smith(a, m) if self.cols else None
 
     def solve(self, b) -> np.ndarray | None:
         """x with a x = b mod m, or None if there is none.

@@ -141,8 +141,7 @@ class InducedModule:
     """The kernel of phi0 as a module over the base group via a 1-cocycle.
 
     The action of a base-group element g is action0 of alpha_g restricted to
-    the kernel, written in an invariant-factor basis.  ``module_label`` is
-    the canonical key: the tuple of action matrices.
+    the kernel, written in an invariant-factor basis.
     """
 
     extension: CentralXModExtension
@@ -155,10 +154,6 @@ class InducedModule:
 
     def from_vector(self, vec) -> int:
         return self.basis.element_of(vec)
-
-    @property
-    def module_label(self) -> tuple:
-        return self.module.action
 
 
 def induced_module(ext: CentralXModExtension, group: FiniteGroup,

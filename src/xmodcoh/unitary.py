@@ -203,14 +203,6 @@ class UnitaryPath:
     def segment_log(self, k: int) -> np.ndarray:
         return self.logs[k]
 
-    def at(self, t: float) -> np.ndarray:
-        """Evaluate the geodesic interpolation at time t."""
-        if not self.ts[0] <= t <= self.ts[-1]:
-            raise ValueError("time outside the sampled range")
-        k = min(bisect_right(self.ts, t) - 1, len(self.ts) - 2)
-        s = (t - self.ts[k]) / (self.ts[k + 1] - self.ts[k])
-        return self.mats[k] @ exp_selfadjoint(s * self.segment_log(k))
-
 
 def _segment_logs(ts: tuple, mats: tuple) -> np.ndarray:
     """The principal logarithm of a^* b for each segment (a, b), refused at

@@ -1,6 +1,7 @@
 """Per-entry reference implementations that the array code is checked
-against: the dict-of-dicts unit-pivot elimination over Z, the dict-column
-boundary builder, the per-simplex identity and homotopy checks, and the
+against: the dict-of-dicts unit-pivot elimination over Z, the Smith form
+over Z/m that updates all four transforms at every pivot, ``stable`` by a
+second elimination of the Q/Z relations, the dict-column boundary builder, the per-simplex identity and homotopy checks, and the
 classifying-map, homotopy and conjugation builders that looked each simplex
 object up in a dictionary, and the appendix retraction verifier that
 replayed one chain at a time over interned slots, with the pseudofunctor
@@ -17,7 +18,8 @@ helpers only tests use (special-unitary draws, pointwise products of
 paths).
 
 Also the fixtures and searches that no task reaches, kept here rather
-than in the package: relabelled groups, the crossed modules A -> 1 and
+than in the package: group products, commutativity and relabelling, the
+inverse of the abelian shift, the crossed modules A -> 1 and
 G -> G, the brute-force witness search between two 1-cocycles, the
 simplicial-identity check, the exhaustive prism-homotopy search, the
 transport of an obstruction along G and the bucketing of H^1 by induced
@@ -25,19 +27,22 @@ module, and the one-matrix self-adjoint gate, self-adjoint draw and
 exponential-ball draw."""
 
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, pi, sqrt
+from math import comb, gcd, lcm, pi, prod, sqrt
 
 import numpy as np
 from scipy import sparse
 
-from xmodcoh.cohomology import cochain_from_function, evaluate
-from xmodcoh.crossed import (Cocycle1, CrossedModule, Witness1, _witness_iter,
-                             compute_H1, transform_cocycle)
+from xmodcoh import modsnf
+from xmodcoh.cohomology import (Cochain, CohomologyGroup,
+                                cochain_from_function, evaluate)
+from xmodcoh.crossed import (AbelianShift, Cocycle1, CrossedModule, Witness1,
+                             _witness_iter, compute_H1, transform_cocycle)
 from xmodcoh.errors import InvariantError, ResourceLimit
 from xmodcoh.groups import FiniteGroup, trivial_group
 from xmodcoh.homotopies import SimplicialHomotopy, homotopy_violations
@@ -149,6 +154,83 @@ def loop_rank_torsion(columns):
     form = smith_normal_form(dense)
     return (len(pivots) + form.rank,
             tuple(d for d in form.diag[:form.rank] if d > 1))
+
+
+def eager_mod_smith(a, m: int):
+    """(diag, u, u^-1, v, v^-1) of ``a`` over Z/m, each local ring's four
+    transforms updated at every pivot and then joined over the CRT
+    idempotents, row i of U scaled by the unit d_i / d_{i,q} mod q and
+    column i of U^-1 by its inverse.  ``modsnf.mod_smith`` records the
+    pivots instead and replays each transform when it is first read; the
+    two must agree bitwise."""
+    a = np.array(a, dtype=np.int64) % m
+    parts = [(q, e, eager_local_smith(a % q, p, q))
+             for p, q, e in modsnf._local_rings(m)]
+    diag = [prod(d) for d in zip(*(local[0] for _, _, local in parts))]
+    k, (r, c) = len(diag), a.shape
+    mats = [np.zeros((n, n), dtype=np.int64) for n in (r, r, c, c)]
+    for q, e, (d, *local) in parts:
+        unit = np.array([x // y % q for x, y in zip(diag, d)], dtype=np.int64)
+        local[0][:k] = local[0][:k] * unit[:, None] % q
+        local[1][:, :k] = local[1][:, :k] * np.array(
+            [pow(int(x), -1, q) for x in unit], dtype=np.int64) % q
+        for slot, x in enumerate(local):
+            mats[slot] = (mats[slot] + x.astype(np.int64) * e % m) % m
+    return (diag, *mats)
+
+
+def eager_local_smith(a: np.ndarray, p: int, q: int):
+    """(diag, U, U^-1, V, V^-1) of ``a`` (entries in [0, q)) over Z/q,
+    q = p^k, pivoting as ``modsnf._local_smith`` does."""
+    r, c = a.shape
+    dt = modsnf.dtype_for(q, max(r, c, 1))
+    a = a.astype(dt)
+    U, Ui, V, Vi = (np.eye(n, dtype=dt) for n in (r, r, c, c))
+    diag = []
+    for t in range(min(r, c)):
+        sub = a[t:, t:]
+        i, j = divmod(int(np.argmax(sub % p != 0)), c - t)
+        if sub[i, j] % p == 0:
+            val = np.gcd(sub, q)
+            i, j = divmod(int(np.argmin(val)), c - t)
+            if val[i, j] == q:
+                break
+        i, j = i + t, j + t
+        a[[t, i]] = a[[i, t]]
+        a[:, [t, j]] = a[:, [j, t]]
+        U[[t, i]] = U[[i, t]]
+        Ui[:, [t, i]] = Ui[:, [i, t]]
+        V[:, [t, j]] = V[:, [j, t]]
+        Vi[[t, j]] = Vi[[j, t]]
+        g = gcd(int(a[t, t]), q)
+        unit = int(a[t, t]) // g
+        inv = pow(unit, -1, q)
+        a[t] = a[t] * inv % q
+        U[t] = U[t] * inv % q
+        Ui[:, t] = Ui[:, t] * unit % q
+        f = a[t + 1:, t] // g
+        if f.any():
+            a[t + 1:] = (a[t + 1:] - np.outer(f, a[t])) % q
+            U[t + 1:] = (U[t + 1:] - np.outer(f, U[t])) % q
+            Ui[:, t] = (Ui[:, t] + Ui[:, t + 1:] @ f) % q
+        f = a[t, t + 1:] // g
+        if f.any():
+            a[t, t + 1:] = 0
+            V[:, t + 1:] = (V[:, t + 1:] - np.outer(V[:, t], f)) % q
+            Vi[t] = (Vi[t] + f @ Vi[t + 1:]) % q
+        diag.append(g)
+    return diag + [q] * (min(r, c) - len(diag)), U, Ui, V, Vi
+
+
+def smith_stable(h: CohomologyGroup) -> bool:
+    """``stable`` of a Q/Z cohomology group by a second elimination:
+    whether the relations without the Bockstein columns, which present
+    H^n(G; Z/m0), have the order of the Q/Z answer."""
+    quot, nb = h._quot, h._bock_gens.shape[1] if h.degree else 0
+    if not nb:
+        return True
+    base = np.delete(quot.rel, np.s_[quot.n_l - nb:quot.n_l], axis=1)
+    return prod(modsnf.mod_smith(base, quot.m).diag) == quot.order
 
 
 def dict_boundary(s, k, nd_low, nd_high):
@@ -310,7 +392,7 @@ def theta_simplex(group, x, a, b, w, chain, t):
         if i >= t:
             u.append(b.u[p * n + q])
         elif j >= t:
-            u.append(h.op(x.act(a.alpha[p], w[q]), a.u[p * n + q]))
+            u.append(op(h, x.act(a.alpha[p], w[q]), a.u[p * n + q]))
         else:
             u.append(a.u[p * n + q])
     return PseudofunctorSimplex(k, tuple(alpha), tuple(u))
@@ -367,14 +449,14 @@ def pseudofunctor_violations(x: CrossedModule,
     g, h = x.ggroup, x.hgroup
     bad = []
     for i, j, k in combinations(range(s.n + 1), 3):
-        lhs = g.op(s.alpha_at(x, i, j), s.alpha_at(x, j, k))
-        rhs = g.op(x.boundary[s.u_at(x, i, j, k)], s.alpha_at(x, i, k))
+        lhs = op(g, s.alpha_at(x, i, j), s.alpha_at(x, j, k))
+        rhs = op(g, x.boundary[s.u_at(x, i, j, k)], s.alpha_at(x, i, k))
         if lhs != rhs:
             bad.append(f"triangle relation fails at ({i},{j},{k})")
     for i, j, k, l in combinations(range(s.n + 1), 4):
-        lhs = h.op(x.act(s.alpha_at(x, i, j), s.u_at(x, j, k, l)),
+        lhs = op(h, x.act(s.alpha_at(x, i, j), s.u_at(x, j, k, l)),
                    s.u_at(x, i, j, l))
-        rhs = h.op(s.u_at(x, i, j, k), s.u_at(x, i, k, l))
+        rhs = op(h, s.u_at(x, i, j, k), s.u_at(x, i, k, l))
         if lhs != rhs:
             bad.append(f"tetrahedron relation fails at ({i},{j},{k},{l})")
     return bad
@@ -409,14 +491,14 @@ def nat_violations(x: CrossedModule, nt: NatTransform) -> list[str]:
     bad = []
     for i, j in combinations(range(n + 1), 2):
         lhs = nt.target.alpha_at(x, i, j)
-        rhs = g.op(x.boundary[nt.w_at(x, i, j)], nt.source.alpha_at(x, i, j))
+        rhs = op(g, x.boundary[nt.w_at(x, i, j)], nt.source.alpha_at(x, i, j))
         if lhs != rhs:
             bad.append(f"edge identity fails at ({i},{j})")
     for i, j, k in combinations(range(n + 1), 3):
-        lhs = h.op(nt.w_at(x, i, j),
-                   h.op(x.act(nt.source.alpha_at(x, i, j), nt.w_at(x, j, k)),
-                        nt.source.u_at(x, i, j, k)))
-        rhs = h.op(nt.target.u_at(x, i, j, k), nt.w_at(x, i, k))
+        lhs = op(h, nt.w_at(x, i, j),
+                 op(h, x.act(nt.source.alpha_at(x, i, j), nt.w_at(x, j, k)),
+                    nt.source.u_at(x, i, j, k)))
+        rhs = op(h, nt.target.u_at(x, i, j, k), nt.w_at(x, i, k))
         if lhs != rhs:
             bad.append(f"naturality fails at ({i},{j},{k})")
     return bad
@@ -433,13 +515,13 @@ def transport_simplex(x: CrossedModule, s: PseudofunctorSimplex,
     g, h = x.ggroup, x.hgroup
     n = s.n
     pp = pair_positions(n)
-    alpha = tuple(g.op(x.boundary[w[pp[(i, j)]]], s.alpha_at(x, i, j))
+    alpha = tuple(op(g, x.boundary[w[pp[(i, j)]]], s.alpha_at(x, i, j))
                   for i, j in combinations(range(n + 1), 2))
     u = []
     for i, j, k in combinations(range(n + 1), 3):
-        val = h.op(w[pp[(i, j)]],
-                   h.op(x.act(s.alpha_at(x, i, j), w[pp[(j, k)]]),
-                        h.op(s.u_at(x, i, j, k), h.inv[w[pp[(i, k)]]])))
+        val = op(h, w[pp[(i, j)]],
+                 op(h, x.act(s.alpha_at(x, i, j), w[pp[(j, k)]]),
+                    op(h, s.u_at(x, i, j, k), h.inv[w[pp[(i, k)]]])))
         u.append(val)
     target = PseudofunctorSimplex(n, alpha, tuple(u))
     bad = pseudofunctor_violations(x, target)
@@ -518,8 +600,8 @@ def composite_table(x: CrossedModule, alphas: tuple[int, ...],
         val = hs[i]
         run = alphas[i]
         for t in range(i + 1, j):
-            val = h.op(val, x.act(run, hs[t]))
-            run = g.op(run, alphas[t])
+            val = op(h, val, x.act(run, hs[t]))
+            run = op(g, run, alphas[t])
         out.append(val)
     return tuple(out)
 
@@ -553,7 +635,7 @@ def eta_table(x: CrossedModule, s: PseudofunctorSimplex) -> tuple[int, ...]:
             if span == 1:
                 vals[(i, j)] = h.identity
             else:
-                vals[(i, j)] = h.op(vals[(i, j - 1)], s.u_at(x, i, j - 1, j))
+                vals[(i, j)] = op(h, vals[(i, j - 1)], s.u_at(x, i, j - 1, j))
     return tuple(vals[p] for p in combinations(range(s.n + 1), 2))
 
 
@@ -696,7 +778,7 @@ def mu_simplex(x: CrossedModule, x0: PseudofunctorSimplex,
         if l <= k:
             u.append(x1.u_at(x, i, j, l))
         elif j <= k:
-            u.append(h.op(_table_at(x, n, w0, i, j), x0.u_at(x, i, j, l - 1)))
+            u.append(op(h, _table_at(x, n, w0, i, j), x0.u_at(x, i, j, l - 1)))
         else:
             u.append(x0.u_at(x, sig[i], j - 1, l - 1))
     return PseudofunctorSimplex(n + 1, tuple(alpha), tuple(u))
@@ -833,8 +915,8 @@ def _head_suite(slots: _Slots, n: int, obj_ids: list[int],
             nt = NatTransform(s, v[slots.target(obj_ids[oi], wi)], w)
             eta_t = eta_table(x, nt.target)
             push = strict_project_morphism(x, nt)
-            lhs = tuple(h.op(a, b) for a, b in zip(eta_t, w))
-            rhs = tuple(h.op(a, b) for a, b in zip(push, eta_s))
+            lhs = tuple(op(h, a, b) for a, b in zip(eta_t, w))
+            rhs = tuple(op(h, a, b) for a, b in zip(push, eta_s))
             if lhs != rhs:
                 bad.append(f"eta is not natural at object {oi}, "
                            f"morphism {w}")
@@ -1195,12 +1277,21 @@ def loop_unitary_path(ts, mats, tol=1e-10):
     return path
 
 
+def path_at(path: UnitaryPath, t: float) -> np.ndarray:
+    """The geodesic interpolation of a path at time t."""
+    if not path.ts[0] <= t <= path.ts[-1]:
+        raise ValueError("time outside the sampled range")
+    k = min(bisect_right(path.ts, t) - 1, len(path.ts) - 2)
+    s = (t - path.ts[k]) / (path.ts[k + 1] - path.ts[k])
+    return path.mats[k] @ exp_selfadjoint(s * path.segment_log(k))
+
+
 def pointwise_product_path(p1, p2):
     """Sample the pointwise product at the union of the two time grids."""
     if p1.n != p2.n:
         raise ValueError("paths must share one dimension")
     ts = sorted(set(p1.ts) | set(p2.ts))
-    return unitary_path(ts, tuple(p1.at(t) @ p2.at(t) for t in ts))
+    return unitary_path(ts, tuple(path_at(p1, t) @ path_at(p2, t) for t in ts))
 
 
 def loop_random_based_path(n, segments, rng, max_step=0.9):
@@ -1268,6 +1359,30 @@ def loop_decompose_random(seed, paths, max_dim=4, min_segments=3,
 # ---------------------------------------------------------------------------
 # groups, crossed modules and 1-cocycles: fixtures and the witness search
 # ---------------------------------------------------------------------------
+
+def op(g: FiniteGroup, a: int, b: int) -> int:
+    """The product a b in g."""
+    return g.mul[a][b]
+
+
+def exponent(g: FiniteGroup) -> int:
+    """The least common multiple of the element orders."""
+    return lcm(*(g.element_order(a) for a in g.elements()))
+
+
+def is_abelian(g: FiniteGroup) -> bool:
+    return all(g.mul[a][b] == g.mul[b][a]
+               for a in g.elements() for b in g.elements())
+
+
+def cochain_to_cocycle(shift: AbelianShift, group: FiniteGroup,
+                       z: Cochain) -> Cocycle1:
+    """The (H -> 1) cocycle whose u-table is the 2-cochain z read through
+    the shift's basis of H: the inverse of ``cocycle_to_cochain``."""
+    u = tuple(shift.basis.element_of(evaluate(group, z, (g, h)))
+              for g in group.elements() for h in group.elements())
+    return Cocycle1((0,) * group.order, u)
+
 
 def relabel_group(g: FiniteGroup, perm: list[int],
                   label: str | None = None) -> FiniteGroup:
@@ -1511,7 +1626,7 @@ def sum_over_conjugacy(ext: CentralXModExtension, group: FiniteGroup,
     buckets: dict[int, list[int]] = {}
     for i, cls in enumerate(h1.classes):
         ind = induced_module(ext, group, cls.representative)
-        key = ind.module_label
+        key = ind.module.action
         if key not in label_index:
             label_index[key] = len(labels)
             labels.append(key)
@@ -1530,12 +1645,12 @@ def sum_over_conjugacy(ext: CentralXModExtension, group: FiniteGroup,
     w_triv = (x1.hgroup.identity,) * group.order
     for i, cls in enumerate(h1.classes):
         key0 = label_index[induced_module(
-            ext, group, cls.representative).module_label]
+            ext, group, cls.representative).module.action]
         for gamma in ext.ggroup.elements():
             moved = transform_cocycle(group, x1, cls.representative,
                                       gamma, w_triv)
             key1 = label_index.get(
-                induced_module(ext, group, moved).module_label)
+                induced_module(ext, group, moved).module.action)
             if key1 is None:
                 continue
             a, b = find(key0), find(key1)

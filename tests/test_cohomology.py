@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import columns_matrix, relabel_group
+from oracles import columns_matrix, relabel_group, smith_stable
 from scipy import sparse
 
 from xmodcoh import cli, intlinalg, modsnf, obstruction
@@ -418,6 +418,52 @@ def test_circle_cohomology_is_integral_cohomology_one_degree_up():
             if not h.stable:
                 unstable.add((group.label, n))
     assert {("C2xC2", 3), ("C3xC3", 3)} <= unstable
+
+
+def test_stable_by_counting_equals_a_second_elimination():
+    """``stable`` compares the order of H^n(G; Z/m0), counted as
+    |Z^n| |Z^{n-1}| / m0^dim C^{n-1} from the two kernels, with the Q/Z
+    answer.  A Smith form of the relations without the Bockstein columns
+    (``oracles.smith_stable``) gives the same flag over trivial and
+    sign-twisted Q/Z in degrees 1..4, at m0 = |G| and at m0 = 2|G|."""
+    c2, c4, s3 = make_cyclic(2), make_cyclic(4), make_symmetric(3)
+    # the even permutations of S3 are those with g^3 = e
+    s3_sign = tuple(1 if s3.mul[s3.mul[g][g]][g] == s3.identity else -1
+                    for g in s3.elements())
+    signs = [(c2, (1, -1)), (make_cyclic(3), None), (c4, (1, -1) * 2),
+             (make_cyclic(7), None), (s3, s3_sign),
+             (make_product(c2, c2), (1, 1, -1, -1)),
+             (make_product(c2, c4), (1,) * 4 + (-1,) * 4)]
+    cases = flags = 0
+    for group, sign in signs:
+        for mult in filter(None, [(1,) * group.order, sign]):
+            for n in (1, 2, 3, 4):
+                if (group.order - 1) ** (n + 1) > 8_000:
+                    continue
+                for denominator in (None, 2 * group.order):
+                    h = cohomology(group, rational_circle(group, mult), n,
+                                   denominator)
+                    assert h.stable == smith_stable(h), \
+                        (group.label, mult, n, denominator)
+                    cases += 1
+                    flags += h.stable
+    assert cases >= 80 and 0 < flags < cases
+
+
+def test_a_z1_summand_is_the_zero_group():
+    """The identity must act as the identity matrix mod each factor, and
+    mod 1 every entry does.  So a Z/1 summand is accepted and changes
+    nothing: over C2, C4 and S3 in degrees 0..3, H^n(G; Z/1 + Z/2) has the
+    factors of H^n(G; Z/2), and H^n(G; Z/1) = 0."""
+    for group in (make_cyclic(2), make_cyclic(4), make_symmetric(3)):
+        for n in range(4):
+            h = cohomology(group, finite_abelian(group, (1, 2)), n)
+            assert h.invariant_factors == cohomology(
+                group, finite_abelian(group, (2,)), n).invariant_factors
+            for coords in h.all_classes():
+                assert h.classify(h.representative_of(coords)) == coords
+            assert cohomology(group, finite_abelian(group, (1,)), n
+                              ).order == 1
 
 
 def test_circle_cohomology_takes_one_kernel_of_the_outgoing_differential(
@@ -858,35 +904,78 @@ def test_classes_read_through_a_residual_add_up(case):
         assert w is None or bar_differential(group, module, w) == c
 
 
-def test_construction_builds_no_solver_on_a_prime_modulus(monkeypatch):
-    """At a prime modulus each cocycle's kernel coordinates are a gather
-    of its free entries: building H^n builds no solver, and the first
-    witness builds the one solver of the relations."""
-    built = []
-    real = modsnf.ModSolver
+TRANSFORMS = {(False, False): "u", (False, True): "u_inv",
+              (True, False): "v", (True, True): "v_inv"}
 
-    def spy(a, m):
-        built.append(np.shape(a))
-        return real(a, m)
 
-    monkeypatch.setattr(modsnf, "ModSolver", spy)
-    c3, c5, c7 = make_cyclic(3), make_cyclic(5), make_cyclic(7)
+def spy_on_eliminations(monkeypatch):
+    """(eliminated, joined): every ``_local_smith`` input with its q, and
+    every transform a Smith form joins, with the form."""
+    eliminated, joined = [], []
+    local_smith, join = modsnf._local_smith, modsnf.ModSmithForm._joined
+
+    def local_spy(a, p, q):
+        eliminated.append((a.copy(), q))
+        return local_smith(a, p, q)
+
+    def join_spy(form, cols, inverse):
+        joined.append((form, TRANSFORMS[cols, inverse]))
+        return join(form, cols, inverse)
+
+    monkeypatch.setattr(modsnf, "_local_smith", local_spy)
+    monkeypatch.setattr(modsnf.ModSmithForm, "_joined", join_spy)
+    return eliminated, joined
+
+
+def test_one_elimination_of_the_relations_serves_every_question(monkeypatch):
+    """H^n eliminates its relation matrix once per local ring, and reads
+    everything off that one form: building H^n joins U^-1 only, the first
+    classify joins U once, the first witness V once, and no later call
+    eliminates anything.  For Q/Z, ``stable`` takes no Smith form of the
+    relations without the Bockstein columns.  At a prime modulus each
+    cocycle's kernel coordinates are a gather of its free entries."""
+    eliminated, joined = spy_on_eliminations(monkeypatch)
+    c3, c5, c6, c7 = (make_cyclic(k) for k in (3, 5, 6, 7))
     v4 = make_product(make_cyclic(2), make_cyclic(2))
     s3 = make_symmetric(3)
-    for group, module, n in ((c3, finite_abelian(c3, (3,)), 3),
-                             (v4, finite_abelian(v4, (2,)), 3),
-                             (s3, finite_abelian(s3, (3,)), 2),
-                             (c5, rational_circle(c5), 2),
-                             (c7, rational_circle(c7), 3)):
-        built.clear()
+    cases = ((c3, finite_abelian(c3, (3,)), 3),
+             (v4, finite_abelian(v4, (2,)), 3),
+             (s3, finite_abelian(s3, (3,)), 2),
+             (v4, finite_abelian(v4, (12,)), 2),
+             (c5, rational_circle(c5), 2),
+             (c7, rational_circle(c7), 3),
+             (c6, rational_circle(c6), 2),
+             (v4, rational_circle(v4), 3))
+    for group, module, n in cases:
+        eliminated.clear()
+        joined.clear()
         h = cohomology(group, module, n)
+        quot = h._quot
+        form = quot._solver.form
+        rings = [q for _, q, _ in modsnf._local_rings(quot.m)]
+        if quot.m in (2, 3, 5, 7):
+            assert all(p.v_inv is None for p in quot.kernel.parts)
+
+        def of_rel():
+            return [name for f, name in joined if f is form]
+
+        assert of_rel() == ["u_inv"]
+        built = len(eliminated)
         for coords in h.all_classes()[:5]:
             assert h.classify(h.representative_of(coords)) == coords
-        assert built == []
-        assert all(p.v_inv is None for p in h._quot.kernel.parts)
+        assert of_rel() == ["u_inv", "u"]
         zero = h.representative_of((0,) * len(h.invariant_factors))
-        assert h.coboundary_witness(zero) is not None
-        assert built == ([h._quot.rel.shape] if h._quot.rel.size else [])
+        for _ in range(2):
+            assert h.coboundary_witness(zero) is not None
+        assert of_rel() == ["u_inv", "u", "v"]
+        assert len(eliminated) == built
+        assert [q for a, q in eliminated if np.array_equal(
+            a, quot.rel % q)] == rings
+        if module.kind == "rational-circle":
+            nb = h._bock_gens.shape[1]
+            assert nb > 0
+            base = np.delete(quot.rel, np.s_[quot.n_l - nb:quot.n_l], axis=1)
+            assert not any(np.array_equal(a, base % q) for a, q in eliminated)
 
 
 def test_class_coordinates_over_two_local_rings_keep_their_basis():
@@ -966,28 +1055,29 @@ def test_witnesses_of_unnormalized_coboundaries_return_the_cochain():
 
 
 def test_witnesses_solve_in_the_relations_of_the_quotient(monkeypatch):
-    """A witness is read off the quotient's relation matrix: the only
-    Smith form a witness of a normalized coboundary takes is of that
-    matrix, once per group, never of a matrix with a row per degree-n
-    coordinate."""
+    """A witness is read off the quotient's relation matrix: witnesses of
+    normalized coboundaries take no Smith form, every solve is against
+    the relations' solver, and its form joins U and V once per group."""
     c3 = make_cyclic(3)
     c3xc3 = make_product(c3, c3)
     twisted = twisted_v4_module()
     groups = [cohomology(c3xc3, rational_circle(c3xc3), 3, denominator=27),
               cohomology(twisted.group, twisted, 2),
               cohomology(twisted.group, twisted, 3)]
-    calls = []
-    real = modsnf.mod_smith
+    eliminated, joined = spy_on_eliminations(monkeypatch)
+    solved = []
+    solve = modsnf.ModSolver.solve
 
-    def spy(a, m, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, m, *args, **kwargs)
+    def solve_spy(solver, b):
+        solved.append(solver)
+        return solve(solver, b)
 
-    monkeypatch.setattr(modsnf, "mod_smith", spy)
+    monkeypatch.setattr(modsnf.ModSolver, "solve", solve_spy)
     rng = random.Random(67)
     for h in groups:
         group, module, n = h.group, h.module, h.degree
-        calls.clear()
+        joined.clear()
+        solved.clear()
         for _ in range(3):
             s = cochain_from_function(
                 group, module, n - 1,
@@ -999,9 +1089,12 @@ def test_witnesses_solve_in_the_relations_of_the_quotient(monkeypatch):
             assert normalize_cocycle(group, module, c)[1] is None
             w = h.coboundary_witness(c)
             assert bar_differential(group, module, w) == c
-        dim_n = (group.order - 1) ** n * max(len(module.factors), 1)
-        assert len(calls) == 1 and calls[0][0] != dim_n
-        assert calls == [h._quot.rel.shape]
+        assert eliminated == []
+        assert solved == [h._quot._solver] * 3
+        assert (solved[0].rows, solved[0].cols) == h._quot.rel.shape
+        assert sorted(name for f, name in joined
+                      if f is solved[0].form) == ["u", "v"]
+        assert all(f is solved[0].form for f, _ in joined)
 
 
 def identity_row_shift(group, module, c):

@@ -38,7 +38,7 @@ def test_mod_smith_transforms_reconstruct():
         for _ in range(20):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             a = random_mod_matrix(rng, rows, cols, m)
-            form = mod_smith(a, m, want_u=True, want_uinv=True, want_v=True)
+            form = mod_smith(a, m)
             d = (form.u @ a @ form.v) % m
             want = np.zeros((rows, cols), dtype=np.int64)
             for i, x in enumerate(form.diag):
@@ -77,7 +77,7 @@ def check_smith_form(a, m):
     of divisors of m, and its factors those of the integer Smith form of
     [a | m I], which presents the same cokernel (Z/m)^rows / im(a)."""
     rows, cols = a.shape
-    form = mod_smith(a, m, want_u=True, want_uinv=True, want_v=True)
+    form = mod_smith(a, m)
     d = form.diag
     want = np.zeros((rows, cols), dtype=np.int64)
     want[range(len(d)), range(len(d))] = np.array(d, dtype=np.int64) % m

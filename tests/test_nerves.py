@@ -13,7 +13,7 @@ from itertools import combinations, product
 import oracles
 import pytest
 from oracles import (NatTransform, PseudofunctorSimplex,
-                     _enumerate_duskin_level, nat_violations,
+                     _enumerate_duskin_level, nat_violations, op,
                      pseudofunctor_violations, pull_table, reindex,
                      simplex_index, simplex_objects, simplicial_violations,
                      transport_simplex, xmod_abelian, xmod_identity)
@@ -317,8 +317,8 @@ def oracle_duskin_level(x, k):
                 for i in range(k + 1 - span):
                     j = i + span
                     du = x.boundary[u[tp[(i, j - 1, j)]]]
-                    alpha[pp[(i, j)]] = g.op(
-                        g.inv[du], g.op(alpha[pp[(i, j - 1)]], chain[j - 1]))
+                    alpha[pp[(i, j)]] = op(g, g.inv[du], op(
+                        g, alpha[pp[(i, j - 1)]], chain[j - 1]))
             s = PseudofunctorSimplex(k, tuple(alpha), u)
             if not pseudofunctor_violations(x, s):
                 out.append(s)
@@ -340,7 +340,7 @@ def oracle_ordinary(group, n):
             return chain[1:]
         if i == k:
             return chain[:-1]
-        return (chain[:i - 1] + (group.op(chain[i - 1], chain[i]),)
+        return (chain[:i - 1] + (op(group, chain[i - 1], chain[i]),)
                 + chain[i + 1:])
 
     def degen(k, i, chain):
@@ -356,17 +356,17 @@ def oracle_diag(x, n):
         (y1, us1), (y2, us2) = c1, c2
         run, out = y1, []
         for u1, u2 in zip(us1, us2):
-            out.append(h.op(u1, x.act(run, u2)))
-            run = g.op(x.boundary[u1], run)
-        return (g.op(y1, y2), tuple(out))
+            out.append(op(h, u1, x.act(run, u2)))
+            run = op(g, x.boundary[u1], run)
+        return (op(g, y1, y2), tuple(out))
 
     def v_face(r, col):
         y0, us = col
         if r == 0:
-            return (g.op(x.boundary[us[0]], y0), us[1:])
+            return (op(g, x.boundary[us[0]], y0), us[1:])
         if r == len(us):
             return (y0, us[:-1])
-        return (y0, us[:r - 1] + (h.op(us[r], us[r - 1]),) + us[r + 1:])
+        return (y0, us[:r - 1] + (op(h, us[r], us[r - 1]),) + us[r + 1:])
 
     def face(k, i, cols):
         if i == 0:

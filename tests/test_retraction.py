@@ -17,7 +17,7 @@ import pytest
 
 import xmodcoh.retraction as rt
 from xmodcoh import cli, nerves
-from oracles import xmod_abelian, xmod_identity
+from oracles import op, xmod_abelian, xmod_identity
 from xmodcoh.crossed import CrossedModule, validate_xmod
 from xmodcoh.errors import ResourceLimit
 from xmodcoh.groups import make_cyclic, make_symmetric
@@ -460,7 +460,7 @@ def a3_in_s3():
     s3 = make_symmetric(3)
     r = next(g for g in s3.elements() if g != s3.identity
              and s3.prod([g, g, g]) == s3.identity)
-    powers = [s3.identity, r, s3.op(r, r)]
+    powers = [s3.identity, r, op(s3, r, r)]
     action = tuple(tuple(powers.index(s3.conj(g, p)) for p in powers)
                    for g in s3.elements())
     return CrossedModule(make_cyclic(3), s3, tuple(powers), action,

@@ -14,8 +14,9 @@ from scipy.stats import unitary_group
 
 import oracles
 from xmodcoh import cli, unitary
-from oracles import (as_selfadjoint, ball_element, pointwise_product_path,
-                     random_selfadjoint, random_special_unitary)
+from oracles import (as_selfadjoint, ball_element, path_at,
+                     pointwise_product_path, random_selfadjoint,
+                     random_special_unitary)
 from xmodcoh.unitary import (as_unitary, check_exp_inequalities, circle_value,
                              d_tau, decompose_path, dlhs_delta, dlhs_path,
                              el_tau, exp_selfadjoint, operator_norm,
@@ -105,7 +106,7 @@ def test_path_validation_guards():
         unitary_path([0.0, 1.0], [eye, -eye])
     path = diag_loop([1])
     with pytest.raises(ValueError, match="outside the sampled range"):
-        path.at(1.5)
+        path_at(path, 1.5)
     with pytest.raises(ValueError, match="share one dimension"):
         pointwise_product_path(path, diag_loop([1, 0]))
 
